@@ -83,16 +83,6 @@ class ClientPartition:
     def shard(self, client_id: int, task_id: int) -> LabeledSet:
         return self._shards[(client_id, task_id)]
 
-    def drop_task(self, task_id: int) -> list:
-        """Remove and return all shards of a task (data amnesia at boundaries)."""
-        dropped = []
-        for key in [k for k in self._shards if k[1] == task_id]:
-            dropped.append(self._shards.pop(key))
-        return dropped
-
-    def has_task(self, task_id: int) -> bool:
-        return any(k[1] == task_id for k in self._shards)
-
 
 # ---------------------------------------------------------------------------
 # IDX loading

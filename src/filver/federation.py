@@ -37,7 +37,7 @@ from . import models, scenarios, storage
 from .datasets import TaskSequence, partition_clients
 from .errors import ContractViolation
 from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, GaussianStats
-from .numcore import ParamVector, sgd_step, sigma_from_log
+from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
                         StrategyConfig, admit, load_buffer, materialize_batch, memory_budget,
                         replay_batch, save_buffer)
@@ -131,35 +131,19 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def _encode_eval_chunked(encoder, params, images, chunk=512):
-    outs = [models.encode_for_eval(encoder, params, images[i:i + chunk])
-            for i in range(0, len(images), chunk)]
-    return np.concatenate(outs, axis=0)
-
-
 def _ensure_fresh_cache(client: ClientState, task_id: int, encoder: EncoderModel,
                         encoder_params: ParamVector) -> dict:
     """Embed the client's current shard once; the encoder is frozen, so the
-    cache stays valid for every round of the task."""
+    cache stays valid for every round of the task.  "mu" holds the
+    noise-free embeddings; "log_sigma" is None unless the encoder is a vee."""
     cached = client.fresh_cache.get(task_id)
     if cached is not None:
         return cached
     shard = client.shards.get(task_id)
     if shard is None or len(shard) == 0:
         raise ContractViolation(f"client {client.client_id} has no data for task {task_id}")
-    cache = {"labels": np.asarray(shard.labels)}
-    if encoder.spec.kind == "vee":
-        mus, sigs, logs = [], [], []
-        for i in range(0, len(shard), 512):
-            mu, log_sigma, _ = encoder.stats_forward(encoder_params, shard.images[i:i + 512])
-            mus.append(mu)
-            logs.append(log_sigma)
-        cache["mu"] = np.concatenate(mus)
-        cache["log_sigma"] = np.concatenate(logs)
-        cache["sigma"] = sigma_from_log(cache["log_sigma"])
-        cache["det"] = cache["mu"]
-    else:
-        cache["det"] = _encode_eval_chunked(encoder, encoder_params, shard.images)
+    mu, log_sigma = models.encode_for_eval(encoder, encoder_params, shard.images)
+    cache = {"labels": np.asarray(shard.labels), "mu": mu, "log_sigma": log_sigma}
     client.fresh_cache[task_id] = cache
     return cache
 
@@ -168,11 +152,10 @@ def _fresh_batch(cache: dict, strategy_kind: str, k: int, idx_rng: RngStream, ep
     n = len(cache["labels"])
     idx = idx_rng.choice(n, k, replace=k > n)
     y = cache["labels"][idx]
-    if strategy_kind in ("ver_stats", "ver_sampled") and "sigma" in cache:
-        eps = eps_rng.normal((k, cache["mu"].shape[1]))
-        z = cache["mu"][idx] + cache["sigma"][idx] * eps
+    if strategy_kind in ("ver_stats", "ver_sampled") and cache["log_sigma"] is not None:
+        z, _ = reparam_sample(cache["mu"][idx], cache["log_sigma"][idx], eps_rng)
     else:
-        z = cache["det"][idx]
+        z = cache["mu"][idx]
     return z, y
 
 
@@ -201,20 +184,17 @@ def _build_upload(client: ClientState, cache: dict, task_id: int, global_round: 
                                            y, task_id, global_round))
     elif strategy.kind in ("ebr", "noise"):
         for j, y in zip(idx, labels):
-            records.append(RehearsalRecord(EmbeddingPayload(np.array(cache["det"][j])),
+            records.append(RehearsalRecord(EmbeddingPayload(np.array(cache["mu"][j])),
                                            y, task_id, global_round))
+    elif cache["log_sigma"] is None:
+        raise ContractViolation(f"{strategy.kind} needs a variational encoder")
     elif strategy.kind == "ver_stats":
-        if "mu" not in cache:
-            raise ContractViolation("ver_stats needs a variational encoder")
         for j, y in zip(idx, labels):
             records.append(RehearsalRecord(
                 GaussianStats(np.array(cache["mu"][j]), np.array(cache["log_sigma"][j])),
                 y, task_id, global_round))
     else:  # ver_sampled: draw z once; the stats never leave the client
-        if "mu" not in cache:
-            raise ContractViolation("ver_sampled needs a variational encoder")
-        eps = rng.child("upload_eps").normal((len(idx), cache["mu"].shape[1]))
-        z = cache["mu"][idx] + cache["sigma"][idx] * eps
+        z, _ = reparam_sample(cache["mu"][idx], cache["log_sigma"][idx], rng.child("upload_eps"))
         for row, y in zip(z, labels):
             records.append(RehearsalRecord(EmbeddingPayload(np.array(row)),
                                            y, task_id, global_round))
@@ -442,6 +422,10 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
             _load_checkpoint(resume_from, encoder_spec)
         if meta["master_seed"] != master_seed:
             raise ContractViolation("checkpoint was written under a different master seed")
+        for key, value in (("strategy", strategy.kind), ("n_clients", fl.n_clients)):
+            if meta[key] != value:
+                raise ContractViolation(
+                    f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
         start_round = meta["global_round"]
         for c in clients:
             c.buffer = client_buffers.get(c.client_id, c.buffer)
@@ -464,7 +448,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         global_round=start_round)
 
     for t in range(n_tasks):
-        z = _encode_eval_chunked(encoder, encoder_params, tasks.tasks[t].val.images)
+        z, _ = models.encode_for_eval(encoder, encoder_params, tasks.tasks[t].val.images)
         state.eval_cache[t] = (z, np.asarray(tasks.tasks[t].val.labels))
 
     # a resumed run must not see raw data of tasks already finished
@@ -580,39 +564,27 @@ def run_offline(tasks: TaskSequence, fl: FLConfig, *, master_seed: int,
         pretrain_lr, master.child("pretrain"), batch_size=fl.batch_size, beta=beta)
     params = classifier.init_params(master.child("classifier_init"))
 
-    variational = encoder_spec.kind == "vee"
-    mus, sigmas, zs, labels = [], [], [], []
-    for task in tasks.tasks:
-        if variational:
-            for i in range(0, len(task.train), 512):
-                mu, log_sigma, _ = encoder.stats_forward(encoder_params,
-                                                         task.train.images[i:i + 512])
-                mus.append(mu)
-                sigmas.append(sigma_from_log(log_sigma))
-        else:
-            zs.append(_encode_eval_chunked(encoder, encoder_params, task.train.images))
-        labels.append(np.asarray(task.train.labels))
-    y_all = np.concatenate(labels)
-    if variational:
-        mu_all, sigma_all = np.concatenate(mus), np.concatenate(sigmas)
-    else:
-        z_all = np.concatenate(zs)
+    embedded = [models.encode_for_eval(encoder, encoder_params, task.train.images)
+                for task in tasks.tasks]
+    mu_all = np.concatenate([mu for mu, _ in embedded])
+    log_sigma_all = (np.concatenate([ls for _, ls in embedded])
+                     if encoder_spec.kind == "vee" else None)
+    y_all = np.concatenate([np.asarray(task.train.labels) for task in tasks.tasks])
     n = len(y_all)
 
     if steps is None:
         steps = tasks.n_tasks * fl.rounds_per_task * (fl.local_iters + fl.s_max)
     for s in range(steps):
         idx = master.child("offline_batch", s).choice(n, min(fl.batch_size, n), replace=False)
-        if variational:
-            eps = master.child("offline_eps", s).normal((len(idx), encoder_spec.embed_dim))
-            z = mu_all[idx] + sigma_all[idx] * eps
+        if log_sigma_all is not None:
+            z, _ = reparam_sample(mu_all[idx], log_sigma_all[idx], master.child("offline_eps", s))
         else:
-            z = z_all[idx]
+            z = mu_all[idx]
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y_all[idx])
         params = sgd_step(params, grad, fl.eta)
 
     accs = []
     for task in tasks.tasks:
-        z = _encode_eval_chunked(encoder, encoder_params, task.val.images)
+        z, _ = models.encode_for_eval(encoder, encoder_params, task.val.images)
         accs.append(models.classifier_accuracy(classifier, params, z, np.asarray(task.val.labels)))
     return tuple(accs), float(np.mean(accs))

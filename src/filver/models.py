@@ -15,7 +15,7 @@ backward calls stay pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ DEFAULT_EMBED_DIM = 256
 DEFAULT_HIDDEN = 1000
 DEFAULT_BETA = 1e-3
 DEFAULT_PRETRAIN_EPOCHS = 5
+EVAL_CHUNK = 512  # rows per frozen-encoder forward pass in encode_for_eval
 
 
 @dataclass
@@ -56,8 +57,8 @@ class ClassifierSpec:
     layers: int = 2
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ContractViolation("classifier needs at least one hidden layer")
+        if self.layers < 0:
+            raise ContractViolation("classifier hidden layer count must be >= 0")
         if self.classes < 2:
             raise ContractViolation("classifier needs at least two classes")
 
@@ -74,9 +75,6 @@ class GaussianStats:
         self.log_sigma = np.asarray(self.log_sigma, dtype=np.float64)
         if self.mu.shape != self.log_sigma.shape:
             raise ContractViolation("mu and log_sigma shapes differ")
-
-    def row(self, i: int) -> "GaussianStats":
-        return GaussianStats(self.mu[i].copy(), self.log_sigma[i].copy())
 
 
 @dataclass
@@ -291,30 +289,23 @@ class EncoderModel:
         return _grads_to_vector(params, grads)
 
 
-def encode_deterministic(encoder: EncoderModel, params: ParamVector, x) -> np.ndarray:
-    """Embeddings of a deterministic (random_projection or ebr) encoder."""
-    z, _ = encoder.embed_forward(params, x)
-    return z
+def encode_for_eval(encoder: EncoderModel, params: ParamVector, x):
+    """Noise-free forward pass over a whole set, EVAL_CHUNK rows at a time.
 
-
-def encode_variational(encoder: EncoderModel, params: ParamVector, x, rng: RngStream):
-    """VEE forward: per-example stats plus one reparameterized draw.
-
-    Stats are a deterministic function of (params, x); only the draw consumes
-    randomness.  Returns (stats, z, eps).
+    Returns (mu, log_sigma) for a vee encoder and (z, None) otherwise; the
+    first array is the embedding used for evaluation and deterministic
+    replay, and log_sigma is what a reparameterized draw needs besides it.
     """
-    mu, log_sigma, _ = encoder.stats_forward(params, x)
-    stats = GaussianStats(mu, log_sigma)
-    z, eps = nc.reparam_sample(mu, log_sigma, rng)
-    return stats, z, eps
-
-
-def encode_for_eval(encoder: EncoderModel, params: ParamVector, x) -> np.ndarray:
-    """Noise-free embeddings for evaluation: mu for vee, head output otherwise."""
-    if encoder.spec.kind == "vee":
-        mu, _, _ = encoder.stats_forward(params, x)
-        return mu
-    return encode_deterministic(encoder, params, x)
+    variational = encoder.spec.kind == "vee"
+    heads, log_sigmas = [], []
+    for i in range(0, len(x), EVAL_CHUNK):
+        if variational:
+            mu, log_sigma, _ = encoder.stats_forward(params, x[i:i + EVAL_CHUNK])
+            heads.append(mu)
+            log_sigmas.append(log_sigma)
+        else:
+            heads.append(encoder.embed_forward(params, x[i:i + EVAL_CHUNK])[0])
+    return np.concatenate(heads), (np.concatenate(log_sigmas) if variational else None)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +337,7 @@ class ClassifierModel:
             z = z[None, :]
         if z.shape[1] != self.embed_dim:
             raise ContractViolation(
-                f"classify: embedding dim {z.shape[1]} != expected {self.embed_dim}"
+                f"classifier: embedding dim {z.shape[1]} != expected {self.embed_dim}"
             )
         return _stack_forward(self.layers, params, z)
 
@@ -356,17 +347,19 @@ class ClassifierModel:
         return _grads_to_vector(params, grads), dz
 
 
-def classify(classifier: ClassifierModel, params: ParamVector, z) -> np.ndarray:
-    logits, _ = classifier.forward(params, z)
-    return logits
+def _head_cross_entropy(classifier: ClassifierModel, params: ParamVector, z, labels):
+    """Batch-mean cross-entropy of the classifier on embeddings z:
+    (loss, parameter gradient, gradient with respect to z)."""
+    logits, caches = classifier.forward(params, z)
+    loss, dlogits = nc.softmax_cross_entropy(logits, labels)
+    grads, dz = classifier.backward(params, caches, dlogits)
+    return loss, grads, dz
 
 
 def classifier_loss_and_grad(classifier: ClassifierModel, params: ParamVector, z, labels):
     """Cross-entropy on embeddings: (loss, param gradient).  The local and
     server training steps both reduce to this once the encoder is frozen."""
-    logits, caches = classifier.forward(params, z)
-    loss, dlogits = nc.softmax_cross_entropy(logits, labels)
-    grads, _ = classifier.backward(params, caches, dlogits)
+    loss, grads, _ = _head_cross_entropy(classifier, params, z, labels)
     return loss, grads
 
 
@@ -398,9 +391,7 @@ def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,
     gradients reach mu and log_sigma through both the CE term (via eps) and
     the KL term.
     """
-    logits, caches = classifier.forward(classifier_params, z)
-    ce, dlogits = nc.softmax_cross_entropy(logits, labels)
-    clf_grads, dz = classifier.backward(classifier_params, caches, dlogits)
+    ce, clf_grads, dz = _head_cross_entropy(classifier, classifier_params, z, labels)
     kl, dmu_kl, dls_kl = nc.gaussian_kl_batch(stats.mu, stats.log_sigma)
     sigma = nc.sigma_from_log(stats.log_sigma)
     d_mu = dz + cfg.beta * dmu_kl
@@ -426,6 +417,9 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
                      on_epoch=None) -> ParamVector:
     """Train the encoder against a throwaway linear probe; return its parameters.
 
+    A vee encoder takes each step through ver_loss on one reparameterized
+    draw; a deterministic one through the probe's cross-entropy alone.
+
     random_projection encoders are returned at initialization, untrained.
     Gradients are clipped to a global norm of clip_norm, which keeps the
     from-scratch SGD from blowing up on unlucky initializations.  Callers
@@ -439,8 +433,9 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
     if encoder.spec.kind == "random_projection":
         return params
 
-    probe = _Dense("probe", encoder.spec.embed_dim, classes, "identity")
-    probe_params = ParamVector.from_arrays(probe.init_arrays(rng.child("probe_init")))
+    # a linear head: its single layer draws straight from the probe stream
+    probe = ClassifierModel(ClassifierSpec(classes, layers=0), encoder.spec.embed_dim)
+    probe_params = ParamVector.from_arrays(probe.layers[0].init_arrays(rng.child("probe_init")))
     cfg = VerLossConfig(beta=beta)
     labels = np.asarray(task0_labels)
 
@@ -453,26 +448,16 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
             if encoder.spec.kind == "vee":
                 mu, log_sigma, caches = encoder.stats_forward(params, xb)
                 z, eps = nc.reparam_sample(mu, log_sigma, rng.child("pretrain_eps", epoch, start))
-                logits, pcache = probe.forward(probe_params, z)
-                ce, dlogits = nc.softmax_cross_entropy(logits, yb)
-                pgrads: dict = {}
-                dz = probe.backward(probe_params, pcache, dlogits, pgrads)
-                kl, dmu_kl, dls_kl = nc.gaussian_kl_batch(mu, log_sigma)
-                sigma = nc.sigma_from_log(log_sigma)
-                enc_grad = encoder.stats_backward(
-                    params, caches, dz + cfg.beta * dmu_kl, dz * sigma * eps + cfg.beta * dls_kl
-                )
-                kl_sum += kl
+                res = ver_loss(GaussianStats(mu, log_sigma), z, eps, yb, probe, probe_params, cfg)
+                enc_grad = encoder.stats_backward(params, caches, res.d_mu, res.d_log_sigma)
+                ce, probe_grad = res.ce, res.classifier_grad
+                kl_sum += res.kl
             else:
                 z, caches = encoder.embed_forward(params, xb)
-                logits, pcache = probe.forward(probe_params, z)
-                ce, dlogits = nc.softmax_cross_entropy(logits, yb)
-                pgrads = {}
-                dz = probe.backward(probe_params, pcache, dlogits, pgrads)
+                ce, probe_grad, dz = _head_cross_entropy(probe, probe_params, z, yb)
                 enc_grad = encoder.embed_backward(params, caches, dz)
             params = nc.sgd_step(params, nc.clip_gradient(enc_grad, clip_norm), lr)
-            probe_params = nc.sgd_step(
-                probe_params, nc.clip_gradient(_grads_to_vector(probe_params, pgrads), clip_norm), lr)
+            probe_params = nc.sgd_step(probe_params, nc.clip_gradient(probe_grad, clip_norm), lr)
             ce_sum += ce
             batches += 1
         if on_epoch is not None:

@@ -114,10 +114,6 @@ class ParamVector:
 Gradient = ParamVector
 
 
-def zeros_like_params(params: ParamVector) -> Gradient:
-    return ParamVector([Segment(s.name, np.zeros_like(s.values)) for s in params.segments])
-
-
 def sgd_step(params: ParamVector, grad: Gradient, lr: float) -> ParamVector:
     """One plain SGD step: params - lr * grad, elementwise."""
     if not params.layout_compatible(grad):

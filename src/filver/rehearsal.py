@@ -26,7 +26,7 @@ import numpy as np
 from . import storage
 from .errors import ContractViolation
 from .models import EncoderModel, GaussianStats, encode_for_eval
-from .numcore import ParamVector, sigma_from_log
+from .numcore import ParamVector, reparam_sample
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
@@ -209,15 +209,13 @@ def materialize(record: RehearsalRecord, kind: str, *,
     if isinstance(record.payload, RawPayload):
         if encoder is None or encoder_params is None:
             raise ContractViolation("raw payloads need the frozen encoder to materialize")
-        z = encode_for_eval(encoder, encoder_params, record.payload.x[None])[0]
-        return z, record.label
+        z, _ = encode_for_eval(encoder, encoder_params, record.payload.x[None])
+        return z[0], record.label
     # stats payload: resample z = mu + sigma * eps on every replay
     if rng is None:
         raise ContractViolation("stats payloads need an rng to materialize")
-    mu = record.payload.mu
-    sigma = sigma_from_log(record.payload.log_sigma)
-    eps = rng.normal(mu.shape)
-    return mu + sigma * eps, record.label
+    z, _ = reparam_sample(record.payload.mu, record.payload.log_sigma, rng)
+    return z, record.label
 
 
 def materialize_batch(records: list, kind: str, *,
@@ -235,14 +233,14 @@ def materialize_batch(records: list, kind: str, *,
     if isinstance(first, RawPayload):
         if encoder is None or encoder_params is None:
             raise ContractViolation("raw payloads need the frozen encoder to materialize")
-        xs = np.stack([rec.payload.x for rec in records])
-        return encode_for_eval(encoder, encoder_params, xs), labels
+        z, _ = encode_for_eval(encoder, encoder_params,
+                               np.stack([rec.payload.x for rec in records]))
+        return z, labels
     if rng is None:
         raise ContractViolation("stats payloads need an rng to materialize")
-    mu = np.stack([rec.payload.mu for rec in records])
-    sigma = sigma_from_log(np.stack([rec.payload.log_sigma for rec in records]))
-    eps = rng.normal(mu.shape)
-    return mu + sigma * eps, labels
+    z, _ = reparam_sample(np.stack([rec.payload.mu for rec in records]),
+                          np.stack([rec.payload.log_sigma for rec in records]), rng)
+    return z, labels
 
 
 def memory_budget(cfg: StrategyConfig, naive_count: int,

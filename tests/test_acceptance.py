@@ -342,6 +342,7 @@ def battery():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_catastrophic_forgetting_without_rehearsal(capsys, battery):
     cfg = battery["config"]
     setup_ok = (cfg["protocol.tasks"] == 4 and cfg["protocol.classes_per_task"] == 10
@@ -364,6 +365,7 @@ def test_criterion_05_catastrophic_forgetting_without_rehearsal(capsys, battery)
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_rehearsal_ordering_and_offline_gap(capsys, battery):
     m = battery["means"]
     ordering = m["none"] < m["ver_nosst"] < m["ver_sst"]
@@ -384,6 +386,7 @@ def test_criterion_06_rehearsal_ordering_and_offline_gap(capsys, battery):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_ebr_ver_parity(capsys, battery):
     m = battery["means"]
     gap = abs(m["ebr_sst"] - m["ver_sst"])
@@ -398,6 +401,7 @@ def test_criterion_07_ebr_ver_parity(capsys, battery):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_enrollment_scenarios(capsys, battery):
     legal = True
     for kind in SCHEDULE_KINDS:

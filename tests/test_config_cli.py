@@ -359,6 +359,23 @@ def test_resume_under_a_different_seed_is_a_contract_violation(tmp_path, capsys)
     assert "contract violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,override", [("strategy", {"strategy.kind": "ver_stats"}),
+                                          ("n_clients", {"fl.n_clients": "3"})])
+def test_resume_under_a_different_strategy_or_client_count_is_refused(tmp_path, capsys,
+                                                                       key, override):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **override)
+    ckpt = tmp_path / "out" / "checkpoint"
+    capsys.readouterr()
+    assert cli.main(["run", str(changed), "--resume", str(ckpt), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    saved = json.loads((ckpt / "meta.json").read_text())[key]
+    assert key in err and repr(saved) in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
 def test_checkpoint_every_writes_checkpoints(tmp_path):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--checkpoint-every", "2", "--quiet"]) == 0

@@ -223,17 +223,6 @@ def test_partition_is_deterministic():
             assert np.array_equal(a.shard(c, t).images, b.shard(c, t).images)
 
 
-def test_partition_drop_task_removes_all_shards():
-    seq = build_split_tasks(_toy_set(classes=4, per_class=10), 2, 2,
-                            val_fraction=0.2, rng=RngStream(10))
-    part = partition_clients(seq, 2, RngStream(11))
-    assert part.has_task(0)
-    dropped = part.drop_task(0)
-    assert len(dropped) == 2
-    assert not part.has_task(0)
-    assert part.has_task(1)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic blobs
 # ---------------------------------------------------------------------------

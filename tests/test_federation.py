@@ -183,8 +183,9 @@ def mirror_vanilla_run(tasks, fl, seed, enc_spec, cls_spec):
                                          batch_size=fl.batch_size, beta=models.DEFAULT_BETA)
     params = classifier.init_params(master.child("classifier_init"))
 
-    embeds = {key: encode_for_eval(encoder, enc_params, s.images) for key, s in shards.items()}
-    val = [(encode_for_eval(encoder, enc_params, t.val.images), np.asarray(t.val.labels))
+    embeds = {key: encode_for_eval(encoder, enc_params, s.images)[0]
+              for key, s in shards.items()}
+    val = [(encode_for_eval(encoder, enc_params, t.val.images)[0], np.asarray(t.val.labels))
            for t in tasks.tasks]
 
     reports = []
@@ -314,7 +315,7 @@ def test_local_train_uploads_rho_sample_and_self_admits():
         assert rec.task_id == 0
         assert rec.round_id == 3
     # uploaded embeddings match the frozen encoder on the shard
-    det = encode_for_eval(encoder, enc_params, client.shards[0].images)
+    det, _ = encode_for_eval(encoder, enc_params, client.shards[0].images)
     for rec in res.upload:
         assert any(np.allclose(rec.payload.z, row, rtol=1e-12, atol=0) for row in det)
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import filver.numcore as nc
-from filver import storage
+from filver import models, storage
 from filver.errors import ContractViolation
-from filver.models import (ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec,
-                           GaussianStats, VerLossConfig, classifier_accuracy,
-                           classifier_loss_and_grad, classify, encode_deterministic,
-                           encode_for_eval, encode_variational, pretrain_encoder, ver_loss)
+from filver.models import (EVAL_CHUNK, ClassifierModel, ClassifierSpec, EncoderModel,
+                           EncoderSpec, GaussianStats, VerLossConfig, classifier_accuracy,
+                           classifier_loss_and_grad, encode_for_eval, pretrain_encoder,
+                           ver_loss)
 from filver.rng import RngStream
 
 from conftest import fd_params, jittered_params, min_abs_dense_pre
@@ -29,8 +29,8 @@ def test_conv_encoder_shapes():
     model = EncoderModel(spec)
     params = model.init_params(RngStream(1))
     x = RngStream(2).uniform(shape=(3, 28, 28))
-    z = encode_deterministic(model, params, x)
-    assert z.shape == (3, 16)
+    z, log_sigma = encode_for_eval(model, params, x)
+    assert z.shape == (3, 16) and log_sigma is None
 
 
 def test_conv_encoder_rejects_small_input():
@@ -61,23 +61,27 @@ def test_encoder_forward_deterministic(tiny_mlp_vee):
     assert np.array_equal(mu1, mu2) and np.array_equal(ls1, ls2)
 
 
-def test_encode_variational_consistency(tiny_mlp_vee):
-    params = jittered_params(tiny_mlp_vee, RngStream(7))
-    x = RngStream(8).normal((5, 6))
-    stats, z, eps = encode_variational(tiny_mlp_vee, params, x, RngStream(9))
-    mu, log_sigma, _ = tiny_mlp_vee.stats_forward(params, x)
-    assert np.array_equal(stats.mu, mu)
-    assert np.allclose(z, mu + nc.sigma_from_log(log_sigma) * eps)
-
-
 def test_encode_for_eval_is_noise_free(tiny_mlp_vee, tiny_mlp_ebr):
     x = RngStream(10).normal((3, 6))
     vp = jittered_params(tiny_mlp_vee, RngStream(11))
-    mu, _, _ = tiny_mlp_vee.stats_forward(vp, x)
-    assert np.array_equal(encode_for_eval(tiny_mlp_vee, vp, x), mu)
+    mu, log_sigma, _ = tiny_mlp_vee.stats_forward(vp, x)
+    got_mu, got_log_sigma = encode_for_eval(tiny_mlp_vee, vp, x)
+    assert np.array_equal(got_mu, mu) and np.array_equal(got_log_sigma, log_sigma)
     ep = jittered_params(tiny_mlp_ebr, RngStream(12))
-    assert np.array_equal(encode_for_eval(tiny_mlp_ebr, ep, x),
-                          encode_deterministic(tiny_mlp_ebr, ep, x))
+    z, _ = tiny_mlp_ebr.embed_forward(ep, x)
+    got_z, none = encode_for_eval(tiny_mlp_ebr, ep, x)
+    assert np.array_equal(got_z, z) and none is None
+
+
+def test_encode_for_eval_chunks_long_sets(tiny_mlp_vee):
+    n = 2 * EVAL_CHUNK + 7
+    x = RngStream(13).normal((n, 6))
+    params = jittered_params(tiny_mlp_vee, RngStream(14))
+    mu, log_sigma = encode_for_eval(tiny_mlp_vee, params, x)
+    assert mu.shape == log_sigma.shape == (n, 4)
+    tail_mu, tail_ls, _ = tiny_mlp_vee.stats_forward(params, x[2 * EVAL_CHUNK:])
+    assert np.array_equal(mu[2 * EVAL_CHUNK:], tail_mu)
+    assert np.array_equal(log_sigma[2 * EVAL_CHUNK:], tail_ls)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def test_ver_loss_beta_zero_reduces_to_cross_entropy(tiny_mlp_vee, tiny_classifi
     z = mu + sigma * eps
     res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, tiny_classifier, cls_params,
                    VerLossConfig(beta=0.0))
-    ce, _ = nc.softmax_cross_entropy(classify(tiny_classifier, cls_params, z), y)
+    ce, _ = nc.softmax_cross_entropy(tiny_classifier.forward(cls_params, z)[0], y)
     assert res.loss == ce and res.ce == ce
     assert res.kl > 0  # still reported for monitoring
 
@@ -188,12 +192,7 @@ def test_clamped_log_sigma_blocks_its_gradient(tiny_mlp_vee, tiny_classifier):
     assert np.abs(grad.get("mu.w")).max() > 0  # mu path still flows
 
 
-def test_gaussian_stats_row_and_shape_check():
-    stats = GaussianStats(np.zeros((3, 2)), np.ones((3, 2)))
-    row = stats.row(1)
-    assert row.mu.shape == (2,)
-    row.mu[0] = 99.0
-    assert stats.mu[1, 0] == 0.0  # row() copies
+def test_gaussian_stats_shape_check():
     with pytest.raises(ContractViolation):
         GaussianStats(np.zeros((2, 2)), np.zeros((3, 2)))
 
@@ -204,14 +203,14 @@ def test_gaussian_stats_row_and_shape_check():
 
 def test_classifier_promotes_single_embedding(tiny_classifier):
     params = tiny_classifier.init_params(RngStream(20))
-    logits = classify(tiny_classifier, params, np.zeros(4))
+    logits, _ = tiny_classifier.forward(params, np.zeros(4))
     assert logits.shape == (1, 3)
 
 
 def test_classifier_rejects_wrong_dim(tiny_classifier):
     params = tiny_classifier.init_params(RngStream(21))
     with pytest.raises(ContractViolation):
-        classify(tiny_classifier, params, np.zeros((2, 5)))
+        tiny_classifier.forward(params, np.zeros((2, 5)))
 
 
 def test_classifier_loss_grad_matches_fd(tiny_classifier):
@@ -231,7 +230,7 @@ def test_classifier_loss_grad_matches_fd(tiny_classifier):
 def test_classifier_accuracy_counts_argmax_hits(tiny_classifier):
     params = tiny_classifier.init_params(RngStream(23))
     z = RngStream(24).normal((10, 4))
-    logits = classify(tiny_classifier, params, z)
+    logits, _ = tiny_classifier.forward(params, z)
     y = logits.argmax(axis=1)
     assert classifier_accuracy(tiny_classifier, params, z, y) == 1.0
     y_wrong = (y + 1) % 3
@@ -271,6 +270,22 @@ def test_pretrain_reduces_probe_loss(kind):
     pretrain_encoder(x, y, 3, model, epochs=8, lr=0.1, rng=RngStream(33),
                      beta=1e-4, on_epoch=lambda e, stats: history.append(stats["ce"]))
     assert history[-1] < 0.5 * history[0]
+
+
+def test_pretrain_vee_steps_through_ver_loss(monkeypatch):
+    """Criterion 1's composite gradient check covers ver_loss; pretraining
+    must take every vee step through it rather than a copy."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ver_loss(*args, **kwargs)
+
+    monkeypatch.setattr(models, "ver_loss", counted)
+    x, y = _blob_toy(37)  # 120 rows: four batches of 32 per epoch
+    model = EncoderModel(EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8))
+    pretrain_encoder(x, y, 3, model, epochs=2, lr=0.05, rng=RngStream(38))
+    assert len(calls) == 2 * 4
 
 
 def test_pretrain_rejects_empty_dataset(tiny_mlp_ebr):

@@ -306,7 +306,7 @@ def test_materialize_raw_reembeds_with_frozen_encoder(tiny_mlp_ebr):
     x = rng.normal((6,))
     rec = RehearsalRecord(RawPayload(x), 2, 0, 0)
     z, y = materialize(rec, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
-    expected = encode_for_eval(tiny_mlp_ebr, params, x[None])[0]
+    expected = encode_for_eval(tiny_mlp_ebr, params, x[None])[0][0]
     assert np.array_equal(z, expected)
     assert y == 2
 
