@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from .config import (DATA_ROOT_ENV, PRESET_STRATEGY_SWEEPS, PRESETS, ExperimentConfig,
                      build_manifest, parse_config, preset_config)
 from .errors import ConfigError, ContractViolation, IdxFormatError
-from .federation import run_experiment
+from .federation import CHECKPOINT_META, read_checkpoint_meta, run_experiment
 
 
 def _fmt(x) -> str:
@@ -33,6 +33,26 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _rows_up_to_checkpoint(rounds_path: str, checkpoint_dir: str):
+    """The header and the first global_round rows of rounds.csv: rows a run
+    wrote after its last checkpoint are written again by the resumed run.
+    None when the checkpoint has no metadata, which run_experiment's loader
+    reports."""
+    if not os.path.exists(os.path.join(checkpoint_dir, CHECKPOINT_META)):
+        return None
+    done = read_checkpoint_meta(checkpoint_dir)["global_round"]
+    lines = []
+    if os.path.exists(rounds_path):
+        with open(rounds_path) as f:
+            lines = f.readlines()
+    rows = max(0, len(lines) - 1)
+    if rows < done:
+        raise ContractViolation(
+            f"{rounds_path} holds {rows} rows, but checkpoint {checkpoint_dir} is at "
+            f"round {done}; resume needs every row up to the checkpoint")
+    return lines[:1 + done]
 
 
 def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=None,
@@ -54,19 +74,21 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
         checkpoint_dir = os.path.join(out_dir, "checkpoint")
 
     rounds_path = os.path.join(out_dir, "rounds.csv")
-    resuming = resume_from is not None
-    csv_file = open(rounds_path, "a" if resuming else "w")
     header = (["round", "task"]
               + [f"acc_task_{i + 1}" for i in range(tasks.n_tasks)]
               + ["mean_loss", "n_clients"])
-    if not resuming:
-        csv_file.write(",".join(header) + "\n")
+    kept = [",".join(header) + "\n"]
+    if resume_from is not None:
+        kept = _rows_up_to_checkpoint(rounds_path, resume_from)
+    csv_file = open(rounds_path, "a" if kept is None else "w")
+    csv_file.writelines(kept or [])
 
     def on_round(report):
         row = ([str(report.round_id + 1), str(report.task_id + 1)]
                + [_fmt(a) for a in report.accuracies]
                + [_fmt(report.mean_loss), str(len(report.participants))])
         csv_file.write(",".join(row) + "\n")
+        csv_file.flush()  # the row reaches the file before this round's checkpoint
         if not quiet and (report.round_id + 1) % fl.rounds_per_task == 0:
             accs = " ".join(f"{a:.3f}" for a in report.accuracies)
             print(f"task {report.task_id + 1}/{tasks.n_tasks} done "

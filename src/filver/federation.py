@@ -222,9 +222,9 @@ def local_train(client: ClientState, global_params: ParamVector, encoder: Encode
         k_fresh = max(1, k_fresh)
         z, y = _fresh_batch(cache, strategy.kind, k_fresh, rng.child("fresh", i), rng.child("eps", i))
         if use_replay:
-            recs = replay_batch(client.buffer, fl.batch_size - k_fresh, rng.child("replay", i))
-            if recs:
-                z_r, y_r = materialize_batch(recs, strategy.kind, encoder=encoder,
+            batch = replay_batch(client.buffer, fl.batch_size - k_fresh, rng.child("replay", i))
+            if len(batch):
+                z_r, y_r = materialize_batch(batch, strategy.kind, encoder=encoder,
                                              encoder_params=encoder_params,
                                              rng=rng.child("replay_eps", i))
                 z = np.concatenate([z, z_r])
@@ -251,8 +251,8 @@ def server_side_training(params: ParamVector, server_buffer: RehearsalBuffer,
     if fl.s_max == 0 or len(server_buffer) == 0:
         return params
     for s in range(fl.s_max):
-        recs = replay_batch(server_buffer, fl.batch_size, rng.child("batch", s))
-        z, y = materialize_batch(recs, strategy_kind, encoder=encoder,
+        batch = replay_batch(server_buffer, fl.batch_size, rng.child("batch", s))
+        z, y = materialize_batch(batch, strategy_kind, encoder=encoder,
                                  encoder_params=encoder_params, rng=rng.child("eps", s))
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta_s)
@@ -517,12 +517,16 @@ def save_checkpoint(directory, state: ExperimentState) -> None:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def _load_checkpoint(directory, encoder_spec: EncoderSpec):
+def read_checkpoint_meta(directory) -> dict:
     meta_path = os.path.join(directory, CHECKPOINT_META)
     if not os.path.exists(meta_path):
         raise ContractViolation(f"no checkpoint metadata at {meta_path}")
     with open(meta_path) as f:
-        meta = json.load(f)
+        return json.load(f)
+
+
+def _load_checkpoint(directory, encoder_spec: EncoderSpec):
+    meta = read_checkpoint_meta(directory)
     merged, header = storage.load_model_checkpoint(os.path.join(directory, "model.bin"))
     if header["encoder_kind"] != encoder_spec.kind:
         raise ContractViolation("checkpoint encoder kind does not match the configuration")

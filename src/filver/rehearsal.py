@@ -12,12 +12,18 @@ embedding at replay time:
 
 The stats/sampled distinction is enforced by payload type: a ver_sampled
 record simply has no field in which statistics could travel.
+
+Records are what a client ships.  A buffer keeps them as columns instead:
+one float64 array per payload field, named after it (``x``, ``z``, or ``mu``
+and ``log_sigma``), plus int64 label, task and round columns.  So the privacy
+rule is also a schema property: a ver_sampled buffer has no stats column.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -83,13 +89,19 @@ class RehearsalRecord:
         self.task_id = int(self.task_id)
         self.round_id = int(self.round_id)
 
-    @property
-    def payload_tag(self) -> int:
-        if isinstance(self.payload, RawPayload):
-            return storage.PAYLOAD_RAW
-        if isinstance(self.payload, EmbeddingPayload):
-            return storage.PAYLOAD_EMBEDDING
-        return storage.PAYLOAD_STATS
+
+# payload type -> the buffer columns its fields become, and the snapshot tag
+_COLUMNS_FOR_PAYLOAD = {
+    RawPayload: ("x",),
+    EmbeddingPayload: ("z",),
+    GaussianStats: ("mu", "log_sigma"),
+}
+_PAYLOAD_FOR_TAG = {
+    storage.PAYLOAD_RAW: RawPayload,
+    storage.PAYLOAD_EMBEDDING: EmbeddingPayload,
+    storage.PAYLOAD_STATS: GaussianStats,
+}
+_TAG_FOR_COLUMNS = {_COLUMNS_FOR_PAYLOAD[p]: tag for tag, p in _PAYLOAD_FOR_TAG.items()}
 
 
 @dataclass
@@ -114,23 +126,35 @@ def expected_payload_type(kind: str):
     return _PAYLOAD_TYPE_FOR_KIND.get(kind)
 
 
-def check_record_matches(kind: str, record: RehearsalRecord) -> None:
+def check_columns_match(kind: str, buffer: RehearsalBuffer) -> None:
     expected = expected_payload_type(kind)
     if expected is None:
         raise ContractViolation("strategy 'none' admits no records")
-    if not isinstance(record.payload, expected):
+    want = _COLUMNS_FOR_PAYLOAD[expected]
+    if tuple(buffer.columns) != want:
         raise ContractViolation(
-            f"strategy {kind!r} expects {expected.__name__} payloads, "
-            f"got {type(record.payload).__name__}")
+            f"strategy {kind!r} expects {expected.__name__} columns {want}, "
+            f"got {tuple(buffer.columns)}")
+
+
+def _no_ids() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class RehearsalBuffer:
-    """Bounded record store with fractional admission and per-task eviction."""
+    """Bounded rehearsal store with fractional admission and per-task eviction.
+
+    Row i is one record: ``columns[name][i]`` for each payload field, and
+    ``labels[i]``, ``tasks[i]``, ``rounds[i]``.  The first rows admitted fix
+    the payload columns; an empty buffer may have none yet."""
 
     capacity: int | None = None
     rho: float = 0.10
-    records: list = field(default_factory=list)
+    columns: dict = field(default_factory=dict)
+    labels: np.ndarray = field(default_factory=_no_ids)
+    tasks: np.ndarray = field(default_factory=_no_ids)
+    rounds: np.ndarray = field(default_factory=_no_ids)
 
     def __post_init__(self):
         if self.capacity is not None and self.capacity < 0:
@@ -139,21 +163,48 @@ class RehearsalBuffer:
             raise ContractViolation(f"rho must lie in [0, 1], got {self.rho}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
     def task_counts(self) -> dict:
-        counts: dict = {}
-        for rec in self.records:
-            counts[rec.task_id] = counts.get(rec.task_id, 0) + 1
-        return counts
+        tasks, counts = np.unique(self.tasks, return_counts=True)
+        return {int(t): int(c) for t, c in zip(tasks, counts)}
+
+    def take(self, idx) -> RehearsalBuffer:
+        """The rows at `idx`, in that order, as an unbounded buffer."""
+        return RehearsalBuffer(None, self.rho, {k: v[idx] for k, v in self.columns.items()},
+                               self.labels[idx], self.tasks[idx], self.rounds[idx])
+
+
+def _rows_from_records(records: list) -> RehearsalBuffer:
+    """Stack a homogeneous record list into columns."""
+    kinds = {type(r.payload) for r in records}
+    if len(kinds) != 1:
+        raise ContractViolation(
+            f"records mix payload types {sorted(k.__name__ for k in kinds)}")
+    columns = {}
+    for name in _COLUMNS_FOR_PAYLOAD[kinds.pop()]:
+        try:
+            columns[name] = np.stack([getattr(r.payload, name) for r in records])
+        except ValueError as exc:
+            raise ContractViolation(f"records carry {name!r} payloads of differing shapes") from exc
+    return RehearsalBuffer(None, 1.0, columns,
+                           np.array([r.label for r in records], dtype=np.int64),
+                           np.array([r.task_id for r in records], dtype=np.int64),
+                           np.array([r.round_id for r in records], dtype=np.int64))
+
+
+def _schema(buffer: RehearsalBuffer) -> tuple:
+    return tuple((name, col.shape[1:]) for name, col in buffer.columns.items())
 
 
 def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> RehearsalBuffer:
-    """Admit ceil(rho * n) uniformly chosen candidates, then evict to capacity.
+    """Admit ceil(rho * n) uniformly chosen candidate records, then evict to
+    capacity.
 
-    Candidates must share one (task_id, round_id).  Eviction removes a random
-    record from whichever task currently holds the most, breaking ties toward
-    the newest task so early tasks keep their representation.
+    Candidates must share one (task_id, round_id) and one payload type, the
+    one the buffer already holds.  Eviction removes a random record from
+    whichever task currently holds the most, breaking ties toward the newest
+    task so early tasks keep their representation.
     """
     if not candidates:
         return buffer
@@ -164,83 +215,117 @@ def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> Rehearsa
     if n_admit == 0:
         return buffer
     if n_admit >= len(candidates):
-        chosen = list(candidates)
+        chosen = candidates
     else:
         idx = rng.choice(len(candidates), n_admit, replace=False)
         chosen = [candidates[i] for i in idx]
-    buffer.records.extend(chosen)
-    _evict_to_capacity(buffer, rng)
+    rows = _rows_from_records(chosen)
+    if len(buffer) and _schema(rows) != _schema(buffer):
+        raise ContractViolation(
+            f"buffer holds payload columns {_schema(buffer)}, candidates carry {_schema(rows)}")
+
+    keep = _survivors(np.concatenate([buffer.tasks, rows.tasks]), buffer.capacity, rng)
+    n = len(buffer)
+    buffer.columns = {name: _merge_rows(buffer.columns[name] if n else col[:0], col, keep)
+                      for name, col in rows.columns.items()}
+    buffer.labels = _merge_rows(buffer.labels, rows.labels, keep)
+    buffer.tasks = _merge_rows(buffer.tasks, rows.tasks, keep)
+    buffer.rounds = _merge_rows(buffer.rounds, rows.rounds, keep)
     return buffer
 
 
-def _evict_to_capacity(buffer: RehearsalBuffer, rng: RngStream) -> None:
-    if buffer.capacity is None:
+def _merge_rows(old: np.ndarray, new: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept rows of old followed by the kept rows of new.
+
+    A full buffer keeps its size (one row out per row in); its rows then move
+    within `old`, so steady-state admission allocates nothing of the
+    buffer's size.  Allocating and freeing such arrays at every admit
+    fragmented the heap and raised peak RSS."""
+    n = len(old)
+    kept_old = np.flatnonzero(keep[:n])
+    kept_new = np.flatnonzero(keep[n:])
+    k_old = len(kept_old)
+    if k_old + len(kept_new) == n and old.flags.c_contiguous:
+        _compact(old, kept_old)
+        old[k_old:] = new[kept_new]
+        return old
+    out = np.empty((k_old + len(kept_new),) + new.shape[1:], dtype=new.dtype)
+    # mode="clip" lets take write into `out` without a buffered copy; the
+    # indices are in range by construction
+    np.take(old, kept_old, axis=0, out=out[:k_old], mode="clip")
+    np.take(new, kept_new, axis=0, out=out[k_old:], mode="clip")
+    return out
+
+
+def _compact(arr: np.ndarray, kept: np.ndarray) -> None:
+    """Move rows `kept` (ascending) to the front of C-contiguous `arr`, in
+    place.  Each run of consecutive rows moves as one flat slice; numpy
+    copies a 1-D slice onto an overlapping one further left front to back,
+    with no temporary."""
+    if len(kept) == 0:
         return
-    while len(buffer.records) > buffer.capacity:
-        counts = buffer.task_counts()
-        biggest = max(counts.values())
-        victim_task = max(t for t, c in counts.items() if c == biggest)
-        slots = [i for i, rec in enumerate(buffer.records) if rec.task_id == victim_task]
-        pick = slots[int(rng.integers(0, len(slots)))]
-        buffer.records.pop(pick)
+    flat = arr.reshape(-1)
+    width = flat.size // len(arr)
+    breaks = np.flatnonzero(np.diff(kept) != 1) + 1
+    starts = kept[np.concatenate([[0], breaks])].tolist()
+    lengths = np.diff(np.concatenate([[0], breaks, [len(kept)]])).tolist()
+    dest = 0
+    for start, length in zip(starts, lengths):
+        if start != dest:
+            flat[dest * width:(dest + length) * width] = flat[start * width:(start + length) * width]
+        dest += length
 
 
-def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> list:
-    """Uniform sample of records; falls back to with-replacement when asked
-    for more than the buffer holds.  An empty buffer yields an empty batch."""
-    n = len(buffer.records)
+def _survivors(tasks: np.ndarray, capacity: int | None, rng: RngStream):
+    """Boolean mask of the rows that stay after evicting down to capacity.
+
+    Each victim costs one draw, made exactly as when records are evicted one
+    at a time from a list: pick the task holding the most rows (ties to the
+    newest), then its k-th remaining row in buffer order, k uniform."""
+    keep = np.ones(len(tasks), dtype=bool)
+    if capacity is None or len(tasks) <= capacity:
+        return keep
+    slots = {int(t): np.flatnonzero(tasks == t).tolist() for t in np.unique(tasks)}
+    for _ in range(len(tasks) - capacity):
+        biggest = max(len(s) for s in slots.values())
+        victim_slots = slots[max(t for t, s in slots.items() if len(s) == biggest)]
+        keep[victim_slots.pop(int(rng.integers(0, len(victim_slots))))] = False
+    return keep
+
+
+def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> RehearsalBuffer:
+    """Uniform sample of rows; falls back to with-replacement when asked for
+    more than the buffer holds.  An empty buffer yields an empty batch."""
+    n = len(buffer)
     if n == 0:
         log.debug("replay requested on empty buffer")
-        return []
-    if batch_size <= 0:
-        return []
+    if n == 0 or batch_size <= 0:
+        return buffer.take(_no_ids())
     replace = batch_size > n
-    idx = rng.choice(n, batch_size, replace=replace)
-    return [buffer.records[i] for i in idx]
+    return buffer.take(rng.choice(n, batch_size, replace=replace))
 
 
-def materialize(record: RehearsalRecord, kind: str, *,
-                encoder: EncoderModel = None, encoder_params: ParamVector = None,
-                rng: RngStream = None):
-    """Turn one stored record into a training pair (z, y)."""
-    check_record_matches(kind, record)
-    if isinstance(record.payload, EmbeddingPayload):
-        return record.payload.z, record.label
-    if isinstance(record.payload, RawPayload):
-        if encoder is None or encoder_params is None:
-            raise ContractViolation("raw payloads need the frozen encoder to materialize")
-        z, _ = encode_for_eval(encoder, encoder_params, record.payload.x[None])
-        return z[0], record.label
-    # stats payload: resample z = mu + sigma * eps on every replay
-    if rng is None:
-        raise ContractViolation("stats payloads need an rng to materialize")
-    z, _ = reparam_sample(record.payload.mu, record.payload.log_sigma, rng)
-    return z, record.label
-
-
-def materialize_batch(records: list, kind: str, *,
+def materialize_batch(batch: RehearsalBuffer, kind: str, *,
                       encoder: EncoderModel = None, encoder_params: ParamVector = None,
                       rng: RngStream = None):
-    """Vectorized materialize over a homogeneous record batch -> (Z, y)."""
-    if not records:
+    """Turn a replayed batch into training pairs (Z, y): embeddings verbatim,
+    raw samples through the frozen encoder, stats by a fresh draw
+    z = mu + sigma * eps on every replay."""
+    if len(batch) == 0:
         raise ContractViolation("cannot materialize an empty batch")
-    for rec in records:
-        check_record_matches(kind, rec)
-    labels = np.array([rec.label for rec in records], dtype=np.int64)
-    first = records[0].payload
-    if isinstance(first, EmbeddingPayload):
-        return np.stack([rec.payload.z for rec in records]), labels
-    if isinstance(first, RawPayload):
+    check_columns_match(kind, batch)
+    columns = batch.columns
+    if "z" in columns:
+        return columns["z"], batch.labels
+    if "x" in columns:
         if encoder is None or encoder_params is None:
             raise ContractViolation("raw payloads need the frozen encoder to materialize")
-        z, _ = encode_for_eval(encoder, encoder_params,
-                               np.stack([rec.payload.x for rec in records]))
-        return z, labels
+        z, _ = encode_for_eval(encoder, encoder_params, columns["x"])
+        return z, batch.labels
     if rng is None:
         raise ContractViolation("stats payloads need an rng to materialize")
-    z, _ = reparam_sample(np.stack([rec.payload.mu for rec in records]),
-                          np.stack([rec.payload.log_sigma for rec in records]), rng)
-    return z, labels
+    z, _ = reparam_sample(columns["mu"], columns["log_sigma"], rng)
+    return z, batch.labels
 
 
 def memory_budget(cfg: StrategyConfig, naive_count: int,
@@ -262,29 +347,55 @@ def memory_budget(cfg: StrategyConfig, naive_count: int,
 # Snapshot round-trip (checkpoint/resume)
 # ---------------------------------------------------------------------------
 
+SNAPSHOT_CHUNK = 512  # record frames packed per write in save_buffer
 
-def _frame_arrays(record: RehearsalRecord) -> list:
-    p = record.payload
-    if isinstance(p, RawPayload):
-        return [p.x]
-    if isinstance(p, EmbeddingPayload):
-        return [p.z]
-    return [p.mu, p.log_sigma]
+
+def _frame_dtype(buffer: RehearsalBuffer) -> np.dtype:
+    """One FVBF v1 record frame as a packed structured dtype: tag, label,
+    task, round, then per payload array its ndim, its dims and its data."""
+    fields = [("tag", "u1"), ("label", "<i8"), ("task", "<i8"), ("round", "<i8")]
+    for name, col in buffer.columns.items():
+        shape = col.shape[1:]
+        fields.append((f"{name}.ndim", "<u4"))
+        if shape:
+            fields.append((f"{name}.shape", "<u4", (len(shape),)))
+        fields.append((name, "<f8", shape) if shape else (name, "<f8"))
+    return np.dtype(fields)
 
 
 def save_buffer(path, buffer: RehearsalBuffer) -> None:
+    """Header, then one record frame per row, written SNAPSHOT_CHUNK frames
+    at a time so the packing copy stays small next to the buffer."""
+    n = len(buffer)
     with open(path, "wb") as f:
         f.write(storage.BUFFER_MAGIC)
         f.write(struct.pack("<I", storage.FORMAT_VERSION))
         f.write(struct.pack("<q", -1 if buffer.capacity is None else buffer.capacity))
         f.write(struct.pack("<d", buffer.rho))
-        f.write(struct.pack("<I", len(buffer.records)))
-        for rec in buffer.records:
-            storage.write_record_frame(f, rec.payload_tag, rec.label, rec.task_id,
-                                       rec.round_id, _frame_arrays(rec))
+        f.write(struct.pack("<I", n))
+        if n == 0:
+            return
+        dtype = _frame_dtype(buffer)
+        tag = _TAG_FOR_COLUMNS[tuple(buffer.columns)]
+        for start in range(0, n, SNAPSHOT_CHUNK):
+            part = slice(start, min(start + SNAPSHOT_CHUNK, n))
+            frames = np.empty(part.stop - start, dtype=dtype)
+            frames["tag"] = tag
+            frames["label"] = buffer.labels[part]
+            frames["task"] = buffer.tasks[part]
+            frames["round"] = buffer.rounds[part]
+            for name, col in buffer.columns.items():
+                frames[f"{name}.ndim"] = col.ndim - 1
+                if col.ndim > 1:
+                    frames[f"{name}.shape"] = col.shape[1:]
+                frames[name] = col[part]
+            f.write(frames)
 
 
 def load_buffer(path) -> RehearsalBuffer:
+    """Read a snapshot frame by frame into preallocated columns; the first
+    frame fixes the payload type and shapes that every other frame must
+    repeat."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != storage.BUFFER_MAGIC:
@@ -295,19 +406,32 @@ def load_buffer(path) -> RehearsalBuffer:
         capacity = struct.unpack("<q", f.read(8))[0]
         rho = struct.unpack("<d", f.read(8))[0]
         count = struct.unpack("<I", f.read(4))[0]
+        if count * storage.MIN_FRAME_BYTES > os.fstat(f.fileno()).st_size - f.tell():
+            raise ContractViolation(f"buffer snapshot truncated: too short for {count} records")
         buffer = RehearsalBuffer(capacity=None if capacity < 0 else capacity, rho=rho)
-        for _ in range(count):
+        ids = np.zeros((3, count), dtype=np.int64)
+        first_tag = None
+        for i in range(count):
             frame = storage.read_record_frame(f)
             if frame is None:
                 raise ContractViolation("buffer snapshot truncated: missing records")
             tag, label, task_id, round_id, arrays = frame
-            if tag == storage.PAYLOAD_RAW:
-                payload = RawPayload(arrays[0])
-            elif tag == storage.PAYLOAD_EMBEDDING:
-                payload = EmbeddingPayload(arrays[0])
-            elif tag == storage.PAYLOAD_STATS:
-                payload = GaussianStats(arrays[0], arrays[1])
-            else:
+            if tag not in _PAYLOAD_FOR_TAG:
                 raise ContractViolation(f"unknown payload tag {tag}")
-            buffer.records.append(RehearsalRecord(payload, label, task_id, round_id))
+            if first_tag is None:
+                first_tag = tag
+                payload = _PAYLOAD_FOR_TAG[tag](*arrays)  # validates the payload shapes
+                buffer.columns = {name: np.empty((count,) + getattr(payload, name).shape)
+                                  for name in _COLUMNS_FOR_PAYLOAD[type(payload)]}
+            elif tag != first_tag:
+                named = ", ".join(f"{t} ({_PAYLOAD_FOR_TAG[t].__name__})"
+                                  for t in sorted((first_tag, tag)))
+                raise ContractViolation(f"buffer snapshot {path} mixes payload tags {named}")
+            for col, arr in zip(buffer.columns.values(), arrays):
+                if arr.shape != col.shape[1:]:
+                    raise ContractViolation(
+                        f"buffer snapshot {path} mixes payload shapes {col.shape[1:]} and {arr.shape}")
+                col[i] = arr
+            ids[:, i] = label, task_id, round_id
+    buffer.labels, buffer.tasks, buffer.rounds = ids
     return buffer

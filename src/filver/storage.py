@@ -30,10 +30,6 @@ def _read_u32(f: BinaryIO) -> int:
     return struct.unpack("<I", data)[0]
 
 
-def _write_i64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<q", value))
-
-
 def _read_i64(f: BinaryIO) -> int:
     data = f.read(8)
     if len(data) != 8:
@@ -116,22 +112,15 @@ def load_model_checkpoint(path):
 
 
 # ---------------------------------------------------------------------------
-# Buffer snapshots (record framing; payload encoding shared with rehearsal)
+# Buffer snapshots: a header (written by rehearsal.save_buffer), then one
+# frame per record: u8 payload tag, i64 label, task and round, then the
+# payload arrays in write_array's encoding (one, or two for stats)
 # ---------------------------------------------------------------------------
 
 PAYLOAD_RAW = 0
 PAYLOAD_EMBEDDING = 1
 PAYLOAD_STATS = 2
-
-
-def write_record_frame(f: BinaryIO, tag: int, label: int, task_id: int, round_id: int,
-                       arrays: list[np.ndarray]) -> None:
-    f.write(struct.pack("<B", tag))
-    _write_i64(f, label)
-    _write_i64(f, task_id)
-    _write_i64(f, round_id)
-    for arr in arrays:
-        write_array(f, arr)
+MIN_FRAME_BYTES = 1 + 3 * 8 + 4 + 8  # tag, ids, and one 0-d array
 
 
 def read_record_frame(f: BinaryIO):

@@ -1,9 +1,17 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
-and finite differences.  Everything here is deliberately slow and obvious."""
+and finite differences, plus the list-of-records rehearsal buffer that the
+columnar one replaced.  Everything here is deliberately slow and obvious."""
+
+import math
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
 
+from filver import storage
+from filver.errors import ContractViolation
+from filver.rehearsal import EmbeddingPayload, RawPayload
 from filver.rng import RngStream
 
 
@@ -157,3 +165,122 @@ def sample_pool_instance(rng: RngStream, batch=2, h=6, w=6, c=2):
         if pool_gap(x) > 1e-3:
             return x
     raise AssertionError("could not sample a tie-free pool instance")
+
+
+# ---------------------------------------------------------------------------
+# Reference rehearsal buffer: a Python list of records, one array each.
+# Admission, eviction and replay make the same draws as filver.rehearsal; the
+# snapshot writer emits one FVBF v1 frame per record.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RehearsalBuffer:
+    """Bounded record store with fractional admission and per-task eviction."""
+
+    capacity: int | None = None
+    rho: float = 0.10
+    records: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.capacity is not None and self.capacity < 0:
+            raise ContractViolation("capacity must be nonnegative or None")
+        if not (0.0 <= self.rho <= 1.0):
+            raise ContractViolation(f"rho must lie in [0, 1], got {self.rho}")
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def task_counts(self) -> dict:
+        counts: dict = {}
+        for rec in self.records:
+            counts[rec.task_id] = counts.get(rec.task_id, 0) + 1
+        return counts
+
+
+def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> RehearsalBuffer:
+    """Admit ceil(rho * n) uniformly chosen candidates, then evict to capacity.
+
+    Candidates must share one (task_id, round_id).  Eviction removes a random
+    record from whichever task currently holds the most, breaking ties toward
+    the newest task so early tasks keep their representation.
+    """
+    if not candidates:
+        return buffer
+    keys = {(r.task_id, r.round_id) for r in candidates}
+    if len(keys) != 1:
+        raise ContractViolation(f"admit candidates span multiple (task, round) keys: {sorted(keys)}")
+    n_admit = math.ceil(buffer.rho * len(candidates))
+    if n_admit == 0:
+        return buffer
+    if n_admit >= len(candidates):
+        chosen = list(candidates)
+    else:
+        idx = rng.choice(len(candidates), n_admit, replace=False)
+        chosen = [candidates[i] for i in idx]
+    buffer.records.extend(chosen)
+    _evict_to_capacity(buffer, rng)
+    return buffer
+
+
+def _evict_to_capacity(buffer: RehearsalBuffer, rng: RngStream) -> None:
+    if buffer.capacity is None:
+        return
+    while len(buffer.records) > buffer.capacity:
+        counts = buffer.task_counts()
+        biggest = max(counts.values())
+        victim_task = max(t for t, c in counts.items() if c == biggest)
+        slots = [i for i, rec in enumerate(buffer.records) if rec.task_id == victim_task]
+        pick = slots[int(rng.integers(0, len(slots)))]
+        buffer.records.pop(pick)
+
+
+def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> list:
+    """Uniform sample of records; falls back to with-replacement when asked
+    for more than the buffer holds.  An empty buffer yields an empty batch."""
+    n = len(buffer.records)
+    if n == 0:
+        return []
+    if batch_size <= 0:
+        return []
+    replace = batch_size > n
+    idx = rng.choice(n, batch_size, replace=replace)
+    return [buffer.records[i] for i in idx]
+
+
+def payload_tag(record) -> int:
+    if isinstance(record.payload, RawPayload):
+        return storage.PAYLOAD_RAW
+    if isinstance(record.payload, EmbeddingPayload):
+        return storage.PAYLOAD_EMBEDDING
+    return storage.PAYLOAD_STATS
+
+
+def frame_arrays(record) -> list:
+    p = record.payload
+    if isinstance(p, RawPayload):
+        return [p.x]
+    if isinstance(p, EmbeddingPayload):
+        return [p.z]
+    return [p.mu, p.log_sigma]
+
+
+def write_record_frame(f, tag: int, label: int, task_id: int, round_id: int,
+                       arrays: list) -> None:
+    f.write(struct.pack("<B", tag))
+    f.write(struct.pack("<q", label))
+    f.write(struct.pack("<q", task_id))
+    f.write(struct.pack("<q", round_id))
+    for arr in arrays:
+        storage.write_array(f, arr)
+
+
+def save_buffer(path, buffer: RehearsalBuffer) -> None:
+    with open(path, "wb") as f:
+        f.write(storage.BUFFER_MAGIC)
+        f.write(struct.pack("<I", storage.FORMAT_VERSION))
+        f.write(struct.pack("<q", -1 if buffer.capacity is None else buffer.capacity))
+        f.write(struct.pack("<d", buffer.rho))
+        f.write(struct.pack("<I", len(buffer.records)))
+        for rec in buffer.records:
+            write_record_frame(f, payload_tag(rec), rec.label, rec.task_id,
+                               rec.round_id, frame_arrays(rec))

@@ -511,16 +511,19 @@ def test_criterion_09_byte_identical_reproducibility(capsys, tmp_path):
 
 def test_criterion_10_upload_payload_privacy(capsys, monkeypatch):
     sampled_server, _, sampled_state = collect_admitted_payloads(monkeypatch, "ver_sampled")
+    # uploads are records, checked by payload type; the server buffer is
+    # columns, checked by schema: no stats column may exist under ver_sampled
+    sampled_columns = set(sampled_state.server_buffer.columns)
     sampled_ok = (len(sampled_server) > 0
                   and GaussianStats not in set(sampled_server)
-                  and not any(isinstance(r.payload, GaussianStats)
-                              for r in sampled_state.server_buffer.records))
+                  and len(sampled_state.server_buffer) > 0
+                  and not sampled_columns & {"mu", "log_sigma"})
 
     stats_server, _, stats_state = collect_admitted_payloads(monkeypatch, "ver_stats")
     stats_ok = (len(stats_server) > 0
                 and set(stats_server) == {GaussianStats}
-                and all(isinstance(r.payload, GaussianStats)
-                        for r in stats_state.server_buffer.records))
+                and len(stats_state.server_buffer) > 0
+                and set(stats_state.server_buffer.columns) == {"mu", "log_sigma"})
 
     ok = sampled_ok and stats_ok
     _verdict(capsys, 10, ok,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import filver.cli as cli
+import oracles
 from filver.config import (
     DATA_ROOT_ENV,
     KEY_TABLE,
@@ -23,6 +24,8 @@ from filver.config import (
     preset_config,
 )
 from filver.errors import ConfigError
+from filver.models import GaussianStats
+from filver.rehearsal import EmbeddingPayload, RehearsalRecord
 
 # ---------------------------------------------------------------------------
 # parse_pairs and parse_config
@@ -350,6 +353,33 @@ def test_stop_and_resume_reproduce_the_uninterrupted_run(baseline_run, tmp_path)
             == (baseline_run / "out" / "summary.json").read_bytes())
 
 
+def test_resume_after_the_last_checkpoint_keeps_only_checkpointed_rows(baseline_run, tmp_path):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    # the run goes on one round past its round-3 checkpoint, as after a crash
+    assert cli.main(["run", str(cfg), "--checkpoint-every", "3", "--quiet"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint"
+    assert json.loads((ckpt / "meta.json").read_text())["global_round"] == 3
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 0
+    lines = (tmp_path / "out" / "rounds.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+    assert ((tmp_path / "out" / "rounds.csv").read_bytes()
+            == (baseline_run / "out" / "rounds.csv").read_bytes())
+
+
+def test_resume_refuses_a_rounds_csv_shorter_than_the_checkpoint(tmp_path, capsys):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "3", "--quiet"]) == 0
+    rounds = tmp_path / "out" / "rounds.csv"
+    short = "".join(rounds.read_text().splitlines(keepends=True)[:3])  # header + 2 rows
+    rounds.write_text(short)
+    capsys.readouterr()
+    rc = cli.main(["run", str(cfg), "--resume", str(tmp_path / "out" / "checkpoint"), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "2 rows" in err and "round 3" in err
+    assert rounds.read_text() == short
+
+
 def test_resume_under_a_different_seed_is_a_contract_violation(tmp_path, capsys):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
@@ -374,6 +404,19 @@ def test_resume_under_a_different_strategy_or_client_count_is_refused(tmp_path, 
     saved = json.loads((ckpt / "meta.json").read_text())[key]
     assert key in err and repr(saved) in err
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, capsys):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint"
+    mixed = [RehearsalRecord(EmbeddingPayload(np.zeros(4)), 0, 0, 0),
+             RehearsalRecord(GaussianStats(np.zeros(4), np.zeros(4)), 1, 0, 0)]
+    oracles.save_buffer(ckpt / "server_buffer.bin", oracles.RehearsalBuffer(None, 1.0, mixed))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "mixes payload tags 1 (EmbeddingPayload), 2 (GaussianStats)" in err
 
 
 def test_checkpoint_every_writes_checkpoints(tmp_path):

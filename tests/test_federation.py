@@ -40,7 +40,7 @@ from filver.models import (
     encode_for_eval,
 )
 from filver.numcore import ParamVector, sgd_step
-from filver.rehearsal import EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord
+from filver.rehearsal import EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord, admit
 from filver.rng import RngStream
 
 # ---------------------------------------------------------------------------
@@ -345,12 +345,15 @@ def test_local_train_is_deterministic_in_the_stream():
 
 
 def server_buffer_two_clusters(rng, n=40):
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    records = []
     for i in range(n):
         label = i % 2
         center = 2.0 if label else -2.0
         z = rng.child("z", i).normal((EMBED,)) * 0.2 + center
-        buf.records.append(RehearsalRecord(EmbeddingPayload(z), label, 0, 0))
+        records.append(RehearsalRecord(EmbeddingPayload(z), label, 0, 0))
+    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    admit(buf, records, rng.child("admit"))  # rho 1: every record, in order
+    assert len(buf) == n
     return buf
 
 
@@ -379,8 +382,8 @@ def test_sst_fits_the_server_buffer():
     encoder = EncoderModel(tiny_specs("ebr")[0])
     enc_params = encoder.init_params(rng.child("enc"))
     buf = server_buffer_two_clusters(rng.child("buf"))
-    z = np.stack([rec.payload.z for rec in buf.records])
-    y = np.array([rec.label for rec in buf.records])
+    z = buf.columns["z"]
+    y = buf.labels
     loss_before, _ = classifier_loss_and_grad(classifier, params, z, y)
     out = server_side_training(params, buf, classifier,
                                tiny_fl(s_max=60, eta_s=0.1, batch_size=16), "ebr",
@@ -526,9 +529,11 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
                           full_state.classifier_params.as_flat())
     # buffers carried through the checkpoint identically
     assert len(resumed_state.server_buffer) == len(full_state.server_buffer)
-    for a, b in zip(resumed_state.server_buffer.records, full_state.server_buffer.records):
-        assert np.array_equal(a.payload.z, b.payload.z)
-        assert (a.label, a.task_id, a.round_id) == (b.label, b.task_id, b.round_id)
+    resumed, full = resumed_state.server_buffer, full_state.server_buffer
+    assert list(resumed.columns) == list(full.columns) == ["z"]
+    assert np.array_equal(resumed.columns["z"], full.columns["z"])
+    for name in ("labels", "tasks", "rounds"):
+        assert np.array_equal(getattr(resumed, name), getattr(full, name))
 
 
 def test_resume_rejects_wrong_seed_and_encoder_kind(tmp_path):
@@ -598,14 +603,16 @@ def test_ver_sampled_never_ships_stats_to_the_server(monkeypatch):
     assert server_types
     assert set(server_types) == {EmbeddingPayload}
     assert set(client_types) == {EmbeddingPayload}
-    assert all(isinstance(r.payload, EmbeddingPayload) for r in state.server_buffer.records)
+    assert len(state.server_buffer) > 0
+    assert list(state.server_buffer.columns) == ["z"]
 
 
 def test_ver_stats_ships_only_stats_payloads(monkeypatch):
     server_types, _, state = collect_admitted_payloads(monkeypatch, "ver_stats")
     assert server_types
     assert set(server_types) == {GaussianStats}
-    assert all(isinstance(r.payload, GaussianStats) for r in state.server_buffer.records)
+    assert len(state.server_buffer) > 0
+    assert list(state.server_buffer.columns) == ["mu", "log_sigma"]
 
 
 def test_naive_ships_raw_samples(monkeypatch):

@@ -1,4 +1,9 @@
-"""Rehearsal buffers: admission, eviction, replay, materialization, budgets."""
+"""Rehearsal buffers: admission, eviction, replay, materialization, budgets,
+snapshots, and agreement with the list-of-records reference model."""
+
+import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from filver import storage
 from filver.errors import ContractViolation
 from filver.models import GaussianStats, encode_for_eval
 from filver.rehearsal import (
@@ -15,10 +22,9 @@ from filver.rehearsal import (
     RehearsalRecord,
     StrategyConfig,
     admit,
-    check_record_matches,
+    check_columns_match,
     expected_payload_type,
     load_buffer,
-    materialize,
     materialize_batch,
     memory_budget,
     replay_batch,
@@ -34,6 +40,28 @@ def embed_record(rng, task_id=0, round_id=0, label=0, dim=4):
 def embed_batch(rng, n, task_id=0, round_id=0, dim=4):
     return [embed_record(rng.child("rec", i), task_id, round_id, label=i % 3, dim=dim)
             for i in range(n)]
+
+
+def buffer_of(records, capacity=None, rho=1.0):
+    """A buffer holding exactly `records`, in order (rho 1 admits without a draw)."""
+    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    for _, group in itertools.groupby(records, key=lambda r: (r.task_id, r.round_id)):
+        admit(buf, list(group), RngStream(0))
+    buf.capacity, buf.rho = capacity, rho
+    return buf
+
+
+def rows(buf):
+    """Every row of a columnar buffer as comparable tuples."""
+    return [(tuple(np.concatenate([buf.columns[k][i].ravel() for k in buf.columns])),
+             int(buf.labels[i]), int(buf.tasks[i]), int(buf.rounds[i]))
+            for i in range(len(buf))]
+
+
+def record_rows(records):
+    """The same tuples for a list of records (the reference model's rows)."""
+    return [(tuple(np.concatenate([a.ravel() for a in oracles.frame_arrays(r)])),
+             r.label, r.task_id, r.round_id) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +96,25 @@ def test_expected_payload_types_per_kind():
         expected_payload_type("verbatim")
 
 
-def test_check_record_matches_enforces_payload_type():
+def test_check_columns_match_enforces_payload_type():
     rng = RngStream(0)
-    emb = embed_record(rng)
-    raw = RehearsalRecord(RawPayload(rng.normal((6,))), 1, 0, 0)
-    stats = RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))), 1, 0, 0)
-    check_record_matches("ebr", emb)
-    check_record_matches("naive", raw)
-    check_record_matches("ver_stats", stats)
+    emb = buffer_of([embed_record(rng)])
+    raw = buffer_of([RehearsalRecord(RawPayload(rng.normal((6,))), 1, 0, 0)])
+    stats = buffer_of([RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))), 1, 0, 0)])
+    assert tuple(emb.columns) == ("z",)
+    assert tuple(raw.columns) == ("x",)
+    assert tuple(stats.columns) == ("mu", "log_sigma")
+    check_columns_match("ebr", emb)
+    check_columns_match("naive", raw)
+    check_columns_match("ver_stats", stats)
     with pytest.raises(ContractViolation):
-        check_record_matches("naive", emb)
+        check_columns_match("naive", emb)
     with pytest.raises(ContractViolation):
-        check_record_matches("ver_stats", emb)
+        check_columns_match("ver_stats", emb)
     with pytest.raises(ContractViolation):
-        check_record_matches("ver_sampled", stats)
+        check_columns_match("ver_sampled", stats)
     with pytest.raises(ContractViolation):
-        check_record_matches("none", emb)
+        check_columns_match("none", emb)
 
 
 def test_record_rejects_unknown_payload_object():
@@ -107,14 +138,39 @@ def test_payloads_own_their_memory():
     assert np.all(emb.z == 1.0)
 
 
-def test_payload_tags_are_distinct():
+def first_frame_tag(tmp_path, buf) -> int:
+    path = tmp_path / "one.bin"
+    save_buffer(path, buf)
+    with open(path, "rb") as f:
+        f.read(28)  # magic, version, capacity, rho, count
+        return storage.read_record_frame(f)[0]
+
+
+def test_payload_tags_are_distinct(tmp_path):
     rng = RngStream(1)
     tags = {
-        RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 0).payload_tag,
-        RehearsalRecord(EmbeddingPayload(rng.normal((4,))), 0, 0, 0).payload_tag,
-        RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))), 0, 0, 0).payload_tag,
+        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 0)])),
+        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(EmbeddingPayload(rng.normal((4,))), 0, 0, 0)])),
+        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(
+            GaussianStats(rng.normal((4,)), rng.normal((4,))), 0, 0, 0)])),
     }
     assert len(tags) == 3
+
+
+def test_admit_rejects_a_second_payload_type():
+    rng = RngStream(1)
+    buf = buffer_of(embed_batch(rng.child("emb"), 3))
+    raws = [RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 1)]
+    with pytest.raises(ContractViolation):
+        admit(buf, raws, rng.child("admit"))
+    wider = embed_batch(rng.child("wide"), 2, round_id=1, dim=5)
+    with pytest.raises(ContractViolation):
+        admit(buf, wider, rng.child("admit"))
+    mixed = embed_batch(rng.child("m"), 2, round_id=2) + [
+        RehearsalRecord(RawPayload(rng.normal((4,))), 0, 0, 2)]
+    with pytest.raises(ContractViolation):
+        admit(buf, mixed, rng.child("admit"))
+    assert len(buf) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +205,8 @@ def test_admit_rho_one_takes_everything_in_order():
     cands = embed_batch(rng.child("cands"), 20)
     buf = RehearsalBuffer(capacity=None, rho=1.0)
     admit(buf, cands, rng.child("admit"))
-    assert buf.records == cands
+    assert rows(buf) == record_rows(cands)
+    assert np.array_equal(buf.columns["z"], np.stack([r.payload.z for r in cands]))
 
 
 def test_admit_empty_candidate_list_is_a_no_op():
@@ -176,8 +233,8 @@ def test_admit_subset_is_uniform():
                  for i in range(n)]
         buf = RehearsalBuffer(capacity=None, rho=0.1)
         admit(buf, cands, rng.child("trial", t))
-        for rec in buf.records:
-            hits[int(rec.payload.z[0])] += 1
+        for z in buf.columns["z"]:
+            hits[int(z[0])] += 1
     assert hits.sum() == trials * 20
     stat, pvalue = scipy.stats.chisquare(hits)
     assert pvalue > 1e-3
@@ -264,8 +321,8 @@ def test_replay_without_replacement_when_buffer_is_large_enough():
     admit(buf, embed_batch(rng.child("cands"), 30), rng.child("admit"))
     batch = replay_batch(buf, 10, rng.child("replay"))
     assert len(batch) == 10
-    ids = [id(rec) for rec in batch]
-    assert len(set(ids)) == 10
+    assert len(set(rows(batch))) == 10
+    assert set(rows(batch)) <= set(rows(buf))
 
 
 def test_replay_with_replacement_when_batch_exceeds_buffer():
@@ -274,15 +331,17 @@ def test_replay_with_replacement_when_batch_exceeds_buffer():
     admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
     batch = replay_batch(buf, 12, rng.child("replay"))
     assert len(batch) == 12
-    assert len({id(rec) for rec in batch}) <= 4
+    assert len(set(rows(batch))) <= 4
+    assert set(rows(batch)) <= set(rows(buf))
 
 
 def test_replay_empty_buffer_and_zero_batch():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None, rho=1.0)
-    assert replay_batch(buf, 8, rng.child("a")) == []
+    assert len(replay_batch(buf, 8, rng.child("a"))) == 0
     admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
-    assert replay_batch(buf, 0, rng.child("b")) == []
+    empty = replay_batch(buf, 0, rng.child("b"))
+    assert len(empty) == 0 and empty.columns["z"].shape == (0, 4)
 
 
 def test_replay_eventually_touches_every_record():
@@ -291,8 +350,8 @@ def test_replay_eventually_touches_every_record():
     admit(buf, embed_batch(rng.child("cands"), 25), rng.child("admit"))
     seen = set()
     for t in range(60):
-        seen.update(id(rec) for rec in replay_batch(buf, 5, rng.child("replay", t)))
-    assert len(seen) == 25
+        seen.update(rows(replay_batch(buf, 5, rng.child("replay", t))))
+    assert seen == set(rows(buf))
 
 
 # ---------------------------------------------------------------------------
@@ -304,58 +363,59 @@ def test_materialize_raw_reembeds_with_frozen_encoder(tiny_mlp_ebr):
     rng = RngStream(21)
     params = tiny_mlp_ebr.init_params(rng.child("init"))
     x = rng.normal((6,))
-    rec = RehearsalRecord(RawPayload(x), 2, 0, 0)
-    z, y = materialize(rec, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
-    expected = encode_for_eval(tiny_mlp_ebr, params, x[None])[0][0]
+    batch = buffer_of([RehearsalRecord(RawPayload(x), 2, 0, 0)])
+    z, y = materialize_batch(batch, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
+    expected = encode_for_eval(tiny_mlp_ebr, params, x[None])[0]
     assert np.array_equal(z, expected)
-    assert y == 2
+    assert list(y) == [2]
 
 
 def test_materialize_raw_requires_encoder():
-    rec = RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)
+    batch = buffer_of([RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)])
     with pytest.raises(ContractViolation):
-        materialize(rec, "naive")
+        materialize_batch(batch, "naive")
 
 
 def test_materialize_embedding_returns_stored_vector():
     rng = RngStream(21)
     rec = embed_record(rng, label=1)
-    z, y = materialize(rec, "ebr")
-    assert np.array_equal(z, rec.payload.z)
-    assert y == 1
-    z2, _ = materialize(rec, "ver_sampled")
-    assert np.array_equal(z2, rec.payload.z)
+    batch = buffer_of([rec])
+    z, y = materialize_batch(batch, "ebr")
+    assert np.array_equal(z, rec.payload.z[None])
+    assert list(y) == [1]
+    z2, _ = materialize_batch(batch, "ver_sampled")
+    assert np.array_equal(z2, rec.payload.z[None])
 
 
 def test_materialize_stats_resamples_every_draw():
     rng = RngStream(21)
     mu = rng.normal((4,))
     log_sigma = rng.normal((4,)) * 0.1
-    rec = RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)
-    z1, _ = materialize(rec, "ver_stats", rng=rng.child("draw", 0))
-    z2, _ = materialize(rec, "ver_stats", rng=rng.child("draw", 1))
-    z1r, _ = materialize(rec, "ver_stats", rng=rng.child("draw", 0))
+    batch = buffer_of([RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)])
+    z1, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 0))
+    z2, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 1))
+    z1r, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 0))
     assert not np.array_equal(z1, z2)
     assert np.array_equal(z1, z1r)
     with pytest.raises(ContractViolation):
-        materialize(rec, "ver_stats")
+        materialize_batch(batch, "ver_stats")
 
 
 def test_materialize_stats_zero_sigma_returns_mean():
     mu = np.array([0.5, -1.5, 2.0])
-    rec = RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)
-    z, _ = materialize(rec, "ver_stats", rng=RngStream(3))
-    assert np.array_equal(z, mu)
+    batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)])
+    z, _ = materialize_batch(batch, "ver_stats", rng=RngStream(3))
+    assert np.array_equal(z, mu[None])
 
 
 def test_materialize_stats_monte_carlo_mean_matches_mu():
     rng = RngStream(77)
     mu = np.array([0.3, -0.7, 1.2, 0.0])
     sigma = np.array([0.5, 1.0, 0.25, 2.0])
-    rec = RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)
+    batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)])
     n = 10_000
-    draws = np.stack([materialize(rec, "ver_stats", rng=rng.child("d", i))[0]
-                      for i in range(n)])
+    draws = np.concatenate([materialize_batch(batch, "ver_stats", rng=rng.child("d", i))[0]
+                            for i in range(n)])
     se = sigma / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 3 * se)
 
@@ -363,44 +423,45 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
 def test_materialize_batch_matches_singles_for_deterministic_kinds(tiny_mlp_ebr):
     rng = RngStream(31)
     params = tiny_mlp_ebr.init_params(rng.child("init"))
-    raws = [RehearsalRecord(RawPayload(rng.child("x", i).normal((6,))), i, 0, 0)
-            for i in range(5)]
+    raws = buffer_of([RehearsalRecord(RawPayload(rng.child("x", i).normal((6,))), i, 0, 0)
+                      for i in range(5)])
     Z, y = materialize_batch(raws, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
     assert y.dtype == np.int64
-    for i, rec in enumerate(raws):
-        zi, yi = materialize(rec, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
+    for i in range(5):
+        zi, yi = materialize_batch(raws.take([i]), "naive", encoder=tiny_mlp_ebr,
+                                   encoder_params=params)
         # batched and single-row matmuls may round differently in the last bit
-        np.testing.assert_allclose(Z[i], zi, rtol=1e-12, atol=0)
-        assert y[i] == yi
+        np.testing.assert_allclose(Z[i], zi[0], rtol=1e-12, atol=0)
+        assert y[i] == yi[0]
 
     embs = embed_batch(rng.child("emb"), 5)
-    Z2, y2 = materialize_batch(embs, "ebr")
+    Z2, y2 = materialize_batch(buffer_of(embs), "ebr")
     assert np.array_equal(Z2, np.stack([r.payload.z for r in embs]))
     assert list(y2) == [r.label for r in embs]
 
 
 def test_materialize_batch_stats_is_deterministic_per_stream():
     rng = RngStream(31)
-    recs = [RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
-                                          rng.child("ls", i).normal((4,)) * 0.1),
-                            i, 0, 0) for i in range(6)]
-    Z1, y1 = materialize_batch(recs, "ver_stats", rng=rng.child("eps", 0))
-    Z2, _ = materialize_batch(recs, "ver_stats", rng=rng.child("eps", 0))
-    Z3, _ = materialize_batch(recs, "ver_stats", rng=rng.child("eps", 1))
+    batch = buffer_of([RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
+                                                     rng.child("ls", i).normal((4,)) * 0.1),
+                                       i, 0, 0) for i in range(6)])
+    Z1, y1 = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 0))
+    Z2, _ = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 0))
+    Z3, _ = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 1))
     assert np.array_equal(Z1, Z2)
     assert not np.array_equal(Z1, Z3)
     assert Z1.shape == (6, 4)
     assert list(y1) == list(range(6))
     with pytest.raises(ContractViolation):
-        materialize_batch(recs, "ver_stats")
+        materialize_batch(batch, "ver_stats")
 
 
 def test_materialize_batch_rejects_empty_and_mismatched():
     with pytest.raises(ContractViolation):
-        materialize_batch([], "ebr")
+        materialize_batch(RehearsalBuffer(), "ebr")
     rng = RngStream(31)
     with pytest.raises(ContractViolation):
-        materialize_batch(embed_batch(rng, 3), "naive")
+        materialize_batch(buffer_of(embed_batch(rng, 3)), "naive")
 
 
 # ---------------------------------------------------------------------------
@@ -433,34 +494,79 @@ def test_memory_budget_rejects_nonpositive_sizes():
 # ---------------------------------------------------------------------------
 
 
-def mixed_buffer(rng, capacity):
-    buf = RehearsalBuffer(capacity=capacity, rho=0.25)
-    buf.records.append(RehearsalRecord(RawPayload(rng.normal((2, 3))), 0, 0, 1))
-    buf.records.append(RehearsalRecord(EmbeddingPayload(rng.normal((4,))), 1, 1, 2))
-    buf.records.append(RehearsalRecord(
-        GaussianStats(rng.normal((4,)), rng.normal((4,))), 2, 2, 3))
-    return buf
+def raw_record(rng, label, task_id, round_id):
+    return RehearsalRecord(RawPayload(rng.normal((2, 3))), label, task_id, round_id)
+
+
+def stats_record(rng, label, task_id, round_id):
+    return RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))),
+                           label, task_id, round_id)
+
+
+def embedding_record(rng, label, task_id, round_id):
+    return embed_record(rng, task_id, round_id, label)
+
+
+PAYLOAD_MAKERS = {"raw": raw_record, "embedding": embedding_record, "stats": stats_record}
+
+
+def snapshot_records(kind, n, seed=41):
+    rng = RngStream(seed)
+    return [PAYLOAD_MAKERS[kind](rng.child("rec", i), i % 3, i // 4, i // 2) for i in range(n)]
 
 
 @pytest.mark.parametrize("capacity", [None, 17])
 def test_buffer_snapshot_roundtrip(tmp_path, capacity):
-    buf = mixed_buffer(RngStream(41), capacity)
+    for kind in PAYLOAD_MAKERS:
+        buf = buffer_of(snapshot_records(kind, 7), capacity=capacity, rho=0.25)
+        path = tmp_path / f"{kind}.bin"
+        save_buffer(path, buf)
+        loaded = load_buffer(path)
+        assert loaded.capacity == buf.capacity
+        assert loaded.rho == buf.rho
+        assert len(loaded) == len(buf) == 7
+        assert list(loaded.columns) == list(buf.columns)
+        for name, col in buf.columns.items():
+            assert loaded.columns[name].dtype == np.float64
+            assert np.array_equal(loaded.columns[name], col)
+        for name in ("labels", "tasks", "rounds"):
+            assert getattr(loaded, name).dtype == np.int64
+            assert np.array_equal(getattr(loaded, name), getattr(buf, name))
+
+
+@pytest.mark.parametrize("capacity,n", [(0, 0), (None, 0), (None, 1), (None, 7), (17, 7),
+                                        (None, 1100), (5000, 1100)])
+@pytest.mark.parametrize("kind", list(PAYLOAD_MAKERS))
+def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, capacity, n):
+    # 1100 rows span three chunks of the bulk writer
+    records = snapshot_records(kind, n)
+    columnar, reference = tmp_path / "columnar.bin", tmp_path / "reference.bin"
+    save_buffer(columnar, buffer_of(records, capacity=capacity, rho=0.25))
+    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 0.25, list(records)))
+    assert columnar.read_bytes() == reference.read_bytes()
+    loaded = load_buffer(columnar)
+    assert len(loaded) == n and loaded.capacity == capacity
+
+
+def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
+    rng = RngStream(41)
+    mixed = [raw_record(rng.child("a"), 0, 0, 1), embed_record(rng.child("b"), 1, 2, 1)]
+    path = tmp_path / "mixed.bin"
+    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 0.25, mixed))
+    with pytest.raises(ContractViolation, match=r"mixes payload tags 0 \(RawPayload\), "
+                                                r"1 \(EmbeddingPayload\)"):
+        load_buffer(path)
+
+
+def test_buffer_snapshot_rejects_unknown_tag(tmp_path):
+    buf = buffer_of(snapshot_records("embedding", 2))
     path = tmp_path / "buffer.bin"
     save_buffer(path, buf)
-    loaded = load_buffer(path)
-    assert loaded.capacity == buf.capacity
-    assert loaded.rho == buf.rho
-    assert len(loaded) == len(buf)
-    for got, want in zip(loaded.records, buf.records):
-        assert type(got.payload) is type(want.payload)
-        assert (got.label, got.task_id, got.round_id) == (want.label, want.task_id, want.round_id)
-        if isinstance(want.payload, RawPayload):
-            assert np.array_equal(got.payload.x, want.payload.x)
-        elif isinstance(want.payload, EmbeddingPayload):
-            assert np.array_equal(got.payload.z, want.payload.z)
-        else:
-            assert np.array_equal(got.payload.mu, want.payload.mu)
-            assert np.array_equal(got.payload.log_sigma, want.payload.log_sigma)
+    data = bytearray(path.read_bytes())
+    data[28] = 7  # the first frame's payload tag
+    path.write_bytes(bytes(data))
+    with pytest.raises(ContractViolation, match="unknown payload tag 7"):
+        load_buffer(path)
 
 
 def test_buffer_snapshot_rejects_bad_magic(tmp_path):
@@ -471,10 +577,49 @@ def test_buffer_snapshot_rejects_bad_magic(tmp_path):
 
 
 def test_buffer_snapshot_rejects_truncation(tmp_path):
-    buf = mixed_buffer(RngStream(41), None)
-    path = tmp_path / "buffer.bin"
-    save_buffer(path, buf)
-    clipped = tmp_path / "clipped.bin"
-    clipped.write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(ContractViolation):
-        load_buffer(clipped)
+    for kind in PAYLOAD_MAKERS:
+        buf = buffer_of(snapshot_records(kind, 3))
+        path = tmp_path / "buffer.bin"
+        save_buffer(path, buf)
+        clipped = tmp_path / "clipped.bin"
+        clipped.write_bytes(path.read_bytes()[:-9])
+        with pytest.raises(ContractViolation):
+            load_buffer(clipped)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the list-of-records reference model
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PAYLOAD_MAKERS)),
+    steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 25),
+                             st.integers(0, 12)),
+                   min_size=1, max_size=10),
+    rho=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+    capacity=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_columnar_buffer_matches_the_list_reference(kind, steps, rho, capacity, seed):
+    rng = RngStream(seed)
+    make = PAYLOAD_MAKERS[kind]
+    buf = RehearsalBuffer(capacity=capacity, rho=rho)
+    ref = oracles.RehearsalBuffer(capacity=capacity, rho=rho)
+    for step, (task_id, round_id, n, batch_size) in enumerate(steps):
+        cands = [make(rng.child("rec", step, i), i % 3, task_id, round_id) for i in range(n)]
+        admit(buf, cands, rng.child("admit", step))
+        oracles.admit(ref, cands, rng.child("admit", step))
+        assert rows(buf) == record_rows(ref.records)
+        assert buf.task_counts() == ref.task_counts()
+        got = replay_batch(buf, batch_size, rng.child("replay", step))
+        want = oracles.replay_batch(ref, batch_size, rng.child("replay", step))
+        assert rows(got) == record_rows(want)
+    # the snapshot of the final state is the reference's byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, expected = os.path.join(tmp, "columnar.bin"), os.path.join(tmp, "reference.bin")
+        save_buffer(saved, buf)
+        oracles.save_buffer(expected, ref)
+        with open(saved, "rb") as a, open(expected, "rb") as b:
+            assert a.read() == b.read()
