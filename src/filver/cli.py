@@ -103,7 +103,6 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
             beta=cfg["model.beta"],
             pretrain_epochs=cfg["model.pretrain_epochs"],
             pretrain_lr=cfg["model.pretrain_lr"],
-            threads=cfg["threads"],
             on_round=on_round,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
@@ -139,8 +138,6 @@ def _cmd_run(args) -> int:
         overrides["seed"] = str(args.seed)
     if args.out is not None:
         overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
     if args.checkpoint_every is not None:
         overrides["checkpoint_every"] = str(args.checkpoint_every)
 
@@ -248,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="named built-in experiment")
     run.add_argument("--seed", type=int, default=None, help="override the master seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker threads for local client training")
     run.add_argument("--checkpoint-every", type=int, default=None, dest="checkpoint_every",
                      help="write a checkpoint every N global rounds")
     run.add_argument("--resume", default=None, metavar="DIR",

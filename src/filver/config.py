@@ -67,7 +67,6 @@ def _fraction(v):
 _KEYS = [
     _Key("seed", int, 1, False, _nonneg, ">= 0"),
     _Key("out", str, "runs/latest", False),
-    _Key("threads", int, 1, False, _positive, ">= 1"),
     _Key("scenario", str, "fully_enrolled",
          True, lambda v: v in SCHEDULE_KINDS, f"one of {SCHEDULE_KINDS}"),
     _Key("checkpoint_every", int, 0, False, _nonneg, ">= 0"),

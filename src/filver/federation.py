@@ -3,8 +3,9 @@ upload, and server-side rehearsal training.
 
 The encoder is pretrained on the first task and frozen; federated rounds
 train only the classifier.  Every random draw is keyed by purpose and round
-coordinates from one master stream, so results are independent of thread
-scheduling and a run can resume from a checkpoint bit-exactly.
+coordinates from one master stream, so results do not depend on the order
+in which clients train, and a run resumed from any checkpoint repeats the
+uninterrupted run bit-exactly.
 
 Stream keying contract (master = RngStream(master_seed)):
   partition            master.child("partition")
@@ -28,8 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -163,7 +163,8 @@ def _build_upload(client: ClientState, cache: dict, task_id: int, global_round: 
                   strategy: StrategyConfig, rng: RngStream) -> list:
     """rho-sample this round's shard into rehearsal records (payload type
     fixed by the strategy), admit them to the client's own buffer, and
-    return the same records for upload."""
+    return the same records for upload.  This is the one rho-sample: admit
+    keeps every record it is offered, up to eviction."""
     if strategy.kind == "none":
         return []
     shard = client.shards[task_id]
@@ -279,7 +280,6 @@ class ExperimentState:
     schedule: EnrollmentSchedule
     tasks: TaskSequence
     eval_cache: dict
-    threads: int = 1
     global_round: int = 0
 
     def evaluate(self) -> tuple:
@@ -308,17 +308,10 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
         len(active), m, replace=False)
     chosen = sorted((active[i] for i in pick), key=lambda c: c.client_id)
 
-    def work(client):
-        rng = state.master.child("local", client.client_id, task_id, round_in_task)
-        return local_train(client, state.classifier_params, state.encoder,
-                           state.encoder_params, state.classifier, task_id, g,
-                           fl, state.strategy, rng)
-
-    if state.threads > 1 and len(chosen) > 1:
-        with ThreadPoolExecutor(max_workers=state.threads) as pool:
-            results = list(pool.map(work, chosen))
-    else:
-        results = [work(c) for c in chosen]
+    results = [local_train(c, state.classifier_params, state.encoder, state.encoder_params,
+                           state.classifier, task_id, g, fl, state.strategy,
+                           state.master.child("local", c.client_id, task_id, round_in_task))
+               for c in chosen]
 
     # union of uploads, admitted in client-id order for schedule independence
     for client, res in zip(chosen, results):
@@ -377,8 +370,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                    master_seed: int, encoder_spec: EncoderSpec = None,
                    classifier_spec: ClassifierSpec = None, beta: float = models.DEFAULT_BETA,
                    pretrain_epochs: int = models.DEFAULT_PRETRAIN_EPOCHS,
-                   pretrain_lr: float = 0.01, threads: int = 1,
-                   on_task_boundary=None, on_round=None,
+                   pretrain_lr: float = 0.01, on_task_boundary=None, on_round=None,
                    checkpoint_dir=None, checkpoint_every: int = 0,
                    resume_from=None, stop_after_round: int = None):
     """Full task stream: pretrain, then rounds_per_task rounds per task.
@@ -412,21 +404,20 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     server_cap = _buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, encoder_spec.embed_dim)
 
     clients = [ClientState(cid, {t: partition.shard(cid, t) for t in range(n_tasks)},
-                           RehearsalBuffer(capacity=client_cap, rho=1.0))
+                           RehearsalBuffer(capacity=client_cap))
                for cid in range(fl.n_clients)]
-    server_buffer = RehearsalBuffer(capacity=server_cap, rho=1.0)
+    server_buffer = RehearsalBuffer(capacity=server_cap)
 
     start_round = 0
     if resume_from is not None:
-        encoder_params, classifier_params, server_buffer, client_buffers, meta = \
-            _load_checkpoint(resume_from, encoder_spec)
-        if meta["master_seed"] != master_seed:
-            raise ContractViolation("checkpoint was written under a different master seed")
-        for key, value in (("strategy", strategy.kind), ("n_clients", fl.n_clients)):
+        meta = read_checkpoint_meta(resume_from)
+        for key, value in _run_identity(master_seed, fl, strategy).items():
             if meta[key] != value:
                 raise ContractViolation(
                     f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
         start_round = meta["global_round"]
+        encoder_params, classifier_params, server_buffer, client_buffers = \
+            _load_checkpoint(resume_from, encoder_spec, fl.n_clients)
         for c in clients:
             c.buffer = client_buffers.get(c.client_id, c.buffer)
     else:
@@ -444,8 +435,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         encoder_checksum=encoder_params.checksum(),
         classifier=classifier, classifier_params=classifier_params,
         clients=clients, server_buffer=server_buffer, schedule=schedule,
-        tasks=tasks, eval_cache={}, threads=max(1, int(threads)),
-        global_round=start_round)
+        tasks=tasks, eval_cache={}, global_round=start_round)
 
     for t in range(n_tasks):
         z, _ = models.encode_for_eval(encoder, encoder_params, tasks.tasks[t].val.images)
@@ -506,15 +496,25 @@ def save_checkpoint(directory, state: ExperimentState) -> None:
     save_buffer(os.path.join(directory, "server_buffer.bin"), state.server_buffer)
     for c in state.clients:
         save_buffer(os.path.join(directory, f"client_{c.client_id}.bin"), c.buffer)
-    meta = {
-        "format": storage.FORMAT_VERSION,
-        "master_seed": state.master.seed,
-        "global_round": state.global_round,
-        "n_clients": state.fl.n_clients,
-        "strategy": state.strategy.kind,
-    }
+    meta = {"format": storage.FORMAT_VERSION, "global_round": state.global_round,
+            **_run_identity(state.master.seed, state.fl, state.strategy)}
     with open(os.path.join(directory, CHECKPOINT_META), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
+
+
+def _run_identity(master_seed: int, fl: FLConfig, strategy: StrategyConfig) -> dict:
+    """What a checkpoint and the run resuming it must agree on: the master
+    seed and every FLConfig and StrategyConfig field, under dotted names
+    ("fl.s_max", "strategy.rho")."""
+    identity = {"master_seed": master_seed}
+    for prefix, config in (("fl", fl), ("strategy", strategy)):
+        identity.update((f"{prefix}.{f.name}", getattr(config, f.name)) for f in fields(config))
+    return identity
+
+
+_META_KEYS = ("global_round", "master_seed") + tuple(
+    f"{prefix}.{f.name}" for prefix, config in (("fl", FLConfig), ("strategy", StrategyConfig))
+    for f in fields(config))
 
 
 def read_checkpoint_meta(directory) -> dict:
@@ -522,22 +522,35 @@ def read_checkpoint_meta(directory) -> dict:
     if not os.path.exists(meta_path):
         raise ContractViolation(f"no checkpoint metadata at {meta_path}")
     with open(meta_path) as f:
-        return json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(
+                f"checkpoint metadata {meta_path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ContractViolation(f"checkpoint metadata {meta_path} is not a JSON object")
+    for key in _META_KEYS:
+        if key not in meta:
+            raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
+    done = meta["global_round"]
+    if not isinstance(done, int) or done < 0:
+        raise ContractViolation(
+            f"checkpoint metadata {meta_path} has global_round {done!r}, not a round count")
+    return meta
 
 
-def _load_checkpoint(directory, encoder_spec: EncoderSpec):
-    meta = read_checkpoint_meta(directory)
+def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int):
     merged, header = storage.load_model_checkpoint(os.path.join(directory, "model.bin"))
     if header["encoder_kind"] != encoder_spec.kind:
         raise ContractViolation("checkpoint encoder kind does not match the configuration")
     encoder_params, classifier_params = _split_params(merged)
     server_buffer = load_buffer(os.path.join(directory, "server_buffer.bin"))
     client_buffers = {}
-    for cid in range(meta["n_clients"]):
+    for cid in range(n_clients):
         path = os.path.join(directory, f"client_{cid}.bin")
         if os.path.exists(path):
             client_buffers[cid] = load_buffer(path)
-    return encoder_params, classifier_params, server_buffer, client_buffers, meta
+    return encoder_params, classifier_params, server_buffer, client_buffers
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ DEFAULT_HIDDEN = 1000
 DEFAULT_BETA = 1e-3
 DEFAULT_PRETRAIN_EPOCHS = 5
 EVAL_CHUNK = 512  # rows per frozen-encoder forward pass in encode_for_eval
+PRETRAIN_CLIP_NORM = 5.0  # global gradient-norm clip in pretrain_encoder
 
 
 @dataclass
@@ -413,15 +414,14 @@ def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,
 
 def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderModel,
                      epochs: int, lr: float, rng: RngStream, batch_size: int = 32,
-                     beta: float = DEFAULT_BETA, clip_norm: float = 5.0,
-                     on_epoch=None) -> ParamVector:
+                     beta: float = DEFAULT_BETA, on_epoch=None) -> ParamVector:
     """Train the encoder against a throwaway linear probe; return its parameters.
 
     A vee encoder takes each step through ver_loss on one reparameterized
     draw; a deterministic one through the probe's cross-entropy alone.
 
     random_projection encoders are returned at initialization, untrained.
-    Gradients are clipped to a global norm of clip_norm, which keeps the
+    Gradients are clipped to a global norm of PRETRAIN_CLIP_NORM, which keeps the
     from-scratch SGD from blowing up on unlucky initializations.  Callers
     must treat the result as frozen.  on_epoch, when given, receives
     (epoch_index, {"ce": ..., "kl": ...}) after each pass.
@@ -456,8 +456,9 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
                 z, caches = encoder.embed_forward(params, xb)
                 ce, probe_grad, dz = _head_cross_entropy(probe, probe_params, z, yb)
                 enc_grad = encoder.embed_backward(params, caches, dz)
-            params = nc.sgd_step(params, nc.clip_gradient(enc_grad, clip_norm), lr)
-            probe_params = nc.sgd_step(probe_params, nc.clip_gradient(probe_grad, clip_norm), lr)
+            params = nc.sgd_step(params, nc.clip_gradient(enc_grad, PRETRAIN_CLIP_NORM), lr)
+            probe_params = nc.sgd_step(probe_params,
+                                       nc.clip_gradient(probe_grad, PRETRAIN_CLIP_NORM), lr)
             ce_sum += ce
             batches += 1
         if on_epoch is not None:

@@ -22,7 +22,6 @@ rule is also a schema property: a ver_sampled buffer has no stats column.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -143,14 +142,13 @@ def _no_ids() -> np.ndarray:
 
 @dataclass
 class RehearsalBuffer:
-    """Bounded rehearsal store with fractional admission and per-task eviction.
+    """Bounded rehearsal store with per-task eviction.
 
     Row i is one record: ``columns[name][i]`` for each payload field, and
     ``labels[i]``, ``tasks[i]``, ``rounds[i]``.  The first rows admitted fix
     the payload columns; an empty buffer may have none yet."""
 
     capacity: int | None = None
-    rho: float = 0.10
     columns: dict = field(default_factory=dict)
     labels: np.ndarray = field(default_factory=_no_ids)
     tasks: np.ndarray = field(default_factory=_no_ids)
@@ -159,8 +157,6 @@ class RehearsalBuffer:
     def __post_init__(self):
         if self.capacity is not None and self.capacity < 0:
             raise ContractViolation("capacity must be nonnegative or None")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ContractViolation(f"rho must lie in [0, 1], got {self.rho}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -171,7 +167,7 @@ class RehearsalBuffer:
 
     def take(self, idx) -> RehearsalBuffer:
         """The rows at `idx`, in that order, as an unbounded buffer."""
-        return RehearsalBuffer(None, self.rho, {k: v[idx] for k, v in self.columns.items()},
+        return RehearsalBuffer(None, {k: v[idx] for k, v in self.columns.items()},
                                self.labels[idx], self.tasks[idx], self.rounds[idx])
 
 
@@ -187,7 +183,7 @@ def _rows_from_records(records: list) -> RehearsalBuffer:
             columns[name] = np.stack([getattr(r.payload, name) for r in records])
         except ValueError as exc:
             raise ContractViolation(f"records carry {name!r} payloads of differing shapes") from exc
-    return RehearsalBuffer(None, 1.0, columns,
+    return RehearsalBuffer(None, columns,
                            np.array([r.label for r in records], dtype=np.int64),
                            np.array([r.task_id for r in records], dtype=np.int64),
                            np.array([r.round_id for r in records], dtype=np.int64))
@@ -198,28 +194,20 @@ def _schema(buffer: RehearsalBuffer) -> tuple:
 
 
 def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> RehearsalBuffer:
-    """Admit ceil(rho * n) uniformly chosen candidate records, then evict to
-    capacity.
+    """Append every candidate record, then evict to capacity.
 
-    Candidates must share one (task_id, round_id) and one payload type, the
-    one the buffer already holds.  Eviction removes a random record from
-    whichever task currently holds the most, breaking ties toward the newest
-    task so early tasks keep their representation.
+    The rho-fraction was already drawn once, when the client built its
+    upload.  Candidates must share one (task_id, round_id) and one payload
+    type, the one the buffer already holds.  Eviction removes a random record
+    from whichever task currently holds the most, breaking ties toward the
+    newest task so early tasks keep their representation.
     """
     if not candidates:
         return buffer
     keys = {(r.task_id, r.round_id) for r in candidates}
     if len(keys) != 1:
         raise ContractViolation(f"admit candidates span multiple (task, round) keys: {sorted(keys)}")
-    n_admit = math.ceil(buffer.rho * len(candidates))
-    if n_admit == 0:
-        return buffer
-    if n_admit >= len(candidates):
-        chosen = candidates
-    else:
-        idx = rng.choice(len(candidates), n_admit, replace=False)
-        chosen = [candidates[i] for i in idx]
-    rows = _rows_from_records(chosen)
+    rows = _rows_from_records(candidates)
     if len(buffer) and _schema(rows) != _schema(buffer):
         raise ContractViolation(
             f"buffer holds payload columns {_schema(buffer)}, candidates carry {_schema(rows)}")
@@ -348,6 +336,10 @@ def memory_budget(cfg: StrategyConfig, naive_count: int,
 # ---------------------------------------------------------------------------
 
 SNAPSHOT_CHUNK = 512  # record frames packed per write in save_buffer
+# The FVBF v1 header has a rho field; admission keeps every record it is
+# offered (rho is sampled once, at upload), so the field is always 1.0.
+SNAPSHOT_RHO = 1.0
+_HEADER = struct.Struct("<4sIqdI")  # magic, version, capacity (-1: none), rho, count
 
 
 def _frame_dtype(buffer: RehearsalBuffer) -> np.dtype:
@@ -368,11 +360,9 @@ def save_buffer(path, buffer: RehearsalBuffer) -> None:
     at a time so the packing copy stays small next to the buffer."""
     n = len(buffer)
     with open(path, "wb") as f:
-        f.write(storage.BUFFER_MAGIC)
-        f.write(struct.pack("<I", storage.FORMAT_VERSION))
-        f.write(struct.pack("<q", -1 if buffer.capacity is None else buffer.capacity))
-        f.write(struct.pack("<d", buffer.rho))
-        f.write(struct.pack("<I", n))
+        f.write(_HEADER.pack(storage.BUFFER_MAGIC, storage.FORMAT_VERSION,
+                             -1 if buffer.capacity is None else buffer.capacity,
+                             SNAPSHOT_RHO, n))
         if n == 0:
             return
         dtype = _frame_dtype(buffer)
@@ -397,18 +387,23 @@ def load_buffer(path) -> RehearsalBuffer:
     frame fixes the payload type and shapes that every other frame must
     repeat."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != storage.BUFFER_MAGIC:
-            raise ContractViolation(f"not a buffer snapshot: bad magic {magic!r}")
-        version = struct.unpack("<I", f.read(4))[0]
+        header = f.read(_HEADER.size)
+        if header[:4] != storage.BUFFER_MAGIC:
+            raise ContractViolation(f"not a buffer snapshot: bad magic {header[:4]!r}")
+        if len(header) < _HEADER.size:
+            raise ContractViolation(f"buffer snapshot {path} truncated: header")
+        _, version, capacity, rho, count = _HEADER.unpack(header)
         if version != storage.FORMAT_VERSION:
             raise ContractViolation(f"unsupported snapshot version {version}")
-        capacity = struct.unpack("<q", f.read(8))[0]
-        rho = struct.unpack("<d", f.read(8))[0]
-        count = struct.unpack("<I", f.read(4))[0]
+        if capacity < -1:
+            raise ContractViolation(
+                f"buffer snapshot {path} has capacity {capacity}; expected -1 (unbounded) or >= 0")
+        if rho != SNAPSHOT_RHO:
+            raise ContractViolation(
+                f"buffer snapshot {path} has rho {rho!r} in its header; expected {SNAPSHOT_RHO}")
         if count * storage.MIN_FRAME_BYTES > os.fstat(f.fileno()).st_size - f.tell():
             raise ContractViolation(f"buffer snapshot truncated: too short for {count} records")
-        buffer = RehearsalBuffer(capacity=None if capacity < 0 else capacity, rho=rho)
+        buffer = RehearsalBuffer(capacity=None if capacity < 0 else capacity)
         ids = np.zeros((3, count), dtype=np.int64)
         first_tag = None
         for i in range(count):

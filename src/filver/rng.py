@@ -4,8 +4,9 @@ Every stream is identified by (seed, stream_id) and an advancing draw counter.
 Each draw call instantiates a fresh Philox generator keyed by (seed, stream_id)
 with the call counter placed in a high word of the 256-bit block counter, so
 consecutive calls read disjoint blocks of the Philox stream.  Streams derived
-with different ids never share state, which makes per-client randomness
-independent of scheduling order: results do not change with worker count.
+with different ids never share state, so a client's draws do not depend on
+which clients trained before it, and a stream rebuilt from its tags on resume
+repeats the draws of the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def _mix64(a: int, b: int) -> int:
 class RngStream:
     """Deterministic stream of random draws, fully determined by (seed, stream_id).
 
-    The counter advances by one per draw call; saving and restoring the triple
-    (seed, stream_id, counter) resumes the stream bit-exactly.
+    The counter advances by one per draw call; RngStream(seed, stream_id,
+    counter) built from a saved triple resumes the stream bit-exactly.
     """
 
     seed: int
@@ -86,15 +87,3 @@ class RngStream:
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         """Sample `size` indices from range(n)."""
         return self._next_generator().choice(n, size=size, replace=replace)
-
-    def shuffled(self, items: list) -> list:
-        order = self.permutation(len(items))
-        return [items[i] for i in order]
-
-    def state(self) -> tuple[int, int, int]:
-        return (self.seed, self.stream_id, self.counter)
-
-    @staticmethod
-    def from_state(state) -> "RngStream":
-        seed, stream_id, counter = state
-        return RngStream(seed, stream_id, counter)

@@ -331,11 +331,12 @@ def test_identical_configs_give_byte_identical_outputs(baseline_run, tmp_path):
             == (baseline_run / "out" / "summary.json").read_bytes())
 
 
-def test_thread_count_does_not_change_results(baseline_run, tmp_path):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--threads", "3", "--quiet"]) == 0
-    assert ((tmp_path / "out" / "rounds.csv").read_bytes()
-            == (baseline_run / "out" / "rounds.csv").read_bytes())
+def test_a_config_that_sets_threads_is_refused(tmp_path, capsys):
+    # clients train one after another; there is no thread count to set
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out", threads=2)
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    assert "threads: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stop_and_resume_reproduce_the_uninterrupted_run(baseline_run, tmp_path):
@@ -401,9 +402,40 @@ def test_resume_under_a_different_strategy_or_client_count_is_refused(tmp_path, 
     capsys.readouterr()
     assert cli.main(["run", str(changed), "--resume", str(ckpt), "--quiet"]) == 3
     err = capsys.readouterr().err
-    saved = json.loads((ckpt / "meta.json").read_text())[key]
-    assert key in err and repr(saved) in err
+    meta_key = {"strategy": "strategy.kind", "n_clients": "fl.n_clients"}[key]
+    saved = json.loads((ckpt / "meta.json").read_text())[meta_key]
+    assert meta_key in err and repr(saved) in err
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def test_resume_under_any_changed_fl_or_strategy_setting_is_refused(tmp_path, capsys):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    ckpt = tmp_path / "out" / "checkpoint"
+    for key, value, message in [("strategy.rho", "0.9", "strategy.rho 0.25, this run has 0.9"),
+                                ("fl.s_max", "3", "fl.s_max 1, this run has 3")]:
+        changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{key: value})
+        capsys.readouterr()
+        assert cli.main(["run", str(changed), "--resume", str(ckpt), "--quiet"]) == 3
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "fl.n_clients"}),
+     "has no 'fl.n_clients'"),
+    (lambda meta: json.dumps(meta)[:-2], "is not valid JSON"),
+], ids=["missing-key", "invalid-json"])
+def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    meta_path = tmp_path / "out" / "checkpoint" / "meta.json"
+    meta_path.write_text(damage(json.loads(meta_path.read_text())))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(meta_path.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and message in err
 
 
 def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, capsys):
@@ -424,7 +456,8 @@ def test_checkpoint_every_writes_checkpoints(tmp_path):
     assert cli.main(["run", str(cfg), "--checkpoint-every", "2", "--quiet"]) == 0
     meta = json.loads((tmp_path / "out" / "checkpoint" / "meta.json").read_text())
     assert meta["global_round"] == 4
-    assert meta["strategy"] == "ver_sampled"
+    assert meta["strategy.kind"] == "ver_sampled"
+    assert meta["strategy.rho"] == 0.25 and meta["fl.s_max"] == 1
 
 
 def test_run_argument_validation(tmp_path, capsys):

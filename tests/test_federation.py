@@ -72,7 +72,7 @@ def tiny_specs(kind):
     return enc, cls
 
 
-def tiny_run(strategy_kind, *, fl=None, seed=7, threads=1, rho=0.25, **kwargs):
+def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, **kwargs):
     from filver.rehearsal import StrategyConfig
 
     tasks = tiny_tasks()
@@ -81,7 +81,7 @@ def tiny_run(strategy_kind, *, fl=None, seed=7, threads=1, rho=0.25, **kwargs):
     strategy = StrategyConfig(kind=strategy_kind, rho=rho)
     return run_experiment(tasks, "fully_enrolled", fl, strategy, master_seed=seed,
                           encoder_spec=enc_spec, classifier_spec=cls_spec,
-                          pretrain_epochs=2, pretrain_lr=0.05, threads=threads, **kwargs)
+                          pretrain_epochs=2, pretrain_lr=0.05, **kwargs)
 
 
 def report_tuples(reports):
@@ -250,7 +250,7 @@ def make_client(rng, n=20, capacity=64):
     images = rng.child("x").normal((n, D_IN)) * 0.1 + 0.5
     labels = np.asarray(rng.child("y").integers(0, N_CLASSES_PER_TASK, (n,)), dtype=np.int64)
     shard = LabeledSet(np.clip(images, 0, 1), labels, N_CLASSES_PER_TASK)
-    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=capacity, rho=1.0),
+    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=capacity),
                          enrollment=scenarios.ACTIVE)
     return client
 
@@ -351,8 +351,8 @@ def server_buffer_two_clusters(rng, n=40):
         center = 2.0 if label else -2.0
         z = rng.child("z", i).normal((EMBED,)) * 0.2 + center
         records.append(RehearsalRecord(EmbeddingPayload(z), label, 0, 0))
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
-    admit(buf, records, rng.child("admit"))  # rho 1: every record, in order
+    buf = RehearsalBuffer(capacity=None)
+    admit(buf, records, rng.child("admit"))  # every record, in order
     assert len(buf) == n
     return buf
 
@@ -368,7 +368,7 @@ def test_sst_zero_steps_and_empty_buffer_are_no_ops():
     out = server_side_training(params, buf, classifier, tiny_fl(s_max=0), "ebr",
                                encoder, enc_params, rng.child("sst"))
     assert out is params
-    empty = RehearsalBuffer(capacity=None, rho=1.0)
+    empty = RehearsalBuffer(capacity=None)
     out = server_side_training(params, empty, classifier, tiny_fl(s_max=5), "ebr",
                                encoder, enc_params, rng.child("sst"))
     assert out is params
@@ -467,14 +467,6 @@ def test_default_encoder_spec_picks_arch_from_dims():
 # ---------------------------------------------------------------------------
 # Full runs: determinism, amnesia, checkpoints, payload privacy
 # ---------------------------------------------------------------------------
-
-
-def test_run_reports_are_identical_across_thread_counts():
-    reports1, state1 = tiny_run("ver_sampled", threads=1)
-    reports2, state2 = tiny_run("ver_sampled", threads=3)
-    assert report_tuples(reports1) == report_tuples(reports2)
-    assert np.array_equal(state1.classifier_params.as_flat(),
-                          state2.classifier_params.as_flat())
 
 
 def test_run_is_deterministic_per_seed():

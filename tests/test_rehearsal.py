@@ -3,6 +3,7 @@ snapshots, and agreement with the list-of-records reference model."""
 
 import itertools
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 from filver import storage
+from filver.datasets import LabeledSet
 from filver.errors import ContractViolation
+from filver.federation import ClientState, _build_upload
 from filver.models import GaussianStats, encode_for_eval
 from filver.rehearsal import (
     EmbeddingPayload,
@@ -42,12 +45,12 @@ def embed_batch(rng, n, task_id=0, round_id=0, dim=4):
             for i in range(n)]
 
 
-def buffer_of(records, capacity=None, rho=1.0):
-    """A buffer holding exactly `records`, in order (rho 1 admits without a draw)."""
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+def buffer_of(records, capacity=None):
+    """A buffer holding exactly `records`, in order (admission without eviction draws nothing)."""
+    buf = RehearsalBuffer(capacity=None)
     for _, group in itertools.groupby(records, key=lambda r: (r.task_id, r.round_id)):
         admit(buf, list(group), RngStream(0))
-    buf.capacity, buf.rho = capacity, rho
+    buf.capacity = capacity
     return buf
 
 
@@ -174,43 +177,51 @@ def test_admit_rejects_a_second_payload_type():
 
 
 # ---------------------------------------------------------------------------
-# Admission
+# Admission.  rho is sampled once, when a client builds its upload, and the
+# client admits that sample to its own buffer; admit itself keeps every
+# candidate.  The fraction tests therefore go through the upload sampler.
 # ---------------------------------------------------------------------------
 
 
+def upload_of(n, rho, rng):
+    """The ebr upload drawn from an n-sample shard whose sample i embeds as
+    [i], and the buffer of the client that built (and self-admitted) it."""
+    shard = LabeledSet(np.zeros((n, 1)), np.arange(n) % 3, 3)
+    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=None))
+    cache = {"labels": shard.labels, "mu": np.arange(n, dtype=np.float64)[:, None],
+             "log_sigma": None}
+    upload = _build_upload(client, cache, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
+    return upload, client.buffer
+
+
 def test_admit_takes_exact_ceil_fraction():
-    rng = RngStream(7)
-    buf = RehearsalBuffer(capacity=None, rho=0.1)
-    admit(buf, embed_batch(rng.child("cands"), 1000), rng.child("admit"))
-    assert len(buf) == 100
+    upload, buf = upload_of(1000, 0.1, RngStream(7))
+    assert len(upload) == len(buf) == 100
+    assert len(set(buf.columns["z"][:, 0].tolist())) == 100
 
 
 def test_admit_ceil_rounds_up():
-    # 5 candidates at rho 0.1 still admit one record
-    rng = RngStream(7)
-    buf = RehearsalBuffer(capacity=None, rho=0.1)
-    admit(buf, embed_batch(rng.child("cands"), 5), rng.child("admit"))
-    assert len(buf) == 1
+    # 5 samples at rho 0.1 still upload and admit one record
+    upload, buf = upload_of(5, 0.1, RngStream(7))
+    assert len(upload) == len(buf) == 1
 
 
 def test_admit_rho_zero_is_a_no_op():
-    rng = RngStream(7)
-    buf = RehearsalBuffer(capacity=None, rho=0.0)
-    admit(buf, embed_batch(rng.child("cands"), 50), rng.child("admit"))
-    assert len(buf) == 0
+    upload, buf = upload_of(50, 0.0, RngStream(7))
+    assert upload == [] and len(buf) == 0
 
 
 def test_admit_rho_one_takes_everything_in_order():
     rng = RngStream(7)
     cands = embed_batch(rng.child("cands"), 20)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     admit(buf, cands, rng.child("admit"))
     assert rows(buf) == record_rows(cands)
     assert np.array_equal(buf.columns["z"], np.stack([r.payload.z for r in cands]))
 
 
 def test_admit_empty_candidate_list_is_a_no_op():
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     admit(buf, [], RngStream(7))
     assert len(buf) == 0
 
@@ -218,21 +229,18 @@ def test_admit_empty_candidate_list_is_a_no_op():
 def test_admit_rejects_mixed_task_round_keys():
     rng = RngStream(7)
     cands = embed_batch(rng.child("a"), 3, task_id=0) + embed_batch(rng.child("b"), 3, task_id=1)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     with pytest.raises(ContractViolation):
         admit(buf, cands, rng.child("admit"))
 
 
 def test_admit_subset_is_uniform():
-    # chi-square over which candidate indices get admitted across many trials
+    # chi-square over which shard samples get uploaded and admitted across many trials
     n, trials = 200, 400
     rng = RngStream(99)
     hits = np.zeros(n)
     for t in range(trials):
-        cands = [RehearsalRecord(EmbeddingPayload(np.array([float(i)])), i, 0, 0)
-                 for i in range(n)]
-        buf = RehearsalBuffer(capacity=None, rho=0.1)
-        admit(buf, cands, rng.child("trial", t))
+        _, buf = upload_of(n, 0.1, rng.child("trial", t))
         for z in buf.columns["z"]:
             hits[int(z[0])] += 1
     assert hits.sum() == trials * 20
@@ -263,7 +271,7 @@ def eviction_count_oracle(arrivals, capacity):
 
 def test_eviction_balances_tasks_against_count_oracle():
     rng = RngStream(3)
-    buf = RehearsalBuffer(capacity=50, rho=1.0)
+    buf = RehearsalBuffer(capacity=50)
     for task_id in range(4):
         admit(buf, embed_batch(rng.child("t", task_id), 20, task_id=task_id),
               rng.child("admit", task_id))
@@ -278,7 +286,7 @@ def test_eviction_balances_tasks_against_count_oracle():
 
 def test_eviction_tie_breaks_toward_newest_task():
     rng = RngStream(5)
-    buf = RehearsalBuffer(capacity=3, rho=1.0)
+    buf = RehearsalBuffer(capacity=3)
     admit(buf, embed_batch(rng.child("a"), 2, task_id=0), rng.child("ad", 0))
     admit(buf, embed_batch(rng.child("b"), 2, task_id=1), rng.child("ad", 1))
     assert buf.task_counts() == {0: 2, 1: 1}
@@ -286,7 +294,7 @@ def test_eviction_tie_breaks_toward_newest_task():
 
 def test_unbounded_buffer_never_evicts():
     rng = RngStream(5)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     for task_id in range(6):
         admit(buf, embed_batch(rng.child("t", task_id), 40, task_id=task_id),
               rng.child("admit", task_id))
@@ -301,7 +309,7 @@ def test_unbounded_buffer_never_evicts():
 )
 def test_capacity_is_never_exceeded(capacity, batches, seed):
     rng = RngStream(seed)
-    buf = RehearsalBuffer(capacity=capacity, rho=1.0)
+    buf = RehearsalBuffer(capacity=capacity)
     for task_id, n in enumerate(batches):
         admit(buf, embed_batch(rng.child("t", task_id), n, task_id=task_id),
               rng.child("admit", task_id))
@@ -317,7 +325,7 @@ def test_capacity_is_never_exceeded(capacity, batches, seed):
 
 def test_replay_without_replacement_when_buffer_is_large_enough():
     rng = RngStream(11)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     admit(buf, embed_batch(rng.child("cands"), 30), rng.child("admit"))
     batch = replay_batch(buf, 10, rng.child("replay"))
     assert len(batch) == 10
@@ -327,7 +335,7 @@ def test_replay_without_replacement_when_buffer_is_large_enough():
 
 def test_replay_with_replacement_when_batch_exceeds_buffer():
     rng = RngStream(11)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
     batch = replay_batch(buf, 12, rng.child("replay"))
     assert len(batch) == 12
@@ -337,7 +345,7 @@ def test_replay_with_replacement_when_batch_exceeds_buffer():
 
 def test_replay_empty_buffer_and_zero_batch():
     rng = RngStream(11)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     assert len(replay_batch(buf, 8, rng.child("a"))) == 0
     admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
     empty = replay_batch(buf, 0, rng.child("b"))
@@ -346,7 +354,7 @@ def test_replay_empty_buffer_and_zero_batch():
 
 def test_replay_eventually_touches_every_record():
     rng = RngStream(11)
-    buf = RehearsalBuffer(capacity=None, rho=1.0)
+    buf = RehearsalBuffer(capacity=None)
     admit(buf, embed_batch(rng.child("cands"), 25), rng.child("admit"))
     seen = set()
     for t in range(60):
@@ -518,12 +526,11 @@ def snapshot_records(kind, n, seed=41):
 @pytest.mark.parametrize("capacity", [None, 17])
 def test_buffer_snapshot_roundtrip(tmp_path, capacity):
     for kind in PAYLOAD_MAKERS:
-        buf = buffer_of(snapshot_records(kind, 7), capacity=capacity, rho=0.25)
+        buf = buffer_of(snapshot_records(kind, 7), capacity=capacity)
         path = tmp_path / f"{kind}.bin"
         save_buffer(path, buf)
         loaded = load_buffer(path)
         assert loaded.capacity == buf.capacity
-        assert loaded.rho == buf.rho
         assert len(loaded) == len(buf) == 7
         assert list(loaded.columns) == list(buf.columns)
         for name, col in buf.columns.items():
@@ -541,8 +548,8 @@ def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, cap
     # 1100 rows span three chunks of the bulk writer
     records = snapshot_records(kind, n)
     columnar, reference = tmp_path / "columnar.bin", tmp_path / "reference.bin"
-    save_buffer(columnar, buffer_of(records, capacity=capacity, rho=0.25))
-    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 0.25, list(records)))
+    save_buffer(columnar, buffer_of(records, capacity=capacity))
+    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 1.0, list(records)))
     assert columnar.read_bytes() == reference.read_bytes()
     loaded = load_buffer(columnar)
     assert len(loaded) == n and loaded.capacity == capacity
@@ -552,7 +559,7 @@ def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
     rng = RngStream(41)
     mixed = [raw_record(rng.child("a"), 0, 0, 1), embed_record(rng.child("b"), 1, 2, 1)]
     path = tmp_path / "mixed.bin"
-    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 0.25, mixed))
+    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, mixed))
     with pytest.raises(ContractViolation, match=r"mixes payload tags 0 \(RawPayload\), "
                                                 r"1 \(EmbeddingPayload\)"):
         load_buffer(path)
@@ -573,6 +580,30 @@ def test_buffer_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "garbage.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ContractViolation):
+        load_buffer(path)
+
+
+@pytest.mark.parametrize("field,offset,fmt,value,message", [
+    ("capacity", 8, "<q", -7, "capacity -7"),
+    ("rho", 16, "<d", 0.25, "rho 0.25"),
+], ids=["capacity", "rho"])
+def test_buffer_snapshot_rejects_a_header_field_never_written(tmp_path, field, offset, fmt,
+                                                              value, message):
+    # only -1 (unbounded) or a capacity >= 0, and rho 1.0, are ever written
+    path = tmp_path / "buffer.bin"
+    save_buffer(path, buffer_of(snapshot_records("embedding", 2), capacity=5))
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ContractViolation, match=message):
+        load_buffer(path)
+
+
+def test_buffer_snapshot_rejects_a_truncated_header(tmp_path):
+    path = tmp_path / "buffer.bin"
+    save_buffer(path, buffer_of(snapshot_records("embedding", 2)))
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(ContractViolation, match="truncated: header"):
         load_buffer(path)
 
 
@@ -598,15 +629,15 @@ def test_buffer_snapshot_rejects_truncation(tmp_path):
     steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 25),
                              st.integers(0, 12)),
                    min_size=1, max_size=10),
-    rho=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
     capacity=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_columnar_buffer_matches_the_list_reference(kind, steps, rho, capacity, seed):
+def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed):
+    # the reference admits ceil(rho * n) candidates; at rho 1 it keeps them all, as admit does
     rng = RngStream(seed)
     make = PAYLOAD_MAKERS[kind]
-    buf = RehearsalBuffer(capacity=capacity, rho=rho)
-    ref = oracles.RehearsalBuffer(capacity=capacity, rho=rho)
+    buf = RehearsalBuffer(capacity=capacity)
+    ref = oracles.RehearsalBuffer(capacity=capacity, rho=1.0)
     for step, (task_id, round_id, n, batch_size) in enumerate(steps):
         cands = [make(rng.child("rec", step, i), i % 3, task_id, round_id) for i in range(n)]
         admit(buf, cands, rng.child("admit", step))

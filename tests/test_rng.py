@@ -32,10 +32,10 @@ def test_state_roundtrip_resumes_bit_exactly():
     s = RngStream(11, stream_id=99)
     s.normal(10)
     s.normal(10)
-    saved = s.state()
+    saved = (s.seed, s.stream_id, s.counter)
     rest = [s.normal(10) for _ in range(3)]
 
-    resumed = RngStream.from_state(saved)
+    resumed = RngStream(*saved)
     again = [resumed.normal(10) for _ in range(3)]
     for a, b in zip(rest, again):
         assert np.array_equal(a, b)
@@ -91,12 +91,6 @@ def test_choice_without_replacement_is_unique():
     got = RngStream(2).choice(50, 20, replace=False)
     assert len(set(got.tolist())) == 20
     assert got.min() >= 0 and got.max() < 50
-
-
-def test_shuffled_preserves_items():
-    items = list("abcdefg")
-    out = RngStream(9).shuffled(items)
-    assert sorted(out) == sorted(items)
 
 
 def test_normal_moments_sane():
