@@ -80,15 +80,24 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
     kept = [",".join(header) + "\n"]
     if resume_from is not None:
         kept = _rows_up_to_checkpoint(rounds_path, resume_from)
-    csv_file = open(rounds_path, "a" if kept is None else "w")
-    csv_file.writelines(kept or [])
+    # rounds.csv is rewritten only once run_experiment has accepted the
+    # checkpoint: a refused resume leaves the file as it was
+    csv_file = None
+
+    def open_rounds_csv():
+        nonlocal csv_file
+        if csv_file is None:
+            csv_file = open(rounds_path, "w")
+            csv_file.writelines(kept)
+        return csv_file
 
     def on_round(report):
         row = ([str(report.round_id + 1), str(report.task_id + 1)]
                + [_fmt(a) for a in report.accuracies]
                + [_fmt(report.mean_loss), str(len(report.participants))])
-        csv_file.write(",".join(row) + "\n")
-        csv_file.flush()  # the row reaches the file before this round's checkpoint
+        out = open_rounds_csv()
+        out.write(",".join(row) + "\n")
+        out.flush()  # the row reaches the file before this round's checkpoint
         if not quiet and (report.round_id + 1) % fl.rounds_per_task == 0:
             accs = " ".join(f"{a:.3f}" for a in report.accuracies)
             print(f"task {report.task_id + 1}/{tasks.n_tasks} done "
@@ -108,8 +117,10 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
             checkpoint_every=checkpoint_every,
             resume_from=resume_from,
             stop_after_round=stop_after_round)
+        open_rounds_csv()  # a run with no rounds left still leaves its rows
     finally:
-        csv_file.close()
+        if csv_file is not None:
+            csv_file.close()
 
     final_accs = [float(a) for a in state.evaluate()]
     summary = {

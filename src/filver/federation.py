@@ -281,6 +281,7 @@ class ExperimentState:
     tasks: TaskSequence
     eval_cache: dict
     global_round: int = 0
+    identity: dict = field(default_factory=dict)  # _run_identity, written to meta.json
 
     def evaluate(self) -> tuple:
         return tuple(
@@ -408,10 +409,12 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                for cid in range(fl.n_clients)]
     server_buffer = RehearsalBuffer(capacity=server_cap)
 
+    identity = _run_identity(master_seed, fl, strategy, schedule, encoder_spec, classifier_spec,
+                             beta, pretrain_epochs, pretrain_lr)
     start_round = 0
     if resume_from is not None:
         meta = read_checkpoint_meta(resume_from)
-        for key, value in _run_identity(master_seed, fl, strategy).items():
+        for key, value in identity.items():
             if meta[key] != value:
                 raise ContractViolation(
                     f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
@@ -435,7 +438,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         encoder_checksum=encoder_params.checksum(),
         classifier=classifier, classifier_params=classifier_params,
         clients=clients, server_buffer=server_buffer, schedule=schedule,
-        tasks=tasks, eval_cache={}, global_round=start_round)
+        tasks=tasks, eval_cache={}, global_round=start_round, identity=identity)
 
     for t in range(n_tasks):
         z, _ = models.encode_for_eval(encoder, encoder_params, tasks.tasks[t].val.images)
@@ -497,24 +500,38 @@ def save_checkpoint(directory, state: ExperimentState) -> None:
     for c in state.clients:
         save_buffer(os.path.join(directory, f"client_{c.client_id}.bin"), c.buffer)
     meta = {"format": storage.FORMAT_VERSION, "global_round": state.global_round,
-            **_run_identity(state.master.seed, state.fl, state.strategy)}
+            **state.identity}
     with open(os.path.join(directory, CHECKPOINT_META), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def _run_identity(master_seed: int, fl: FLConfig, strategy: StrategyConfig) -> dict:
-    """What a checkpoint and the run resuming it must agree on: the master
-    seed and every FLConfig and StrategyConfig field, under dotted names
-    ("fl.s_max", "strategy.rho")."""
+_IDENTITY_CONFIGS = (("fl", FLConfig), ("strategy", StrategyConfig),
+                     ("encoder", EncoderSpec), ("classifier", ClassifierSpec))
+
+
+def _run_identity(master_seed: int, fl: FLConfig, strategy: StrategyConfig,
+                  schedule: EnrollmentSchedule, encoder_spec: EncoderSpec,
+                  classifier_spec: ClassifierSpec, beta: float, pretrain_epochs: int,
+                  pretrain_lr: float) -> dict:
+    """What a checkpoint and the run resuming it must agree on, under dotted
+    names: the master seed, every FLConfig, StrategyConfig, EncoderSpec and
+    ClassifierSpec field ("fl.s_max", "encoder.hidden"), the pretraining
+    settings ("model.beta") and the rendered enrollment schedule
+    ("scenario.schedule", which also covers schedule objects passed in
+    directly).  Resume reports the first mismatch in this order, so a changed
+    client count is named before the schedule it reshapes.  Values are as
+    meta.json stores them: tuples read back as lists."""
     identity = {"master_seed": master_seed}
-    for prefix, config in (("fl", fl), ("strategy", strategy)):
+    for (prefix, _), config in zip(_IDENTITY_CONFIGS, (fl, strategy, encoder_spec, classifier_spec)):
         identity.update((f"{prefix}.{f.name}", getattr(config, f.name)) for f in fields(config))
-    return identity
+    identity.update({"model.beta": beta, "model.pretrain_epochs": pretrain_epochs,
+                     "model.pretrain_lr": pretrain_lr, "scenario.schedule": schedule.render()})
+    return json.loads(json.dumps(identity))
 
 
-_META_KEYS = ("global_round", "master_seed") + tuple(
-    f"{prefix}.{f.name}" for prefix, config in (("fl", FLConfig), ("strategy", StrategyConfig))
-    for f in fields(config))
+_META_KEYS = ("global_round", "master_seed", "scenario.schedule", "model.beta",
+              "model.pretrain_epochs", "model.pretrain_lr") + tuple(
+    f"{prefix}.{f.name}" for prefix, config in _IDENTITY_CONFIGS for f in fields(config))
 
 
 def read_checkpoint_meta(directory) -> dict:

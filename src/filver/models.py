@@ -110,8 +110,8 @@ class _Dense:
         return nc.dense_forward(x, params.get(f"{self.name}.w"), params.get(f"{self.name}.b"),
                                 self.activation)
 
-    def backward(self, params, cache, dout, grads):
-        dx, dw, db = nc.dense_backward(cache, dout)
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        dx, dw, db = nc.dense_backward(cache, dout, need_dx)
         grads[f"{self.name}.w"] = dw
         grads[f"{self.name}.b"] = db
         return dx
@@ -134,8 +134,8 @@ class _Conv:
         return nc.conv2d_forward(x, params.get(f"{self.name}.k"), params.get(f"{self.name}.b"),
                                  "relu")
 
-    def backward(self, params, cache, dout, grads):
-        dx, dk, db = nc.conv2d_backward(cache, dout)
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        dx, dk, db = nc.conv2d_backward(cache, dout, need_dx)
         grads[f"{self.name}.k"] = dk
         grads[f"{self.name}.b"] = db
         return dx
@@ -151,7 +151,7 @@ class _Pool:
     def forward(self, params, x):
         return nc.maxpool2x2(x)
 
-    def backward(self, params, cache, dout, grads):
+    def backward(self, params, cache, dout, grads, need_dx=True):
         return nc.maxpool2x2_backward(cache, dout)
 
 
@@ -165,7 +165,7 @@ class _Flatten:
     def forward(self, params, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, params, cache, dout, grads):
+    def backward(self, params, cache, dout, grads, need_dx=True):
         return dout.reshape(cache)
 
 
@@ -177,9 +177,12 @@ def _stack_forward(layers, params, x):
     return x, caches
 
 
-def _stack_backward(layers, params, caches, dout, grads):
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        dout = layer.backward(params, cache, dout, grads)
+def _stack_backward(layers, params, caches, dout, grads, input_grad=True):
+    """Backward through the stack, filling grads; returns the gradient with
+    respect to the stack's input, or None when input_grad is False (the first
+    layer then skips computing it)."""
+    for n, (layer, cache) in enumerate(zip(reversed(layers), reversed(caches))):
+        dout = layer.backward(params, cache, dout, grads, input_grad or n < len(layers) - 1)
     return dout
 
 
@@ -271,7 +274,7 @@ class EncoderModel:
         grads: dict = {}
         dh = self.heads[0].backward(params, mu_cache, d_mu, grads)
         dh = dh + self.heads[1].backward(params, ls_cache, d_log_sigma * clip_mask, grads)
-        _stack_backward(self.trunk, params, trunk_caches, dh, grads)
+        _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
         return _grads_to_vector(params, grads)
 
     def embed_forward(self, params, x):
@@ -286,7 +289,7 @@ class EncoderModel:
         trunk_caches, head_cache = caches
         grads: dict = {}
         dh = self.heads[0].backward(params, head_cache, dz, grads)
-        _stack_backward(self.trunk, params, trunk_caches, dh, grads)
+        _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
         return _grads_to_vector(params, grads)
 
 

@@ -164,14 +164,15 @@ def dense_forward(x, weights, bias, activation="relu"):
     return out, (x, weights, pre, activation)
 
 
-def dense_backward(cache, dout):
-    """Returns (dx, dW, db) for the matching dense_forward call."""
+def dense_backward(cache, dout, need_dx=True):
+    """Returns (dx, dW, db) for the matching dense_forward call; dx is None
+    when need_dx is False."""
     x, weights, pre, activation = cache
     if activation == "relu":
         dpre = dout * (pre > 0.0)
     else:
         dpre = dout
-    dx = dpre @ weights.T
+    dx = dpre @ weights.T if need_dx else None
     dw = x.T @ dpre
     db = dpre.sum(axis=0)
     return dx, dw, db
@@ -194,11 +195,31 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     )
 
 
+# Both passes are im2col copies plus BLAS GEMMs (Chellapilla, Puri & Simard
+# 2006), and their results are bit-identical to the einsum kernels they
+# replaced.  That holds because each GEMM gets exactly the operand shapes and
+# memory layouts the einsum contraction passed to matmul: OpenBLAS picks its
+# kernel, and with it the float summation order, from shapes and transpose
+# flags.  (K @ cols.T differs from K @ rows in the last ulp for some shapes,
+# and F = 1 takes a matrix-vector path.)  The im2col copies are made by
+# reshape, which copies only when it must, as einsum's did.  Output layouts
+# are part of the contract too: `pre` and dK come back channel-major (F-major
+# views of the GEMM product), dpre is C-contiguous, and reductions run in
+# memory order -- clip_gradient sums dK**2 and db sums dpre that way -- so a
+# C-contiguous dK with the same values still moves the clip norm by an ulp.
+# Not reproduced: einsum's own change of path when size-1 axes make its
+# reshapes views with F = 1, i.e. one output channel for one image with a
+# one-column output (F = 1, B = 1, W' = 1), and 1x1 kernels with C = 1 or
+# F = 1.  No preset or test meets either.
+
+
 def conv2d_forward(x, kernels, bias, activation="relu"):
     """Valid cross-correlation then activation.
 
     x: (B, H, W, C), kernels: (k, k, C, F), bias: (F,).
-    Output spatial dims shrink by k - 1.
+    Output spatial dims shrink by k - 1.  One (k*k*C, B*H'*W') im2col copy
+    and one GEMM; `pre` (and the output) is an F-major view of the
+    (F, B*H'*W') product.  The cache is (x, kernels, pre, activation).
     """
     x = np.asarray(x, dtype=np.float64)
     k = kernels.shape[0]
@@ -210,8 +231,12 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
         raise ContractViolation(
             f"conv2d_forward: spatial dims {x.shape[1:3]} smaller than kernel {k}"
         )
-    win = _windows(x, k)
-    pre = np.einsum("bhwijc,ijcf->bhwf", win, kernels, optimize=True) + bias
+    b, h, w, c = x.shape
+    f = kernels.shape[3]
+    # the im2col copy is a temporary, freed as soon as the product exists
+    pre = np.matmul(kernels.transpose(3, 0, 1, 2).reshape(f, -1),
+                    _windows(x, k).transpose(3, 4, 5, 0, 1, 2).reshape(k * k * c, -1))
+    pre = pre.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0) + bias
     if activation == "relu":
         out = np.maximum(pre, 0.0)
     elif activation == "identity":
@@ -222,57 +247,84 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
     return out, (x, kernels, pre, activation)
 
 
-def conv2d_backward(cache, dout):
-    """Returns (dx, dK, db) for the matching conv2d_forward call."""
+def conv2d_backward(cache, dout, need_dx=True):
+    """Returns (dx, dK, db) for the matching conv2d_forward call.
+
+    dK is one GEMM over a (B*H'*W', k*k*C) im2col copy (an outer product
+    when B*H'*W' = 1) and comes back as an F-major view: its layout is part
+    of the output contract, because clip_gradient sums dK**2 in memory order
+    (see the note above conv2d_forward).  dx is one batched GEMM, k*k
+    products (C, F) @ (F, B*H'*W'), scattered back with k*k shifted adds in
+    row-major offset order.  need_dx=False skips dx (returned as None): the
+    first layer of a stack has no one to pass it to.  dout is expected
+    C-contiguous, as pool backward returns it.
+    """
     x, kernels, pre, activation = cache
-    k = kernels.shape[0]
+    k, _, c, f = kernels.shape
     if activation == "relu":
-        dpre = dout * (pre > 0.0)
+        # a C-contiguous mask: a C-contiguous dout (what pool backward returns)
+        # then gives the C-contiguous dpre that db's summation order assumes,
+        # without a slow multiply across two layouts
+        dpre = dout * np.ascontiguousarray(pre > 0.0)
     else:
         dpre = dout
-    win = _windows(x, k)
-    dk = np.einsum("bhwijc,bhwf->ijcf", win, dpre, optimize=True)
+    b, oh, ow = dpre.shape[:3]
+    d2t = dpre.transpose(3, 0, 1, 2).reshape(f, -1)
+    if b * oh * ow == 1:
+        # one output position: nothing to contract, and einsum computed dK as
+        # a C-contiguous outer product of dpre (summed over its unit axes,
+        # which turns -0.0 into +0.0) and the one window
+        dk = np.multiply(dpre + 0.0, _windows(x, k)[0, 0, 0][..., None])
+    else:
+        cols = _windows(x, k).reshape(-1, k * k * c)
+        dk = np.matmul(d2t, cols).reshape(f, k, k, c).transpose(1, 2, 3, 0)
     db = dpre.sum(axis=(0, 1, 2))
+    if not need_dx:
+        return None, dk, db
+    # (k, k, C, B*H'*W') -> per offset a (B, H', W', C) view
+    dcols = np.matmul(kernels, d2t).reshape(k, k, c, b, oh, ow).transpose(0, 1, 3, 4, 5, 2)
     dx = np.zeros_like(x)
-    oh, ow = dpre.shape[1], dpre.shape[2]
     for i in range(k):
         for j in range(k):
-            dx[:, i : i + oh, j : j + ow, :] += np.einsum(
-                "bhwf,cf->bhwc", dpre, kernels[i, j], optimize=True
-            )
+            dx[:, i : i + oh, j : j + ow, :] += dcols[i, j]
     return dx, dk, db
+
+
+def _pool_quads(x, h2, w2):
+    """The four cells of every 2x2 window, in row-major window order."""
+    return [x[:, i : 2 * h2 : 2, j : 2 * w2 : 2, :] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2x2(x):
     """2x2 max pooling with stride 2; odd trailing rows/columns are truncated.
 
-    Returns (out, cache); cache records the argmax inside each window so the
-    backward pass routes gradients to exactly one input cell.
+    Returns (out, cache); cache records which cell of each window won (the
+    first of equal maxima, as argmax would pick), so the backward pass routes
+    gradients to exactly one input cell.  Inputs must be finite, as
+    conv2d_forward's outputs are.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ContractViolation(f"maxpool2x2: expected NHWC batch, got shape {x.shape}")
-    b, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
     if h2 == 0 or w2 == 0:
-        raise ContractViolation(f"maxpool2x2: spatial dims {h}x{w} too small")
-    trimmed = x[:, : 2 * h2, : 2 * w2, :]
-    # (B, H2, 2, W2, 2, C) -> windows flattened to length 4
-    r = trimmed.reshape(b, h2, 2, w2, 2, c)
-    flat = r.transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return out, (x.shape, (b, h2, w2, c), idx)
+        raise ContractViolation(f"maxpool2x2: spatial dims {x.shape[1]}x{x.shape[2]} too small")
+    quads = _pool_quads(x, h2, w2)
+    take = quads[1] > quads[0]
+    out = np.where(take, quads[1], quads[0])
+    winner = take.view(np.int8)
+    for n in (2, 3):
+        take = quads[n] > out
+        out = np.where(take, quads[n], out)
+        winner = np.where(take, np.int8(n), winner)
+    return out, (x.shape, winner)
 
 
 def maxpool2x2_backward(cache, dout):
-    in_shape, (b, h2, w2, c), idx = cache
-    dflat = np.zeros((b, h2, w2, c, 4))
-    np.put_along_axis(dflat, idx[..., None], dout[..., None], axis=-1)
-    dtrim = dflat.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    dtrim = dtrim.reshape(b, 2 * h2, 2 * w2, c)
+    in_shape, winner = cache
     dx = np.zeros(in_shape)
-    dx[:, : 2 * h2, : 2 * w2, :] = dtrim
+    for n, cell in enumerate(_pool_quads(dx, *winner.shape[1:3])):
+        cell[...] = np.where(winner == n, dout, 0.0)
     return dx
 
 

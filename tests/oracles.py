@@ -11,6 +11,7 @@ from scipy import integrate, stats
 
 from filver import storage
 from filver.errors import ContractViolation
+from filver.numcore import _ensure_finite
 from filver.rehearsal import EmbeddingPayload, RawPayload
 from filver.rng import RngStream
 
@@ -103,6 +104,106 @@ def loop_maxpool2x2(x):
                     window = x[b_, 2 * i:2 * i + 2, 2 * j:2 * j + 2, ch]
                     out[b_, i, j, ch] = window.max()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference conv and pool kernels: the einsum convolution and the argmax
+# pooling that the GEMM and strided-slice kernels in filver.numcore replaced,
+# kept verbatim.  The new kernels must reproduce their outputs bit for bit.
+# ---------------------------------------------------------------------------
+
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Strided view of all k x k patches: (B, H', W', k, k, C)."""
+    b, h, w, c = x.shape
+    sb, sh, sw, sc = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(b, h - k + 1, w - k + 1, k, k, c),
+        strides=(sb, sh, sw, sh, sw, sc),
+        writeable=False,
+    )
+
+
+def conv2d_forward(x, kernels, bias, activation="relu"):
+    """Valid cross-correlation then activation.
+
+    x: (B, H, W, C), kernels: (k, k, C, F), bias: (F,).
+    Output spatial dims shrink by k - 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = kernels.shape[0]
+    if x.ndim != 4 or x.shape[3] != kernels.shape[2]:
+        raise ContractViolation(
+            f"conv2d_forward: input {x.shape} incompatible with kernels {kernels.shape}"
+        )
+    if x.shape[1] < k or x.shape[2] < k:
+        raise ContractViolation(
+            f"conv2d_forward: spatial dims {x.shape[1:3]} smaller than kernel {k}"
+        )
+    win = _windows(x, k)
+    pre = np.einsum("bhwijc,ijcf->bhwf", win, kernels, optimize=True) + bias
+    if activation == "relu":
+        out = np.maximum(pre, 0.0)
+    elif activation == "identity":
+        out = pre
+    else:
+        raise ContractViolation(f"unknown activation {activation!r}")
+    _ensure_finite(out, "conv2d_forward output")
+    return out, (x, kernels, pre, activation)
+
+
+def conv2d_backward(cache, dout):
+    """Returns (dx, dK, db) for the matching conv2d_forward call."""
+    x, kernels, pre, activation = cache
+    k = kernels.shape[0]
+    if activation == "relu":
+        dpre = dout * (pre > 0.0)
+    else:
+        dpre = dout
+    win = _windows(x, k)
+    dk = np.einsum("bhwijc,bhwf->ijcf", win, dpre, optimize=True)
+    db = dpre.sum(axis=(0, 1, 2))
+    dx = np.zeros_like(x)
+    oh, ow = dpre.shape[1], dpre.shape[2]
+    for i in range(k):
+        for j in range(k):
+            dx[:, i : i + oh, j : j + ow, :] += np.einsum(
+                "bhwf,cf->bhwc", dpre, kernels[i, j], optimize=True
+            )
+    return dx, dk, db
+
+
+def maxpool2x2(x):
+    """2x2 max pooling with stride 2; odd trailing rows/columns are truncated.
+
+    Returns (out, cache); cache records the argmax inside each window so the
+    backward pass routes gradients to exactly one input cell.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ContractViolation(f"maxpool2x2: expected NHWC batch, got shape {x.shape}")
+    b, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    if h2 == 0 or w2 == 0:
+        raise ContractViolation(f"maxpool2x2: spatial dims {h}x{w} too small")
+    trimmed = x[:, : 2 * h2, : 2 * w2, :]
+    # (B, H2, 2, W2, 2, C) -> windows flattened to length 4
+    r = trimmed.reshape(b, h2, 2, w2, 2, c)
+    flat = r.transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    return out, (x.shape, (b, h2, w2, c), idx)
+
+
+def maxpool2x2_backward(cache, dout):
+    in_shape, (b, h2, w2, c), idx = cache
+    dflat = np.zeros((b, h2, w2, c, 4))
+    np.put_along_axis(dflat, idx[..., None], dout[..., None], axis=-1)
+    dtrim = dflat.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+    dtrim = dtrim.reshape(b, 2 * h2, 2 * w2, c)
+    dx = np.zeros(in_shape)
+    dx[:, : 2 * h2, : 2 * w2, :] = dtrim
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,42 @@ def test_resume_under_any_changed_fl_or_strategy_setting_is_refused(tmp_path, ca
         assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
+def test_a_refused_resume_leaves_rounds_csv_untouched(tmp_path, capsys):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    # round 4 is written after the round-3 checkpoint, as before a crash
+    assert cli.main(["run", str(cfg), "--checkpoint-every", "3", "--quiet"]) == 0
+    rounds = tmp_path / "out" / "rounds.csv"
+    before = rounds.read_bytes()
+    assert len(before.splitlines()) == 1 + 4
+    changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{"strategy.rho": "0.9"})
+    capsys.readouterr()
+    rc = cli.main(["run", str(changed), "--resume", str(tmp_path / "out" / "checkpoint"),
+                   "--quiet"])
+    assert rc == 3
+    assert "strategy.rho" in capsys.readouterr().err
+    assert rounds.read_bytes() == before
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("scenario", "increasing", "scenario.schedule"),
+    ("model.hidden", "16", "encoder.hidden 12, this run has 16"),
+    ("model.classifier_hidden", "16", "classifier.hidden 12, this run has 16"),
+    ("model.pretrain_lr", "0.07", "model.pretrain_lr 0.05, this run has 0.07"),
+])
+def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, capsys, key,
+                                                                      value, message):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{key: value})
+    capsys.readouterr()
+    rc = cli.main(["run", str(changed), "--resume", str(tmp_path / "out" / "checkpoint"),
+                   "--quiet"])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
 @pytest.mark.parametrize("damage,message", [
     (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "fl.n_clients"}),
      "has no 'fl.n_clients'"),

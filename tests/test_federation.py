@@ -539,6 +539,27 @@ def test_resume_rejects_wrong_seed_and_encoder_kind(tmp_path):
         tiny_run("ebr", seed=21, resume_from=str(tmp_path / "missing"))
 
 
+def test_resume_under_a_different_schedule_object_is_refused(tmp_path):
+    from filver.rehearsal import StrategyConfig
+
+    tasks, fl = tiny_tasks(), tiny_fl()
+    enc_spec, cls_spec = tiny_specs("ebr")
+    ckpt = tmp_path / "ckpt"
+
+    def run(grid, **kwargs):
+        return run_experiment(tasks, scenarios.EnrollmentSchedule(np.array(grid, dtype=np.int8)),
+                              fl, StrategyConfig(kind="ebr", rho=0.25), master_seed=21,
+                              encoder_spec=enc_spec, classifier_spec=cls_spec,
+                              pretrain_epochs=2, pretrain_lr=0.05, **kwargs)
+
+    run([[1, 1], [1, 1], [1, 1], [1, 1]], checkpoint_dir=str(ckpt), stop_after_round=2)
+    # client 3 drops out at task 1: same config, same seed, another schedule
+    with pytest.raises(ContractViolation, match="scenario.schedule"):
+        run([[1, 1], [1, 1], [1, 1], [1, 2]], resume_from=str(ckpt))
+    reports, _ = run([[1, 1], [1, 1], [1, 1], [1, 1]], resume_from=str(ckpt))
+    assert [r.round_id for r in reports] == [2, 3, 4, 5]
+
+
 def test_scattered_schedule_skips_rounds_without_active_clients():
     from filver.rehearsal import StrategyConfig
 

@@ -14,6 +14,7 @@ from filver.models import (EVAL_CHUNK, ClassifierModel, ClassifierSpec, EncoderM
 from filver.rng import RngStream
 
 from conftest import fd_params, jittered_params, min_abs_dense_pre
+import oracles
 from oracles import rel_err
 
 FD_TOL = 1e-4
@@ -235,6 +236,54 @@ def test_classifier_accuracy_counts_argmax_hits(tiny_classifier):
     assert classifier_accuracy(tiny_classifier, params, z, y) == 1.0
     y_wrong = (y + 1) % 3
     assert classifier_accuracy(tiny_classifier, params, z, y_wrong) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Conv encoder gradients against the einsum/argmax kernels
+# ---------------------------------------------------------------------------
+
+def _use_oracle_conv_kernels(monkeypatch):
+    """Route the layer stack through the kernels the GEMM ones replaced; the
+    oracle backward computes every input gradient, conv1's included."""
+    monkeypatch.setattr(nc, "conv2d_forward", oracles.conv2d_forward)
+    monkeypatch.setattr(nc, "conv2d_backward",
+                        lambda cache, dout, need_dx=True: oracles.conv2d_backward(cache, dout))
+    monkeypatch.setattr(nc, "maxpool2x2", oracles.maxpool2x2)
+    monkeypatch.setattr(nc, "maxpool2x2_backward", oracles.maxpool2x2_backward)
+
+
+def _encoder_grads(model, params, x, rng):
+    if model.spec.kind == "vee":
+        mu, log_sigma, caches = model.stats_forward(params, x)
+        d_mu, d_ls = rng.child("d_mu").normal(mu.shape), rng.child("d_ls").normal(mu.shape)
+        return (mu, log_sigma), model.stats_backward(params, caches, d_mu, d_ls)
+    z, caches = model.embed_forward(params, x)
+    return (z,), model.embed_backward(params, caches, rng.child("dz").normal(z.shape))
+
+
+@pytest.mark.parametrize("kind", ["vee", "ebr"])
+@pytest.mark.parametrize("image,channels,batch", [(28, (8, 16), 32), (16, (4, 6), 7)])
+def test_conv_encoder_gradient_matches_the_einsum_stack_bit_for_bit(monkeypatch, kind, image,
+                                                                   channels, batch):
+    model = EncoderModel(EncoderSpec(kind, (image, image), embed_dim=12, arch="conv",
+                                     hidden=24, conv_channels=channels))
+    params = model.init_params(RngStream(50))
+    x = RngStream(51).uniform(shape=(batch, image, image))
+    # a second set of parameters after one SGD step has the memory layout
+    # the training loop feeds back in (kernel gradients are F-major views)
+    for step in range(2):
+        heads, grad = _encoder_grads(model, params, x, RngStream(52).child(step))
+        with monkeypatch.context() as m:
+            _use_oracle_conv_kernels(m)
+            ref_heads, ref_grad = _encoder_grads(model, params, x, RngStream(52).child(step))
+        assert all(np.array_equal(a, b) for a, b in zip(heads, ref_heads))
+        assert grad.layout() == ref_grad.layout()
+        for seg, ref in zip(grad.segments, ref_grad.segments):
+            assert np.array_equal(seg.values, ref.values), seg.name
+            assert np.sum(seg.values**2).tobytes() == np.sum(ref.values**2).tobytes(), seg.name
+        clipped, ref_clipped = nc.clip_gradient(grad, 1e-3), nc.clip_gradient(ref_grad, 1e-3)
+        assert clipped.as_flat().tobytes() == ref_clipped.as_flat().tobytes()
+        params = nc.sgd_step(params, ref_clipped, 0.1)
 
 
 # ---------------------------------------------------------------------------

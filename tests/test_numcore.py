@@ -3,7 +3,7 @@ quadrature for the KL term, and algebraic properties."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +11,7 @@ import filver.numcore as nc
 from filver.errors import ContractViolation
 from filver.rng import RngStream
 
+import oracles
 from oracles import (fd_arrays, loop_conv2d, loop_dense, loop_maxpool2x2, pool_gap,
                      quad_kl, rel_err, sample_conv_instance, sample_dense_instance,
                      sample_pool_instance)
@@ -255,6 +256,80 @@ def test_maxpool_backward_routes_to_argmax_only():
     dx = nc.maxpool2x2_backward(cache, np.ones_like(out))
     assert dx.sum() == 1.0
     assert dx[0, 0, 1, 0] == 1.0  # the 5.0 cell
+
+
+# ---------------------------------------------------------------------------
+# GEMM conv and slice pooling against the einsum/argmax kernels they replaced
+# ---------------------------------------------------------------------------
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _same(a, b) -> bool:
+    """Equal shape and equal bytes: signed zeros count."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(c=st.integers(1, 16), f=st.integers(1, 16), batch=st.integers(1, 64),
+       h=st.integers(5, 28), w=st.integers(5, 28), channel_major=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+# one output position, where einsum multiplies instead of contracting
+@example(c=1, f=2, batch=1, h=5, w=5, channel_major=False, seed=0)
+@example(c=3, f=4, batch=1, h=5, w=5, channel_major=True, seed=1)
+def test_conv_kernels_match_the_einsum_oracle_bit_for_bit(c, f, batch, h, w, channel_major, seed):
+    # the one k=5 shape where einsum itself changes path (its reshapes become
+    # views): one output channel, one image, a one-column output
+    assume(not (f == 1 and batch == 1 and w == 5))
+    rng = RngStream(seed)
+    x = np.maximum(rng.normal((batch, h, w, c)), 0.0)
+    if channel_major:  # the layout a pooled conv output arrives in
+        x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    kernels = rng.normal((5, 5, c, f)) * np.sqrt(2.0 / (25 * c))
+    bias = rng.normal(f) * 0.1
+    for activation in ("relu", "identity"):
+        out, cache = nc.conv2d_forward(x, kernels, bias, activation)
+        ref_out, ref_cache = oracles.conv2d_forward(x, kernels, bias, activation)
+        assert _same(out, ref_out) and cache[2].strides == ref_cache[2].strides
+        dout = rng.child(activation).normal(out.shape)
+        dx, dk, db = nc.conv2d_backward(cache, dout)
+        ref_dx, ref_dk, ref_db = oracles.conv2d_backward(ref_cache, dout)
+        assert _same(dx, ref_dx) and _same(dk, ref_dk) and _same(db, ref_db)
+        # clip_gradient sums dK**2 in memory order, so the layout must match too
+        assert _bits(np.sum(dk**2)) == _bits(np.sum(ref_dk**2))
+        no_dx, dk2, db2 = nc.conv2d_backward(cache, dout, need_dx=False)
+        assert no_dx is None and _same(dk2, dk) and _same(db2, db)
+        assert _bits(np.sum(dk2**2)) == _bits(np.sum(dk**2))
+
+
+@given(c=st.integers(1, 16), batch=st.integers(1, 64), h=st.integers(2, 28),
+       w=st.integers(2, 28), channel_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_maxpool_matches_the_argmax_oracle_bit_for_bit(c, batch, h, w, channel_major, seed):
+    rng = RngStream(seed)
+    # ReLU of coarsely rounded draws: many windows hold tied maxima, zeros most of all
+    x = np.maximum(np.round(rng.normal((batch, h, w, c)) * 2.0) / 2.0, 0.0)
+    if channel_major:
+        x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    out, cache = nc.maxpool2x2(x)
+    ref_out, ref_cache = oracles.maxpool2x2(x)
+    assert _same(out, ref_out)
+    dout = rng.child("dout").normal(out.shape)
+    dx = nc.maxpool2x2_backward(cache, dout)
+    ref_dx = oracles.maxpool2x2_backward(ref_cache, dout)
+    assert _same(dx, ref_dx) and dx.flags.c_contiguous
+
+
+def test_maxpool_routes_ties_to_the_first_cell_of_the_window():
+    # window order (0,0), (0,1), (1,0), (1,1); the first of equal maxima wins
+    x = np.array([[[[0.0], [0.0]], [[0.0], [0.0]]],
+                  [[[1.0], [2.0]], [[2.0], [2.0]]],
+                  [[[-3.0], [-1.0]], [[-1.0], [-2.0]]]]).reshape(3, 2, 2, 1)
+    out, cache = nc.maxpool2x2(x)
+    dx = nc.maxpool2x2_backward(cache, np.full(out.shape, 5.0))
+    assert out.ravel().tolist() == [0.0, 2.0, -1.0]
+    assert dx.reshape(3, 4).tolist() == [[5, 0, 0, 0], [0, 5, 0, 0], [0, 5, 0, 0]]
 
 
 # ---------------------------------------------------------------------------
