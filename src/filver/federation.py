@@ -280,8 +280,8 @@ class ExperimentState:
     schedule: EnrollmentSchedule
     tasks: TaskSequence
     eval_cache: dict
+    identity: dict  # _run_identity, written to meta.json
     global_round: int = 0
-    identity: dict = field(default_factory=dict)  # _run_identity, written to meta.json
 
     def evaluate(self) -> tuple:
         return tuple(

@@ -207,10 +207,12 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
 # views of the GEMM product), dpre is C-contiguous, and reductions run in
 # memory order -- clip_gradient sums dK**2 and db sums dpre that way -- so a
 # C-contiguous dK with the same values still moves the clip norm by an ulp.
-# Not reproduced: einsum's own change of path when size-1 axes make its
-# reshapes views with F = 1, i.e. one output channel for one image with a
-# one-column output (F = 1, B = 1, W' = 1), and 1x1 kernels with C = 1 or
-# F = 1.  No preset or test meets either.
+# Not reproduced: two corners where einsum changed path because size-1 axes
+# left nothing to contract or made its reshapes views -- one output channel
+# for one image with a one-column output (F = 1, B = 1, W' = 1), and a
+# single output position (B*H'*W' = 1), where einsum multiplied instead.
+# The encoder's fixed 5x5 conv -> pool -> 5x5 conv -> pool trunk never
+# produces either: conv1's output is at least 12x12 and conv2's at least 2x2.
 
 
 def conv2d_forward(x, kernels, bias, activation="relu"):
@@ -250,8 +252,7 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
 def conv2d_backward(cache, dout, need_dx=True):
     """Returns (dx, dK, db) for the matching conv2d_forward call.
 
-    dK is one GEMM over a (B*H'*W', k*k*C) im2col copy (an outer product
-    when B*H'*W' = 1) and comes back as an F-major view: its layout is part
+    dK is one GEMM over a (B*H'*W', k*k*C) im2col copy and comes back as an F-major view: its layout is part
     of the output contract, because clip_gradient sums dK**2 in memory order
     (see the note above conv2d_forward).  dx is one batched GEMM, k*k
     products (C, F) @ (F, B*H'*W'), scattered back with k*k shifted adds in
@@ -270,14 +271,8 @@ def conv2d_backward(cache, dout, need_dx=True):
         dpre = dout
     b, oh, ow = dpre.shape[:3]
     d2t = dpre.transpose(3, 0, 1, 2).reshape(f, -1)
-    if b * oh * ow == 1:
-        # one output position: nothing to contract, and einsum computed dK as
-        # a C-contiguous outer product of dpre (summed over its unit axes,
-        # which turns -0.0 into +0.0) and the one window
-        dk = np.multiply(dpre + 0.0, _windows(x, k)[0, 0, 0][..., None])
-    else:
-        cols = _windows(x, k).reshape(-1, k * k * c)
-        dk = np.matmul(d2t, cols).reshape(f, k, k, c).transpose(1, 2, 3, 0)
+    cols = _windows(x, k).reshape(-1, k * k * c)
+    dk = np.matmul(d2t, cols).reshape(f, k, k, c).transpose(1, 2, 3, 0)
     db = dpre.sum(axis=(0, 1, 2))
     if not need_dx:
         return None, dk, db
