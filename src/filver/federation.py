@@ -421,8 +421,8 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         start_round = meta["global_round"]
         encoder_params, classifier_params, server_buffer, client_buffers = \
             _load_checkpoint(resume_from, encoder_spec, fl.n_clients)
-        for c in clients:
-            c.buffer = client_buffers.get(c.client_id, c.buffer)
+        for c, buffer in zip(clients, client_buffers):
+            c.buffer = buffer
     else:
         first_active = schedule.active_clients(0)
         images = np.concatenate([clients[c].shards[0].images for c in first_active])
@@ -557,17 +557,20 @@ def read_checkpoint_meta(directory) -> dict:
 
 
 def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int):
-    merged, header = storage.load_model_checkpoint(os.path.join(directory, "model.bin"))
+    """(encoder params, classifier params, server buffer, client buffers by
+    id); every file save_checkpoint writes must be there."""
+    model_path = os.path.join(directory, "model.bin")
+    server_path = os.path.join(directory, "server_buffer.bin")
+    client_paths = [os.path.join(directory, f"client_{cid}.bin") for cid in range(n_clients)]
+    for path in (model_path, server_path, *client_paths):
+        if not os.path.exists(path):
+            raise ContractViolation(f"checkpoint file {path} is missing")
+    merged, header = storage.load_model_checkpoint(model_path)
     if header["encoder_kind"] != encoder_spec.kind:
         raise ContractViolation("checkpoint encoder kind does not match the configuration")
     encoder_params, classifier_params = _split_params(merged)
-    server_buffer = load_buffer(os.path.join(directory, "server_buffer.bin"))
-    client_buffers = {}
-    for cid in range(n_clients):
-        path = os.path.join(directory, f"client_{cid}.bin")
-        if os.path.exists(path):
-            client_buffers[cid] = load_buffer(path)
-    return encoder_params, classifier_params, server_buffer, client_buffers
+    return (encoder_params, classifier_params, load_buffer(server_path),
+            [load_buffer(path) for path in client_paths])
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,19 @@ def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, caps
     assert "mixes payload tags 1 (EmbeddingPayload), 2 (GaussianStats)" in err
 
 
+@pytest.mark.parametrize("name", ["client_1.bin", "server_buffer.bin", "model.bin"])
+def test_resume_refuses_a_missing_checkpoint_file(tmp_path, capsys, name):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    ckpt = tmp_path / "out" / "checkpoint"
+    (ckpt / name).unlink()
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
+    assert str(ckpt / name) in capsys.readouterr().err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
 def test_checkpoint_every_writes_checkpoints(tmp_path):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--checkpoint-every", "2", "--quiet"]) == 0
