@@ -115,15 +115,15 @@ def fedavg_aggregate(updates: list) -> ParamVector:
         raise ContractViolation("fedavg_aggregate: no updates")
     base = updates[0][0]
     total = 0.0
-    acc = np.zeros(base.total_len, dtype=np.float64)
+    acc = np.zeros_like(base.flat)
     for params, count in updates:
         if count <= 0:
             raise ContractViolation(f"fedavg_aggregate: sample count {count} must be positive")
-        if not base.layout_compatible(params):
+        if params.layout != base.layout:
             raise ContractViolation("fedavg_aggregate: parameter layouts differ")
-        acc += float(count) * params.as_flat()
+        acc += float(count) * params.flat
         total += float(count)
-    return base.with_flat(acc / total)
+    return ParamVector(base.layout, acc / total)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +479,14 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
 
 
 def _merge_params(encoder_params: ParamVector, classifier_params: ParamVector) -> ParamVector:
-    pairs = [("enc." + s.name, s.values) for s in encoder_params.segments]
-    pairs += [("cls." + s.name, s.values) for s in classifier_params.segments]
+    pairs = [("enc." + name, values) for name, values in encoder_params.items()]
+    pairs += [("cls." + name, values) for name, values in classifier_params.items()]
     return ParamVector.from_arrays(pairs)
 
 
 def _split_params(merged: ParamVector):
-    enc = [(s.name[4:], s.values) for s in merged.segments if s.name.startswith("enc.")]
-    cls = [(s.name[4:], s.values) for s in merged.segments if s.name.startswith("cls.")]
+    enc = [(name[4:], values) for name, values in merged.items() if name.startswith("enc.")]
+    cls = [(name[4:], values) for name, values in merged.items() if name.startswith("cls.")]
     return ParamVector.from_arrays(enc), ParamVector.from_arrays(cls)
 
 

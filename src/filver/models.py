@@ -9,8 +9,9 @@ Three encoder kinds share one trunk architecture:
 The conv trunk is two 5x5 convolutions with ReLU, each followed by 2x2 max
 pooling, then two dense layers; the mlp trunk is the two dense layers alone.
 Classifiers are plain ReLU MLPs over the embedding space.  Parameters live in
-ParamVectors; the model objects here hold only architecture, so forward and
-backward calls stay pure.
+ParamVectors and gradients are dicts in the parameters' layout order; the
+model objects here hold only architecture, so forward and backward calls stay
+pure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractViolation
-from .numcore import Gradient, ParamVector, Segment
+from .numcore import ParamVector
 from .rng import RngStream
 
 DEFAULT_EMBED_DIM = 256
@@ -186,10 +187,10 @@ def _stack_backward(layers, params, caches, dout, grads, input_grad=True):
     return dout
 
 
-def _grads_to_vector(template: ParamVector, grads: dict) -> Gradient:
-    return ParamVector(
-        [Segment(s.name, grads.get(s.name, np.zeros_like(s.values))) for s in template.segments]
-    )
+def _in_layout_order(params: ParamVector, grads: dict) -> dict:
+    """The gradient dict a backward pass filled (last layer first), in the
+    parameters' layout order, which clip_gradient and sgd_step expect."""
+    return {name: grads[name] for name, _ in params.layout}
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +270,13 @@ class EncoderModel:
         clip_mask = (log_sigma_raw > -nc.LOG_SIGMA_MAX) & (log_sigma_raw < nc.LOG_SIGMA_MAX)
         return mu, log_sigma, (trunk_caches, mu_cache, ls_cache, clip_mask)
 
-    def stats_backward(self, params, caches, d_mu, d_log_sigma) -> Gradient:
+    def stats_backward(self, params, caches, d_mu, d_log_sigma) -> dict:
         trunk_caches, mu_cache, ls_cache, clip_mask = caches
         grads: dict = {}
         dh = self.heads[0].backward(params, mu_cache, d_mu, grads)
         dh = dh + self.heads[1].backward(params, ls_cache, d_log_sigma * clip_mask, grads)
         _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
-        return _grads_to_vector(params, grads)
+        return _in_layout_order(params, grads)
 
     def embed_forward(self, params, x):
         """Deterministic head output: (z, caches)."""
@@ -285,12 +286,12 @@ class EncoderModel:
         z, head_cache = self.heads[0].forward(params, h)
         return z, (trunk_caches, head_cache)
 
-    def embed_backward(self, params, caches, dz) -> Gradient:
+    def embed_backward(self, params, caches, dz) -> dict:
         trunk_caches, head_cache = caches
         grads: dict = {}
         dh = self.heads[0].backward(params, head_cache, dz, grads)
         _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
-        return _grads_to_vector(params, grads)
+        return _in_layout_order(params, grads)
 
 
 def encode_for_eval(encoder: EncoderModel, params: ParamVector, x):
@@ -348,7 +349,7 @@ class ClassifierModel:
     def backward(self, params, caches, dlogits):
         grads: dict = {}
         dz = _stack_backward(self.layers, params, caches, dlogits, grads)
-        return _grads_to_vector(params, grads), dz
+        return _in_layout_order(params, grads), dz
 
 
 def _head_cross_entropy(classifier: ClassifierModel, params: ParamVector, z, labels):
@@ -362,9 +363,13 @@ def _head_cross_entropy(classifier: ClassifierModel, params: ParamVector, z, lab
 
 def classifier_loss_and_grad(classifier: ClassifierModel, params: ParamVector, z, labels):
     """Cross-entropy on embeddings: (loss, param gradient).  The local and
-    server training steps both reduce to this once the encoder is frozen."""
-    loss, grads, _ = _head_cross_entropy(classifier, params, z, labels)
-    return loss, grads
+    server training steps both reduce to this once the encoder is frozen;
+    nothing needs the gradient with respect to z, so the first layer skips it."""
+    logits, caches = classifier.forward(params, z)
+    loss, dlogits = nc.softmax_cross_entropy(logits, labels)
+    grads: dict = {}
+    _stack_backward(classifier.layers, params, caches, dlogits, grads, input_grad=False)
+    return loss, _in_layout_order(params, grads)
 
 
 def classifier_accuracy(classifier: ClassifierModel, params: ParamVector, z, labels) -> float:
@@ -384,7 +389,7 @@ class VerLossResult:
     kl: float
     d_mu: np.ndarray
     d_log_sigma: np.ndarray
-    classifier_grad: Gradient
+    classifier_grad: dict
 
 
 def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,

@@ -5,13 +5,29 @@ values handed back to the matching backward function.  Matrices are plain
 2-D float64 ndarrays; image batches are NHWC float64 ndarrays.  There is no
 autodiff tape — the model zoo is fixed and small, so each op carries its own
 hand-written backward.
+
+Parameters live in a ParamVector: one flat C-ordered float64 array and a
+((name, shape), ...) layout, each name a reshaped view into the array.
+Gradients are plain dicts from name to array, in the parameters' layout
+order, each array in the memory layout its backward produced.  Results are
+bit-identical to those of the list of per-name arrays this replaced (an
+oracle in tests/oracles.py).  Two rules matter:
+
+- clip_gradient sums the squares of each unpacked array, in dict order.
+  numpy sums in memory order, and a conv kernel gradient comes back F-major
+  (see conv2d_backward), so a norm taken after packing it into C order
+  differs in the last ulp, and through the clip so does every later step.
+- sgd_step makes one vector-sized allocation: it packs the gradient into a
+  fresh array, scales and subtracts in place there, and keeps that array
+  as the new vector.  `flat - lr * packed` allocates two vectors more; at
+  the desk classifier's 17,896 values it measured 44-50 us per step against
+  40-41 us (2-core x86 host, one BLAS thread).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,109 +48,70 @@ def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Segment:
-    name: str
-    values: np.ndarray  # float64, owns its shape
-
-
 class ParamVector:
-    """Named, ordered float64 parameter segments.
+    """Named parameter arrays, views into one flat float64 array (see the
+    module docstring): the unit FedAvg averages, SGD updates and checkpoints
+    store."""
 
-    The unit FedAvg averages and SGD updates.  Two vectors are
-    layout-compatible iff their segment names and shapes match pairwise.
-    """
-
-    def __init__(self, segments: list[Segment]):
-        names = [s.name for s in segments]
+    def __init__(self, layout, flat: np.ndarray):
+        self.layout = tuple((name, tuple(shape)) for name, shape in layout)
+        names = [name for name, _ in self.layout]
         if len(set(names)) != len(names):
-            raise ContractViolation(f"duplicate segment names: {names}")
-        self.segments = segments
-        self._index = {s.name: i for i, s in enumerate(segments)}
+            raise ContractViolation(f"duplicate parameter names: {names}")
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if self.flat.shape != (sum(sizes),):
+            raise ContractViolation(
+                f"flat buffer of shape {self.flat.shape} does not hold the layout's "
+                f"{sum(sizes)} values")
+        self._views, offset = {}, 0
+        for (name, shape), size in zip(self.layout, sizes):
+            self._views[name] = self.flat[offset : offset + size].reshape(shape)
+            offset += size
 
     @staticmethod
     def from_arrays(pairs: list[tuple[str, np.ndarray]]) -> "ParamVector":
-        return ParamVector(
-            [Segment(name, np.asarray(arr, dtype=np.float64)) for name, arr in pairs]
-        )
+        arrays = [(name, np.asarray(arr, dtype=np.float64)) for name, arr in pairs]
+        return ParamVector([(name, arr.shape) for name, arr in arrays],
+                           np.concatenate([arr.ravel() for _, arr in arrays]))
 
     def get(self, name: str) -> np.ndarray:
-        return self.segments[self._index[name]].values
+        return self._views[name]
 
-    def set(self, name: str, values: np.ndarray) -> None:
-        seg = self.segments[self._index[name]]
-        if seg.values.shape != values.shape:
-            raise ContractViolation(
-                f"segment {name}: shape {values.shape} != {seg.values.shape}"
-            )
-        seg.values = np.asarray(values, dtype=np.float64)
-
-    @property
-    def total_len(self) -> int:
-        return sum(s.values.size for s in self.segments)
-
-    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((s.name, s.values.shape) for s in self.segments)
-
-    def layout_compatible(self, other: "ParamVector") -> bool:
-        return self.layout() == other.layout()
-
-    def copy(self) -> "ParamVector":
-        return ParamVector([Segment(s.name, s.values.copy()) for s in self.segments])
-
-    def as_flat(self) -> np.ndarray:
-        if not self.segments:
-            return np.zeros(0)
-        return np.concatenate([s.values.ravel() for s in self.segments])
-
-    def with_flat(self, flat: np.ndarray) -> "ParamVector":
-        """Rebuild a vector of this layout from a flat buffer (for grad checks)."""
-        if flat.size != self.total_len:
-            raise ContractViolation("flat buffer length mismatch")
-        out, offset = [], 0
-        for s in self.segments:
-            n = s.values.size
-            out.append(Segment(s.name, flat[offset : offset + n].reshape(s.values.shape).copy()))
-            offset += n
-        return ParamVector(out)
+    def items(self):
+        """(name, view) pairs in layout order."""
+        return self._views.items()
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for s in self.segments:
-            h.update(s.name.encode("utf-8"))
-            h.update(str(s.values.shape).encode("ascii"))
-            h.update(np.ascontiguousarray(s.values).tobytes())
+        for name, values in self.items():
+            h.update(name.encode("utf-8"))
+            h.update(str(values.shape).encode("ascii"))
+            h.update(values.tobytes())
         return h.hexdigest()
 
-    def __repr__(self):
-        return f"ParamVector({[s.name for s in self.segments]}, total_len={self.total_len})"
 
-
-# A gradient shares the layout of the ParamVector it differentiates.
-Gradient = ParamVector
-
-
-def sgd_step(params: ParamVector, grad: Gradient, lr: float) -> ParamVector:
-    """One plain SGD step: params - lr * grad, elementwise."""
-    if not params.layout_compatible(grad):
+def sgd_step(params: ParamVector, grad: dict, lr: float) -> ParamVector:
+    """One plain SGD step: params - lr * grad, elementwise, with grad a dict
+    in the parameters' layout order (see the module docstring)."""
+    if tuple((name, g.shape) for name, g in grad.items()) != params.layout:
         raise ContractViolation("sgd_step: gradient layout does not match parameters")
-    return ParamVector(
-        [
-            Segment(p.name, _ensure_finite(p.values - lr * g.values, f"sgd_step[{p.name}]"))
-            for p, g in zip(params.segments, grad.segments)
-        ]
-    )
+    step = np.concatenate([g.ravel() for g in grad.values()])
+    np.multiply(step, lr, out=step)
+    np.subtract(params.flat, step, out=step)
+    return ParamVector(params.layout, _ensure_finite(step, "sgd_step result"))
 
 
-def clip_gradient(grad: Gradient, max_norm: float) -> Gradient:
-    """Scale the whole gradient down so its global l2 norm is at most max_norm."""
+def clip_gradient(grad: dict, max_norm: float) -> dict:
+    """Scale the whole gradient down so its global l2 norm is at most max_norm
+    (summed array by array in memory order; see the module docstring)."""
     if max_norm <= 0:
         raise ContractViolation("clip_gradient: max_norm must be positive")
-    total = math.sqrt(sum(float(np.sum(s.values**2)) for s in grad.segments))
+    total = math.sqrt(sum(float(np.sum(g**2)) for g in grad.values()))
     if total <= max_norm:
         return grad
     scale = max_norm / total
-    return ParamVector([Segment(s.name, s.values * scale) for s in grad.segments])
+    return {name: g * scale for name, g in grad.items()}
 
 
 # ---------------------------------------------------------------------------

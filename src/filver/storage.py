@@ -75,17 +75,17 @@ def read_array(f: BinaryIO) -> np.ndarray:
 
 
 def save_model_checkpoint(path, params: ParamVector, encoder_kind: str, embed_dim: int, classes: int) -> None:
-    """Header (version, encoder kind, d, K) followed by the segment table."""
+    """Header (version, encoder kind, d, K), then a (name, array) entry per parameter."""
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         _write_u32(f, FORMAT_VERSION)
         write_string(f, encoder_kind)
         _write_u32(f, embed_dim)
         _write_u32(f, classes)
-        _write_u32(f, len(params.segments))
-        for seg in params.segments:
-            write_string(f, seg.name)
-            write_array(f, seg.values)
+        _write_u32(f, len(params.layout))
+        for name, values in params.items():
+            write_string(f, name)
+            write_array(f, values)
 
 
 def load_model_checkpoint(path):

@@ -10,10 +10,15 @@ from filver.rng import RngStream
 from oracles import fd_flat
 
 
-def fd_params(loss_fn, params: ParamVector, h=1e-6):
+def fd_params(loss_fn, params: ParamVector, h=1e-6) -> ParamVector:
     """Central finite differences over every coordinate of a ParamVector."""
-    flat = params.as_flat()
-    return params.with_flat(fd_flat(lambda f: loss_fn(params.with_flat(f)), flat, h))
+    return ParamVector(params.layout,
+                       fd_flat(lambda f: loss_fn(ParamVector(params.layout, f)), params.flat, h))
+
+
+def packed(grad: dict) -> np.ndarray:
+    """A gradient dict's arrays raveled back to back, in the dict's order."""
+    return np.concatenate([g.ravel() for g in grad.values()])
 
 
 def jittered_params(model, rng: RngStream, scale=0.05) -> ParamVector:
@@ -23,8 +28,8 @@ def jittered_params(model, rng: RngStream, scale=0.05) -> ParamVector:
     where finite differences are meaningless; the jitter moves them off it.
     """
     params = model.init_params(rng.child("init"))
-    flat = params.as_flat() + scale * rng.child("jitter").normal(params.total_len)
-    return params.with_flat(flat)
+    flat = params.flat + scale * rng.child("jitter").normal(params.flat.size)
+    return ParamVector(params.layout, flat)
 
 
 def min_abs_dense_pre(caches) -> float:

@@ -1,7 +1,9 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
 and finite differences, plus the list-of-records rehearsal buffer that the
-columnar one replaced.  Everything here is deliberately slow and obvious."""
+columnar one replaced and the segment-list parameter vector that the flat
+one replaced.  Everything here is deliberately slow and obvious."""
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -385,3 +387,132 @@ def save_buffer(path, buffer: RehearsalBuffer) -> None:
         for rec in buffer.records:
             write_record_frame(f, payload_tag(rec), rec.label, rec.task_id,
                                rec.round_id, frame_arrays(rec))
+
+
+# ---------------------------------------------------------------------------
+# Reference parameter vector: the list of named segments that the flat
+# ParamVector in filver.numcore replaced, with its SGD step, gradient clip and
+# FedAvg arithmetic, kept verbatim.  The flat versions must reproduce their
+# results bit for bit, the clip norm included.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Segment:
+    name: str
+    values: np.ndarray  # float64, owns its shape
+
+
+class ParamVector:
+    """Named, ordered float64 parameter segments.
+
+    The unit FedAvg averages and SGD updates.  Two vectors are
+    layout-compatible iff their segment names and shapes match pairwise.
+    """
+
+    def __init__(self, segments: list[Segment]):
+        names = [s.name for s in segments]
+        if len(set(names)) != len(names):
+            raise ContractViolation(f"duplicate segment names: {names}")
+        self.segments = segments
+        self._index = {s.name: i for i, s in enumerate(segments)}
+
+    @staticmethod
+    def from_arrays(pairs: list[tuple[str, np.ndarray]]) -> "ParamVector":
+        return ParamVector(
+            [Segment(name, np.asarray(arr, dtype=np.float64)) for name, arr in pairs]
+        )
+
+    def get(self, name: str) -> np.ndarray:
+        return self.segments[self._index[name]].values
+
+    def set(self, name: str, values: np.ndarray) -> None:
+        seg = self.segments[self._index[name]]
+        if seg.values.shape != values.shape:
+            raise ContractViolation(
+                f"segment {name}: shape {values.shape} != {seg.values.shape}"
+            )
+        seg.values = np.asarray(values, dtype=np.float64)
+
+    @property
+    def total_len(self) -> int:
+        return sum(s.values.size for s in self.segments)
+
+    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple((s.name, s.values.shape) for s in self.segments)
+
+    def layout_compatible(self, other: "ParamVector") -> bool:
+        return self.layout() == other.layout()
+
+    def copy(self) -> "ParamVector":
+        return ParamVector([Segment(s.name, s.values.copy()) for s in self.segments])
+
+    def as_flat(self) -> np.ndarray:
+        if not self.segments:
+            return np.zeros(0)
+        return np.concatenate([s.values.ravel() for s in self.segments])
+
+    def with_flat(self, flat: np.ndarray) -> "ParamVector":
+        """Rebuild a vector of this layout from a flat buffer (for grad checks)."""
+        if flat.size != self.total_len:
+            raise ContractViolation("flat buffer length mismatch")
+        out, offset = [], 0
+        for s in self.segments:
+            n = s.values.size
+            out.append(Segment(s.name, flat[offset : offset + n].reshape(s.values.shape).copy()))
+            offset += n
+        return ParamVector(out)
+
+    def checksum(self) -> str:
+        h = hashlib.sha256()
+        for s in self.segments:
+            h.update(s.name.encode("utf-8"))
+            h.update(str(s.values.shape).encode("ascii"))
+            h.update(np.ascontiguousarray(s.values).tobytes())
+        return h.hexdigest()
+
+    def __repr__(self):
+        return f"ParamVector({[s.name for s in self.segments]}, total_len={self.total_len})"
+
+
+# A gradient shares the layout of the ParamVector it differentiates.
+Gradient = ParamVector
+
+
+def sgd_step(params: ParamVector, grad: Gradient, lr: float) -> ParamVector:
+    """One plain SGD step: params - lr * grad, elementwise."""
+    if not params.layout_compatible(grad):
+        raise ContractViolation("sgd_step: gradient layout does not match parameters")
+    return ParamVector(
+        [
+            Segment(p.name, _ensure_finite(p.values - lr * g.values, f"sgd_step[{p.name}]"))
+            for p, g in zip(params.segments, grad.segments)
+        ]
+    )
+
+
+def clip_gradient(grad: Gradient, max_norm: float) -> Gradient:
+    """Scale the whole gradient down so its global l2 norm is at most max_norm."""
+    if max_norm <= 0:
+        raise ContractViolation("clip_gradient: max_norm must be positive")
+    total = math.sqrt(sum(float(np.sum(s.values**2)) for s in grad.segments))
+    if total <= max_norm:
+        return grad
+    scale = max_norm / total
+    return ParamVector([Segment(s.name, s.values * scale) for s in grad.segments])
+
+
+def fedavg_aggregate(updates: list) -> ParamVector:
+    """Sample-count-weighted mean of client parameter vectors."""
+    if not updates:
+        raise ContractViolation("fedavg_aggregate: no updates")
+    base = updates[0][0]
+    total = 0.0
+    acc = np.zeros(base.total_len, dtype=np.float64)
+    for params, count in updates:
+        if count <= 0:
+            raise ContractViolation(f"fedavg_aggregate: sample count {count} must be positive")
+        if not base.layout_compatible(params):
+            raise ContractViolation("fedavg_aggregate: parameter layouts differ")
+        acc += float(count) * params.as_flat()
+        total += float(count)
+    return base.with_flat(acc / total)

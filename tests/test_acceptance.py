@@ -36,7 +36,7 @@ from filver.numcore import ParamVector
 from filver.rng import RngStream
 from filver.scenarios import ACTIVE, SCHEDULE_KINDS, make_schedule
 
-from conftest import fd_params
+from conftest import fd_params, packed
 from oracles import (
     fd_arrays,
     quad_kl,
@@ -158,16 +158,16 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
         fd_enc = fd_params(
             lambda p: _composite_loss(encoder, classifier, p, cls_params, x, y, eps, beta),
             enc_params, h=1e-5)
-        floor = 1e-3 * float(np.abs(enc_grad.as_flat()).max())
+        floor = 1e-3 * float(np.abs(packed(enc_grad)).max())
         worst_composite = max(worst_composite, float(
-            rel_err(enc_grad.as_flat(), fd_enc.as_flat(), floor=floor).max()))
+            rel_err(packed(enc_grad), fd_enc.flat, floor=floor).max()))
 
         fd_cls = fd_params(
             lambda p: _composite_loss(encoder, classifier, enc_params, p, x, y, eps, beta),
             cls_params, h=1e-5)
-        floor = 1e-3 * float(np.abs(res.classifier_grad.as_flat()).max())
+        floor = 1e-3 * float(np.abs(packed(res.classifier_grad)).max())
         worst_composite = max(worst_composite, float(
-            rel_err(res.classifier_grad.as_flat(), fd_cls.as_flat(), floor=floor).max()))
+            rel_err(packed(res.classifier_grad), fd_cls.flat, floor=floor).max()))
 
     elapsed = time.time() - t0
     worst = max(worst, worst_composite)
@@ -196,17 +196,17 @@ def test_criterion_02_fedavg_weighted_mean_and_invariances(capsys):
         counts = [1 + int(c) for c in sub.child("n").integers(1, 400, (k,))]
         updates = [(_random_params(sub.child("p", j)), counts[j]) for j in range(k)]
 
-        got = fedavg_aggregate(updates).as_flat()
-        flats = np.stack([p.as_flat() for p, _ in updates])
+        got = fedavg_aggregate(updates).flat
+        flats = np.stack([p.flat for p, _ in updates])
         expected = np.average(flats, axis=0, weights=[float(n) for n in counts])
         worst_mean = max(worst_mean, float(rel_err(got, expected, floor=1e-12).max()))
 
         perm = sub.child("perm").permutation(k)
-        shuffled = fedavg_aggregate([updates[j] for j in perm]).as_flat()
+        shuffled = fedavg_aggregate([updates[j] for j in perm]).flat
         worst_perm = max(worst_perm, float(rel_err(shuffled, got, floor=1e-12).max()))
 
         scale = 2 + int(sub.child("s").integers(0, 30))
-        scaled = fedavg_aggregate([(p, n * scale) for p, n in updates]).as_flat()
+        scaled = fedavg_aggregate([(p, n * scale) for p, n in updates]).flat
         worst_scale = max(worst_scale, float(rel_err(scaled, got, floor=1e-12).max()))
 
     worst = max(worst_mean, worst_perm, worst_scale)

@@ -103,12 +103,12 @@ def test_fedavg_matches_weighted_mean_oracle():
     rng = RngStream(1)
     updates = [(random_params(rng.child("p", i)), 3 * i + 1) for i in range(5)]
     got = fedavg_aggregate(updates)
-    flats = np.stack([p.as_flat() for p, _ in updates])
+    flats = np.stack([p.flat for p, _ in updates])
     weights = np.array([float(n) for _, n in updates])
     expected = np.average(flats, axis=0, weights=weights)
-    np.testing.assert_allclose(got.as_flat(), expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.flat, expected, rtol=1e-12, atol=0)
     # layout preserved
-    assert got.layout_compatible(updates[0][0])
+    assert got.layout == updates[0][0].layout
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,9 +120,9 @@ def test_fedavg_matches_weighted_mean_oracle():
 def test_fedavg_is_permutation_invariant(counts, seed, order_seed):
     rng = RngStream(seed)
     updates = [(random_params(rng.child("p", i)), n) for i, n in enumerate(counts)]
-    base = fedavg_aggregate(updates).as_flat()
+    base = fedavg_aggregate(updates).flat
     perm = RngStream(order_seed).permutation(len(updates))
-    shuffled = fedavg_aggregate([updates[i] for i in perm]).as_flat()
+    shuffled = fedavg_aggregate([updates[i] for i in perm]).flat
     np.testing.assert_allclose(shuffled, base, rtol=1e-12, atol=1e-14)
 
 
@@ -135,15 +135,15 @@ def test_fedavg_is_permutation_invariant(counts, seed, order_seed):
 def test_fedavg_is_scale_invariant(counts, scale, seed):
     rng = RngStream(seed)
     updates = [(random_params(rng.child("p", i)), n) for i, n in enumerate(counts)]
-    base = fedavg_aggregate(updates).as_flat()
-    scaled = fedavg_aggregate([(p, n * scale) for p, n in updates]).as_flat()
+    base = fedavg_aggregate(updates).flat
+    scaled = fedavg_aggregate([(p, n * scale) for p, n in updates]).flat
     np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-14)
 
 
 def test_fedavg_single_update_is_identity():
     params = random_params(RngStream(2))
     got = fedavg_aggregate([(params, 4)])
-    np.testing.assert_allclose(got.as_flat(), params.as_flat(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got.flat, params.flat, rtol=0, atol=1e-15)
 
 
 def test_fedavg_rejects_bad_inputs():
@@ -209,12 +209,12 @@ def mirror_vanilla_run(tasks, fl, seed, enc_spec, cls_spec):
                     local = sgd_step(local, grad, fl.eta)
                     losses.append(loss)
                 results.append((local, n, float(np.mean(losses))))
-            acc = np.zeros(params.total_len)
+            acc = np.zeros(params.flat.size)
             total = 0.0
             for local, n, _ in results:
-                acc += float(n) * local.as_flat()
+                acc += float(n) * local.flat
                 total += float(n)
-            params = params.with_flat(acc / total)
+            params = ParamVector(params.layout, acc / total)
             accuracies = tuple(classifier_accuracy(classifier, params, z, y) for z, y in val)
             reports.append((t, r, accuracies, float(np.mean([m for _, _, m in results])),
                             tuple(chosen)))
@@ -238,7 +238,7 @@ def test_vanilla_run_matches_mirror_oracle():
         assert got.mean_loss == mean_loss
         assert got.server_buffer == 0
         assert got.client_buffer_total == 0
-    assert np.array_equal(state.classifier_params.as_flat(), want_params.as_flat())
+    assert np.array_equal(state.classifier_params.flat, want_params.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_local_train_steps_change_params_and_report_loss():
     encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("none")
     res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
-    assert not np.array_equal(res.params.as_flat(), cls_params.as_flat())
+    assert not np.array_equal(res.params.flat, cls_params.flat)
     assert math.isfinite(res.mean_loss)
 
 
@@ -335,7 +335,7 @@ def test_local_train_is_deterministic_in_the_stream():
         res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
                           tiny_fl(), strategy, rng.child("local"))
         results.append(res)
-    assert np.array_equal(results[0].params.as_flat(), results[1].params.as_flat())
+    assert np.array_equal(results[0].params.flat, results[1].params.flat)
     assert results[0].mean_loss == results[1].mean_loss
 
 
@@ -408,8 +408,8 @@ def test_sst_is_deterministic_per_stream():
                              RngStream(77))
     c = server_side_training(params, buf, classifier, fl, "ebr", encoder, enc_params,
                              RngStream(78))
-    assert np.array_equal(a.as_flat(), b.as_flat())
-    assert not np.array_equal(a.as_flat(), c.as_flat())
+    assert np.array_equal(a.flat, b.flat)
+    assert not np.array_equal(a.flat, c.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +502,8 @@ def test_training_data_is_never_read_after_its_task_ends():
 
 def test_frozen_encoder_is_verified_every_round():
     reports, state = tiny_run("ebr", stop_after_round=1)
-    state.encoder_params = state.encoder_params.with_flat(
-        state.encoder_params.as_flat() + 1.0)
+    state.encoder_params = ParamVector(state.encoder_params.layout,
+                                       state.encoder_params.flat + 1.0)
     with pytest.raises(ContractViolation):
         federation.run_round(state, 0, 1)
 
@@ -517,8 +517,8 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     part2, resumed_state = tiny_run("ebr", seed=21, resume_from=str(ckpt))
 
     assert report_tuples(part1 + part2) == report_tuples(full_reports)
-    assert np.array_equal(resumed_state.classifier_params.as_flat(),
-                          full_state.classifier_params.as_flat())
+    assert np.array_equal(resumed_state.classifier_params.flat,
+                          full_state.classifier_params.flat)
     # buffers carried through the checkpoint identically
     assert len(resumed_state.server_buffer) == len(full_state.server_buffer)
     resumed, full = resumed_state.server_buffer, full_state.server_buffer

@@ -13,7 +13,7 @@ from filver.models import (EVAL_CHUNK, ClassifierModel, ClassifierSpec, EncoderM
                            ver_loss)
 from filver.rng import RngStream
 
-from conftest import fd_params, jittered_params, min_abs_dense_pre
+from conftest import fd_params, jittered_params, min_abs_dense_pre, packed
 import oracles
 from oracles import rel_err
 
@@ -143,16 +143,16 @@ def test_composite_loss_gradients_match_fd(tiny_mlp_vee, tiny_classifier):
         fd_enc = fd_params(
             lambda p: _composite_loss(encoder, classifier, p, cls_params, x, y, eps, beta),
             enc_params, h=1e-5)
-        floor = 1e-3 * float(np.abs(enc_grad.as_flat()).max())
+        floor = 1e-3 * float(np.abs(packed(enc_grad)).max())
         worst_enc = max(worst_enc,
-                        float(rel_err(enc_grad.as_flat(), fd_enc.as_flat(), floor=floor).max()))
+                        float(rel_err(packed(enc_grad), fd_enc.flat, floor=floor).max()))
 
         fd_cls = fd_params(
             lambda p: _composite_loss(encoder, classifier, enc_params, p, x, y, eps, beta),
             cls_params, h=1e-5)
-        floor = 1e-3 * float(np.abs(res.classifier_grad.as_flat()).max())
+        floor = 1e-3 * float(np.abs(packed(res.classifier_grad)).max())
         worst_cls = max(worst_cls,
-                        float(rel_err(res.classifier_grad.as_flat(), fd_cls.as_flat(),
+                        float(rel_err(packed(res.classifier_grad), fd_cls.flat,
                                       floor=floor).max()))
     assert worst_enc < FD_TOL, f"encoder path max rel err {worst_enc}"
     assert worst_cls < FD_TOL, f"classifier path max rel err {worst_cls}"
@@ -179,8 +179,8 @@ def test_ver_loss_beta_zero_reduces_to_cross_entropy(tiny_mlp_vee, tiny_classifi
 
 def test_clamped_log_sigma_blocks_its_gradient(tiny_mlp_vee, tiny_classifier):
     enc_params, cls_params, x, y, eps = _composite_instance(tiny_mlp_vee, tiny_classifier, 88)
-    pushed = enc_params.copy()
-    pushed.set("log_sigma.b", pushed.get("log_sigma.b") + 1000.0)
+    pushed = nc.ParamVector(enc_params.layout, enc_params.flat.copy())
+    pushed.get("log_sigma.b")[...] += 1000.0
 
     mu, log_sigma, caches = tiny_mlp_vee.stats_forward(pushed, x)
     assert (log_sigma == nc.LOG_SIGMA_MAX).all()
@@ -225,7 +225,7 @@ def test_classifier_loss_grad_matches_fd(tiny_classifier):
             continue
         _, grad = classifier_loss_and_grad(tiny_classifier, params, z, y)
         fd = fd_params(lambda p: classifier_loss_and_grad(tiny_classifier, p, z, y)[0], params)
-        assert rel_err(grad.as_flat(), fd.as_flat()).max() < FD_TOL
+        assert rel_err(packed(grad), fd.flat).max() < FD_TOL
 
 
 def test_classifier_accuracy_counts_argmax_hits(tiny_classifier):
@@ -277,12 +277,13 @@ def test_conv_encoder_gradient_matches_the_einsum_stack_bit_for_bit(monkeypatch,
             _use_oracle_conv_kernels(m)
             ref_heads, ref_grad = _encoder_grads(model, params, x, RngStream(52).child(step))
         assert all(np.array_equal(a, b) for a, b in zip(heads, ref_heads))
-        assert grad.layout() == ref_grad.layout()
-        for seg, ref in zip(grad.segments, ref_grad.segments):
-            assert np.array_equal(seg.values, ref.values), seg.name
-            assert np.sum(seg.values**2).tobytes() == np.sum(ref.values**2).tobytes(), seg.name
+        assert [(name, g.shape) for name, g in grad.items()] == \
+            [(name, g.shape) for name, g in ref_grad.items()]
+        for (name, g), ref in zip(grad.items(), ref_grad.values()):
+            assert np.array_equal(g, ref), name
+            assert np.sum(g**2).tobytes() == np.sum(ref**2).tobytes(), name
         clipped, ref_clipped = nc.clip_gradient(grad, 1e-3), nc.clip_gradient(ref_grad, 1e-3)
-        assert clipped.as_flat().tobytes() == ref_clipped.as_flat().tobytes()
+        assert packed(clipped).tobytes() == packed(ref_clipped).tobytes()
         params = nc.sgd_step(params, ref_clipped, 0.1)
 
 

@@ -1,16 +1,20 @@
 """Numerics oracles: brute-force forwards, finite-difference backwards,
 quadrature for the KL term, and algebraic properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import filver.numcore as nc
 from filver.errors import ContractViolation
+from filver.federation import fedavg_aggregate
 from filver.rng import RngStream
 
+from conftest import packed
 import oracles
 from oracles import (fd_arrays, loop_conv2d, loop_dense, loop_maxpool2x2, pool_gap,
                      quad_kl, rel_err, sample_conv_instance, sample_dense_instance,
@@ -29,14 +33,18 @@ def _pv(*shapes):
         [(f"s{i}", rng.child(i).normal(shape)) for i, shape in enumerate(shapes)])
 
 
+def _grad(*shapes):
+    return dict(_pv(*shapes).items())
+
+
 def test_paramvector_flat_roundtrip():
     pv = _pv((3, 4), (4,), (2, 2, 2))
-    flat = pv.as_flat()
-    assert flat.size == pv.total_len == 24
-    back = pv.with_flat(flat)
-    assert pv.layout_compatible(back)
-    for a, b in zip(pv.segments, back.segments):
-        assert np.array_equal(a.values, b.values)
+    assert pv.layout == (("s0", (3, 4)), ("s1", (4,)), ("s2", (2, 2, 2)))
+    assert pv.flat.shape == (24,) and pv.flat.flags.c_contiguous
+    back = nc.ParamVector(pv.layout, pv.flat.copy())
+    for (name, a), (_, b) in zip(pv.items(), back.items()):
+        assert np.array_equal(a, b)
+        assert np.shares_memory(pv.get(name), pv.flat)
 
 
 def test_paramvector_rejects_duplicate_names():
@@ -44,66 +52,112 @@ def test_paramvector_rejects_duplicate_names():
         nc.ParamVector.from_arrays([("w", np.zeros(2)), ("w", np.zeros(3))])
 
 
-def test_paramvector_set_checks_shape():
-    pv = _pv((3, 4))
-    with pytest.raises(ContractViolation):
-        pv.set("s0", np.zeros((4, 3)))
-
-
 def test_paramvector_checksum_tracks_values():
     pv = _pv((5,))
     before = pv.checksum()
-    assert before == pv.copy().checksum()
-    pv.set("s0", pv.get("s0") + 1e-12)
+    assert before == nc.ParamVector(pv.layout, pv.flat.copy()).checksum()
+    pv.get("s0")[...] += 1e-12
     assert pv.checksum() != before
 
 
-def test_with_flat_rejects_wrong_length():
+def test_paramvector_rejects_length_mismatch():
     pv = _pv((3,))
     with pytest.raises(ContractViolation):
-        pv.with_flat(np.zeros(5))
+        nc.ParamVector(pv.layout, np.zeros(5))
 
 
 def test_sgd_step_exact_arithmetic():
     params = _pv((3, 2), (2,))
-    grad = _pv((3, 2), (2,))
+    grad = _grad((3, 2), (2,))
     out = nc.sgd_step(params, grad, 0.25)
-    for p, g, o in zip(params.segments, grad.segments, out.segments):
-        assert np.array_equal(o.values, p.values - 0.25 * g.values)
+    for name, p in params.items():
+        assert np.array_equal(out.get(name), p - 0.25 * grad[name])
 
 
 def test_sgd_step_rejects_layout_mismatch():
     with pytest.raises(ContractViolation):
-        nc.sgd_step(_pv((3,)), _pv((4,)), 0.1)
+        nc.sgd_step(_pv((3,)), _grad((4,)), 0.1)
 
 
 def test_clip_gradient_scales_to_max_norm():
-    grad = nc.ParamVector.from_arrays([("a", np.array([3.0, 4.0]))])  # norm 5
+    grad = {"a": np.array([3.0, 4.0])}  # norm 5
     clipped = nc.clip_gradient(grad, 1.0)
-    norm = np.sqrt(sum(np.sum(s.values ** 2) for s in clipped.segments))
+    norm = np.sqrt(sum(np.sum(g ** 2) for g in clipped.values()))
     assert abs(norm - 1.0) < 1e-12
-    assert np.allclose(clipped.get("a"), [0.6, 0.8])
+    assert np.allclose(clipped["a"], [0.6, 0.8])
 
 
 def test_clip_gradient_leaves_small_gradients_alone():
-    grad = _pv((4,))
+    grad = _grad((4,))
     big_norm = 1e6
     assert nc.clip_gradient(grad, big_norm) is grad
 
 
 def test_clip_gradient_rejects_bad_norm():
     with pytest.raises(ContractViolation):
-        nc.clip_gradient(_pv((2,)), 0.0)
+        nc.clip_gradient(_grad((2,)), 0.0)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
 @settings(max_examples=40, deadline=None)
 def test_clip_gradient_norm_never_exceeds_bound(seed, max_norm):
     rng = RngStream(seed)
-    grad = nc.ParamVector.from_arrays([("g", rng.normal((6,)) * 5)])
+    grad = {"g": rng.normal((6,)) * 5}
     clipped = nc.clip_gradient(grad, max_norm)
-    norm = np.sqrt(sum(np.sum(s.values ** 2) for s in clipped.segments))
+    norm = np.sqrt(sum(np.sum(g ** 2) for g in clipped.values()))
     assert norm <= max_norm * (1 + 1e-12)
+
+
+def _kernel_layout(g):
+    """A 4-D array with dK's memory layout: conv2d_backward returns it as the
+    (k, k, C, F) transpose of a C-contiguous (F, k, k, C) product."""
+    return np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+
+
+@given(shapes=st.lists(array_shapes(min_dims=1, max_dims=4, max_side=5), min_size=1,
+                       max_size=5),
+       seed=st.integers(0, 2**32 - 1),
+       lr=st.floats(1e-4, 1.0),
+       max_norm_at=st.sampled_from(["norm", "just below", "half"]),
+       counts=st.lists(st.integers(1, 500), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_flat_vector_arithmetic_matches_the_segment_oracle_bit_for_bit(shapes, seed, lr,
+                                                                       max_norm_at, counts):
+    """sgd_step, clip_gradient and fedavg_aggregate on the flat vector give
+    the bytes the segment-list vector they replaced gives.  The clip bound
+    sits at the oracle's own norm, one ulp below it, or at half of it, so
+    the clip's branch and scale both depend on every bit of the norm."""
+    rng = RngStream(seed)
+    layout = [(f"s{i}", shape) for i, shape in enumerate(shapes)]
+
+    def draw(*key):
+        return nc.ParamVector.from_arrays([(name, rng.child(*key, name).normal(shape))
+                                           for name, shape in layout])
+
+    def oracle(pairs):
+        return oracles.ParamVector.from_arrays(list(pairs))
+
+    params = draw("params")
+    grad = {name: _kernel_layout(g) if g.ndim == 4 else g for name, g in draw("grad").items()}
+    ref_params, ref_grad = oracle(params.items()), oracle(grad.items())
+
+    norm = math.sqrt(sum(float(np.sum(s.values**2)) for s in ref_grad.segments))
+    max_norm = {"norm": norm, "just below": float(np.nextafter(norm, 0.0)),
+                "half": norm / 2}[max_norm_at]
+    clipped = nc.clip_gradient(grad, max_norm)
+    ref_clipped = oracles.clip_gradient(ref_grad, max_norm)
+    assert (clipped is grad) == (ref_clipped is ref_grad) == (max_norm_at == "norm")
+    assert packed(clipped).tobytes() == ref_clipped.as_flat().tobytes()
+
+    stepped = nc.sgd_step(params, clipped, lr)
+    ref_stepped = oracles.sgd_step(ref_params, ref_clipped, lr)
+    assert stepped.flat.tobytes() == ref_stepped.as_flat().tobytes()
+
+    updates = [(stepped if j == 0 else draw("update", j), n) for j, n in enumerate(counts)]
+    got = fedavg_aggregate(updates)
+    want = oracles.fedavg_aggregate([(oracle(p.items()), n) for p, n in updates])
+    assert got.layout == tuple(want.layout())
+    assert got.flat.tobytes() == want.as_flat().tobytes()
 
 
 # ---------------------------------------------------------------------------
