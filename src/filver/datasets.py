@@ -49,7 +49,8 @@ class LabeledSet:
         return len(self.labels)
 
     def subset(self, indices) -> "LabeledSet":
-        return LabeledSet(self.images[indices].copy(), self.labels[indices].copy(),
+        """The given rows, gathered once into new C-contiguous arrays."""
+        return LabeledSet(np.take(self.images, indices, axis=0), np.take(self.labels, indices),
                           self.class_count)
 
 
@@ -143,22 +144,30 @@ def load_idx(images_path, labels_path, transpose: bool = False) -> LabeledSet:
 
 
 def split_train_val(data: LabeledSet, val_fraction: float, rng: RngStream):
-    """Stratified held-out split: per label, val_fraction of samples (at least 1)."""
+    """Stratified held-out split: per label, val_fraction of samples (at least 1).
+
+    Returns (train_rows, val_rows), ascending row indices into data; the task
+    builders gather each task straight from data through them.
+    """
     val_mask = np.zeros(len(data), dtype=bool)
     for label in np.unique(data.labels):
         idx = np.flatnonzero(data.labels == label)
         n_val = max(1, int(round(val_fraction * len(idx))))
         picked = rng.child("val_split", int(label)).choice(len(idx), size=n_val, replace=False)
         val_mask[idx[picked]] = True
-    train = data.subset(np.flatnonzero(~val_mask))
-    val = data.subset(np.flatnonzero(val_mask))
-    return train, val
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
-def _resolve_val(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
+def _train_val_rows(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
+    """((train set, rows), (val set, rows)): where each half's rows live.
+
+    With base_val the halves are base and base_val whole; otherwise both are
+    rows of base, split by split_train_val.  Nothing is copied here.
+    """
     if base_val is not None:
-        return base, base_val
-    return split_train_val(base, val_fraction, rng)
+        return (base, np.arange(len(base))), (base_val, np.arange(len(base_val)))
+    train_rows, val_rows = split_train_val(base, val_fraction, rng)
+    return (base, train_rows), (base, val_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +175,11 @@ def _resolve_val(base: LabeledSet, base_val, val_fraction: float, rng: RngStream
 # ---------------------------------------------------------------------------
 
 
-def _permute_pixels(images: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    flat = images.reshape(len(images), -1)
-    return flat[:, perm].reshape(images.shape)
+def _take_permuted(images: np.ndarray, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """images[rows] with each image's C-order pixels reordered by perm, in one gather."""
+    pixel = np.unravel_index(perm, images.shape[1:])
+    picked = images[(rows[:, None],) + tuple(p[None, :] for p in pixel)]
+    return picked.reshape((len(rows),) + images.shape[1:])
 
 
 def build_permuted_tasks(base: LabeledSet, n_tasks: int, rng: RngStream,
@@ -177,27 +188,23 @@ def build_permuted_tasks(base: LabeledSet, n_tasks: int, rng: RngStream,
     """One fixed random pixel permutation per task; task 0 is the identity.
 
     The same permutation transforms a task's train and val images, so test
-    conditions always match training conditions.
+    conditions always match training conditions.  Each task's images are
+    gathered from base (or base_val) once, rows and pixels together.
     """
     if n_tasks < 1:
         raise ContractViolation("n_tasks must be >= 1")
-    train, val = _resolve_val(base, base_val, val_fraction, rng)
-    n_pixels = train.images[0].size
+    halves = _train_val_rows(base, base_val, val_fraction, rng)
+    n_pixels = base.images[0].size
     tasks = []
     for t in range(n_tasks):
         if t == 0:
             perm = np.arange(n_pixels)
         else:
             perm = rng.child("pixel_perm", t).permutation(n_pixels)
-        tasks.append(
-            Task(
-                task_id=t,
-                train=LabeledSet(_permute_pixels(train.images, perm), train.labels.copy(),
-                                 train.class_count),
-                val=LabeledSet(_permute_pixels(val.images, perm), val.labels.copy(),
-                               val.class_count),
-            )
-        )
+        train, val = (LabeledSet(_take_permuted(source.images, rows, perm),
+                                 np.take(source.labels, rows), source.class_count)
+                      for source, rows in halves)
+        tasks.append(Task(task_id=t, train=train, val=val))
     return TaskSequence(tasks)
 
 
@@ -214,17 +221,16 @@ def build_split_tasks(base: LabeledSet, n_tasks: int = 4, classes_per_task: int 
             f"base has {base.class_count}"
         )
     rng = rng if rng is not None else RngStream(0).child("split_tasks_default")
-    train, val = _resolve_val(base, base_val, val_fraction, rng)
+    halves = _train_val_rows(base, base_val, val_fraction, rng)
     tasks = []
     for t in range(n_tasks):
         lo, hi = t * classes_per_task, (t + 1) * classes_per_task
         parts = []
-        for source in (train, val):
-            mask = (source.labels >= lo) & (source.labels < hi)
-            parts.append(
-                LabeledSet(source.images[mask].copy(), source.labels[mask] - lo,
-                           classes_per_task)
-            )
+        for source, rows in halves:
+            labels = source.labels[rows]
+            picked = rows[(labels >= lo) & (labels < hi)]
+            parts.append(LabeledSet(np.take(source.images, picked, axis=0),
+                                    source.labels[picked] - lo, classes_per_task))
         tasks.append(Task(task_id=t, train=parts[0], val=parts[1]))
     return TaskSequence(tasks)
 
@@ -256,15 +262,20 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
     """
     if classes < 2:
         raise ContractViolation("need at least two classes")
-    centers = rng.child("blob_centers").uniform(0.0, 1.0, (classes, d_in))
-    noise = rng.child("blob_noise").normal((classes, per_class, d_in)) * spread
-    samples = np.clip(centers[:, None, :] + noise, 0.0, 1.0)
-    # interleave classes: 0, 1, ..., K-1, 0, 1, ...
-    images = samples.transpose(1, 0, 2).reshape(classes * per_class, d_in)
-    labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
     if image_shape is not None:
         h, w = image_shape
         if h * w != d_in:
             raise ContractViolation(f"image_shape {image_shape} incompatible with d_in {d_in}")
+    centers = rng.child("blob_centers").uniform(0.0, 1.0, (classes, d_in))
+    # one draw, scaled, shifted and clipped in place: the values equal
+    # clip(centers + noise * spread), since float addition commutes
+    samples = rng.child("blob_noise").normal((classes, per_class, d_in))
+    samples *= spread
+    samples += centers[:, None, :]
+    np.clip(samples, 0.0, 1.0, out=samples)
+    # interleave classes: 0, 1, ..., K-1, 0, 1, ...
+    images = samples.transpose(1, 0, 2).reshape(classes * per_class, d_in)
+    labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
+    if image_shape is not None:
         images = images.reshape(len(images), h, w)
     return LabeledSet(images, labels, classes)

@@ -1,5 +1,9 @@
 """Shared fixtures and parameter-space helpers for the test suite."""
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,39 @@ from filver.numcore import ParamVector
 from filver.rng import RngStream
 
 from oracles import fd_flat
+
+
+def openblas_libraries() -> list:
+    """Paths of the scipy-openblas libraries bundled in numpy's wheel."""
+    return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS on one thread for the test, as the bit-identity claims assume.
+
+    A threaded GEMM splits its operands between threads, so which rows take
+    the kernel's tail path can depend on the operand's height: with two
+    Haswell threads, 577 desk rows embedded 32 at a time differ from 512 at
+    a time in three rows.
+    """
+    libs = openblas_libraries()
+    if len(libs) != 1:
+        yield
+        return
+    lib = ctypes.CDLL(libs[0])
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    get_threads.restype = ctypes.c_int
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def fd_params(loss_fn, params: ParamVector, h=1e-6) -> ParamVector:

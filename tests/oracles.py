@@ -1,7 +1,8 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
 and finite differences, plus the list-of-records rehearsal buffer that the
-columnar one replaced and the segment-list parameter vector that the flat
-one replaced.  Everything here is deliberately slow and obvious."""
+columnar one replaced, the segment-list parameter vector that the flat one
+replaced, and the two-step dataset builders that the one-copy ones replaced.
+Everything here is deliberately slow and obvious."""
 
 import hashlib
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from filver import storage
+from filver.datasets import LabeledSet, Task, TaskSequence
 from filver.errors import ContractViolation
 from filver.numcore import _ensure_finite
 from filver.rehearsal import EmbeddingPayload, RawPayload
@@ -516,3 +518,120 @@ def fedavg_aggregate(updates: list) -> ParamVector:
         acc += float(count) * params.as_flat()
         total += float(count)
     return base.with_flat(acc / total)
+
+
+# ---------------------------------------------------------------------------
+# Reference data builders: the two-step routes that the one-copy ones in
+# filver.datasets replaced, kept verbatim (LabeledSet.subset is the function
+# subset here).  Each copied every row twice: once into full train/val sets,
+# then again per task; the blobs drew, then made four full-size temporaries.
+# ---------------------------------------------------------------------------
+
+def subset(data: LabeledSet, indices) -> LabeledSet:
+    return LabeledSet(data.images[indices].copy(), data.labels[indices].copy(),
+                      data.class_count)
+
+
+def split_train_val(data: LabeledSet, val_fraction: float, rng: RngStream):
+    """Stratified held-out split: per label, val_fraction of samples (at least 1)."""
+    val_mask = np.zeros(len(data), dtype=bool)
+    for label in np.unique(data.labels):
+        idx = np.flatnonzero(data.labels == label)
+        n_val = max(1, int(round(val_fraction * len(idx))))
+        picked = rng.child("val_split", int(label)).choice(len(idx), size=n_val, replace=False)
+        val_mask[idx[picked]] = True
+    train = subset(data, np.flatnonzero(~val_mask))
+    val = subset(data, np.flatnonzero(val_mask))
+    return train, val
+
+
+def _resolve_val(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
+    if base_val is not None:
+        return base, base_val
+    return split_train_val(base, val_fraction, rng)
+
+
+def _permute_pixels(images: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    flat = images.reshape(len(images), -1)
+    return flat[:, perm].reshape(images.shape)
+
+
+def build_permuted_tasks(base: LabeledSet, n_tasks: int, rng: RngStream,
+                         base_val: LabeledSet | None = None,
+                         val_fraction: float = 0.1) -> TaskSequence:
+    """One fixed random pixel permutation per task; task 0 is the identity.
+
+    The same permutation transforms a task's train and val images, so test
+    conditions always match training conditions.
+    """
+    if n_tasks < 1:
+        raise ContractViolation("n_tasks must be >= 1")
+    train, val = _resolve_val(base, base_val, val_fraction, rng)
+    n_pixels = train.images[0].size
+    tasks = []
+    for t in range(n_tasks):
+        if t == 0:
+            perm = np.arange(n_pixels)
+        else:
+            perm = rng.child("pixel_perm", t).permutation(n_pixels)
+        tasks.append(
+            Task(
+                task_id=t,
+                train=LabeledSet(_permute_pixels(train.images, perm), train.labels.copy(),
+                                 train.class_count),
+                val=LabeledSet(_permute_pixels(val.images, perm), val.labels.copy(),
+                               val.class_count),
+            )
+        )
+    return TaskSequence(tasks)
+
+
+def build_split_tasks(base: LabeledSet, n_tasks: int = 4, classes_per_task: int = 10,
+                      base_val: LabeledSet | None = None, val_fraction: float = 0.1,
+                      rng: RngStream | None = None) -> TaskSequence:
+    """Disjoint class bands: task t holds original classes [t*c, (t+1)*c),
+    relabeled to [0, c) so the classification head is identical across tasks.
+    Samples with original label >= n_tasks * classes_per_task are excluded."""
+    needed = n_tasks * classes_per_task
+    if base.class_count < needed:
+        raise ContractViolation(
+            f"need {needed} classes for {n_tasks} tasks x {classes_per_task}, "
+            f"base has {base.class_count}"
+        )
+    rng = rng if rng is not None else RngStream(0).child("split_tasks_default")
+    train, val = _resolve_val(base, base_val, val_fraction, rng)
+    tasks = []
+    for t in range(n_tasks):
+        lo, hi = t * classes_per_task, (t + 1) * classes_per_task
+        parts = []
+        for source in (train, val):
+            mask = (source.labels >= lo) & (source.labels < hi)
+            parts.append(
+                LabeledSet(source.images[mask].copy(), source.labels[mask] - lo,
+                           classes_per_task)
+            )
+        tasks.append(Task(task_id=t, train=parts[0], val=parts[1]))
+    return TaskSequence(tasks)
+
+
+def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
+                         rng: RngStream, image_shape: tuple | None = None) -> LabeledSet:
+    """Gaussian cluster per class, clipped to [0, 1]; classes are interleaved.
+
+    With image_shape=(H, W) the flat samples are reshaped into image batches
+    (d_in must equal H * W), giving a fast stand-in for image datasets.
+    """
+    if classes < 2:
+        raise ContractViolation("need at least two classes")
+    centers = rng.child("blob_centers").uniform(0.0, 1.0, (classes, d_in))
+    noise = rng.child("blob_noise").normal((classes, per_class, d_in)) * spread
+    samples = np.clip(centers[:, None, :] + noise, 0.0, 1.0)
+    # interleave classes: 0, 1, ..., K-1, 0, 1, ...
+    images = samples.transpose(1, 0, 2).reshape(classes * per_class, d_in)
+    labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
+    if image_shape is not None:
+        h, w = image_shape
+        if h * w != d_in:
+            raise ContractViolation(f"image_shape {image_shape} incompatible with d_in {d_in}")
+        images = images.reshape(len(images), h, w)
+    return LabeledSet(images, labels, classes)

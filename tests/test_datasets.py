@@ -1,17 +1,21 @@
 """IDX parsing against hand-built byte fixtures, and task-stream builders."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filver.config import preset_config
 from filver.datasets import (LabeledSet, build_permuted_tasks, build_split_tasks, load_idx,
                              make_synthetic_blobs, partition_clients, split_train_val)
 from filver.errors import (ContractViolation, IdxCountMismatchError, IdxMagicError,
                            IdxTruncatedError)
 from filver.rng import RngStream
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,19 @@ def test_labeledset_subset_copies():
     assert data.images[1, 0] == 2.0
 
 
+def test_labeledset_subset_matches_the_two_step_copy():
+    # a transposed view, as load_idx(transpose=True) returns
+    images = np.arange(5 * 3 * 4, dtype=np.float64).reshape(5, 3, 4).transpose(0, 2, 1)
+    data = LabeledSet(images, np.array([0, 1, 2, 1, 0]), 3)
+    rows = np.array([4, 1, 1, 3])
+    got, want = data.subset(rows), oracles.subset(data, rows)
+    assert got.images.flags.c_contiguous and want.images.flags.c_contiguous
+    assert np.array_equal(got.images, want.images)
+    assert np.array_equal(got.labels, want.labels)
+    assert not np.shares_memory(got.images, data.images)
+    assert not np.shares_memory(got.labels, data.labels)
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
@@ -127,20 +144,21 @@ def _toy_set(classes=6, per_class=20, d=4, seed=0):
 
 def test_split_train_val_stratified_and_disjoint():
     data = _toy_set()
-    train, val = split_train_val(data, 0.25, RngStream(1))
-    assert len(train) + len(val) == len(data)
+    train_rows, val_rows = split_train_val(data, 0.25, RngStream(1))
+    assert np.array_equal(np.sort(np.concatenate([train_rows, val_rows])), np.arange(len(data)))
     for label in range(6):
-        assert (val.labels == label).sum() == 5
-        assert (train.labels == label).sum() == 15
-    joined = np.vstack([train.images, val.images])
-    assert sorted(map(tuple, joined)) == sorted(map(tuple, data.images))
+        assert (data.labels[val_rows] == label).sum() == 5
+        assert (data.labels[train_rows] == label).sum() == 15
+    want_train, want_val = oracles.split_train_val(data, 0.25, RngStream(1))
+    assert np.array_equal(data.images[train_rows], want_train.images)
+    assert np.array_equal(data.images[val_rows], want_val.images)
 
 
 def test_split_train_val_keeps_at_least_one_val_sample():
     data = _toy_set(classes=3, per_class=4)
-    _, val = split_train_val(data, 0.01, RngStream(2))
+    _, val_rows = split_train_val(data, 0.01, RngStream(2))
     for label in range(3):
-        assert (val.labels == label).sum() >= 1
+        assert (data.labels[val_rows] == label).sum() >= 1
 
 
 def test_build_split_tasks_relabels_disjoint_bands():
@@ -195,6 +213,78 @@ def test_permuted_tasks_preserve_pixel_multisets(n_tasks, seed):
                               np.sort(seq.tasks[0].train.images, axis=1))
 
 
+def _image_set(classes, per_class, seed, transposed=False):
+    data = _toy_set(classes=classes, per_class=per_class, d=12, seed=seed)
+    if transposed:
+        # a transposed view, as load_idx(transpose=True) returns
+        return LabeledSet(data.images.reshape(-1, 4, 3).transpose(0, 2, 1), data.labels,
+                          classes)
+    return LabeledSet(data.images.reshape(-1, 3, 4), data.labels, classes)
+
+
+def _bases(given_val, transposed):
+    """(base, base_val) for a builder; base_val is None when the val rows split off."""
+    base = _image_set(8, 12, seed=20, transposed=transposed)
+    return base, (_image_set(8, 5, seed=21, transposed=transposed) if given_val else None)
+
+
+def _assert_same_tasks(got, want):
+    assert got.n_tasks == want.n_tasks
+    for g, w in zip(got.tasks, want.tasks):
+        assert g.task_id == w.task_id
+        for a, b in ((g.train, w.train), (g.val, w.val)):
+            assert a.class_count == b.class_count
+            assert a.images.dtype == b.images.dtype and a.labels.dtype == b.labels.dtype
+            assert a.images.shape == b.images.shape
+            # the two-step route left permuted images F-ordered; the gather is C
+            assert a.images.flags.c_contiguous
+            assert a.images.tobytes() == b.images.tobytes()
+            assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("given_val", [False, True])
+def test_one_copy_builders_match_the_two_step_route(given_val, transposed):
+    base, base_val = _bases(given_val, transposed)
+    got = build_split_tasks(base, 4, 2, base_val=base_val, val_fraction=0.25, rng=RngStream(22))
+    want = oracles.build_split_tasks(base, 4, 2, base_val=base_val, val_fraction=0.25,
+                                     rng=RngStream(22))
+    _assert_same_tasks(got, want)
+    got = build_permuted_tasks(base, 3, RngStream(23), base_val=base_val, val_fraction=0.25)
+    want = oracles.build_permuted_tasks(base, 3, RngStream(23), base_val=base_val,
+                                        val_fraction=0.25)
+    _assert_same_tasks(got, want)
+
+
+@pytest.mark.parametrize("given_val", [False, True])
+def test_one_copy_builders_own_their_memory(given_val):
+    base, base_val = _bases(given_val, transposed=False)
+    sources = [base] + ([base_val] if given_val else [])
+    for seq in (build_split_tasks(base, 4, 2, base_val=base_val, val_fraction=0.25,
+                                  rng=RngStream(24)),
+                build_permuted_tasks(base, 3, RngStream(25), base_val=base_val,
+                                     val_fraction=0.25)):
+        for task in seq.tasks:
+            for part in (task.train, task.val):
+                for source in sources:
+                    assert not np.shares_memory(part.images, source.images)
+                    assert not np.shares_memory(part.labels, source.labels)
+
+
+def test_desk_task_build_holds_at_most_about_two_copies_of_the_images():
+    # the base set plus the tasks gathered from it; a builder that copies
+    # each row twice, or blobs built through full-size temporaries, peak
+    # above 3x
+    tracemalloc.start()
+    try:
+        seq = preset_config("desk-split4").build_tasks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    image_bytes = sum(t.train.images.nbytes + t.val.images.nbytes for t in seq.tasks)
+    assert peak <= 2.25 * image_bytes, f"peak {peak / image_bytes:.2f}x the task images"
+
+
 # ---------------------------------------------------------------------------
 # Client partitioning
 # ---------------------------------------------------------------------------
@@ -244,6 +334,26 @@ def test_blobs_rejects_bad_args():
         make_synthetic_blobs(1, 8, 4, 0.2, RngStream(14))
     with pytest.raises(ContractViolation):
         make_synthetic_blobs(3, 8, 4, 0.2, RngStream(15), image_shape=(3, 3))
+
+
+def test_blobs_match_the_draw_then_copy_route():
+    for image_shape in (None, (3, 4)):
+        got = make_synthetic_blobs(5, 12, 9, 0.4, RngStream(17), image_shape=image_shape)
+        want = oracles.make_synthetic_blobs(5, 12, 9, 0.4, RngStream(17),
+                                            image_shape=image_shape)
+        assert got.images.shape == want.images.shape
+        assert got.images.tobytes() == want.images.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+
+
+def test_blobs_check_image_shape_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking image_shape")
+
+    monkeypatch.setattr(RngStream, "normal", no_draws)
+    monkeypatch.setattr(RngStream, "uniform", no_draws)
+    with pytest.raises(ContractViolation):
+        make_synthetic_blobs(3, 8, 4, 0.2, RngStream(18), image_shape=(3, 3))
 
 
 def test_blobs_deterministic():

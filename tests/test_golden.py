@@ -22,17 +22,15 @@ draw) re-records these values under both cores and says so in CHANGES.md.
 """
 
 import ctypes
-import glob
 import hashlib
-import os
 
-import numpy as np
 import pytest
 
 from filver import cli
 from filver.config import parse_pairs
 from filver.federation import run_offline
 
+from conftest import openblas_libraries
 from test_acceptance import CLI_PAIRS
 
 ROUNDS_SHA256 = {
@@ -123,8 +121,7 @@ CHECKPOINT_SHA256 = {
 
 def blas_core() -> str:
     """The kernel family numpy's bundled OpenBLAS chose at load time."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
+    libs = openblas_libraries()
     if len(libs) != 1:
         return f"unknown (found {len(libs)} bundled scipy-openblas libraries)"
     corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_

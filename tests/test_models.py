@@ -85,6 +85,29 @@ def test_encode_for_eval_chunks_long_sets(tiny_mlp_vee):
     assert np.array_equal(log_sigma[2 * EVAL_CHUNK:], tail_ls)
 
 
+@pytest.mark.parametrize("kind", ["vee", "ebr"])
+def test_encode_for_eval_bytes_do_not_depend_on_chunk_size(kind, monkeypatch, one_blas_thread):
+    # desk-shaped conv encoder (the desk-split4 preset's model.* values) on
+    # more rows than the largest chunk: 515 ends every size on a partial
+    # chunk, 577 leaves a one-row remainder at sizes 2 and 64
+    spec = EncoderSpec(kind, (28, 28), embed_dim=48, arch="conv", hidden=96,
+                       conv_channels=(8, 16))
+    encoder = EncoderModel(spec)
+    params = jittered_params(encoder, RngStream(17))
+    for n in (515, 577):
+        x = RngStream(18).uniform(shape=(n, 28, 28))
+        outputs = []
+        for chunk in (2, 64, 512):
+            monkeypatch.setattr(models, "EVAL_CHUNK", chunk)
+            outputs.append(encode_for_eval(encoder, params, x))
+        for head, log_sigma in outputs[1:]:
+            assert head.tobytes() == outputs[0][0].tobytes()
+            if kind == "vee":
+                assert log_sigma.tobytes() == outputs[0][1].tobytes()
+            else:
+                assert log_sigma is None
+
+
 # ---------------------------------------------------------------------------
 # Composite loss gradient: CE(classifier(mu + sigma * eps)) + beta * KL,
 # with eps held fixed, checked coordinate-by-coordinate against central
