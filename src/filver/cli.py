@@ -143,6 +143,9 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
 def _cmd_run(args) -> int:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("run", ["give exactly one of a config file or --preset"])
+    if args.stop_after_round is not None and args.stop_after_round < 1:
+        raise ConfigError("run", [f"--stop-after-round must be at least 1, "
+                                  f"got {args.stop_after_round}"])
 
     overrides = {}
     if args.seed is not None:
@@ -180,17 +183,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_summary(run_dir: str) -> dict:
+def _load_accuracies(run_dir: str) -> list[float]:
+    """The final per-task accuracies of a run's summary.json."""
     path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(path):
         raise ConfigError("compare", [f"missing summary file: {path}"])
     with open(path) as f:
-        summary = json.load(f)
-    if "final_task_accuracies" not in summary:
+        try:
+            summary = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("compare", [f"{path}: not valid JSON ({exc})"]) from None
+    if not isinstance(summary, dict) or "final_task_accuracies" not in summary:
         raise ConfigError("compare", [
             f"{path}: no final_task_accuracies; for a multi-strategy run point "
             f"at one of its per-strategy subdirectories"])
-    return summary
+    accs = summary["final_task_accuracies"]
+    if (not isinstance(accs, list) or not accs
+            or not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in accs)):
+        raise ConfigError("compare", [
+            f"{path}: final_task_accuracies must be a non-empty list of numbers, "
+            f"got {accs!r}"])
+    return [float(a) for a in accs]
 
 
 def _cmd_compare(args) -> int:
@@ -198,8 +211,7 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare", ["need at least two run directories"])
     rows = []
     for d in args.dirs:
-        summary = _load_summary(d)
-        accs = [float(a) for a in summary["final_task_accuracies"]]
+        accs = _load_accuracies(d)
         rows.append((os.path.normpath(d), accs, sum(accs) / len(accs)))
 
     n_tasks = len(rows[0][1])

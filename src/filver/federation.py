@@ -380,6 +380,8 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     rehearsal buffers carry information forward.  Returns (reports, state);
     a resumed run returns reports for the remaining rounds only.
     """
+    if stop_after_round is not None and stop_after_round < 1:
+        raise ContractViolation(f"stop_after_round must be at least 1, got {stop_after_round}")
     master = RngStream(master_seed)
     n_tasks = tasks.n_tasks
 

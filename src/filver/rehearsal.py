@@ -275,8 +275,9 @@ def _survivors(tasks: np.ndarray, capacity: int | None, rng: RngStream):
         return keep
     slots = {int(t): np.flatnonzero(tasks == t).tolist() for t in np.unique(tasks)}
     for _ in range(len(tasks) - capacity):
-        biggest = max(len(s) for s in slots.values())
-        victim_slots = slots[max(t for t, s in slots.items() if len(s) == biggest)]
+        # the largest (count, task): most rows first, then the newest task
+        _, victim = max((len(s), t) for t, s in slots.items())
+        victim_slots = slots[victim]
         keep[victim_slots.pop(int(rng.integers(0, len(victim_slots))))] = False
     return keep
 

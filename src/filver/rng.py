@@ -1,12 +1,19 @@
 """Counter-based random streams.
 
 Every stream is identified by (seed, stream_id) and an advancing draw counter.
-Each draw call instantiates a fresh Philox generator keyed by (seed, stream_id)
-with the call counter placed in a high word of the 256-bit block counter, so
-consecutive calls read disjoint blocks of the Philox stream.  Streams derived
-with different ids never share state, so a client's draws do not depend on
-which clients trained before it, and a stream rebuilt from its tags on resume
-repeats the draws of the uninterrupted run.
+Each draw call resets one module-level Philox bit generator to key
+(seed, stream_id) with the call counter in a high word of the 256-bit block
+counter, an empty output buffer and no leftover 32-bit half: the state a
+freshly constructed Philox(key=..., counter=...) starts from.  The draw then
+reads from the one Generator built on it, so consecutive calls read disjoint
+blocks of the Philox stream and no call depends on what an earlier call
+consumed.  Streams derived with different ids never share state, so a
+client's draws do not depend on which clients trained before it, and a
+stream rebuilt from its tags on resume repeats the draws of the
+uninterrupted run.
+
+Draws are not thread-safe: two threads drawing at once would reset the one
+generator under each other.  The program draws from one thread.
 """
 
 from __future__ import annotations
@@ -18,14 +25,26 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# Shared by every draw; _next_generator resets the state before each one.
+# Setting the state costs a fraction of building a Philox and a Generator.
+_BITGEN = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_BITGEN)
+_EMPTY_BUFFER = (0, 0, 0, 0)
+_BUFFER_SIZE = len(_EMPTY_BUFFER)  # buffer_pos at its size means the buffer is empty
+
+_STR_TAGS: dict[str, int] = {}
+
 
 def _tag64(tag) -> int:
     """Map a stream tag (int or str) to a stable 64-bit value."""
     if isinstance(tag, (int, np.integer)):
         return int(tag) & _MASK64
     if isinstance(tag, str):
-        digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        value = _STR_TAGS.get(tag)
+        if value is None:
+            digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+            value = _STR_TAGS[tag] = int.from_bytes(digest, "little")
+        return value
     raise TypeError(f"stream tag must be int or str, got {type(tag).__name__}")
 
 
@@ -63,14 +82,19 @@ class RngStream:
         return RngStream(self.seed, sid)
 
     def _next_generator(self) -> np.random.Generator:
-        # explicit uint64 arrays: a plain list with any element >= 2**63 would
-        # be inferred as float64 and silently round away the low key bits
-        bitgen = np.random.Philox(
-            counter=np.array([0, 0, self.counter & _MASK64, 0], dtype=np.uint64),
-            key=np.array([self.seed, self.stream_id], dtype=np.uint64),
-        )
+        # Python ints convert to the state's uint64 words exactly, seeds and
+        # ids >= 2**63 included
+        _BITGEN.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, self.counter & _MASK64, 0),
+                      "key": (self.seed, self.stream_id)},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": _BUFFER_SIZE,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.counter += 1
-        return np.random.Generator(bitgen)
+        return _GENERATOR
 
     def normal(self, shape=None) -> np.ndarray:
         return self._next_generator().standard_normal(shape)

@@ -1,8 +1,9 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
 and finite differences, plus the list-of-records rehearsal buffer that the
 columnar one replaced, the segment-list parameter vector that the flat one
-replaced, and the two-step dataset builders that the one-copy ones replaced.
-Everything here is deliberately slow and obvious."""
+replaced, the two-step dataset builders that the one-copy ones replaced, and
+the keyed draw that built a new Philox and Generator per call.  Everything
+here is deliberately slow and obvious."""
 
 import hashlib
 import math
@@ -17,7 +18,7 @@ from filver.datasets import LabeledSet, Task, TaskSequence
 from filver.errors import ContractViolation
 from filver.numcore import _ensure_finite
 from filver.rehearsal import EmbeddingPayload, RawPayload
-from filver.rng import RngStream
+from filver.rng import _MASK64, RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +636,23 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
             raise ContractViolation(f"image_shape {image_shape} incompatible with d_in {d_in}")
         images = images.reshape(len(images), h, w)
     return LabeledSet(images, labels, classes)
+
+
+# ---------------------------------------------------------------------------
+# Reference keyed draws: the per-draw constructor that filver.rng's state
+# reset replaced, kept verbatim.  A stream of this class draws exactly what a
+# filver.rng.RngStream with the same (seed, stream_id, counter) must draw.
+# ---------------------------------------------------------------------------
+
+class ConstructorRngStream(RngStream):
+    """RngStream whose every draw builds its own Philox and Generator."""
+
+    def _next_generator(self) -> np.random.Generator:
+        # explicit uint64 arrays: a plain list with any element >= 2**63 would
+        # be inferred as float64 and silently round away the low key bits
+        bitgen = np.random.Philox(
+            counter=np.array([0, 0, self.counter & _MASK64, 0], dtype=np.uint64),
+            key=np.array([self.seed, self.stream_id], dtype=np.uint64),
+        )
+        self.counter += 1
+        return np.random.Generator(bitgen)

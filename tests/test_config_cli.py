@@ -354,6 +354,15 @@ def test_stop_and_resume_reproduce_the_uninterrupted_run(baseline_run, tmp_path)
             == (baseline_run / "out" / "summary.json").read_bytes())
 
 
+@pytest.mark.parametrize("stop", ["0", "-1"])
+def test_stop_after_round_below_one_is_refused(tmp_path, capsys, stop):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", stop, "--quiet"]) == 2
+    assert f"--stop-after-round must be at least 1, got {stop}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "rounds.csv").exists()
+    assert not (tmp_path / "out" / "checkpoint").exists()
+
+
 def test_resume_after_the_last_checkpoint_keeps_only_checkpointed_rows(baseline_run, tmp_path):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     # the run goes on one round past its round-3 checkpoint, as after a crash
@@ -658,3 +667,25 @@ def test_compare_argument_and_summary_errors(tmp_path, capsys):
     (merged / "summary.json").write_text(json.dumps({"strategies": {}}))
     assert cli.main(["compare", str(a), str(merged)]) == 2
     assert "per-strategy subdirectories" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_summary_that_is_not_json(tmp_path, capsys):
+    a = write_summary(tmp_path / "a", [0.5, 0.5])
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "summary.json").write_text('{"final_task_accuracies": [0.5,')
+    assert cli.main(["compare", str(a), str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert f"{broken / 'summary.json'}: not valid JSON" in err
+
+
+@pytest.mark.parametrize("accs", [["0.5", "high"], [0.5, None], "0.5", [], [True, 0.5]],
+                         ids=["strings", "null", "not-a-list", "empty", "bool"])
+def test_compare_refuses_accuracies_that_are_not_numbers(tmp_path, capsys, accs):
+    a = write_summary(tmp_path / "a", [0.5, 0.5])
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "summary.json").write_text(json.dumps({"final_task_accuracies": accs}))
+    assert cli.main(["compare", str(a), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad / 'summary.json'}: final_task_accuracies must be a non-empty list" in err

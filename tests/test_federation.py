@@ -528,6 +528,17 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
         assert np.array_equal(getattr(resumed, name), getattr(full, name))
 
 
+@pytest.mark.parametrize("stop", [0, -1])
+def test_stop_after_round_below_one_is_refused_before_any_round(tmp_path, stop):
+    ckpt = tmp_path / "ckpt"
+    rounds = []
+    with pytest.raises(ContractViolation, match="stop_after_round must be at least 1"):
+        tiny_run("ebr", checkpoint_dir=str(ckpt), stop_after_round=stop,
+                 on_round=rounds.append)
+    assert rounds == []
+    assert not ckpt.exists()
+
+
 def test_resume_rejects_wrong_seed_and_encoder_kind(tmp_path):
     ckpt = tmp_path / "ckpt"
     tiny_run("ebr", seed=21, checkpoint_dir=str(ckpt), stop_after_round=2)

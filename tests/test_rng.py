@@ -1,10 +1,12 @@
 """Counter-based stream determinism, child derivation, and resume."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from filver import rng as rng_module
 from filver.rng import RngStream
+from oracles import ConstructorRngStream
 
 
 def test_same_seed_same_draws():
@@ -107,3 +109,91 @@ def test_child_identity_deterministic(seed, tags):
     b = RngStream(seed).child(*tags) if tags else RngStream(seed)
     assert a.stream_id == b.stream_id
     assert np.array_equal(a.normal(4), b.normal(4))
+
+
+# ---------------------------------------------------------------------------
+# The reused generator against the per-draw constructor
+# ---------------------------------------------------------------------------
+
+keys = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1))
+shapes = st.one_of(st.none(), st.integers(0, 1200),
+                   st.tuples(st.integers(0, 30), st.integers(0, 40)))
+# spans below 2**32 draw 32-bit halves (and may leave one over), larger ones
+# whole 64-bit words
+spans = st.one_of(st.integers(1, 20), st.integers(2**31, 2**33), st.integers(2**40, 2**62))
+
+
+@st.composite
+def draws(draw):
+    """One draw call: (method name, positional args)."""
+    kind = draw(st.sampled_from(["normal", "uniform", "integers", "permutation", "choice"]))
+    if kind == "normal":
+        return kind, (draw(shapes),)
+    if kind == "uniform":
+        low = draw(st.floats(-5.0, 5.0))
+        return kind, (low, low + draw(st.floats(0.5, 10.0)), draw(shapes))
+    if kind == "integers":
+        low = draw(st.integers(-1000, 1000))
+        if draw(st.booleans()):
+            return kind, (abs(low) + 1, None, draw(shapes))  # range [0, low)
+        return kind, (low, low + draw(spans), draw(shapes))
+    if kind == "permutation":
+        return kind, (draw(st.integers(0, 300)),)
+    # populations above 10,000 with small samples take numpy's set-based path
+    n = draw(st.one_of(st.integers(1, 500), st.integers(10_001, 20_000)))
+    replace = draw(st.booleans())
+    size = draw(st.integers(0, 600) if replace else st.integers(0, min(n, 600)))
+    return kind, (n, size, replace)
+
+
+def assert_same_draw(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(seeds=st.tuples(keys, keys), ids=st.tuples(keys, keys),
+       counters=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       calls=st.lists(st.tuples(st.sampled_from([0, 1]), draws()), min_size=1, max_size=12))
+@example(seeds=(2**63, 2**64 - 1), ids=(2**64 - 1, 2**63), counters=(2**64 - 1, 0),
+         calls=[(0, ("choice", (400, 16, False))), (1, ("choice", (5, 40, True))),
+                (0, ("normal", (3,)))])
+@settings(max_examples=150, deadline=None)
+def test_reused_generator_draws_equal_the_per_draw_constructor(seeds, ids, counters, calls):
+    # two streams drawn in an arbitrary interleaving from the one shared
+    # generator, each against its own constructor-built twin
+    streams = [RngStream(s, i, c) for s, i, c in zip(seeds, ids, counters)]
+    twins = [ConstructorRngStream(s, i, c) for s, i, c in zip(seeds, ids, counters)]
+    made = [0, 0]
+    for which, (method, args) in calls:
+        got = getattr(streams[which], method)(*args)
+        want = getattr(twins[which], method)(*args)
+        assert_same_draw(got, want)
+        made[which] += 1
+        for k in (0, 1):
+            assert streams[k].counter == twins[k].counter == counters[k] + made[k]
+
+
+@given(seed=keys, stream_id=keys, counter=st.integers(0, 2**64 - 2),
+       first=st.sampled_from([("integers", (0, 7)), ("integers", (3, 10, 5)),
+                              ("normal", (1000,))]),
+       then=draws())
+@settings(max_examples=100, deadline=None)
+def test_a_draw_after_leftover_state_still_equals_the_constructor(seed, stream_id, counter,
+                                                                  first, then):
+    # an odd number of 32-bit integers leaves a half word over in the shared
+    # bit generator, and normal(1000) consumes hundreds of blocks; neither may
+    # reach the next draw
+    stream = RngStream(seed, stream_id, counter)
+    twin = ConstructorRngStream(seed, stream_id, counter)
+    method, args = first
+    assert_same_draw(getattr(stream, method)(*args), getattr(twin, method)(*args))
+    state = rng_module._BITGEN.state
+    if method == "integers":
+        assert state["has_uint32"] == 1
+    else:
+        assert state["state"]["counter"][0] > 100
+    method, args = then
+    assert_same_draw(getattr(stream, method)(*args), getattr(twin, method)(*args))
+    assert stream.counter == twin.counter == counter + 2
