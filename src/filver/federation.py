@@ -2,10 +2,12 @@
 upload, and server-side rehearsal training.
 
 The encoder is pretrained on the first task and frozen; federated rounds
-train only the classifier.  Every random draw is keyed by purpose and round
-coordinates from one master stream, so results do not depend on the order
-in which clients train, and a run resumed from any checkpoint repeats the
-uninterrupted run bit-exactly.
+train only the classifier, on embeddings: the frozen encoder runs at the
+start of each task, on the shards of the clients active in it, and on each
+naive upload before any buffer admits it.  Every random draw is keyed by
+purpose and round coordinates from one master stream, so results do not
+depend on the order in which clients train, and a run resumed from any
+checkpoint repeats the uninterrupted run bit-exactly.
 
 Stream keying contract (master = RngStream(master_seed)):
   partition            master.child("partition")
@@ -19,7 +21,7 @@ Stream keying contract (master = RngStream(master_seed)):
     replay batch i       L.child("replay", i)
     replay draw i        L.child("replay_eps", i)
     upload selection     L.child("upload"), L.child("upload_eps")
-    own-buffer admission L.child("self_admit")
+    own-buffer admission L.child("self_admit"), in run_round
   server admission     master.child("server_admit", task, round, client)
   server training      master.child("sst", task, round)
 """
@@ -77,7 +79,6 @@ class ClientState:
     shards: dict
     buffer: RehearsalBuffer
     enrollment: int = scenarios.NOT_ENROLLED_YET
-    fresh_cache: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -131,40 +132,22 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def _ensure_fresh_cache(client: ClientState, task_id: int, encoder: EncoderModel,
-                        encoder_params: ParamVector) -> dict:
-    """Embed the client's current shard once; the encoder is frozen, so the
-    cache stays valid for every round of the task.  "mu" holds the
-    noise-free embeddings; "log_sigma" is None unless the encoder is a vee."""
-    cached = client.fresh_cache.get(task_id)
-    if cached is not None:
-        return cached
-    shard = client.shards.get(task_id)
-    if shard is None or len(shard) == 0:
-        raise ContractViolation(f"client {client.client_id} has no data for task {task_id}")
-    mu, log_sigma = models.encode_for_eval(encoder, encoder_params, shard.images)
-    cache = {"labels": np.asarray(shard.labels), "mu": mu, "log_sigma": log_sigma}
-    client.fresh_cache[task_id] = cache
-    return cache
-
-
-def _fresh_batch(cache: dict, strategy_kind: str, k: int, idx_rng: RngStream, eps_rng: RngStream):
-    n = len(cache["labels"])
+def _fresh_batch(embedded: dict, strategy_kind: str, k: int, idx_rng: RngStream, eps_rng: RngStream):
+    n = len(embedded["labels"])
     idx = idx_rng.choice(n, k, replace=k > n)
-    y = cache["labels"][idx]
-    if strategy_kind in ("ver_stats", "ver_sampled") and cache["log_sigma"] is not None:
-        z, _ = reparam_sample(cache["mu"][idx], cache["log_sigma"][idx], eps_rng)
+    y = embedded["labels"][idx]
+    if strategy_kind in ("ver_stats", "ver_sampled") and embedded["log_sigma"] is not None:
+        z, _ = reparam_sample(embedded["mu"][idx], embedded["log_sigma"][idx], eps_rng)
     else:
-        z = cache["mu"][idx]
+        z = embedded["mu"][idx]
     return z, y
 
 
-def _build_upload(client: ClientState, cache: dict, task_id: int, global_round: int,
+def _build_upload(client: ClientState, embedded: dict, task_id: int, global_round: int,
                   strategy: StrategyConfig, rng: RngStream) -> list:
-    """rho-sample this round's shard into rehearsal records (payload type
-    fixed by the strategy), admit them to the client's own buffer, and
-    return the same records for upload.  This is the one rho-sample: admit
-    keeps every record it is offered, up to eviction."""
+    """rho-sample this round's shard into rehearsal records, payload type
+    fixed by the strategy.  This is the one rho-sample: admit keeps every
+    record it is offered, up to eviction."""
     if strategy.kind == "none":
         return []
     shard = client.shards[task_id]
@@ -176,44 +159,34 @@ def _build_upload(client: ClientState, cache: dict, task_id: int, global_round: 
         idx = np.arange(n)
     else:
         idx = rng.child("upload").choice(n, n_up, replace=False)
-    labels = cache["labels"][idx]
-
-    records = []
+    mu, log_sigma = embedded["mu"], embedded["log_sigma"]
+    # RawPayload and EmbeddingPayload copy their array; GaussianStats does not
     if strategy.kind == "naive":
-        for j, y in zip(idx, labels):
-            records.append(RehearsalRecord(RawPayload(np.array(shard.images[j])),
-                                           y, task_id, global_round))
+        payloads = [RawPayload(shard.images[j]) for j in idx]
     elif strategy.kind in ("ebr", "noise"):
-        for j, y in zip(idx, labels):
-            records.append(RehearsalRecord(EmbeddingPayload(np.array(cache["mu"][j])),
-                                           y, task_id, global_round))
-    elif cache["log_sigma"] is None:
+        payloads = [EmbeddingPayload(mu[j]) for j in idx]
+    elif log_sigma is None:
         raise ContractViolation(f"{strategy.kind} needs a variational encoder")
     elif strategy.kind == "ver_stats":
-        for j, y in zip(idx, labels):
-            records.append(RehearsalRecord(
-                GaussianStats(np.array(cache["mu"][j]), np.array(cache["log_sigma"][j])),
-                y, task_id, global_round))
+        payloads = [GaussianStats(np.array(mu[j]), np.array(log_sigma[j])) for j in idx]
     else:  # ver_sampled: draw z once; the stats never leave the client
-        z, _ = reparam_sample(cache["mu"][idx], cache["log_sigma"][idx], rng.child("upload_eps"))
-        for row, y in zip(z, labels):
-            records.append(RehearsalRecord(EmbeddingPayload(np.array(row)),
-                                           y, task_id, global_round))
-
-    admit(client.buffer, records, rng.child("self_admit"))
-    return records
+        z, _ = reparam_sample(mu[idx], log_sigma[idx], rng.child("upload_eps"))
+        payloads = [EmbeddingPayload(row) for row in z]
+    return [RehearsalRecord(p, y, task_id, global_round)
+            for p, y in zip(payloads, embedded["labels"][idx])]
 
 
-def local_train(client: ClientState, global_params: ParamVector, encoder: EncoderModel,
-                encoder_params: ParamVector, classifier: ClassifierModel, task_id: int,
-                global_round: int, fl: FLConfig, strategy: StrategyConfig,
-                rng: RngStream) -> LocalResult:
-    """E SGD steps on batches mixing fresh shard embeddings with replay from
-    the client's own buffer (half and half once the buffer is nonempty)."""
+def local_train(client: ClientState, global_params: ParamVector, embedded: dict,
+                classifier: ClassifierModel, task_id: int, global_round: int, fl: FLConfig,
+                strategy: StrategyConfig, rng: RngStream) -> LocalResult:
+    """E SGD steps on batches mixing the client's embedded shard (None if
+    empty) with replay from its own buffer (half and half once the buffer
+    is nonempty), then the upload; run_round admits it."""
     if client.enrollment != scenarios.ACTIVE:
         raise ContractViolation(f"client {client.client_id} is not active for task {task_id}")
-    cache = _ensure_fresh_cache(client, task_id, encoder, encoder_params)
-    n = len(cache["labels"])
+    if embedded is None:
+        raise ContractViolation(f"client {client.client_id} has no data for task {task_id}")
+    n = len(embedded["labels"])
 
     params = global_params
     losses = []
@@ -221,13 +194,11 @@ def local_train(client: ClientState, global_params: ParamVector, encoder: Encode
         use_replay = strategy.kind != "none" and len(client.buffer) > 0
         k_fresh = fl.batch_size // 2 if use_replay else fl.batch_size
         k_fresh = max(1, k_fresh)
-        z, y = _fresh_batch(cache, strategy.kind, k_fresh, rng.child("fresh", i), rng.child("eps", i))
+        z, y = _fresh_batch(embedded, strategy.kind, k_fresh, rng.child("fresh", i), rng.child("eps", i))
         if use_replay:
             batch = replay_batch(client.buffer, fl.batch_size - k_fresh, rng.child("replay", i))
             if len(batch):
-                z_r, y_r = materialize_batch(batch, strategy.kind, encoder=encoder,
-                                             encoder_params=encoder_params,
-                                             rng=rng.child("replay_eps", i))
+                z_r, y_r = materialize_batch(batch, strategy.kind, rng=rng.child("replay_eps", i))
                 z = np.concatenate([z, z_r])
                 y = np.concatenate([y, y_r])
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
@@ -235,26 +206,24 @@ def local_train(client: ClientState, global_params: ParamVector, encoder: Encode
         losses.append(loss)
 
     if not losses:  # E = 0: report the loss without taking a step
-        z, y = _fresh_batch(cache, strategy.kind, min(fl.batch_size, n),
+        z, y = _fresh_batch(embedded, strategy.kind, min(fl.batch_size, n),
                             rng.child("fresh", 0), rng.child("eps", 0))
         loss, _ = models.classifier_loss_and_grad(classifier, params, z, y)
         losses = [loss]
 
-    upload = _build_upload(client, cache, task_id, global_round, strategy, rng)
+    upload = _build_upload(client, embedded, task_id, global_round, strategy, rng)
     return LocalResult(params, upload, n, float(np.mean(losses)))
 
 
 def server_side_training(params: ParamVector, server_buffer: RehearsalBuffer,
                          classifier: ClassifierModel, fl: FLConfig, strategy_kind: str,
-                         encoder: EncoderModel, encoder_params: ParamVector,
                          rng: RngStream) -> ParamVector:
     """S_max SGD steps on batches replayed from the pooled server buffer."""
     if fl.s_max == 0 or len(server_buffer) == 0:
         return params
     for s in range(fl.s_max):
         batch = replay_batch(server_buffer, fl.batch_size, rng.child("batch", s))
-        z, y = materialize_batch(batch, strategy_kind, encoder=encoder,
-                                 encoder_params=encoder_params, rng=rng.child("eps", s))
+        z, y = materialize_batch(batch, strategy_kind, rng=rng.child("eps", s))
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta_s)
     return params
@@ -282,11 +251,35 @@ class ExperimentState:
     eval_cache: dict
     identity: dict  # _run_identity, written to meta.json
     global_round: int = 0
+    shard_embeddings: dict = field(default_factory=dict)  # this task's, by client id
 
     def evaluate(self) -> tuple:
         return tuple(
             models.classifier_accuracy(self.classifier, self.classifier_params, z, y)
             for z, y in (self.eval_cache[t] for t in range(self.tasks.n_tasks)))
+
+
+def _embed_shards(state: ExperimentState, task_id: int) -> dict:
+    """The embed stage: each nonempty shard of a client active in `task_id`,
+    embedded once, by client id ("log_sigma" is None unless a vee encoder)."""
+    embedded = {}
+    for c in apply_schedule(state.clients, state.schedule, task_id):
+        shard = c.shards[task_id]
+        if len(shard):
+            mu, log_sigma = models.encode_for_eval(state.encoder, state.encoder_params, shard.images)
+            embedded[c.client_id] = {"labels": np.asarray(shard.labels), "mu": mu, "log_sigma": log_sigma}
+    return embedded
+
+
+def _embed_upload(state: ExperimentState, upload: list) -> list:
+    """An upload as buffers hold it: a naive upload's raw samples embedded in
+    one pass through the frozen encoder, any other upload as it is."""
+    if state.strategy.kind != "naive" or not upload:
+        return upload
+    z, _ = models.encode_for_eval(state.encoder, state.encoder_params,
+                                  np.stack([r.payload.x for r in upload]))
+    return [RehearsalRecord(EmbeddingPayload(row), r.label, r.task_id, r.round_id)
+            for row, r in zip(z, upload)]
 
 
 def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> RoundReport:
@@ -309,22 +302,24 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
         len(active), m, replace=False)
     chosen = sorted((active[i] for i in pick), key=lambda c: c.client_id)
 
-    results = [local_train(c, state.classifier_params, state.encoder, state.encoder_params,
-                           state.classifier, task_id, g, fl, state.strategy,
-                           state.master.child("local", c.client_id, task_id, round_in_task))
-               for c in chosen]
+    streams = [state.master.child("local", c.client_id, task_id, round_in_task) for c in chosen]
+    results = [local_train(c, state.classifier_params, state.shard_embeddings.get(c.client_id),
+                           state.classifier, task_id, g, fl, state.strategy, rng)
+               for c, rng in zip(chosen, streams)]
 
-    # union of uploads, admitted in client-id order for schedule independence
-    for client, res in zip(chosen, results):
-        if res.upload:
-            admit(state.server_buffer, res.upload,
+    # each upload joins its client's own buffer and the server's, in
+    # client-id order for schedule independence
+    for client, rng, res in zip(chosen, streams, results):
+        records = _embed_upload(state, res.upload)
+        if records:
+            admit(client.buffer, records, rng.child("self_admit"))
+            admit(state.server_buffer, records,
                   state.master.child("server_admit", task_id, round_in_task, client.client_id))
 
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
     state.classifier_params = server_side_training(
         state.classifier_params, state.server_buffer, state.classifier, fl,
-        state.strategy.kind, state.encoder, state.encoder_params,
-        state.master.child("sst", task_id, round_in_task))
+        state.strategy.kind, state.master.child("sst", task_id, round_in_task))
 
     if state.encoder_params.checksum() != state.encoder_checksum:
         raise ContractViolation("frozen encoder parameters changed during training")
@@ -341,8 +336,8 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
 def _buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: int,
                      raw_bytes: int, embed_dim: int) -> int:
     """Capacity sized to hold one rho-sample per task within the memory
-    envelope.  Stats records carry two vectors; naive records carry raw
-    samples, so their budget cancels back to the sample count."""
+    envelope.  Stats records carry two vectors; a naive budget is priced in
+    the raw samples a client ships, so it cancels back to the sample count."""
     if strategy.kind == "none":
         return 0
     naive_count = math.ceil(strategy.rho * per_task_samples) * n_tasks
@@ -374,11 +369,13 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                    pretrain_lr: float = 0.01, on_task_boundary=None, on_round=None,
                    checkpoint_dir=None, checkpoint_every: int = 0,
                    resume_from=None, stop_after_round: int = None):
-    """Full task stream: pretrain, then rounds_per_task rounds per task.
+    """Full task stream: pretrain, then per task embed its shards and run
+    rounds_per_task rounds.
 
-    Raw training shards of a finished task are dropped at its boundary; only
-    rehearsal buffers carry information forward.  Returns (reports, state);
-    a resumed run returns reports for the remaining rounds only.
+    Raw training shards of a finished task, and their embeddings, are dropped
+    at its boundary; only rehearsal buffers carry information forward.
+    Returns (reports, state); a resumed run returns reports for the
+    remaining rounds only.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ContractViolation(f"stop_after_round must be at least 1, got {stop_after_round}")
@@ -421,6 +418,10 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 raise ContractViolation(
                     f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
         start_round = meta["global_round"]
+        if stop_after_round is not None and stop_after_round <= start_round:
+            raise ContractViolation(
+                f"stop_after_round {stop_after_round} is not past the checkpoint's "
+                f"round {start_round}")
         encoder_params, classifier_params, server_buffer, client_buffers = \
             _load_checkpoint(resume_from, encoder_spec, fl.n_clients)
         for c, buffer in zip(clients, client_buffers):
@@ -454,6 +455,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
 
     reports = []
     for task_id in range(first_task, n_tasks):
+        state.shard_embeddings = _embed_shards(state, task_id)
         r0 = start_round - task_id * fl.rounds_per_task if task_id == first_task else 0
         for r in range(max(0, r0), fl.rounds_per_task):
             report = run_round(state, task_id, r)
@@ -469,7 +471,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 return reports, state
         for c in clients:
             c.shards.pop(task_id, None)
-            c.fresh_cache.pop(task_id, None)
+        state.shard_embeddings = {}
         if on_task_boundary is not None:
             on_task_boundary(task_id)
     return reports, state

@@ -33,9 +33,14 @@ DEFAULT_PRETRAIN_EPOCHS = 5
 # desk conv1 im2col copy (25 x 64*24*24 float64) is 7 MB; a 512-row chunk's
 # is 59 MB and would set the whole run's peak memory.  The smaller working
 # set is also faster: 10,000 desk rows embed in 1.6 s against 2.6 s at 512
-# rows (one core of a 2-core x86 host).  The size does not change the bytes:
-# every power of two from 2 to 512 gives the same ones under the SkylakeX and
-# Haswell kernels.
+# rows (one core of a 2-core x86 host).  The size can change the bytes: BLAS
+# picks its kernel path by operand height, and rows of a 531-row set embedded
+# in calls of 1 to 133 rows differed from the same rows in 64-row chunks (one
+# BLAS thread; Haswell: at every odd height tried, for mlp and desk conv
+# encoders alike; SkylakeX: one-row calls for desk conv, most heights for a
+# 784-96-48 mlp and a 16x16 conv with channels (16, 32)).  test_models pins
+# equal bytes for sizes 2, 64 and 512 only on sets whose final chunk has an
+# odd height at each of them (515 and 577 rows).
 EVAL_CHUNK = 64
 PRETRAIN_CLIP_NORM = 5.0  # global gradient-norm clip in pretrain_encoder
 

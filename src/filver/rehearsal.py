@@ -5,7 +5,8 @@ embedding at replay time:
 
   none         no buffers at all; training sees only fresh data
   noise        embeddings from a frozen randomly initialized encoder
-  naive        raw samples, re-embedded through the frozen encoder at replay
+  naive        raw samples on the wire, embedded once through the frozen encoder
+               at admission and replayed verbatim
   ebr          deterministic embeddings stored once, replayed verbatim
   ver_stats    per-example (mu, log sigma); fresh z is drawn at every replay
   ver_sampled  sampled z only; no distribution statistics ever leave a client
@@ -14,8 +15,8 @@ The stats/sampled distinction is enforced by payload type: a ver_sampled
 record simply has no field in which statistics could travel.
 
 Records are what a client ships.  A buffer keeps them as columns instead:
-one float64 array per payload field, named after it (``x``, ``z``, or ``mu``
-and ``log_sigma``), plus int64 label, task and round columns.  So the privacy
+one float64 array per payload field, named after it (``z``, or ``mu`` and
+``log_sigma``), plus int64 label, task and round columns.  So the privacy
 rule is also a schema property: a ver_sampled buffer has no stats column.
 """
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import storage
 from .errors import ContractViolation
-from .models import EncoderModel, GaussianStats, encode_for_eval
-from .numcore import ParamVector, reparam_sample
+from .models import GaussianStats
+from .numcore import reparam_sample
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
@@ -42,7 +43,7 @@ MEMORY_MULTIPLIERS = ("x1", "x16")
 
 @dataclass
 class RawPayload:
-    """An input sample stored as-is (the privacy-leaky baseline)."""
+    """An input sample shipped as-is (the privacy-leaky baseline)."""
 
     x: np.ndarray
 
@@ -65,12 +66,13 @@ class EmbeddingPayload:
 
 # Stats payloads reuse GaussianStats with (d,) vectors for mu and log sigma.
 
-_PAYLOAD_TYPE_FOR_KIND = {
-    "noise": EmbeddingPayload,
-    "naive": RawPayload,
-    "ebr": EmbeddingPayload,
-    "ver_stats": GaussianStats,
-    "ver_sampled": EmbeddingPayload,
+# strategy kind -> the payload columns its buffers hold
+_BUFFER_COLUMNS = {
+    "noise": ("z",),
+    "naive": ("z",),
+    "ebr": ("z",),
+    "ver_stats": ("mu", "log_sigma"),
+    "ver_sampled": ("z",),
 }
 
 
@@ -91,12 +93,10 @@ class RehearsalRecord:
 
 # payload type -> the buffer columns its fields become, and the snapshot tag
 _COLUMNS_FOR_PAYLOAD = {
-    RawPayload: ("x",),
     EmbeddingPayload: ("z",),
     GaussianStats: ("mu", "log_sigma"),
 }
 _PAYLOAD_FOR_TAG = {
-    storage.PAYLOAD_RAW: RawPayload,
     storage.PAYLOAD_EMBEDDING: EmbeddingPayload,
     storage.PAYLOAD_STATS: GaussianStats,
 }
@@ -119,21 +119,13 @@ class StrategyConfig:
             raise ContractViolation(f"memory multiplier must be one of {MEMORY_MULTIPLIERS}")
 
 
-def expected_payload_type(kind: str):
-    if kind not in STRATEGY_KINDS:
-        raise ContractViolation(f"unknown strategy kind {kind!r}")
-    return _PAYLOAD_TYPE_FOR_KIND.get(kind)
-
-
 def check_columns_match(kind: str, buffer: RehearsalBuffer) -> None:
-    expected = expected_payload_type(kind)
-    if expected is None:
-        raise ContractViolation("strategy 'none' admits no records")
-    want = _COLUMNS_FOR_PAYLOAD[expected]
+    want = _BUFFER_COLUMNS.get(kind)
+    if want is None:
+        raise ContractViolation(f"strategy {kind!r} admits no records")
     if tuple(buffer.columns) != want:
         raise ContractViolation(
-            f"strategy {kind!r} expects {expected.__name__} columns {want}, "
-            f"got {tuple(buffer.columns)}")
+            f"strategy {kind!r} expects buffer columns {want}, got {tuple(buffer.columns)}")
 
 
 def _no_ids() -> np.ndarray:
@@ -177,8 +169,12 @@ def _rows_from_records(records: list) -> RehearsalBuffer:
     if len(kinds) != 1:
         raise ContractViolation(
             f"records mix payload types {sorted(k.__name__ for k in kinds)}")
+    kind = kinds.pop()
+    if kind not in _COLUMNS_FOR_PAYLOAD:
+        raise ContractViolation(
+            f"a buffer holds no {kind.__name__} records; embed raw samples before admission")
     columns = {}
-    for name in _COLUMNS_FOR_PAYLOAD[kinds.pop()]:
+    for name in _COLUMNS_FOR_PAYLOAD[kind]:
         try:
             columns[name] = np.stack([getattr(r.payload, name) for r in records])
         except ValueError as exc:
@@ -294,23 +290,15 @@ def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> Re
     return buffer.take(rng.choice(n, batch_size, replace=replace))
 
 
-def materialize_batch(batch: RehearsalBuffer, kind: str, *,
-                      encoder: EncoderModel = None, encoder_params: ParamVector = None,
-                      rng: RngStream = None):
+def materialize_batch(batch: RehearsalBuffer, kind: str, *, rng: RngStream = None):
     """Turn a replayed batch into training pairs (Z, y): embeddings verbatim,
-    raw samples through the frozen encoder, stats by a fresh draw
-    z = mu + sigma * eps on every replay."""
+    stats by a fresh draw z = mu + sigma * eps on every replay."""
     if len(batch) == 0:
         raise ContractViolation("cannot materialize an empty batch")
     check_columns_match(kind, batch)
     columns = batch.columns
     if "z" in columns:
         return columns["z"], batch.labels
-    if "x" in columns:
-        if encoder is None or encoder_params is None:
-            raise ContractViolation("raw payloads need the frozen encoder to materialize")
-        z, _ = encode_for_eval(encoder, encoder_params, columns["x"])
-        return z, batch.labels
     if rng is None:
         raise ContractViolation("stats payloads need an rng to materialize")
     z, _ = reparam_sample(columns["mu"], columns["log_sigma"], rng)
@@ -412,6 +400,10 @@ def load_buffer(path) -> RehearsalBuffer:
             if frame is None:
                 raise ContractViolation("buffer snapshot truncated: missing records")
             tag, label, task_id, round_id, arrays = frame
+            if tag == storage.PAYLOAD_RAW:
+                raise ContractViolation(
+                    f"buffer snapshot {path} holds raw samples (payload tag {tag}); buffers "
+                    f"hold embeddings, naive uploads are embedded at admission")
             if tag not in _PAYLOAD_FOR_TAG:
                 raise ContractViolation(f"unknown payload tag {tag}")
             if first_tag is None:

@@ -25,7 +25,7 @@ from filver.config import (
 )
 from filver.errors import ConfigError
 from filver.models import GaussianStats
-from filver.rehearsal import EmbeddingPayload, RehearsalRecord
+from filver.rehearsal import EmbeddingPayload, RawPayload, RehearsalRecord
 
 # ---------------------------------------------------------------------------
 # parse_pairs and parse_config
@@ -361,6 +361,38 @@ def test_stop_after_round_below_one_is_refused(tmp_path, capsys, stop):
     assert f"--stop-after-round must be at least 1, got {stop}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "rounds.csv").exists()
     assert not (tmp_path / "out" / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("stop", ["2", "3"])
+def test_resume_refuses_a_stop_round_not_past_the_checkpoint(tmp_path, capsys, stop):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "3", "--quiet"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint"
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    saved = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    capsys.readouterr()
+    rc = cli.main(["run", str(cfg), "--resume", str(ckpt), "--stop-after-round", stop, "--quiet"])
+    assert rc == 3
+    assert f"stop_after_round {stop} is not past the checkpoint's round 3" in capsys.readouterr().err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == saved
+
+
+def test_resume_refuses_a_naive_checkpoint_of_raw_samples(tmp_path, capsys):
+    # naive buffers once held the raw samples themselves (payload tag 0);
+    # they now hold embeddings, so such a snapshot is refused before any round
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out", **{"strategy.kind": "naive"})
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint"
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    raw = [RehearsalRecord(RawPayload(np.full((4, 4), 0.5)), 1, 0, 0)]  # a 4x4 image
+    oracles.save_buffer(ckpt / "client_1.bin", oracles.RehearsalBuffer(None, 1.0, raw))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt / "client_1.bin") in err and "holds raw samples" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_resume_after_the_last_checkpoint_keeps_only_checkpointed_rows(baseline_run, tmp_path):

@@ -7,6 +7,7 @@ bit across every round.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +257,8 @@ def make_client(rng, n=20, capacity=64):
 
 
 def local_setup(kind, seed=5):
+    """A one-client set-up: its shard of task 0 embedded as the embed stage
+    does it, a classifier, and a stream."""
     from filver.rehearsal import StrategyConfig
 
     rng = RngStream(seed)
@@ -265,29 +268,31 @@ def local_setup(kind, seed=5):
     classifier = ClassifierModel(cls_spec, EMBED)
     cls_params = classifier.init_params(rng.child("cls"))
     client = make_client(rng.child("client"))
+    mu, log_sigma = encode_for_eval(encoder, enc_params, client.shards[0].images)
+    embedded = {"labels": client.shards[0].labels, "mu": mu, "log_sigma": log_sigma}
     strategy = StrategyConfig(kind=kind, rho=0.25)
-    return encoder, enc_params, classifier, cls_params, client, strategy, rng
+    return embedded, classifier, cls_params, client, strategy, rng
 
 
 def test_local_train_requires_active_enrollment():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("none")
+    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
     client.enrollment = scenarios.NOT_ENROLLED_YET
     with pytest.raises(ContractViolation):
-        local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+        local_train(client, cls_params, embedded, classifier, 0, 0,
                     tiny_fl(), strategy, rng.child("local"))
 
 
 def test_local_train_requires_data_for_task():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("none")
-    client.shards = {}
-    with pytest.raises(ContractViolation):
-        local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+    # the embed stage gives an empty shard no embedding
+    _, classifier, cls_params, client, strategy, rng = local_setup("none")
+    with pytest.raises(ContractViolation, match="client 0 has no data for task 0"):
+        local_train(client, cls_params, None, classifier, 0, 0,
                     tiny_fl(), strategy, rng.child("local"))
 
 
 def test_local_train_zero_iters_probes_without_stepping():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("none")
-    res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
+    res = local_train(client, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(local_iters=0), strategy, rng.child("local"))
     assert res.params is cls_params
     assert math.isfinite(res.mean_loss)
@@ -296,33 +301,62 @@ def test_local_train_zero_iters_probes_without_stepping():
 
 
 def test_local_train_steps_change_params_and_report_loss():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("none")
-    res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
+    res = local_train(client, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
     assert not np.array_equal(res.params.flat, cls_params.flat)
     assert math.isfinite(res.mean_loss)
 
 
-def test_local_train_uploads_rho_sample_and_self_admits():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("ebr")
-    res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 3,
+@pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
+def test_local_train_changes_no_buffer(kind):
+    embedded, classifier, cls_params, client, strategy, rng = local_setup(kind)
+    held = [RehearsalRecord(EmbeddingPayload(np.ones(EMBED)), 1, 0, 0)]
+    if kind == "ver_stats":
+        held = [RehearsalRecord(GaussianStats(np.ones(EMBED), np.zeros(EMBED)), 1, 0, 0)]
+    admit(client.buffer, held, RngStream(0))
+    before = {name: col.copy() for name, col in client.buffer.columns.items()}
+    res = local_train(client, cls_params, embedded, classifier, 0, 1,
                       tiny_fl(), strategy, rng.child("local"))
-    expected = math.ceil(0.25 * 20)
-    assert len(res.upload) == expected
-    assert len(client.buffer) == expected
-    for rec in res.upload:
-        assert isinstance(rec.payload, EmbeddingPayload)
-        assert rec.task_id == 0
-        assert rec.round_id == 3
-    # uploaded embeddings match the frozen encoder on the shard
-    det, _ = encode_for_eval(encoder, enc_params, client.shards[0].images)
-    for rec in res.upload:
-        assert any(np.allclose(rec.payload.z, row, rtol=1e-12, atol=0) for row in det)
+    assert len(res.upload) == math.ceil(0.25 * 20)
+    assert len(client.buffer) == 1
+    for name, col in client.buffer.columns.items():
+        assert np.array_equal(col, before[name])
+
+
+def test_local_train_uploads_rho_sample_and_self_admits(monkeypatch):
+    # local_train proposes the upload; run_round admits it to the client's
+    # own buffer (and to the server's)
+    uploads = {}
+    real_local_train = federation.local_train
+
+    def spy(client, *args):
+        res = real_local_train(client, *args)
+        uploads[client.client_id] = res.upload
+        return res
+
+    monkeypatch.setattr(federation, "local_train", spy)
+    _, state = tiny_run("ebr", seed=19, stop_after_round=1)
+    assert len(uploads) == 2
+    for cid, upload in uploads.items():
+        client = state.clients[cid]
+        shard = client.shards[0]
+        assert len(upload) == math.ceil(0.25 * len(shard))
+        for rec in upload:
+            assert isinstance(rec.payload, EmbeddingPayload)
+            assert (rec.task_id, rec.round_id) == (0, 0)
+        # the buffer holds exactly the upload, and the upload is rows of the
+        # frozen encoder's embedding of the shard
+        assert np.array_equal(client.buffer.columns["z"], np.stack([r.payload.z for r in upload]))
+        assert list(client.buffer.labels) == [r.label for r in upload]
+        det, _ = encode_for_eval(state.encoder, state.encoder_params, shard.images)
+        for rec in upload:
+            assert any(np.array_equal(rec.payload.z, row) for row in det)
 
 
 def test_local_train_ver_stats_uploads_stats_payloads():
-    encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("ver_stats")
-    res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+    embedded, classifier, cls_params, client, strategy, rng = local_setup("ver_stats")
+    res = local_train(client, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
     assert res.upload
     assert all(isinstance(rec.payload, GaussianStats) for rec in res.upload)
@@ -331,8 +365,8 @@ def test_local_train_ver_stats_uploads_stats_payloads():
 def test_local_train_is_deterministic_in_the_stream():
     results = []
     for _ in range(2):
-        encoder, enc_params, classifier, cls_params, client, strategy, rng = local_setup("ebr")
-        res = local_train(client, cls_params, encoder, enc_params, classifier, 0, 0,
+        embedded, classifier, cls_params, client, strategy, rng = local_setup("ebr")
+        res = local_train(client, cls_params, embedded, classifier, 0, 0,
                           tiny_fl(), strategy, rng.child("local"))
         results.append(res)
     assert np.array_equal(results[0].params.flat, results[1].params.flat)
@@ -362,15 +396,13 @@ def test_sst_zero_steps_and_empty_buffer_are_no_ops():
     _, cls_spec = tiny_specs("ebr")
     classifier = ClassifierModel(cls_spec, EMBED)
     params = classifier.init_params(rng.child("cls"))
-    encoder = EncoderModel(tiny_specs("ebr")[0])
-    enc_params = encoder.init_params(rng.child("enc"))
     buf = server_buffer_two_clusters(rng.child("buf"))
     out = server_side_training(params, buf, classifier, tiny_fl(s_max=0), "ebr",
-                               encoder, enc_params, rng.child("sst"))
+                               rng.child("sst"))
     assert out is params
     empty = RehearsalBuffer(capacity=None)
     out = server_side_training(params, empty, classifier, tiny_fl(s_max=5), "ebr",
-                               encoder, enc_params, rng.child("sst"))
+                               rng.child("sst"))
     assert out is params
 
 
@@ -379,15 +411,13 @@ def test_sst_fits_the_server_buffer():
     _, cls_spec = tiny_specs("ebr")
     classifier = ClassifierModel(cls_spec, EMBED)
     params = classifier.init_params(rng.child("cls"))
-    encoder = EncoderModel(tiny_specs("ebr")[0])
-    enc_params = encoder.init_params(rng.child("enc"))
     buf = server_buffer_two_clusters(rng.child("buf"))
     z = buf.columns["z"]
     y = buf.labels
     loss_before, _ = classifier_loss_and_grad(classifier, params, z, y)
     out = server_side_training(params, buf, classifier,
                                tiny_fl(s_max=60, eta_s=0.1, batch_size=16), "ebr",
-                               encoder, enc_params, rng.child("sst"))
+                               rng.child("sst"))
     loss_after, _ = classifier_loss_and_grad(classifier, out, z, y)
     assert loss_after < loss_before
     assert classifier_accuracy(classifier, out, z, y) >= 0.9
@@ -398,16 +428,11 @@ def test_sst_is_deterministic_per_stream():
     _, cls_spec = tiny_specs("ebr")
     classifier = ClassifierModel(cls_spec, EMBED)
     params = classifier.init_params(rng.child("cls"))
-    encoder = EncoderModel(tiny_specs("ebr")[0])
-    enc_params = encoder.init_params(rng.child("enc"))
     buf = server_buffer_two_clusters(rng.child("buf"))
     fl = tiny_fl(s_max=10)
-    a = server_side_training(params, buf, classifier, fl, "ebr", encoder, enc_params,
-                             RngStream(77))
-    b = server_side_training(params, buf, classifier, fl, "ebr", encoder, enc_params,
-                             RngStream(77))
-    c = server_side_training(params, buf, classifier, fl, "ebr", encoder, enc_params,
-                             RngStream(78))
+    a = server_side_training(params, buf, classifier, fl, "ebr", RngStream(77))
+    b = server_side_training(params, buf, classifier, fl, "ebr", RngStream(77))
+    c = server_side_training(params, buf, classifier, fl, "ebr", RngStream(78))
     assert np.array_equal(a.flat, b.flat)
     assert not np.array_equal(a.flat, c.flat)
 
@@ -494,10 +519,10 @@ def test_training_data_is_never_read_after_its_task_ends():
         pretrain_epochs=2, pretrain_lr=0.05, on_task_boundary=poison)
 
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
-    # raw shards and embedding caches are gone once their task is over
+    # raw shards and their embeddings are gone once their task is over
     for client in state.clients:
         assert client.shards == {}
-        assert client.fresh_cache == {}
+    assert state.shard_embeddings == {}
 
 
 def test_frozen_encoder_is_verified_every_round():
@@ -640,9 +665,85 @@ def test_ver_stats_ships_only_stats_payloads(monkeypatch):
 
 
 def test_naive_ships_raw_samples(monkeypatch):
-    server_types, _, _ = collect_admitted_payloads(monkeypatch, "naive")
-    assert server_types
-    assert set(server_types) == {RawPayload}
+    # what ships is LocalResult.upload: raw samples.  The buffers admit their
+    # embeddings.
+    shipped = []
+    real_local_train = federation.local_train
+
+    def spy(*args):
+        res = real_local_train(*args)
+        shipped.extend(type(rec.payload) for rec in res.upload)
+        return res
+
+    monkeypatch.setattr(federation, "local_train", spy)
+    server_types, client_types, state = collect_admitted_payloads(monkeypatch, "naive")
+    assert shipped
+    assert set(shipped) == {RawPayload}
+    assert set(server_types) == set(client_types) == {EmbeddingPayload}
+    assert list(state.server_buffer.columns) == ["z"]
+
+
+def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch):
+    from filver.rehearsal import StrategyConfig
+
+    # task 0 served by clients 0-2, task 1 by clients 1-3
+    schedule = scenarios.EnrollmentSchedule(np.array([[1, 2], [1, 1], [1, 1], [0, 1]],
+                                                     dtype=np.int8))
+    inside = []  # names of the traced calls currently running
+    calls = []   # for each encode_for_eval call, the traced calls it ran under
+    uploads = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    real_encode, real_local_train = models.encode_for_eval, federation.local_train
+
+    def encode(*args):
+        calls.append(tuple(inside))
+        return real_encode(*args)
+
+    def local_train(*args):
+        res = real_local_train(*args)
+        uploads.append(len(res.upload))
+        return res
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("filver")]:
+        if getattr(module, "encode_for_eval", None) is real_encode:
+            monkeypatch.setattr(module, "encode_for_eval", encode)
+    monkeypatch.setattr(federation, "local_train", local_train)
+    for name in ("materialize_batch", "server_side_training"):
+        monkeypatch.setattr(federation, name, traced(name, getattr(federation, name)))
+
+    tasks, fl = tiny_tasks(), tiny_fl()
+    enc_spec, cls_spec = tiny_specs("naive")
+    run_experiment(tasks, schedule, fl, StrategyConfig(kind="naive", rho=0.25), master_seed=23,
+                   encoder_spec=enc_spec, classifier_spec=cls_spec, pretrain_epochs=1,
+                   pretrain_lr=0.05)
+
+    active_shards = sum(len(schedule.active_clients(t)) for t in range(tasks.n_tasks))
+    naive_uploads = sum(1 for n in uploads if n)
+    assert naive_uploads == len(uploads) == fl.rounds_per_task * tasks.n_tasks * 2
+    assert len(calls) == tasks.n_tasks + active_shards + naive_uploads
+    assert not any(calls)  # none under materialize_batch or server_side_training
+
+
+def test_naive_resume_mid_task_matches_uninterrupted_run(tmp_path):
+    # the resumed run embeds the current task's shards again; its buffers
+    # come back from the checkpoint as embeddings
+    full, full_state = tiny_run("naive", seed=21)
+    ckpt = tmp_path / "ckpt"
+    part1, _ = tiny_run("naive", seed=21, checkpoint_dir=str(ckpt), stop_after_round=2)
+    part2, resumed_state = tiny_run("naive", seed=21, resume_from=str(ckpt))
+    assert report_tuples(part1 + part2) == report_tuples(full)
+    assert list(resumed_state.server_buffer.columns) == ["z"]
+    assert np.array_equal(resumed_state.server_buffer.columns["z"],
+                          full_state.server_buffer.columns["z"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ Each case runs criterion 9's tiny CLI config under one strategy and
 architecture and compares the sha256 of its rounds.csv with a value
 recorded before the refactor; the offline reference is compared through
 the repr of its accuracies.  The checkpoint cases compare the sha256 of
-model.bin and of every buffer snapshot, one strategy per payload type
-(stats, embedding, raw), so the FVMC and FVBF formats are pinned byte for
-byte too.  All cases together take about two seconds, so this is the quick
+model.bin and of every buffer snapshot under ver_stats (stats payloads),
+ver_sampled (sampled embeddings) and naive (raw uploads, buffered as their
+embeddings: buffers and snapshots hold no raw samples), so the FVMC and
+FVBF formats are pinned byte for byte too.  All cases together take about two seconds, so this is the quick
 check to run before the acceptance battery.
 
 OpenBLAS picks its GEMM kernel, and with it the float summation order, for
@@ -105,15 +106,15 @@ CHECKPOINT_SHA256 = {
     "naive": {
         "SkylakeX": {
             "model.bin": "3e27b96c5e7aed337af7ff7a8b8c88f05f4358c9d0eff80c64eebae7bb456783",
-            "server_buffer.bin": "a991ca306a66918b4a26f608d18c588a02ac672aa1963aad8d685d72d6f4a957",
-            "client_0.bin": "a511869c076a9491a127004721c3162f9fee304a072e7ad65cbbe6b1f1987228",
-            "client_1.bin": "601a296a102b6bfa0f5cbeedfb771699ddb8049df2d049cdae6f6ce62d1a0f84",
+            "server_buffer.bin": "c1335e30f4643f3cf4c7145195452e64e1030e530870fa6343121fd1d93d07d7",
+            "client_0.bin": "6c8970129b2ed46283cf24ced81cb18b37441a834be567ae05788391c32a3d13",
+            "client_1.bin": "d38300a6d98789c24881a5c5f7057fb09f9a7482ffc10ea979276764796132b3",
         },
         "Haswell": {
             "model.bin": "b87ef80c99112f1002e3b365f9e158b7d6488948acb4f09779eb22a937781c9b",
-            "server_buffer.bin": "a991ca306a66918b4a26f608d18c588a02ac672aa1963aad8d685d72d6f4a957",
-            "client_0.bin": "a511869c076a9491a127004721c3162f9fee304a072e7ad65cbbe6b1f1987228",
-            "client_1.bin": "601a296a102b6bfa0f5cbeedfb771699ddb8049df2d049cdae6f6ce62d1a0f84",
+            "server_buffer.bin": "31b7d4b55191b7d3e51fa363388dbfa53105138bd9ac77cc11e7757a8b683de6",
+            "client_0.bin": "91c5897e65f4fbef875e8f65fd93daaf7c80c0d4c382e54ed9fa10b7fa382200",
+            "client_1.bin": "16d2ea5e3f941d1c0a279ec21fdc83ea792c377c2ae1d6fa8fdfcf4db454181d",
         },
     },
 }

@@ -3,6 +3,7 @@ snapshots, and agreement with the list-of-records reference model."""
 
 import itertools
 import os
+import re
 import struct
 import tempfile
 
@@ -17,7 +18,7 @@ from filver import storage
 from filver.datasets import LabeledSet
 from filver.errors import ContractViolation
 from filver.federation import ClientState, _build_upload
-from filver.models import GaussianStats, encode_for_eval
+from filver.models import GaussianStats
 from filver.rehearsal import (
     EmbeddingPayload,
     RawPayload,
@@ -26,7 +27,6 @@ from filver.rehearsal import (
     StrategyConfig,
     admit,
     check_columns_match,
-    expected_payload_type,
     load_buffer,
     materialize_batch,
     memory_budget,
@@ -89,35 +89,48 @@ def test_strategy_config_rejects_bad_multiplier():
 
 
 def test_expected_payload_types_per_kind():
-    assert expected_payload_type("none") is None
-    assert expected_payload_type("noise") is EmbeddingPayload
-    assert expected_payload_type("naive") is RawPayload
-    assert expected_payload_type("ebr") is EmbeddingPayload
-    assert expected_payload_type("ver_stats") is GaussianStats
-    assert expected_payload_type("ver_sampled") is EmbeddingPayload
-    with pytest.raises(ContractViolation):
-        expected_payload_type("verbatim")
+    # what each strategy ships: raw samples only under naive, stats only
+    # under ver_stats, nothing under none
+    shard = LabeledSet(np.zeros((8, 6)), np.arange(8) % 2, 2)
+    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=None))
+    embedded = {"labels": shard.labels, "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
+    want = {"none": set(), "noise": {EmbeddingPayload}, "naive": {RawPayload},
+            "ebr": {EmbeddingPayload}, "ver_stats": {GaussianStats},
+            "ver_sampled": {EmbeddingPayload}}
+    for kind, types in want.items():
+        upload = _build_upload(client, embedded, 0, 0, StrategyConfig(kind=kind, rho=0.5),
+                               RngStream(1))
+        assert {type(rec.payload) for rec in upload} == types, kind
+    assert len(client.buffer) == 0
 
 
 def test_check_columns_match_enforces_payload_type():
     rng = RngStream(0)
     emb = buffer_of([embed_record(rng)])
-    raw = buffer_of([RehearsalRecord(RawPayload(rng.normal((6,))), 1, 0, 0)])
     stats = buffer_of([RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))), 1, 0, 0)])
     assert tuple(emb.columns) == ("z",)
-    assert tuple(raw.columns) == ("x",)
     assert tuple(stats.columns) == ("mu", "log_sigma")
     check_columns_match("ebr", emb)
-    check_columns_match("naive", raw)
+    check_columns_match("naive", emb)  # naive buffers hold the uploads' embeddings
     check_columns_match("ver_stats", stats)
     with pytest.raises(ContractViolation):
-        check_columns_match("naive", emb)
+        check_columns_match("naive", stats)
     with pytest.raises(ContractViolation):
         check_columns_match("ver_stats", emb)
     with pytest.raises(ContractViolation):
         check_columns_match("ver_sampled", stats)
     with pytest.raises(ContractViolation):
         check_columns_match("none", emb)
+    with pytest.raises(ContractViolation):
+        check_columns_match("verbatim", emb)
+
+
+def test_admit_refuses_raw_samples():
+    raws = [RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)]
+    buf = RehearsalBuffer(capacity=None)
+    with pytest.raises(ContractViolation, match="no RawPayload records"):
+        admit(buf, raws, RngStream(0))
+    assert len(buf) == 0 and buf.columns == {}
 
 
 def test_record_rejects_unknown_payload_object():
@@ -150,9 +163,10 @@ def first_frame_tag(tmp_path, buf) -> int:
 
 
 def test_payload_tags_are_distinct(tmp_path):
+    # the raw tag is never written any more, and a snapshot holding it is refused
     rng = RngStream(1)
     tags = {
-        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 0)])),
+        storage.PAYLOAD_RAW,
         first_frame_tag(tmp_path, buffer_of([RehearsalRecord(EmbeddingPayload(rng.normal((4,))), 0, 0, 0)])),
         first_frame_tag(tmp_path, buffer_of([RehearsalRecord(
             GaussianStats(rng.normal((4,)), rng.normal((4,))), 0, 0, 0)])),
@@ -185,12 +199,13 @@ def test_admit_rejects_a_second_payload_type():
 
 def upload_of(n, rho, rng):
     """The ebr upload drawn from an n-sample shard whose sample i embeds as
-    [i], and the buffer of the client that built (and self-admitted) it."""
+    [i], and the client buffer after run_round's self-admission of it."""
     shard = LabeledSet(np.zeros((n, 1)), np.arange(n) % 3, 3)
     client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=None))
-    cache = {"labels": shard.labels, "mu": np.arange(n, dtype=np.float64)[:, None],
-             "log_sigma": None}
-    upload = _build_upload(client, cache, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
+    embedded = {"labels": shard.labels, "mu": np.arange(n, dtype=np.float64)[:, None],
+                "log_sigma": None}
+    upload = _build_upload(client, embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
+    admit(client.buffer, upload, rng.child("self_admit"))
     return upload, client.buffer
 
 
@@ -367,23 +382,6 @@ def test_replay_eventually_touches_every_record():
 # ---------------------------------------------------------------------------
 
 
-def test_materialize_raw_reembeds_with_frozen_encoder(tiny_mlp_ebr):
-    rng = RngStream(21)
-    params = tiny_mlp_ebr.init_params(rng.child("init"))
-    x = rng.normal((6,))
-    batch = buffer_of([RehearsalRecord(RawPayload(x), 2, 0, 0)])
-    z, y = materialize_batch(batch, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
-    expected = encode_for_eval(tiny_mlp_ebr, params, x[None])[0]
-    assert np.array_equal(z, expected)
-    assert list(y) == [2]
-
-
-def test_materialize_raw_requires_encoder():
-    batch = buffer_of([RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)])
-    with pytest.raises(ContractViolation):
-        materialize_batch(batch, "naive")
-
-
 def test_materialize_embedding_returns_stored_vector():
     rng = RngStream(21)
     rec = embed_record(rng, label=1)
@@ -391,8 +389,9 @@ def test_materialize_embedding_returns_stored_vector():
     z, y = materialize_batch(batch, "ebr")
     assert np.array_equal(z, rec.payload.z[None])
     assert list(y) == [1]
-    z2, _ = materialize_batch(batch, "ver_sampled")
-    assert np.array_equal(z2, rec.payload.z[None])
+    for kind in ("ver_sampled", "naive", "noise"):
+        z2, _ = materialize_batch(batch, kind)
+        assert np.array_equal(z2, rec.payload.z[None])
 
 
 def test_materialize_stats_resamples_every_draw():
@@ -428,24 +427,18 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 3 * se)
 
 
-def test_materialize_batch_matches_singles_for_deterministic_kinds(tiny_mlp_ebr):
+def test_materialize_batch_matches_singles_for_deterministic_kinds():
     rng = RngStream(31)
-    params = tiny_mlp_ebr.init_params(rng.child("init"))
-    raws = buffer_of([RehearsalRecord(RawPayload(rng.child("x", i).normal((6,))), i, 0, 0)
-                      for i in range(5)])
-    Z, y = materialize_batch(raws, "naive", encoder=tiny_mlp_ebr, encoder_params=params)
-    assert y.dtype == np.int64
-    for i in range(5):
-        zi, yi = materialize_batch(raws.take([i]), "naive", encoder=tiny_mlp_ebr,
-                                   encoder_params=params)
-        # batched and single-row matmuls may round differently in the last bit
-        np.testing.assert_allclose(Z[i], zi[0], rtol=1e-12, atol=0)
-        assert y[i] == yi[0]
-
-    embs = embed_batch(rng.child("emb"), 5)
-    Z2, y2 = materialize_batch(buffer_of(embs), "ebr")
-    assert np.array_equal(Z2, np.stack([r.payload.z for r in embs]))
-    assert list(y2) == [r.label for r in embs]
+    embs = buffer_of(embed_batch(rng.child("emb"), 5))
+    for kind in ("ebr", "naive"):
+        Z, y = materialize_batch(embs, kind)
+        assert y.dtype == np.int64
+        for i in range(5):
+            zi, yi = materialize_batch(embs.take([i]), kind)
+            assert np.array_equal(Z[i], zi[0])
+            assert y[i] == yi[0]
+    assert np.array_equal(Z, embs.columns["z"])
+    assert np.array_equal(y, embs.labels)
 
 
 def test_materialize_batch_stats_is_deterministic_per_stream():
@@ -469,7 +462,10 @@ def test_materialize_batch_rejects_empty_and_mismatched():
         materialize_batch(RehearsalBuffer(), "ebr")
     rng = RngStream(31)
     with pytest.raises(ContractViolation):
-        materialize_batch(buffer_of(embed_batch(rng, 3)), "naive")
+        materialize_batch(buffer_of(embed_batch(rng, 3)), "ver_stats")
+    stats = buffer_of([stats_record(rng.child("s"), 0, 0, 0)])
+    with pytest.raises(ContractViolation):
+        materialize_batch(stats, "naive", rng=rng.child("eps"))
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +498,6 @@ def test_memory_budget_rejects_nonpositive_sizes():
 # ---------------------------------------------------------------------------
 
 
-def raw_record(rng, label, task_id, round_id):
-    return RehearsalRecord(RawPayload(rng.normal((2, 3))), label, task_id, round_id)
-
-
 def stats_record(rng, label, task_id, round_id):
     return RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))),
                            label, task_id, round_id)
@@ -515,7 +507,7 @@ def embedding_record(rng, label, task_id, round_id):
     return embed_record(rng, task_id, round_id, label)
 
 
-PAYLOAD_MAKERS = {"raw": raw_record, "embedding": embedding_record, "stats": stats_record}
+PAYLOAD_MAKERS = {"embedding": embedding_record, "stats": stats_record}
 
 
 def snapshot_records(kind, n, seed=41):
@@ -557,11 +549,23 @@ def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, cap
 
 def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
     rng = RngStream(41)
-    mixed = [raw_record(rng.child("a"), 0, 0, 1), embed_record(rng.child("b"), 1, 2, 1)]
+    mixed = [stats_record(rng.child("a"), 0, 0, 1), embed_record(rng.child("b"), 1, 2, 1)]
     path = tmp_path / "mixed.bin"
     oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, mixed))
-    with pytest.raises(ContractViolation, match=r"mixes payload tags 0 \(RawPayload\), "
-                                                r"1 \(EmbeddingPayload\)"):
+    with pytest.raises(ContractViolation, match=r"mixes payload tags 1 \(EmbeddingPayload\), "
+                                                r"2 \(GaussianStats\)"):
+        load_buffer(path)
+
+
+@pytest.mark.parametrize("first", ["raw", "embedding"])
+def test_buffer_snapshot_of_raw_samples_is_refused(tmp_path, first):
+    # a naive snapshot written before naive uploads were embedded at admission
+    rng = RngStream(41)
+    raw = RehearsalRecord(RawPayload(rng.normal((2, 3))), 0, 0, 1)
+    records = [raw, embed_record(rng)] if first == "raw" else [embed_record(rng), raw]
+    path = tmp_path / "naive.bin"
+    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, records))
+    with pytest.raises(ContractViolation, match=re.escape(f"buffer snapshot {path} holds raw samples")):
         load_buffer(path)
 
 
