@@ -12,7 +12,7 @@ from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec
 from .rehearsal import (RehearsalBuffer, RehearsalRecord, StrategyConfig, admit,
                         materialize_batch, memory_budget, replay_batch)
 from .rng import RngStream
-from .scenarios import EnrollmentSchedule, apply_schedule, make_schedule
+from .scenarios import EnrollmentSchedule, make_schedule
 
 __version__ = "0.1.0"
 
@@ -21,9 +21,8 @@ __all__ = [
     "EncoderModel", "EncoderSpec", "EnrollmentSchedule", "ExperimentConfig",
     "FLConfig", "IdxFormatError", "LabeledSet", "RehearsalBuffer",
     "RehearsalRecord", "RngStream", "RoundReport", "StrategyConfig", "Task",
-    "TaskSequence", "admit", "apply_schedule", "build_permuted_tasks",
-    "build_split_tasks", "fedavg_aggregate", "load_idx", "make_schedule",
-    "make_synthetic_blobs", "materialize_batch", "memory_budget", "parse_config",
-    "partition_clients", "preset_config", "replay_batch", "run_experiment",
-    "run_offline",
+    "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks",
+    "fedavg_aggregate", "load_idx", "make_schedule", "make_synthetic_blobs",
+    "materialize_batch", "memory_budget", "parse_config", "partition_clients",
+    "preset_config", "replay_batch", "run_experiment", "run_offline",
 ]

@@ -135,7 +135,9 @@ class ExperimentConfig:
     def master_seed(self) -> int:
         return self.values["seed"]
 
-    def resolve_path(self, path: str) -> str:
+    @staticmethod
+    def resolve_path(path: str) -> str:
+        """A relative dataset path joined to $FILVER_DATA_ROOT, when set."""
         if os.path.isabs(path):
             return path
         root = os.environ.get(DATA_ROOT_ENV, "")
@@ -151,9 +153,16 @@ class ExperimentConfig:
                                         drng.child("blobs"), image_shape=(size, size))
             base_val = None
         else:
-            base = load_idx(self.resolve_path(v["dataset.images"]),
-                            self.resolve_path(v["dataset.labels"]),
+            labels_path = self.resolve_path(v["dataset.labels"])
+            base = load_idx(self.resolve_path(v["dataset.images"]), labels_path,
                             transpose=v["dataset.transpose"])
+            if v["protocol.kind"] == "split":
+                needed = v["protocol.tasks"] * v["protocol.classes_per_task"]
+                if base.class_count < needed:
+                    raise ConfigError(labels_path, [
+                        f"protocol.tasks x protocol.classes_per_task: the split protocol needs "
+                        f"{v['protocol.tasks']} x {v['protocol.classes_per_task']} = {needed} "
+                        f"classes, labels file {labels_path} has {base.class_count}"])
             base_val = None
             if v["dataset.val_images"]:
                 base_val = load_idx(self.resolve_path(v["dataset.val_images"]),
@@ -201,11 +210,9 @@ def _validate_cross_fields(values: dict, problems: list) -> None:
                 problems.append(f"{key}: required when dataset.kind = idx")
         if bool(v["dataset.val_images"]) != bool(v["dataset.val_labels"]):
             problems.append("dataset.val_images and dataset.val_labels must be given together")
-        root = os.environ.get(DATA_ROOT_ENV, "")
         for key in ("dataset.images", "dataset.labels", "dataset.val_images", "dataset.val_labels"):
-            path = v[key]
-            if path:
-                full = path if os.path.isabs(path) else (os.path.join(root, path) if root else path)
+            if v[key]:
+                full = ExperimentConfig.resolve_path(v[key])
                 if not os.path.exists(full):
                     problems.append(f"{key}: no such file: {full}")
     if v["protocol.kind"] == "split":

@@ -9,6 +9,13 @@ purpose and round coordinates from one master stream, so results do not
 depend on the order in which clients train, and a run resumed from any
 checkpoint repeats the uninterrupted run bit-exactly.
 
+Each fact has one holder.  The client partition holds every shard; the embed
+stage (`ExperimentState.shard_embeddings`) holds the current task's, with
+their embeddings, and drops them at the task boundary; the enrollment
+schedule alone says which clients are active; a client carries nothing
+across rounds but its rehearsal buffer (`ExperimentState.client_buffers`,
+indexed by client id).
+
 Stream keying contract (master = RngStream(master_seed)):
   partition            master.child("partition")
   schedule             master.child("schedule")
@@ -35,8 +42,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import models, scenarios, storage
-from .datasets import TaskSequence, partition_clients
+from . import models, storage
+from .datasets import ClientPartition, TaskSequence, partition_clients
 from .errors import ContractViolation
 from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, GaussianStats
 from .numcore import ParamVector, reparam_sample, sgd_step
@@ -44,7 +51,7 @@ from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, Rehearsal
                         StrategyConfig, admit, load_buffer, materialize_batch, memory_budget,
                         replay_batch, save_buffer)
 from .rng import RngStream
-from .scenarios import EnrollmentSchedule, apply_schedule, make_schedule
+from .scenarios import EnrollmentSchedule, make_schedule
 
 CHECKPOINT_META = "meta.json"
 
@@ -71,14 +78,6 @@ class FLConfig:
             raise ContractViolation("batch_size must be >= 1")
         if self.eta <= 0 or self.eta_s <= 0:
             raise ContractViolation("learning rates must be positive")
-
-
-@dataclass
-class ClientState:
-    client_id: int
-    shards: dict
-    buffer: RehearsalBuffer
-    enrollment: int = scenarios.NOT_ENROLLED_YET
 
 
 @dataclass
@@ -143,15 +142,14 @@ def _fresh_batch(embedded: dict, strategy_kind: str, k: int, idx_rng: RngStream,
     return z, y
 
 
-def _build_upload(client: ClientState, embedded: dict, task_id: int, global_round: int,
+def _build_upload(embedded: dict, task_id: int, global_round: int,
                   strategy: StrategyConfig, rng: RngStream) -> list:
     """rho-sample this round's shard into rehearsal records, payload type
     fixed by the strategy.  This is the one rho-sample: admit keeps every
     record it is offered, up to eviction."""
     if strategy.kind == "none":
         return []
-    shard = client.shards[task_id]
-    n = len(shard)
+    n = len(embedded["labels"])
     n_up = math.ceil(strategy.rho * n)
     if n_up == 0:
         return []
@@ -162,7 +160,7 @@ def _build_upload(client: ClientState, embedded: dict, task_id: int, global_roun
     mu, log_sigma = embedded["mu"], embedded["log_sigma"]
     # RawPayload and EmbeddingPayload copy their array; GaussianStats does not
     if strategy.kind == "naive":
-        payloads = [RawPayload(shard.images[j]) for j in idx]
+        payloads = [RawPayload(embedded["images"][j]) for j in idx]
     elif strategy.kind in ("ebr", "noise"):
         payloads = [EmbeddingPayload(mu[j]) for j in idx]
     elif log_sigma is None:
@@ -176,27 +174,23 @@ def _build_upload(client: ClientState, embedded: dict, task_id: int, global_roun
             for p, y in zip(payloads, embedded["labels"][idx])]
 
 
-def local_train(client: ClientState, global_params: ParamVector, embedded: dict,
+def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: dict,
                 classifier: ClassifierModel, task_id: int, global_round: int, fl: FLConfig,
                 strategy: StrategyConfig, rng: RngStream) -> LocalResult:
-    """E SGD steps on batches mixing the client's embedded shard (None if
-    empty) with replay from its own buffer (half and half once the buffer
-    is nonempty), then the upload; run_round admits it."""
-    if client.enrollment != scenarios.ACTIVE:
-        raise ContractViolation(f"client {client.client_id} is not active for task {task_id}")
-    if embedded is None:
-        raise ContractViolation(f"client {client.client_id} has no data for task {task_id}")
+    """E SGD steps on batches mixing the client's embedded shard with replay
+    from its own buffer (half and half once the buffer is nonempty), then
+    the upload; run_round admits it."""
     n = len(embedded["labels"])
 
     params = global_params
     losses = []
     for i in range(fl.local_iters):
-        use_replay = strategy.kind != "none" and len(client.buffer) > 0
+        use_replay = strategy.kind != "none" and len(buffer) > 0
         k_fresh = fl.batch_size // 2 if use_replay else fl.batch_size
         k_fresh = max(1, k_fresh)
         z, y = _fresh_batch(embedded, strategy.kind, k_fresh, rng.child("fresh", i), rng.child("eps", i))
         if use_replay:
-            batch = replay_batch(client.buffer, fl.batch_size - k_fresh, rng.child("replay", i))
+            batch = replay_batch(buffer, fl.batch_size - k_fresh, rng.child("replay", i))
             if len(batch):
                 z_r, y_r = materialize_batch(batch, strategy.kind, rng=rng.child("replay_eps", i))
                 z = np.concatenate([z, z_r])
@@ -211,7 +205,7 @@ def local_train(client: ClientState, global_params: ParamVector, embedded: dict,
         loss, _ = models.classifier_loss_and_grad(classifier, params, z, y)
         losses = [loss]
 
-    upload = _build_upload(client, embedded, task_id, global_round, strategy, rng)
+    upload = _build_upload(embedded, task_id, global_round, strategy, rng)
     return LocalResult(params, upload, n, float(np.mean(losses)))
 
 
@@ -244,30 +238,31 @@ class ExperimentState:
     encoder_checksum: str
     classifier: ClassifierModel
     classifier_params: ParamVector
-    clients: list
+    client_buffers: list  # RehearsalBuffer by client id
     server_buffer: RehearsalBuffer
     schedule: EnrollmentSchedule
-    tasks: TaskSequence
-    eval_cache: dict
+    eval_cache: list  # (validation embeddings, labels) in task order
     identity: dict  # _run_identity, written to meta.json
     global_round: int = 0
     shard_embeddings: dict = field(default_factory=dict)  # this task's, by client id
 
     def evaluate(self) -> tuple:
-        return tuple(
-            models.classifier_accuracy(self.classifier, self.classifier_params, z, y)
-            for z, y in (self.eval_cache[t] for t in range(self.tasks.n_tasks)))
+        return tuple(models.classifier_accuracy(self.classifier, self.classifier_params, z, y)
+                     for z, y in self.eval_cache)
 
 
-def _embed_shards(state: ExperimentState, task_id: int) -> dict:
+def _embed_shards(state: ExperimentState, partition: ClientPartition, task_id: int) -> dict:
     """The embed stage: each nonempty shard of a client active in `task_id`,
-    embedded once, by client id ("log_sigma" is None unless a vee encoder)."""
+    embedded once, by client id.  An entry also refers to the shard's rows
+    ("images", not a copy), which naive uploads ship; "log_sigma" is None
+    unless a vee encoder."""
     embedded = {}
-    for c in apply_schedule(state.clients, state.schedule, task_id):
-        shard = c.shards[task_id]
+    for cid in state.schedule.active_clients(task_id):
+        shard = partition.shard(cid, task_id)
         if len(shard):
             mu, log_sigma = models.encode_for_eval(state.encoder, state.encoder_params, shard.images)
-            embedded[c.client_id] = {"labels": np.asarray(shard.labels), "mu": mu, "log_sigma": log_sigma}
+            embedded[cid] = {"images": shard.images, "labels": np.asarray(shard.labels),
+                             "mu": mu, "log_sigma": log_sigma}
     return embedded
 
 
@@ -284,37 +279,31 @@ def _embed_upload(state: ExperimentState, upload: list) -> list:
 
 def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> RoundReport:
     fl = state.fl
-    for c in state.clients:
-        c.enrollment = state.schedule.state(c.client_id, task_id)
-    active = sorted(apply_schedule(state.clients, state.schedule, task_id),
-                    key=lambda c: c.client_id)
+    active = state.schedule.active_clients(task_id)  # ascending, never empty
     g = state.global_round
-
-    if not active:
-        report = RoundReport(g, task_id, state.evaluate(), float("nan"), (),
-                             len(state.server_buffer),
-                             sum(len(c.buffer) for c in state.clients))
-        state.global_round += 1
-        return report
 
     m = min(fl.clients_per_round, len(active))
     pick = state.master.child("client_sample", task_id, round_in_task).choice(
         len(active), m, replace=False)
-    chosen = sorted((active[i] for i in pick), key=lambda c: c.client_id)
+    chosen = sorted(active[i] for i in pick)
+    for cid in chosen:
+        if cid not in state.shard_embeddings:  # the embed stage skips an empty shard
+            raise ContractViolation(f"client {cid} has no data for task {task_id}")
 
-    streams = [state.master.child("local", c.client_id, task_id, round_in_task) for c in chosen]
-    results = [local_train(c, state.classifier_params, state.shard_embeddings.get(c.client_id),
-                           state.classifier, task_id, g, fl, state.strategy, rng)
-               for c, rng in zip(chosen, streams)]
+    streams = [state.master.child("local", cid, task_id, round_in_task) for cid in chosen]
+    results = [local_train(state.client_buffers[cid], state.classifier_params,
+                           state.shard_embeddings[cid], state.classifier, task_id, g, fl,
+                           state.strategy, rng)
+               for cid, rng in zip(chosen, streams)]
 
     # each upload joins its client's own buffer and the server's, in
     # client-id order for schedule independence
-    for client, rng, res in zip(chosen, streams, results):
+    for cid, rng, res in zip(chosen, streams, results):
         records = _embed_upload(state, res.upload)
         if records:
-            admit(client.buffer, records, rng.child("self_admit"))
+            admit(state.client_buffers[cid], records, rng.child("self_admit"))
             admit(state.server_buffer, records,
-                  state.master.child("server_admit", task_id, round_in_task, client.client_id))
+                  state.master.child("server_admit", task_id, round_in_task, cid))
 
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
     state.classifier_params = server_side_training(
@@ -326,9 +315,8 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
 
     report = RoundReport(g, task_id, state.evaluate(),
                          float(np.mean([r.mean_loss for r in results])),
-                         tuple(c.client_id for c in chosen),
-                         len(state.server_buffer),
-                         sum(len(c.buffer) for c in state.clients))
+                         tuple(chosen), len(state.server_buffer),
+                         sum(len(b) for b in state.client_buffers))
     state.global_round += 1
     return report
 
@@ -369,13 +357,13 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                    pretrain_lr: float = 0.01, on_task_boundary=None, on_round=None,
                    checkpoint_dir=None, checkpoint_every: int = 0,
                    resume_from=None, stop_after_round: int = None):
-    """Full task stream: pretrain, then per task embed its shards and run
-    rounds_per_task rounds.
+    """Full task stream: pretrain on the task-0 shards, then per task embed
+    its shards and run rounds_per_task rounds.
 
-    Raw training shards of a finished task, and their embeddings, are dropped
-    at its boundary; only rehearsal buffers carry information forward.
-    Returns (reports, state); a resumed run returns reports for the
-    remaining rounds only.
+    The rounds read a task's rows only through the embed stage's entries,
+    which are dropped at its boundary; only rehearsal buffers carry
+    information forward.  Returns (reports, state); a resumed run returns
+    reports for the remaining rounds only.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ContractViolation(f"stop_after_round must be at least 1, got {stop_after_round}")
@@ -403,11 +391,6 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     client_cap = _buffer_capacity(strategy, per_client, n_tasks, raw_bytes, encoder_spec.embed_dim)
     server_cap = _buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, encoder_spec.embed_dim)
 
-    clients = [ClientState(cid, {t: partition.shard(cid, t) for t in range(n_tasks)},
-                           RehearsalBuffer(capacity=client_cap))
-               for cid in range(fl.n_clients)]
-    server_buffer = RehearsalBuffer(capacity=server_cap)
-
     identity = _run_identity(master_seed, fl, strategy, schedule, encoder_spec, classifier_spec,
                              beta, pretrain_epochs, pretrain_lr)
     start_round = 0
@@ -424,12 +407,12 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 f"round {start_round}")
         encoder_params, classifier_params, server_buffer, client_buffers = \
             _load_checkpoint(resume_from, encoder_spec, fl.n_clients)
-        for c, buffer in zip(clients, client_buffers):
-            c.buffer = buffer
     else:
-        first_active = schedule.active_clients(0)
-        images = np.concatenate([clients[c].shards[0].images for c in first_active])
-        labels = np.concatenate([clients[c].shards[0].labels for c in first_active])
+        client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
+        server_buffer = RehearsalBuffer(capacity=server_cap)
+        first_shards = [partition.shard(c, 0) for c in schedule.active_clients(0)]
+        images = np.concatenate([s.images for s in first_shards])
+        labels = np.concatenate([s.labels for s in first_shards])
         encoder_params = models.pretrain_encoder(
             images, labels, tasks.class_count, encoder, pretrain_epochs, pretrain_lr,
             master.child("pretrain"), batch_size=fl.batch_size, beta=beta)
@@ -440,22 +423,15 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         encoder=encoder, encoder_params=encoder_params,
         encoder_checksum=encoder_params.checksum(),
         classifier=classifier, classifier_params=classifier_params,
-        clients=clients, server_buffer=server_buffer, schedule=schedule,
-        tasks=tasks, eval_cache={}, global_round=start_round, identity=identity)
+        client_buffers=client_buffers, server_buffer=server_buffer, schedule=schedule,
+        eval_cache=[(models.encode_for_eval(encoder, encoder_params, task.val.images)[0],
+                     np.asarray(task.val.labels)) for task in tasks.tasks],
+        global_round=start_round, identity=identity)
 
-    for t in range(n_tasks):
-        z, _ = models.encode_for_eval(encoder, encoder_params, tasks.tasks[t].val.images)
-        state.eval_cache[t] = (z, np.asarray(tasks.tasks[t].val.labels))
-
-    # a resumed run must not see raw data of tasks already finished
     first_task = start_round // fl.rounds_per_task
-    for t in range(first_task):
-        for c in clients:
-            c.shards.pop(t, None)
-
     reports = []
     for task_id in range(first_task, n_tasks):
-        state.shard_embeddings = _embed_shards(state, task_id)
+        state.shard_embeddings = _embed_shards(state, partition, task_id)
         r0 = start_round - task_id * fl.rounds_per_task if task_id == first_task else 0
         for r in range(max(0, r0), fl.rounds_per_task):
             report = run_round(state, task_id, r)
@@ -469,8 +445,6 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 if checkpoint_dir is not None:
                     save_checkpoint(checkpoint_dir, state)
                 return reports, state
-        for c in clients:
-            c.shards.pop(task_id, None)
         state.shard_embeddings = {}
         if on_task_boundary is not None:
             on_task_boundary(task_id)
@@ -501,8 +475,8 @@ def save_checkpoint(directory, state: ExperimentState) -> None:
                                   state.encoder.spec.kind, state.encoder.spec.embed_dim,
                                   state.classifier.spec.classes)
     save_buffer(os.path.join(directory, "server_buffer.bin"), state.server_buffer)
-    for c in state.clients:
-        save_buffer(os.path.join(directory, f"client_{c.client_id}.bin"), c.buffer)
+    for cid, buffer in enumerate(state.client_buffers):
+        save_buffer(os.path.join(directory, f"client_{cid}.bin"), buffer)
     meta = {"format": storage.FORMAT_VERSION, "global_round": state.global_round,
             **state.identity}
     with open(os.path.join(directory, CHECKPOINT_META), "w") as f:

@@ -49,9 +49,6 @@ class EnrollmentSchedule:
     def n_tasks(self) -> int:
         return self.grid.shape[1]
 
-    def state(self, client_id: int, task_id: int) -> int:
-        return int(self.grid[client_id, task_id])
-
     def active_clients(self, task_id: int) -> list:
         return [int(c) for c in np.flatnonzero(self.grid[:, task_id] == ACTIVE)]
 
@@ -147,20 +144,3 @@ def make_schedule(kind: str, n_clients: int, n_tasks: int, rng: RngStream) -> En
         grid[c, t] = ACTIVE
         grid[c, t + 1:] = NO_LONGER_ACTIVE
     return EnrollmentSchedule(grid)
-
-
-def apply_schedule(clients: list, schedule: EnrollmentSchedule, task_id: int) -> list:
-    """Filter `clients` down to those active for `task_id`.
-
-    Items may be raw ids or objects carrying a client_id attribute.  Clients
-    in other states contribute nothing new this task, though records they
-    uploaded earlier remain wherever they were stored.
-    """
-    if not (0 <= task_id < schedule.n_tasks):
-        raise ContractViolation(f"task {task_id} outside schedule with {schedule.n_tasks} tasks")
-    out = []
-    for item in clients:
-        cid = getattr(item, "client_id", item)
-        if schedule.state(int(cid), task_id) == ACTIVE:
-            out.append(item)
-    return out

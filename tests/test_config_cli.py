@@ -13,6 +13,7 @@ import pytest
 
 import filver.cli as cli
 import oracles
+from filver import models
 from filver.config import (
     DATA_ROOT_ENV,
     KEY_TABLE,
@@ -611,6 +612,26 @@ def test_run_missing_idx_file_is_a_config_error(tmp_path, monkeypatch, capsys):
            "dataset.labels": "nope-labels.idx"})
     assert cli.main(["run", str(cfg), "--quiet"]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_an_idx_dataset_with_too_few_classes_for_the_split_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    # the labels file holds 4 classes; 2 tasks x 9 classes need 18.  Refused
+    # once the files load, before pretraining, like the synthetic shortfall
+    img_name, lab_name = write_idx_pair(tmp_path)
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    pretrained = []
+    monkeypatch.setattr(models, "pretrain_encoder", lambda *a, **k: pretrained.append(a))
+    cfg = write_tiny_cfg(
+        tmp_path / "exp.cfg", tmp_path / "out",
+        **{"dataset.kind": "idx", "dataset.images": img_name, "dataset.labels": lab_name,
+           "protocol.classes_per_task": "9"})
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "protocol.tasks" in err and "protocol.classes_per_task" in err
+    assert str(tmp_path / lab_name) in err
+    assert "needs 2 x 9 = 18 classes" in err and "has 4" in err
+    assert pretrained == []
 
 
 # ---------------------------------------------------------------------------

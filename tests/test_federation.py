@@ -19,7 +19,6 @@ from filver import models, scenarios
 from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs, partition_clients
 from filver.errors import ContractViolation
 from filver.federation import (
-    ClientState,
     FLConfig,
     _buffer_capacity,
     default_encoder_spec,
@@ -247,18 +246,15 @@ def test_vanilla_run_matches_mirror_oracle():
 # ---------------------------------------------------------------------------
 
 
-def make_client(rng, n=20, capacity=64):
+def make_shard(rng, n=20):
     images = rng.child("x").normal((n, D_IN)) * 0.1 + 0.5
     labels = np.asarray(rng.child("y").integers(0, N_CLASSES_PER_TASK, (n,)), dtype=np.int64)
-    shard = LabeledSet(np.clip(images, 0, 1), labels, N_CLASSES_PER_TASK)
-    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=capacity),
-                         enrollment=scenarios.ACTIVE)
-    return client
+    return LabeledSet(np.clip(images, 0, 1), labels, N_CLASSES_PER_TASK)
 
 
 def local_setup(kind, seed=5):
     """A one-client set-up: its shard of task 0 embedded as the embed stage
-    does it, a classifier, and a stream."""
+    does it, a classifier, its rehearsal buffer and a stream."""
     from filver.rehearsal import StrategyConfig
 
     rng = RngStream(seed)
@@ -267,32 +263,39 @@ def local_setup(kind, seed=5):
     enc_params = encoder.init_params(rng.child("enc"))
     classifier = ClassifierModel(cls_spec, EMBED)
     cls_params = classifier.init_params(rng.child("cls"))
-    client = make_client(rng.child("client"))
-    mu, log_sigma = encode_for_eval(encoder, enc_params, client.shards[0].images)
-    embedded = {"labels": client.shards[0].labels, "mu": mu, "log_sigma": log_sigma}
+    shard = make_shard(rng.child("client"))
+    mu, log_sigma = encode_for_eval(encoder, enc_params, shard.images)
+    embedded = {"images": shard.images, "labels": shard.labels, "mu": mu, "log_sigma": log_sigma}
     strategy = StrategyConfig(kind=kind, rho=0.25)
-    return embedded, classifier, cls_params, client, strategy, rng
+    return embedded, classifier, cls_params, RehearsalBuffer(capacity=64), strategy, rng
 
 
-def test_local_train_requires_active_enrollment():
-    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
-    client.enrollment = scenarios.NOT_ENROLLED_YET
-    with pytest.raises(ContractViolation):
-        local_train(client, cls_params, embedded, classifier, 0, 0,
-                    tiny_fl(), strategy, rng.child("local"))
+def test_local_train_requires_data_for_task(monkeypatch):
+    # 40 clients share a task's 36 training samples, so some get an empty
+    # shard, which the embed stage does not embed; run_round refuses such a
+    # client once chosen, before any chosen client trains
+    from filver.rehearsal import StrategyConfig
 
+    trained = []
+    real_local_train = federation.local_train
 
-def test_local_train_requires_data_for_task():
-    # the embed stage gives an empty shard no embedding
-    _, classifier, cls_params, client, strategy, rng = local_setup("none")
-    with pytest.raises(ContractViolation, match="client 0 has no data for task 0"):
-        local_train(client, cls_params, None, classifier, 0, 0,
-                    tiny_fl(), strategy, rng.child("local"))
+    def spy(*args):
+        trained.append(args)
+        return real_local_train(*args)
+
+    monkeypatch.setattr(federation, "local_train", spy)
+    tasks, fl = tiny_tasks(), tiny_fl(n_clients=40, clients_per_round=40)
+    enc_spec, cls_spec = tiny_specs("none")
+    with pytest.raises(ContractViolation, match=r"client \d+ has no data for task 0"):
+        run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="none"), master_seed=7,
+                       encoder_spec=enc_spec, classifier_spec=cls_spec, pretrain_epochs=1,
+                       pretrain_lr=0.05)
+    assert trained == []
 
 
 def test_local_train_zero_iters_probes_without_stepping():
-    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
-    res = local_train(client, cls_params, embedded, classifier, 0, 0,
+    embedded, classifier, cls_params, buffer, strategy, rng = local_setup("none")
+    res = local_train(buffer, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(local_iters=0), strategy, rng.child("local"))
     assert res.params is cls_params
     assert math.isfinite(res.mean_loss)
@@ -301,8 +304,8 @@ def test_local_train_zero_iters_probes_without_stepping():
 
 
 def test_local_train_steps_change_params_and_report_loss():
-    embedded, classifier, cls_params, client, strategy, rng = local_setup("none")
-    res = local_train(client, cls_params, embedded, classifier, 0, 0,
+    embedded, classifier, cls_params, buffer, strategy, rng = local_setup("none")
+    res = local_train(buffer, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
     assert not np.array_equal(res.params.flat, cls_params.flat)
     assert math.isfinite(res.mean_loss)
@@ -310,53 +313,53 @@ def test_local_train_steps_change_params_and_report_loss():
 
 @pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
 def test_local_train_changes_no_buffer(kind):
-    embedded, classifier, cls_params, client, strategy, rng = local_setup(kind)
+    embedded, classifier, cls_params, buffer, strategy, rng = local_setup(kind)
     held = [RehearsalRecord(EmbeddingPayload(np.ones(EMBED)), 1, 0, 0)]
     if kind == "ver_stats":
         held = [RehearsalRecord(GaussianStats(np.ones(EMBED), np.zeros(EMBED)), 1, 0, 0)]
-    admit(client.buffer, held, RngStream(0))
-    before = {name: col.copy() for name, col in client.buffer.columns.items()}
-    res = local_train(client, cls_params, embedded, classifier, 0, 1,
+    admit(buffer, held, RngStream(0))
+    before = {name: col.copy() for name, col in buffer.columns.items()}
+    res = local_train(buffer, cls_params, embedded, classifier, 0, 1,
                       tiny_fl(), strategy, rng.child("local"))
     assert len(res.upload) == math.ceil(0.25 * 20)
-    assert len(client.buffer) == 1
-    for name, col in client.buffer.columns.items():
+    assert len(buffer) == 1
+    for name, col in buffer.columns.items():
         assert np.array_equal(col, before[name])
 
 
 def test_local_train_uploads_rho_sample_and_self_admits(monkeypatch):
     # local_train proposes the upload; run_round admits it to the client's
     # own buffer (and to the server's)
-    uploads = {}
+    uploads = {}  # id of the client's buffer -> (upload, embedded shard)
     real_local_train = federation.local_train
 
-    def spy(client, *args):
-        res = real_local_train(client, *args)
-        uploads[client.client_id] = res.upload
+    def spy(buffer, params, embedded, *args):
+        res = real_local_train(buffer, params, embedded, *args)
+        uploads[id(buffer)] = (res.upload, embedded)
         return res
 
     monkeypatch.setattr(federation, "local_train", spy)
     _, state = tiny_run("ebr", seed=19, stop_after_round=1)
-    assert len(uploads) == 2
-    for cid, upload in uploads.items():
-        client = state.clients[cid]
-        shard = client.shards[0]
-        assert len(upload) == math.ceil(0.25 * len(shard))
+    trained = [b for b in state.client_buffers if id(b) in uploads]
+    assert len(uploads) == len(trained) == 2
+    for buffer in trained:
+        upload, embedded = uploads[id(buffer)]
+        assert len(upload) == math.ceil(0.25 * len(embedded["labels"]))
         for rec in upload:
             assert isinstance(rec.payload, EmbeddingPayload)
             assert (rec.task_id, rec.round_id) == (0, 0)
         # the buffer holds exactly the upload, and the upload is rows of the
         # frozen encoder's embedding of the shard
-        assert np.array_equal(client.buffer.columns["z"], np.stack([r.payload.z for r in upload]))
-        assert list(client.buffer.labels) == [r.label for r in upload]
-        det, _ = encode_for_eval(state.encoder, state.encoder_params, shard.images)
+        assert np.array_equal(buffer.columns["z"], np.stack([r.payload.z for r in upload]))
+        assert list(buffer.labels) == [r.label for r in upload]
+        det, _ = encode_for_eval(state.encoder, state.encoder_params, embedded["images"])
         for rec in upload:
             assert any(np.array_equal(rec.payload.z, row) for row in det)
 
 
 def test_local_train_ver_stats_uploads_stats_payloads():
-    embedded, classifier, cls_params, client, strategy, rng = local_setup("ver_stats")
-    res = local_train(client, cls_params, embedded, classifier, 0, 0,
+    embedded, classifier, cls_params, buffer, strategy, rng = local_setup("ver_stats")
+    res = local_train(buffer, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
     assert res.upload
     assert all(isinstance(rec.payload, GaussianStats) for rec in res.upload)
@@ -365,8 +368,8 @@ def test_local_train_ver_stats_uploads_stats_payloads():
 def test_local_train_is_deterministic_in_the_stream():
     results = []
     for _ in range(2):
-        embedded, classifier, cls_params, client, strategy, rng = local_setup("ebr")
-        res = local_train(client, cls_params, embedded, classifier, 0, 0,
+        embedded, classifier, cls_params, buffer, strategy, rng = local_setup("ebr")
+        res = local_train(buffer, cls_params, embedded, classifier, 0, 0,
                           tiny_fl(), strategy, rng.child("local"))
         results.append(res)
     assert np.array_equal(results[0].params.flat, results[1].params.flat)
@@ -502,26 +505,29 @@ def test_run_is_deterministic_per_seed():
     assert report_tuples(reports1) != report_tuples(reports3)
 
 
-def test_training_data_is_never_read_after_its_task_ends():
+def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
     reports_clean, _ = tiny_run("naive", seed=13)
 
-    from filver.rehearsal import StrategyConfig
+    # the partition holds every shard: poison a task's shards there once the
+    # task is over, so any later read of them (a naive upload included) sees NaN
+    partitions = []
+    real_partition_clients = federation.partition_clients
 
-    tasks = tiny_tasks()
-    enc_spec, cls_spec = tiny_specs("naive")
+    def keep_partition(*args):
+        partitions.append(real_partition_clients(*args))
+        return partitions[-1]
 
     def poison(task_id):
-        tasks.tasks[task_id].train.images[:] = np.nan
+        for cid in range(fl.n_clients):
+            partitions[0].shard(cid, task_id).images[:] = np.nan
 
-    reports_poisoned, state = run_experiment(
-        tasks, "fully_enrolled", tiny_fl(), StrategyConfig(kind="naive", rho=0.25),
-        master_seed=13, encoder_spec=enc_spec, classifier_spec=cls_spec,
-        pretrain_epochs=2, pretrain_lr=0.05, on_task_boundary=poison)
+    monkeypatch.setattr(federation, "partition_clients", keep_partition)
+    fl = tiny_fl()
+    reports_poisoned, state = tiny_run("naive", fl=fl, seed=13, on_task_boundary=poison)
 
+    assert len(partitions) == 1
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
-    # raw shards and their embeddings are gone once their task is over
-    for client in state.clients:
-        assert client.shards == {}
+    # the embed stage's entries, and their references to the rows, are gone
     assert state.shard_embeddings == {}
 
 

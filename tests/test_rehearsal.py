@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from filver import storage
-from filver.datasets import LabeledSet
 from filver.errors import ContractViolation
-from filver.federation import ClientState, _build_upload
+from filver.federation import _build_upload
 from filver.models import GaussianStats
 from filver.rehearsal import (
     EmbeddingPayload,
@@ -91,17 +90,14 @@ def test_strategy_config_rejects_bad_multiplier():
 def test_expected_payload_types_per_kind():
     # what each strategy ships: raw samples only under naive, stats only
     # under ver_stats, nothing under none
-    shard = LabeledSet(np.zeros((8, 6)), np.arange(8) % 2, 2)
-    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=None))
-    embedded = {"labels": shard.labels, "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
+    embedded = {"images": np.zeros((8, 6)), "labels": np.arange(8) % 2,
+                "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
     want = {"none": set(), "noise": {EmbeddingPayload}, "naive": {RawPayload},
             "ebr": {EmbeddingPayload}, "ver_stats": {GaussianStats},
             "ver_sampled": {EmbeddingPayload}}
     for kind, types in want.items():
-        upload = _build_upload(client, embedded, 0, 0, StrategyConfig(kind=kind, rho=0.5),
-                               RngStream(1))
+        upload = _build_upload(embedded, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
         assert {type(rec.payload) for rec in upload} == types, kind
-    assert len(client.buffer) == 0
 
 
 def test_check_columns_match_enforces_payload_type():
@@ -200,13 +196,12 @@ def test_admit_rejects_a_second_payload_type():
 def upload_of(n, rho, rng):
     """The ebr upload drawn from an n-sample shard whose sample i embeds as
     [i], and the client buffer after run_round's self-admission of it."""
-    shard = LabeledSet(np.zeros((n, 1)), np.arange(n) % 3, 3)
-    client = ClientState(0, {0: shard}, RehearsalBuffer(capacity=None))
-    embedded = {"labels": shard.labels, "mu": np.arange(n, dtype=np.float64)[:, None],
-                "log_sigma": None}
-    upload = _build_upload(client, embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
-    admit(client.buffer, upload, rng.child("self_admit"))
-    return upload, client.buffer
+    embedded = {"images": np.zeros((n, 1)), "labels": np.arange(n) % 3,
+                "mu": np.arange(n, dtype=np.float64)[:, None], "log_sigma": None}
+    upload = _build_upload(embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
+    buffer = RehearsalBuffer(capacity=None)
+    admit(buffer, upload, rng.child("self_admit"))
+    return upload, buffer
 
 
 def test_admit_takes_exact_ceil_fraction():

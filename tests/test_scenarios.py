@@ -1,7 +1,6 @@
-"""Enrollment schedules: legality, per-kind shape, rendering, filtering."""
+"""Enrollment schedules: legality, per-kind shape, rendering."""
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from filver.scenarios import (
     NOT_ENROLLED_YET,
     SCHEDULE_KINDS,
     EnrollmentSchedule,
-    apply_schedule,
     make_schedule,
     validate_schedule,
 )
@@ -47,7 +45,7 @@ def test_generated_schedules_are_legal(kind, n_tasks, extra, seed):
     for c in range(n_clients):
         assert ROW_SHAPE.match(row_string(sched.grid, c)), row_string(sched.grid, c)
     for t in range(n_tasks):
-        assert any(sched.state(c, t) == ACTIVE for c in range(n_clients))
+        assert sched.active_clients(t)
 
 
 def test_states_are_distinct_small_ints():
@@ -196,36 +194,8 @@ def test_validate_accepts_legal_mixed_grid():
 
 
 # ---------------------------------------------------------------------------
-# Applying schedules and rendering
+# Rendering
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FakeClient:
-    client_id: int
-    name: str = "c"
-
-
-def test_apply_schedule_filters_ids_and_objects():
-    grid = np.array([
-        [1, 2],
-        [1, 1],
-        [0, 1],
-    ], dtype=np.int8)
-    sched = EnrollmentSchedule(grid)
-    assert apply_schedule([0, 1, 2], sched, 0) == [0, 1]
-    assert apply_schedule([0, 1, 2], sched, 1) == [1, 2]
-    objs = [FakeClient(0), FakeClient(1), FakeClient(2)]
-    picked = apply_schedule(objs, sched, 1)
-    assert [c.client_id for c in picked] == [1, 2]
-
-
-def test_apply_schedule_rejects_bad_task():
-    sched = make_schedule("fully_enrolled", 2, 2, RngStream(0))
-    with pytest.raises(ContractViolation):
-        apply_schedule([0, 1], sched, 2)
-    with pytest.raises(ContractViolation):
-        apply_schedule([0, 1], sched, -1)
 
 
 def test_render_uses_one_char_per_state():
