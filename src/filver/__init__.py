@@ -8,7 +8,7 @@ from .datasets import (LabeledSet, Task, TaskSequence, build_permuted_tasks,
 from .errors import ConfigError, ContractViolation, IdxFormatError
 from .federation import (FLConfig, RoundReport, fedavg_aggregate, run_experiment,
                          run_offline)
-from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec
+from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, ModelConfig
 from .rehearsal import (RehearsalBuffer, RehearsalRecord, StrategyConfig, admit,
                         materialize_batch, memory_budget, replay_batch)
 from .rng import RngStream
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassifierModel", "ClassifierSpec", "ConfigError", "ContractViolation",
     "EncoderModel", "EncoderSpec", "EnrollmentSchedule", "ExperimentConfig",
-    "FLConfig", "IdxFormatError", "LabeledSet", "RehearsalBuffer",
+    "FLConfig", "IdxFormatError", "LabeledSet", "ModelConfig", "RehearsalBuffer",
     "RehearsalRecord", "RngStream", "RoundReport", "StrategyConfig", "Task",
     "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks",
     "fedavg_aggregate", "load_idx", "make_schedule", "make_synthetic_blobs",

@@ -105,13 +105,8 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
 
     try:
         reports, state = run_experiment(
-            tasks, cfg["scenario"], fl, strategy,
+            tasks, cfg["scenario"], fl, strategy, cfg.model_config(tasks),
             master_seed=cfg.master_seed(),
-            encoder_spec=cfg.encoder_spec(tasks),
-            classifier_spec=cfg.classifier_spec(tasks),
-            beta=cfg["model.beta"],
-            pretrain_epochs=cfg["model.pretrain_epochs"],
-            pretrain_lr=cfg["model.pretrain_lr"],
             on_round=on_round,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,

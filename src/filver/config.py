@@ -18,7 +18,7 @@ from .datasets import (LabeledSet, TaskSequence, build_permuted_tasks, build_spl
                        load_idx, make_synthetic_blobs)
 from .errors import ConfigError, ContractViolation
 from .federation import FLConfig, encoder_kind_for_strategy
-from .models import ClassifierSpec, EncoderSpec
+from .models import ClassifierSpec, EncoderSpec, ModelConfig
 from .rehearsal import MEMORY_MULTIPLIERS, STRATEGY_KINDS, StrategyConfig
 from .rng import RngStream
 from .scenarios import SCHEDULE_KINDS
@@ -164,16 +164,28 @@ class ExperimentConfig:
                         f"{v['protocol.tasks']} x {v['protocol.classes_per_task']} = {needed} "
                         f"classes, labels file {labels_path} has {base.class_count}"])
             base_val = None
+            val_labels_path = labels_path
             if v["dataset.val_images"]:
-                base_val = load_idx(self.resolve_path(v["dataset.val_images"]),
-                                    self.resolve_path(v["dataset.val_labels"]),
+                val_labels_path = self.resolve_path(v["dataset.val_labels"])
+                base_val = load_idx(self.resolve_path(v["dataset.val_images"]), val_labels_path,
                                     transpose=v["dataset.transpose"])
         if v["protocol.kind"] == "split":
-            return build_split_tasks(base, v["protocol.tasks"], v["protocol.classes_per_task"],
-                                     base_val=base_val, val_fraction=v["protocol.val_fraction"],
-                                     rng=drng.child("split"))
-        return build_permuted_tasks(base, v["protocol.tasks"], drng.child("permute"),
-                                    base_val=base_val, val_fraction=v["protocol.val_fraction"])
+            tasks = build_split_tasks(base, v["protocol.tasks"], v["protocol.classes_per_task"],
+                                      base_val=base_val, val_fraction=v["protocol.val_fraction"],
+                                      rng=drng.child("split"))
+        else:
+            tasks = build_permuted_tasks(base, v["protocol.tasks"], drng.child("permute"),
+                                         base_val=base_val,
+                                         val_fraction=v["protocol.val_fraction"])
+        if v["dataset.kind"] == "idx":
+            # an empty set would fail only after pretraining, deep in the run
+            for task in tasks.tasks:
+                for half, rows, path in (("training", task.train, labels_path),
+                                         ("validation", task.val, val_labels_path)):
+                    if not len(rows):
+                        raise ConfigError(path, [f"task {task.task_id + 1} has no {half} "
+                                                 f"rows in labels file {path}"])
+        return tasks
 
     def fl_config(self) -> FLConfig:
         v = self.values
@@ -187,19 +199,21 @@ class ExperimentConfig:
         v = self.values
         return StrategyConfig(v["strategy.kind"], v["strategy.rho"], v["strategy.memory"])
 
-    def encoder_spec(self, tasks: TaskSequence) -> EncoderSpec:
+    def model_config(self, tasks: TaskSequence) -> ModelConfig:
+        """The encoder, classifier and pretraining settings, for the task
+        stream's input shape and class count."""
         v = self.values
         dims = tasks.tasks[0].train.images.shape[1:]
         if v["model.arch"] == "mlp":
             dims = (int(np.prod(dims)),) if len(dims) > 1 else dims
-        return EncoderSpec(encoder_kind_for_strategy(v["strategy.kind"]), tuple(dims),
-                           embed_dim=v["model.embed_dim"], arch=v["model.arch"],
-                           hidden=v["model.hidden"], conv_channels=v["model.conv_channels"])
-
-    def classifier_spec(self, tasks: TaskSequence) -> ClassifierSpec:
-        v = self.values
-        return ClassifierSpec(classes=tasks.class_count, hidden=v["model.classifier_hidden"],
-                              layers=v["model.classifier_layers"])
+        encoder = EncoderSpec(encoder_kind_for_strategy(v["strategy.kind"]), tuple(dims),
+                              embed_dim=v["model.embed_dim"], arch=v["model.arch"],
+                              hidden=v["model.hidden"], conv_channels=v["model.conv_channels"])
+        classifier = ClassifierSpec(classes=tasks.class_count, hidden=v["model.classifier_hidden"],
+                                    layers=v["model.classifier_layers"])
+        return ModelConfig(encoder, classifier, beta=v["model.beta"],
+                           pretrain_epochs=v["model.pretrain_epochs"],
+                           pretrain_lr=v["model.pretrain_lr"])
 
 
 def _validate_cross_fields(values: dict, problems: list) -> None:

@@ -38,14 +38,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import models, storage
 from .datasets import ClientPartition, TaskSequence, partition_clients
 from .errors import ContractViolation
-from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, GaussianStats
+from .models import ClassifierModel, EncoderModel, EncoderSpec, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
                         StrategyConfig, admit, load_buffer, materialize_batch, memory_budget,
@@ -340,21 +340,25 @@ def _buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: i
     return memory_budget(strategy, naive_count, raw_bytes, payload_bytes)
 
 
-def default_encoder_spec(strategy_kind: str, tasks: TaskSequence, embed_dim: int,
-                         hidden: int, arch: str = None, conv_channels=(16, 32)) -> EncoderSpec:
-    dims = tasks.tasks[0].train.images.shape[1:]
-    if arch is None:
-        arch = "conv" if len(dims) == 2 else "mlp"
-    return EncoderSpec(encoder_kind_for_strategy(strategy_kind), tuple(dims),
-                       embed_dim=embed_dim, arch=arch, hidden=hidden,
-                       conv_channels=tuple(conv_channels))
+def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelConfig,
+              images, labels, classes: int, batch_size: int, master: RngStream):
+    """(encoder params pretrained on the given rows, initial classifier
+    params), drawn from the master's "pretrain" and "classifier_init"."""
+    encoder_params = models.pretrain_encoder(
+        images, labels, classes, encoder, model.pretrain_epochs, model.pretrain_lr,
+        master.child("pretrain"), beta=model.beta, batch_size=batch_size)
+    return encoder_params, classifier.init_params(master.child("classifier_init"))
 
 
-def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: StrategyConfig, *,
-                   master_seed: int, encoder_spec: EncoderSpec = None,
-                   classifier_spec: ClassifierSpec = None, beta: float = models.DEFAULT_BETA,
-                   pretrain_epochs: int = models.DEFAULT_PRETRAIN_EPOCHS,
-                   pretrain_lr: float = 0.01, on_task_boundary=None, on_round=None,
+def _validation_embeddings(encoder: EncoderModel, encoder_params: ParamVector,
+                           tasks: TaskSequence) -> list:
+    """(embeddings, labels) of each task's validation set, in task order."""
+    return [(models.encode_for_eval(encoder, encoder_params, task.val.images)[0],
+             np.asarray(task.val.labels)) for task in tasks.tasks]
+
+
+def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: StrategyConfig,
+                   model: ModelConfig, *, master_seed: int, on_round=None,
                    checkpoint_dir=None, checkpoint_every: int = 0,
                    resume_from=None, stop_after_round: int = None):
     """Full task stream: pretrain on the task-0 shards, then per task embed
@@ -375,28 +379,24 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     if schedule.n_clients != fl.n_clients or schedule.n_tasks != n_tasks:
         raise ContractViolation("schedule shape does not match clients and tasks")
 
-    if encoder_spec is None:
-        encoder_spec = default_encoder_spec(strategy.kind, tasks,
-                                            models.DEFAULT_EMBED_DIM, models.DEFAULT_HIDDEN)
-    if classifier_spec is None:
-        classifier_spec = ClassifierSpec(classes=tasks.class_count)
-    encoder = EncoderModel(encoder_spec)
-    classifier = ClassifierModel(classifier_spec, encoder_spec.embed_dim)
-
+    encoder, classifier = model.build()
     partition = partition_clients(tasks, fl.n_clients, master.child("partition"))
     raw_bytes = int(np.prod(tasks.tasks[0].train.images.shape[1:])) * 8
     per_client = max(len(partition.shard(c, t))
                      for c in range(fl.n_clients) for t in range(n_tasks))
     per_task_total = max(len(t.train) for t in tasks.tasks)
-    client_cap = _buffer_capacity(strategy, per_client, n_tasks, raw_bytes, encoder_spec.embed_dim)
-    server_cap = _buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, encoder_spec.embed_dim)
+    embed_dim = model.encoder.embed_dim
+    client_cap = _buffer_capacity(strategy, per_client, n_tasks, raw_bytes, embed_dim)
+    server_cap = _buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, embed_dim)
 
-    identity = _run_identity(master_seed, fl, strategy, schedule, encoder_spec, classifier_spec,
-                             beta, pretrain_epochs, pretrain_lr)
+    identity = _run_identity(master_seed, fl, strategy, model, schedule)
     start_round = 0
     if resume_from is not None:
         meta = read_checkpoint_meta(resume_from)
         for key, value in identity.items():
+            if key not in meta:
+                meta_path = os.path.join(resume_from, CHECKPOINT_META)
+                raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
             if meta[key] != value:
                 raise ContractViolation(
                     f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
@@ -406,17 +406,15 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 f"stop_after_round {stop_after_round} is not past the checkpoint's "
                 f"round {start_round}")
         encoder_params, classifier_params, server_buffer, client_buffers = \
-            _load_checkpoint(resume_from, encoder_spec, fl.n_clients)
+            _load_checkpoint(resume_from, model.encoder, fl.n_clients)
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
         first_shards = [partition.shard(c, 0) for c in schedule.active_clients(0)]
         images = np.concatenate([s.images for s in first_shards])
         labels = np.concatenate([s.labels for s in first_shards])
-        encoder_params = models.pretrain_encoder(
-            images, labels, tasks.class_count, encoder, pretrain_epochs, pretrain_lr,
-            master.child("pretrain"), batch_size=fl.batch_size, beta=beta)
-        classifier_params = classifier.init_params(master.child("classifier_init"))
+        encoder_params, classifier_params = _pretrain(
+            encoder, classifier, model, images, labels, tasks.class_count, fl.batch_size, master)
 
     state = ExperimentState(
         master=master, fl=fl, strategy=strategy,
@@ -424,8 +422,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         encoder_checksum=encoder_params.checksum(),
         classifier=classifier, classifier_params=classifier_params,
         client_buffers=client_buffers, server_buffer=server_buffer, schedule=schedule,
-        eval_cache=[(models.encode_for_eval(encoder, encoder_params, task.val.images)[0],
-                     np.asarray(task.val.labels)) for task in tasks.tasks],
+        eval_cache=_validation_embeddings(encoder, encoder_params, tasks),
         global_round=start_round, identity=identity)
 
     first_task = start_round // fl.rounds_per_task
@@ -446,8 +443,6 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                     save_checkpoint(checkpoint_dir, state)
                 return reports, state
         state.shard_embeddings = {}
-        if on_task_boundary is not None:
-            on_task_boundary(task_id)
     return reports, state
 
 
@@ -483,33 +478,33 @@ def save_checkpoint(directory, state: ExperimentState) -> None:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-_IDENTITY_CONFIGS = (("fl", FLConfig), ("strategy", StrategyConfig),
-                     ("encoder", EncoderSpec), ("classifier", ClassifierSpec))
+def _identity_fields(prefix: str, config):
+    """(dotted name, value) of each field of a config dataclass; a field that
+    is itself a dataclass contributes its own fields under its field name."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _identity_fields(f.name, value)
+        else:
+            yield f"{prefix}.{f.name}", value
 
 
 def _run_identity(master_seed: int, fl: FLConfig, strategy: StrategyConfig,
-                  schedule: EnrollmentSchedule, encoder_spec: EncoderSpec,
-                  classifier_spec: ClassifierSpec, beta: float, pretrain_epochs: int,
-                  pretrain_lr: float) -> dict:
+                  model: ModelConfig, schedule: EnrollmentSchedule) -> dict:
     """What a checkpoint and the run resuming it must agree on, under dotted
     names: the master seed, every FLConfig, StrategyConfig, EncoderSpec and
-    ClassifierSpec field ("fl.s_max", "encoder.hidden"), the pretraining
-    settings ("model.beta") and the rendered enrollment schedule
+    ClassifierSpec field ("fl.s_max", "encoder.hidden"), the rest of the
+    ModelConfig ("model.beta") and the rendered enrollment schedule
     ("scenario.schedule", which also covers schedule objects passed in
-    directly).  Resume reports the first mismatch in this order, so a changed
-    client count is named before the schedule it reshapes.  Values are as
-    meta.json stores them: tuples read back as lists."""
+    directly).  Resume reports the first missing or mismatched key in this
+    order, so a changed client count is named before the schedule it
+    reshapes.  Values are as meta.json stores them: tuples read back as
+    lists."""
     identity = {"master_seed": master_seed}
-    for (prefix, _), config in zip(_IDENTITY_CONFIGS, (fl, strategy, encoder_spec, classifier_spec)):
-        identity.update((f"{prefix}.{f.name}", getattr(config, f.name)) for f in fields(config))
-    identity.update({"model.beta": beta, "model.pretrain_epochs": pretrain_epochs,
-                     "model.pretrain_lr": pretrain_lr, "scenario.schedule": schedule.render()})
+    for prefix, config in (("fl", fl), ("strategy", strategy), ("model", model)):
+        identity.update(_identity_fields(prefix, config))
+    identity["scenario.schedule"] = schedule.render()
     return json.loads(json.dumps(identity))
-
-
-_META_KEYS = ("global_round", "master_seed", "scenario.schedule", "model.beta",
-              "model.pretrain_epochs", "model.pretrain_lr") + tuple(
-    f"{prefix}.{f.name}" for prefix, config in _IDENTITY_CONFIGS for f in fields(config))
 
 
 def read_checkpoint_meta(directory) -> dict:
@@ -524,9 +519,8 @@ def read_checkpoint_meta(directory) -> dict:
                 f"checkpoint metadata {meta_path} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ContractViolation(f"checkpoint metadata {meta_path} is not a JSON object")
-    for key in _META_KEYS:
-        if key not in meta:
-            raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
+    if "global_round" not in meta:
+        raise ContractViolation(f"checkpoint metadata {meta_path} has no 'global_round'")
     done = meta["global_round"]
     if not isinstance(done, int) or done < 0:
         raise ContractViolation(
@@ -556,34 +550,23 @@ def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int):
 # ---------------------------------------------------------------------------
 
 
-def run_offline(tasks: TaskSequence, fl: FLConfig, *, master_seed: int,
-                encoder_spec: EncoderSpec = None, classifier_spec: ClassifierSpec = None,
-                beta: float = models.DEFAULT_BETA,
-                pretrain_epochs: int = models.DEFAULT_PRETRAIN_EPOCHS,
-                pretrain_lr: float = 0.01, steps: int = None):
+def run_offline(tasks: TaskSequence, fl: FLConfig, model: ModelConfig, *, master_seed: int,
+                steps: int = None):
     """Upper-bound baseline: one learner sees every task's training data
-    jointly for a comparable number of SGD steps.  Returns (per-task
-    accuracies, their mean)."""
+    jointly for a comparable number of SGD steps.  The encoder is pretrained
+    on all of task 0, under the same keys as a federated run.  Returns
+    (per-task accuracies, their mean)."""
     master = RngStream(master_seed)
-    if encoder_spec is None:
-        encoder_spec = default_encoder_spec("ver_sampled", tasks,
-                                            models.DEFAULT_EMBED_DIM, models.DEFAULT_HIDDEN)
-    if classifier_spec is None:
-        classifier_spec = ClassifierSpec(classes=tasks.class_count)
-    encoder = EncoderModel(encoder_spec)
-    classifier = ClassifierModel(classifier_spec, encoder_spec.embed_dim)
-
+    encoder, classifier = model.build()
     first = tasks.tasks[0].train
-    encoder_params = models.pretrain_encoder(
-        first.images, first.labels, tasks.class_count, encoder, pretrain_epochs,
-        pretrain_lr, master.child("pretrain"), batch_size=fl.batch_size, beta=beta)
-    params = classifier.init_params(master.child("classifier_init"))
+    encoder_params, params = _pretrain(encoder, classifier, model, first.images, first.labels,
+                                       tasks.class_count, fl.batch_size, master)
 
     embedded = [models.encode_for_eval(encoder, encoder_params, task.train.images)
                 for task in tasks.tasks]
     mu_all = np.concatenate([mu for mu, _ in embedded])
     log_sigma_all = (np.concatenate([ls for _, ls in embedded])
-                     if encoder_spec.kind == "vee" else None)
+                     if model.encoder.kind == "vee" else None)
     y_all = np.concatenate([np.asarray(task.train.labels) for task in tasks.tasks])
     n = len(y_all)
 
@@ -598,8 +581,6 @@ def run_offline(tasks: TaskSequence, fl: FLConfig, *, master_seed: int,
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y_all[idx])
         params = sgd_step(params, grad, fl.eta)
 
-    accs = []
-    for task in tasks.tasks:
-        z, _ = models.encode_for_eval(encoder, encoder_params, task.val.images)
-        accs.append(models.classifier_accuracy(classifier, params, z, np.asarray(task.val.labels)))
-    return tuple(accs), float(np.mean(accs))
+    accs = tuple(models.classifier_accuracy(classifier, params, z, y)
+                 for z, y in _validation_embeddings(encoder, encoder_params, tasks))
+    return accs, float(np.mean(accs))

@@ -25,10 +25,6 @@ from .errors import ContractViolation
 from .numcore import ParamVector
 from .rng import RngStream
 
-DEFAULT_EMBED_DIM = 256
-DEFAULT_HIDDEN = 1000
-DEFAULT_BETA = 1e-3
-DEFAULT_PRETRAIN_EPOCHS = 5
 # Rows per frozen-encoder forward pass in encode_for_eval.  At 64 rows the
 # desk conv1 im2col copy (25 x 64*24*24 float64) is 7 MB; a 512-row chunk's
 # is 59 MB and would set the whole run's peak memory.  The smaller working
@@ -49,9 +45,9 @@ PRETRAIN_CLIP_NORM = 5.0  # global gradient-norm clip in pretrain_encoder
 class EncoderSpec:
     kind: str  # random_projection | ebr | vee
     input_dims: tuple  # (H, W) image shape or (n,) flat
-    embed_dim: int = DEFAULT_EMBED_DIM
-    arch: str = "conv"  # conv | mlp
-    hidden: int = DEFAULT_HIDDEN
+    embed_dim: int
+    arch: str  # conv | mlp
+    hidden: int
     conv_channels: tuple = (16, 32)
 
     def __post_init__(self):
@@ -67,7 +63,7 @@ class EncoderSpec:
 @dataclass
 class ClassifierSpec:
     classes: int
-    hidden: int = DEFAULT_HIDDEN
+    hidden: int
     layers: int = 2
 
     def __post_init__(self):
@@ -92,12 +88,24 @@ class GaussianStats:
 
 
 @dataclass
-class VerLossConfig:
-    beta: float = DEFAULT_BETA
+class ModelConfig:
+    """Everything that fixes a run's encoder and classifier: both specs, the
+    KL weight beta of ver_loss, and the pretraining schedule.  The federated
+    run and the offline reference take it whole."""
+
+    encoder: EncoderSpec
+    classifier: ClassifierSpec
+    beta: float
+    pretrain_epochs: int
+    pretrain_lr: float
 
     def __post_init__(self):
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ContractViolation("beta must be finite and non-negative")
+
+    def build(self):
+        """(EncoderModel, ClassifierModel) for the two specs."""
+        return EncoderModel(self.encoder), ClassifierModel(self.classifier, self.encoder.embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +420,7 @@ class VerLossResult:
 
 
 def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,
-             classifier_params: ParamVector, cfg: VerLossConfig) -> VerLossResult:
+             classifier_params: ParamVector, beta: float) -> VerLossResult:
     """loss = CE(classify(z), y) + beta * KL(stats || N(0, I)), batch-mean.
 
     z must be the reparameterized draw mu + sigma * eps for the given stats;
@@ -422,10 +430,10 @@ def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,
     ce, clf_grads, dz = _head_cross_entropy(classifier, classifier_params, z, labels)
     kl, dmu_kl, dls_kl = nc.gaussian_kl_batch(stats.mu, stats.log_sigma)
     sigma = nc.sigma_from_log(stats.log_sigma)
-    d_mu = dz + cfg.beta * dmu_kl
-    d_log_sigma = dz * sigma * eps + cfg.beta * dls_kl
+    d_mu = dz + beta * dmu_kl
+    d_log_sigma = dz * sigma * eps + beta * dls_kl
     return VerLossResult(
-        loss=ce + cfg.beta * kl,
+        loss=ce + beta * kl,
         ce=ce,
         kl=kl,
         d_mu=d_mu,
@@ -440,8 +448,8 @@ def ver_loss(stats: GaussianStats, z, eps, labels, classifier: ClassifierModel,
 
 
 def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderModel,
-                     epochs: int, lr: float, rng: RngStream, batch_size: int = 32,
-                     beta: float = DEFAULT_BETA, on_epoch=None) -> ParamVector:
+                     epochs: int, lr: float, rng: RngStream, *, beta: float,
+                     batch_size: int = 32, on_epoch=None) -> ParamVector:
     """Train the encoder against a throwaway linear probe; return its parameters.
 
     A vee encoder takes each step through ver_loss on one reparameterized
@@ -461,9 +469,8 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
         return params
 
     # a linear head: its single layer draws straight from the probe stream
-    probe = ClassifierModel(ClassifierSpec(classes, layers=0), encoder.spec.embed_dim)
+    probe = ClassifierModel(ClassifierSpec(classes, hidden=0, layers=0), encoder.spec.embed_dim)
     probe_params = ParamVector.from_arrays(probe.layers[0].init_arrays(rng.child("probe_init")))
-    cfg = VerLossConfig(beta=beta)
     labels = np.asarray(task0_labels)
 
     for epoch in range(epochs):
@@ -475,7 +482,7 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
             if encoder.spec.kind == "vee":
                 mu, log_sigma, caches = encoder.stats_forward(params, xb)
                 z, eps = nc.reparam_sample(mu, log_sigma, rng.child("pretrain_eps", epoch, start))
-                res = ver_loss(GaussianStats(mu, log_sigma), z, eps, yb, probe, probe_params, cfg)
+                res = ver_loss(GaussianStats(mu, log_sigma), z, eps, yb, probe, probe_params, beta)
                 enc_grad = encoder.stats_backward(params, caches, res.d_mu, res.d_log_sigma)
                 ce, probe_grad = res.ce, res.classifier_grad
                 kl_sum += res.kl

@@ -336,22 +336,13 @@ def predictions(logits) -> np.ndarray:
     return np.asarray(logits).argmax(axis=1)
 
 
-def gaussian_kl(mu, log_sigma) -> float:
-    """KL(N(mu, diag sigma^2) || N(0, I)) in closed form.
-
-    Sum over dimensions of 0.5 * (mu^2 + sigma^2 - 1 - 2 log sigma).
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    log_sigma = np.asarray(log_sigma, dtype=np.float64)
-    sigma_sq = np.exp(2.0 * log_sigma)
-    return float(0.5 * np.sum(mu**2 + sigma_sq - 1.0 - 2.0 * log_sigma))
-
-
 def gaussian_kl_batch(mu, log_sigma):
-    """Batch-mean KL and its gradients.
+    """Batch-mean KL(N(mu, diag sigma^2) || N(0, I)) and its gradients.
 
-    mu, log_sigma: (B, d).  Returns (mean_kl, dmu, dlog_sigma) where the
-    gradients are of the batch mean: dmu = mu / B, dlog_sigma = (sigma^2 - 1) / B.
+    mu, log_sigma: (B, d).  A row's KL is in closed form, the sum over
+    dimensions of 0.5 * (mu^2 + sigma^2 - 1 - 2 log sigma).  Returns
+    (mean_kl, dmu, dlog_sigma) where the gradients are of the batch mean:
+    dmu = mu / B, dlog_sigma = (sigma^2 - 1) / B.
     """
     mu = np.asarray(mu, dtype=np.float64)
     log_sigma = np.asarray(log_sigma, dtype=np.float64)

@@ -29,7 +29,6 @@ from filver.models import (
     EncoderModel,
     EncoderSpec,
     GaussianStats,
-    VerLossConfig,
     ver_loss,
 )
 from filver.numcore import ParamVector
@@ -47,6 +46,7 @@ from oracles import (
 )
 from test_federation import collect_admitted_payloads
 from test_models import _composite_instance, _composite_loss
+from test_numcore import kl_one
 
 SEEDS = (14, 15, 16)
 N_INSTANCES = 50
@@ -146,13 +146,12 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
     encoder = EncoderModel(EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8))
     classifier = ClassifierModel(ClassifierSpec(classes=3, hidden=8, layers=1), embed_dim=4)
     beta = 0.05
-    cfg = VerLossConfig(beta=beta)
     worst_composite = 0.0
     for i in range(N_INSTANCES):
         enc_params, cls_params, x, y, eps = _composite_instance(encoder, classifier, 5000 + i)
         mu, log_sigma, caches = encoder.stats_forward(enc_params, x)
         z = mu + nc.sigma_from_log(log_sigma) * eps
-        res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, classifier, cls_params, cfg)
+        res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, classifier, cls_params, beta)
         enc_grad = encoder.stats_backward(enc_params, caches, res.d_mu, res.d_log_sigma)
 
         fd_enc = fd_params(
@@ -227,14 +226,14 @@ def test_criterion_03_kl_matches_quadrature(capsys):
     for i in range(20):
         mu = rng.child("mu", i).normal((3,))
         log_sigma = rng.child("ls", i).uniform(-1.5, 1.0, shape=(3,))
-        closed = nc.gaussian_kl(mu, log_sigma)
+        closed = kl_one(mu, log_sigma)
         numeric = quad_kl(mu, np.exp(log_sigma))
         worst = max(worst, abs(closed - numeric))
 
-    zero_at_standard = nc.gaussian_kl(np.zeros(4), np.zeros(4)) == 0.0
-    positive_off_standard = (nc.gaussian_kl(np.full(4, 0.1), np.zeros(4)) > 0
-                             and nc.gaussian_kl(np.zeros(4), np.full(4, 0.1)) > 0
-                             and nc.gaussian_kl(np.zeros(4), np.full(4, -0.1)) > 0)
+    zero_at_standard = kl_one(np.zeros(4), np.zeros(4)) == 0.0
+    positive_off_standard = (kl_one(np.full(4, 0.1), np.zeros(4)) > 0
+                             and kl_one(np.zeros(4), np.full(4, 0.1)) > 0
+                             and kl_one(np.zeros(4), np.full(4, -0.1)) > 0)
 
     ok = worst <= 1e-6 and zero_at_standard and positive_off_standard
     _verdict(capsys, 3, ok,
@@ -307,25 +306,14 @@ def battery():
             t0 = time.time()
             _, state = run_experiment(
                 tasks, cfg["scenario"], cfg.fl_config(), cfg.strategy_config(),
-                master_seed=seed,
-                encoder_spec=cfg.encoder_spec(tasks),
-                classifier_spec=cfg.classifier_spec(tasks),
-                beta=cfg["model.beta"],
-                pretrain_epochs=cfg["model.pretrain_epochs"],
-                pretrain_lr=cfg["model.pretrain_lr"])
+                cfg.model_config(tasks), master_seed=seed)
             accs[(name, seed)] = tuple(float(a) for a in state.evaluate())
             durations[(name, seed)] = time.time() - t0
 
         cfg = preset_config("desk-split4", {"seed": str(seed)})
         t0 = time.time()
-        off_accs, _ = run_offline(
-            tasks, cfg.fl_config(), master_seed=seed,
-            encoder_spec=cfg.encoder_spec(tasks),
-            classifier_spec=cfg.classifier_spec(tasks),
-            beta=cfg["model.beta"],
-            pretrain_epochs=cfg["model.pretrain_epochs"],
-            pretrain_lr=cfg["model.pretrain_lr"],
-            steps=OFFLINE_STEPS)
+        off_accs, _ = run_offline(tasks, cfg.fl_config(), cfg.model_config(tasks),
+                                  master_seed=seed, steps=OFFLINE_STEPS)
         accs[("offline", seed)] = tuple(float(a) for a in off_accs)
         durations[("offline", seed)] = time.time() - t0
         print(f"[battery] seed {seed} done ({time.time() - t_start:.0f}s elapsed)",

@@ -196,14 +196,16 @@ def test_derived_objects_from_tiny_config():
     strategy = cfg.strategy_config()
     assert strategy.kind == "ver_sampled" and strategy.rho == 0.25
 
-    enc = cfg.encoder_spec(tasks)
+    model = cfg.model_config(tasks)
+    enc = model.encoder
     assert enc.kind == "vee"  # sampled VER trains a variational encoder
     assert enc.arch == "mlp"
     assert enc.input_dims == (16,)  # mlp flattens the 4x4 images
     assert enc.embed_dim == 6
 
-    cls = cfg.classifier_spec(tasks)
+    cls = model.classifier
     assert cls.classes == 2 and cls.hidden == 12 and cls.layers == 1
+    assert (model.beta, model.pretrain_epochs, model.pretrain_lr) == (0.001, 1, 0.05)
 
 
 def test_clients_per_round_zero_means_half():
@@ -577,12 +579,12 @@ def test_run_reports_config_problems_on_stderr(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def write_idx_pair(dirpath, n=80, side=4, classes=4):
+def write_idx_pair(dirpath, n=80, side=4, classes=4, prefix="train"):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
     labels = np.repeat(np.arange(classes, dtype=np.uint8), n // classes)
-    img_path = dirpath / "train-images.idx"
-    lab_path = dirpath / "train-labels.idx"
+    img_path = dirpath / f"{prefix}-images.idx"
+    lab_path = dirpath / f"{prefix}-labels.idx"
     with open(img_path, "wb") as f:
         f.write(struct.pack(">IIII", 0x00000803, n, side, side))
         f.write(images.tobytes())
@@ -631,6 +633,26 @@ def test_an_idx_dataset_with_too_few_classes_for_the_split_is_a_config_error(
     assert "protocol.tasks" in err and "protocol.classes_per_task" in err
     assert str(tmp_path / lab_name) in err
     assert "needs 2 x 9 = 18 classes" in err and "has 4" in err
+    assert pretrained == []
+
+
+def test_an_idx_validation_file_lacking_a_tasks_classes_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    # the train pair holds 4 classes, the val pair 2: task 2 (classes 2-3)
+    # would have no validation rows.  Refused before pretraining
+    img_name, lab_name = write_idx_pair(tmp_path)
+    val_img_name, val_lab_name = write_idx_pair(tmp_path, n=20, classes=2, prefix="val")
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    pretrained = []
+    monkeypatch.setattr(models, "pretrain_encoder", lambda *a, **k: pretrained.append(a))
+    cfg = write_tiny_cfg(
+        tmp_path / "exp.cfg", tmp_path / "out",
+        **{"dataset.kind": "idx", "dataset.images": img_name, "dataset.labels": lab_name,
+           "dataset.val_images": val_img_name, "dataset.val_labels": val_lab_name})
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / val_lab_name) in err
+    assert "task 2 has no validation rows" in err
     assert pretrained == []
 
 

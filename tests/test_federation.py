@@ -21,7 +21,6 @@ from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
     _buffer_capacity,
-    default_encoder_spec,
     encoder_kind_for_strategy,
     fedavg_aggregate,
     local_train,
@@ -35,6 +34,7 @@ from filver.models import (
     EncoderModel,
     EncoderSpec,
     GaussianStats,
+    ModelConfig,
     classifier_accuracy,
     classifier_loss_and_grad,
     encode_for_eval,
@@ -72,16 +72,22 @@ def tiny_specs(kind):
     return enc, cls
 
 
+BETA = 1e-3
+
+
+def tiny_model(kind, pretrain_epochs=2):
+    return ModelConfig(*tiny_specs(kind), beta=BETA, pretrain_epochs=pretrain_epochs,
+                       pretrain_lr=0.05)
+
+
 def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, **kwargs):
     from filver.rehearsal import StrategyConfig
 
     tasks = tiny_tasks()
     fl = fl or tiny_fl()
-    enc_spec, cls_spec = tiny_specs(strategy_kind)
     strategy = StrategyConfig(kind=strategy_kind, rho=rho)
-    return run_experiment(tasks, "fully_enrolled", fl, strategy, master_seed=seed,
-                          encoder_spec=enc_spec, classifier_spec=cls_spec,
-                          pretrain_epochs=2, pretrain_lr=0.05, **kwargs)
+    return run_experiment(tasks, "fully_enrolled", fl, strategy, tiny_model(strategy_kind),
+                          master_seed=seed, **kwargs)
 
 
 def report_tuples(reports):
@@ -180,7 +186,7 @@ def mirror_vanilla_run(tasks, fl, seed, enc_spec, cls_spec):
     labels = np.concatenate([shards[(c, 0)].labels for c in range(fl.n_clients)])
     enc_params = models.pretrain_encoder(images, labels, tasks.class_count, encoder,
                                          2, 0.05, master.child("pretrain"),
-                                         batch_size=fl.batch_size, beta=models.DEFAULT_BETA)
+                                         batch_size=fl.batch_size, beta=BETA)
     params = classifier.init_params(master.child("classifier_init"))
 
     embeds = {key: encode_for_eval(encoder, enc_params, s.images)[0]
@@ -285,11 +291,9 @@ def test_local_train_requires_data_for_task(monkeypatch):
 
     monkeypatch.setattr(federation, "local_train", spy)
     tasks, fl = tiny_tasks(), tiny_fl(n_clients=40, clients_per_round=40)
-    enc_spec, cls_spec = tiny_specs("none")
     with pytest.raises(ContractViolation, match=r"client \d+ has no data for task 0"):
-        run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="none"), master_seed=7,
-                       encoder_spec=enc_spec, classifier_spec=cls_spec, pretrain_epochs=1,
-                       pretrain_lr=0.05)
+        run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="none"),
+                       tiny_model("none", pretrain_epochs=1), master_seed=7)
     assert trained == []
 
 
@@ -476,22 +480,6 @@ def test_encoder_kind_for_strategy_mapping():
     assert encoder_kind_for_strategy("ver_sampled") == "vee"
 
 
-def test_default_encoder_spec_picks_arch_from_dims():
-    flat = tiny_tasks()
-    spec = default_encoder_spec("ver_sampled", flat, 12, 32)
-    assert spec.kind == "vee"
-    assert spec.arch == "mlp"
-    assert spec.input_dims == (D_IN,)
-    assert spec.embed_dim == 12
-
-    base = make_synthetic_blobs(4, 144, 12, 0.2, RngStream(0), image_shape=(12, 12))
-    imaged = build_split_tasks(base, n_tasks=2, classes_per_task=2,
-                               val_fraction=0.25, rng=RngStream(1))
-    spec = default_encoder_spec("ebr", imaged, 12, 32, conv_channels=(4, 8))
-    assert spec.arch == "conv"
-    assert spec.conv_channels == (4, 8)
-
-
 # ---------------------------------------------------------------------------
 # Full runs: determinism, amnesia, checkpoints, payload privacy
 # ---------------------------------------------------------------------------
@@ -508,8 +496,9 @@ def test_run_is_deterministic_per_seed():
 def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
     reports_clean, _ = tiny_run("naive", seed=13)
 
-    # the partition holds every shard: poison a task's shards there once the
-    # task is over, so any later read of them (a naive upload included) sees NaN
+    # the partition holds every shard: poison a task's shards there after
+    # the task's last round, so any later read of them (a naive upload
+    # included) sees NaN
     partitions = []
     real_partition_clients = federation.partition_clients
 
@@ -517,13 +506,14 @@ def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
         partitions.append(real_partition_clients(*args))
         return partitions[-1]
 
-    def poison(task_id):
-        for cid in range(fl.n_clients):
-            partitions[0].shard(cid, task_id).images[:] = np.nan
+    def poison(report):
+        if (report.round_id + 1) % fl.rounds_per_task == 0:
+            for cid in range(fl.n_clients):
+                partitions[0].shard(cid, report.task_id).images[:] = np.nan
 
     monkeypatch.setattr(federation, "partition_clients", keep_partition)
     fl = tiny_fl()
-    reports_poisoned, state = tiny_run("naive", fl=fl, seed=13, on_task_boundary=poison)
+    reports_poisoned, state = tiny_run("naive", fl=fl, seed=13, on_round=poison)
 
     assert len(partitions) == 1
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
@@ -585,14 +575,12 @@ def test_resume_under_a_different_schedule_object_is_refused(tmp_path):
     from filver.rehearsal import StrategyConfig
 
     tasks, fl = tiny_tasks(), tiny_fl()
-    enc_spec, cls_spec = tiny_specs("ebr")
     ckpt = tmp_path / "ckpt"
 
     def run(grid, **kwargs):
         return run_experiment(tasks, scenarios.EnrollmentSchedule(np.array(grid, dtype=np.int8)),
-                              fl, StrategyConfig(kind="ebr", rho=0.25), master_seed=21,
-                              encoder_spec=enc_spec, classifier_spec=cls_spec,
-                              pretrain_epochs=2, pretrain_lr=0.05, **kwargs)
+                              fl, StrategyConfig(kind="ebr", rho=0.25), tiny_model("ebr"),
+                              master_seed=21, **kwargs)
 
     run([[1, 1], [1, 1], [1, 1], [1, 1]], checkpoint_dir=str(ckpt), stop_after_round=2)
     # client 3 drops out at task 1: same config, same seed, another schedule
@@ -607,7 +595,6 @@ def test_scattered_schedule_skips_rounds_without_active_clients():
 
     tasks = tiny_tasks()
     fl = tiny_fl(n_clients=4, clients_per_round=2)
-    enc_spec, cls_spec = tiny_specs("ver_sampled")
     # hand-built schedule: task 1 served only by client 3
     grid = np.array([
         [1, 2],
@@ -618,9 +605,7 @@ def test_scattered_schedule_skips_rounds_without_active_clients():
     schedule = scenarios.EnrollmentSchedule(grid)
     reports, _ = run_experiment(tasks, schedule, fl,
                                 StrategyConfig(kind="ver_sampled", rho=0.25),
-                                master_seed=31, encoder_spec=enc_spec,
-                                classifier_spec=cls_spec, pretrain_epochs=2,
-                                pretrain_lr=0.05)
+                                tiny_model("ver_sampled"), master_seed=31)
     for rep in reports:
         if rep.task_id == 1:
             assert rep.participants == (3,)
@@ -631,10 +616,9 @@ def test_schedule_shape_must_match_config():
 
     tasks = tiny_tasks()
     schedule = scenarios.make_schedule("fully_enrolled", 3, 2, RngStream(0))
-    enc_spec, cls_spec = tiny_specs("none")
     with pytest.raises(ContractViolation):
         run_experiment(tasks, schedule, tiny_fl(), StrategyConfig(kind="none"),
-                       master_seed=1, encoder_spec=enc_spec, classifier_spec=cls_spec)
+                       tiny_model("none"), master_seed=1)
 
 
 def collect_admitted_payloads(monkeypatch, kind):
@@ -727,10 +711,8 @@ def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch
         monkeypatch.setattr(federation, name, traced(name, getattr(federation, name)))
 
     tasks, fl = tiny_tasks(), tiny_fl()
-    enc_spec, cls_spec = tiny_specs("naive")
-    run_experiment(tasks, schedule, fl, StrategyConfig(kind="naive", rho=0.25), master_seed=23,
-                   encoder_spec=enc_spec, classifier_spec=cls_spec, pretrain_epochs=1,
-                   pretrain_lr=0.05)
+    run_experiment(tasks, schedule, fl, StrategyConfig(kind="naive", rho=0.25),
+                   tiny_model("naive", pretrain_epochs=1), master_seed=23)
 
     active_shards = sum(len(schedule.active_clients(t)) for t in range(tasks.n_tasks))
     naive_uploads = sum(1 for n in uploads if n)
@@ -760,14 +742,12 @@ def test_naive_resume_mid_task_matches_uninterrupted_run(tmp_path):
 def test_run_offline_is_deterministic_and_learns():
     tasks = tiny_tasks()
     fl = tiny_fl()
-    enc_spec, cls_spec = tiny_specs("ver_sampled")
-    kw = dict(master_seed=51, encoder_spec=enc_spec, classifier_spec=cls_spec,
-              pretrain_epochs=2, pretrain_lr=0.05)
-    accs1, mean1 = run_offline(tasks, fl, steps=60, **kw)
-    accs2, mean2 = run_offline(tasks, fl, steps=60, **kw)
+    model = tiny_model("ver_sampled")
+    accs1, mean1 = run_offline(tasks, fl, model, master_seed=51, steps=60)
+    accs2, mean2 = run_offline(tasks, fl, model, master_seed=51, steps=60)
     assert accs1 == accs2 and mean1 == mean2
     assert len(accs1) == tasks.n_tasks
-    _, mean_untrained = run_offline(tasks, fl, steps=0, **kw)
+    _, mean_untrained = run_offline(tasks, fl, model, master_seed=51, steps=0)
     assert mean1 >= mean_untrained - 1e-9
     assert mean1 > 0.6
 
@@ -775,10 +755,8 @@ def test_run_offline_is_deterministic_and_learns():
 def test_run_offline_default_step_budget_matches_round_structure():
     tasks = tiny_tasks()
     fl = tiny_fl(rounds_per_task=1, local_iters=1, s_max=1)
-    enc_spec, cls_spec = tiny_specs("ebr")
-    kw = dict(master_seed=51, encoder_spec=enc_spec, classifier_spec=cls_spec,
-              pretrain_epochs=1, pretrain_lr=0.05)
+    model = tiny_model("ebr", pretrain_epochs=1)
     # default budget is n_tasks * rounds * (local + server) = 2 * 1 * 2 = 4
-    accs_default, _ = run_offline(tasks, fl, **kw)
-    accs_explicit, _ = run_offline(tasks, fl, steps=4, **kw)
+    accs_default, _ = run_offline(tasks, fl, model, master_seed=51)
+    accs_explicit, _ = run_offline(tasks, fl, model, master_seed=51, steps=4)
     assert accs_default == accs_explicit

@@ -8,8 +8,11 @@ the repr of its accuracies.  The checkpoint cases compare the sha256 of
 model.bin and of every buffer snapshot under ver_stats (stats payloads),
 ver_sampled (sampled embeddings) and naive (raw uploads, buffered as their
 embeddings: buffers and snapshots hold no raw samples), so the FVMC and
-FVBF formats are pinned byte for byte too.  All cases together take about two seconds, so this is the quick
-check to run before the acceptance battery.
+FVBF formats are pinned byte for byte too, and their meta.json, so a
+checkpoint written before a change to the run identity still resumes after
+it.  The matrix cases pin rounds.csv over every strategy x scenario x
+memory combination.  All cases together take a few seconds, so this is the
+quick check to run before the acceptance battery.
 
 OpenBLAS picks its GEMM kernel, and with it the float summation order, for
 the CPU it loads on, so every value is recorded per kernel ("core"): under
@@ -81,12 +84,14 @@ CHECKPOINT_SHA256 = {
             "server_buffer.bin": "b53fa1f36aac91118de81ca6956c166e67022105c733e8531d51563aefb91b15",
             "client_0.bin": "37c7ebf1577f5aa102e0171a18fef6a5f7ca4d44e5ec79e397f4b5a48c102869",
             "client_1.bin": "8d21d38997813f5b2d8010db6d3e1c2b0cb80b3eeeaa00da68ac86f5387c99d9",
+            "meta.json": "9e258c8e07836783e2a4c46a56c03928af6e02e28f4295e0e0ed6c2b556b3890",
         },
         "Haswell": {
             "model.bin": "5d2188f324b08d7126136397c2f440c43f3aecdc40f515ce56b009409e7526bd",
             "server_buffer.bin": "b0964a16e0566fb7bfb8b70e67a6f39986d36c2af138441f101775ec696019c0",
             "client_0.bin": "946e4b9d947827c74c9f68aef39e2a1c3073618403fe9a85dfe322691124ac29",
             "client_1.bin": "fe7edc69f8e2404bbcd434322f543b53666caf7fd5fb2202f882bdbcf96dc978",
+            "meta.json": "9e258c8e07836783e2a4c46a56c03928af6e02e28f4295e0e0ed6c2b556b3890",
         },
     },
     "ver_sampled": {
@@ -95,12 +100,14 @@ CHECKPOINT_SHA256 = {
             "server_buffer.bin": "17d69291426c38abb174012a454990c0d2106a5127e10863219cbea28556bfc6",
             "client_0.bin": "23a8208282e9e8e2834464fa6bde38e925a2001aa21a3210d1430dbf80dbc2d6",
             "client_1.bin": "6a7586c58b3c06634bea56534b168830ca2644821eec05721d2824ed7ad5315d",
+            "meta.json": "3fa9062c7df03376fadfbeea6e08e0ef1adf26aa45a7f8f8860a0d625d0c2b8f",
         },
         "Haswell": {
             "model.bin": "def90d32b6e7de5b3573a1304f80caf44c14b168cf641ff064abbf93b2e5364e",
             "server_buffer.bin": "ce243c3dd1bc8a6367e00623833fc287f643f0afd7e11f6f39113dced0f21c2f",
             "client_0.bin": "cadb10de3ca3d26dcdcbad9df78afd7211f2893c9f740f24e5b34cda25f179bf",
             "client_1.bin": "aab82a17a31045bcbfdffac832dda9fddc49f832528fb7d8e13043534fad4ad5",
+            "meta.json": "3fa9062c7df03376fadfbeea6e08e0ef1adf26aa45a7f8f8860a0d625d0c2b8f",
         },
     },
     "naive": {
@@ -109,13 +116,190 @@ CHECKPOINT_SHA256 = {
             "server_buffer.bin": "c1335e30f4643f3cf4c7145195452e64e1030e530870fa6343121fd1d93d07d7",
             "client_0.bin": "6c8970129b2ed46283cf24ced81cb18b37441a834be567ae05788391c32a3d13",
             "client_1.bin": "d38300a6d98789c24881a5c5f7057fb09f9a7482ffc10ea979276764796132b3",
+            "meta.json": "41b1f59e3e2d2e2cd5f19da01e4f9cdc3d052dc760855dcc283d02e35d63bfb2",
         },
         "Haswell": {
             "model.bin": "b87ef80c99112f1002e3b365f9e158b7d6488948acb4f09779eb22a937781c9b",
             "server_buffer.bin": "31b7d4b55191b7d3e51fa363388dbfa53105138bd9ac77cc11e7757a8b683de6",
             "client_0.bin": "91c5897e65f4fbef875e8f65fd93daaf7c80c0d4c382e54ed9fa10b7fa382200",
             "client_1.bin": "16d2ea5e3f941d1c0a279ec21fdc83ea792c377c2ae1d6fa8fdfcf4db454181d",
+            "meta.json": "41b1f59e3e2d2e2cd5f19da01e4f9cdc3d052dc760855dcc283d02e35d63bfb2",
         },
+    },
+}
+
+
+# The config space: every strategy under every enrollment scenario and memory
+# multiplier ("none" once: it keeps no buffer), on criterion 9's tiny config
+# widened to 3 clients sampled 2 per round over 3 tasks of 2 classes each, so
+# client sampling, eviction and all four schedules do real work.
+MATRIX_PAIRS = dict(CLI_PAIRS, **{"dataset.classes": "6", "protocol.tasks": "3",
+                                  "fl.n_clients": "3", "fl.clients_per_round": "2"})
+
+MATRIX_SHA256 = {
+    ("none", "fully_enrolled", "x1"): {
+        "SkylakeX": "f580b958e014ef6405f9b9643a52f094f19ac7d07339333df8e8c96b25ea26a4",
+        "Haswell": "7bd636287f9b6bf1dffed63c83d2a3a1bd21c6d2dfbd9957d3509116feca1917",
+    },
+    ("noise", "fully_enrolled", "x1"): {
+        "SkylakeX": "9b7bc73f6ec99472e404967d32e18ed406683d1f52a2322e964a7d788d71fa61",
+        "Haswell": "b919837b09108e166045014520075c1008d6b44ada4b44af4fbcc7324af71626",
+    },
+    ("noise", "fully_enrolled", "x16"): {
+        "SkylakeX": "f59f496f0b14303e3586fcaecd7c334af6ff958c300afcb65100be55713da9cb",
+        "Haswell": "f59f496f0b14303e3586fcaecd7c334af6ff958c300afcb65100be55713da9cb",
+    },
+    ("noise", "decreasing", "x1"): {
+        "SkylakeX": "bc7347b3b9a09cefe3071a306dde108297533c52bc88e33ffe4f8ed723f5db30",
+        "Haswell": "bc7347b3b9a09cefe3071a306dde108297533c52bc88e33ffe4f8ed723f5db30",
+    },
+    ("noise", "decreasing", "x16"): {
+        "SkylakeX": "7bb96d83bfdd0675cd2fddf9d6e5a0385864bac2d75b26c932aa8d5bc2a5d44f",
+        "Haswell": "7bb96d83bfdd0675cd2fddf9d6e5a0385864bac2d75b26c932aa8d5bc2a5d44f",
+    },
+    ("noise", "increasing", "x1"): {
+        "SkylakeX": "2201bd4c69e4c3c82c9ebe332987aa48fbbb64403b7a106a972f896d1d9d7b8b",
+        "Haswell": "860bffb1ebddb351a1de96d1ab569aae0629511e70d77769a6395478e5c8c5f4",
+    },
+    ("noise", "increasing", "x16"): {
+        "SkylakeX": "bd4f81dd6ccfc92481a660e47540a289ae38727ab2138f6837b16c63a3e97ba5",
+        "Haswell": "cbf48013291f965ce51246d61b8b695b00e07849aa0d811937cdd48125e4eaf6",
+    },
+    ("noise", "scattered", "x1"): {
+        "SkylakeX": "8e2e5def71778121710f47758b6866f357ae4851f38d130891538b2ad2d78898",
+        "Haswell": "82faa8864315cf1a87baf58213e6c3ccc9ebbe41ebd3c3b3d2fb8edad01d4cd3",
+    },
+    ("noise", "scattered", "x16"): {
+        "SkylakeX": "8e2e5def71778121710f47758b6866f357ae4851f38d130891538b2ad2d78898",
+        "Haswell": "82faa8864315cf1a87baf58213e6c3ccc9ebbe41ebd3c3b3d2fb8edad01d4cd3",
+    },
+    ("naive", "fully_enrolled", "x1"): {
+        "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
+        "Haswell": "4ed48ebceb51ca166f29712636b53e6cd6ac4c2cb3ce233f9f7e36c01e48bbe3",
+    },
+    ("naive", "fully_enrolled", "x16"): {
+        "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
+        "Haswell": "4ed48ebceb51ca166f29712636b53e6cd6ac4c2cb3ce233f9f7e36c01e48bbe3",
+    },
+    ("naive", "decreasing", "x1"): {
+        "SkylakeX": "1b8f368b9267dac115ef72565c74a35e32d8087a22945c6c8af61fcba0efee91",
+        "Haswell": "5d571831dd6a967e7683e3966db6b99a33fc9e2b3d3088890fb76a086c5c877f",
+    },
+    ("naive", "decreasing", "x16"): {
+        "SkylakeX": "1b8f368b9267dac115ef72565c74a35e32d8087a22945c6c8af61fcba0efee91",
+        "Haswell": "5d571831dd6a967e7683e3966db6b99a33fc9e2b3d3088890fb76a086c5c877f",
+    },
+    ("naive", "increasing", "x1"): {
+        "SkylakeX": "ec7a684358d550055460853369b237301012254c519f33983aa1f3528be774ac",
+        "Haswell": "4626d0658e4c9db088e816b0bb7eaf18e628869b7b0647245a67d78006b22c3a",
+    },
+    ("naive", "increasing", "x16"): {
+        "SkylakeX": "ec7a684358d550055460853369b237301012254c519f33983aa1f3528be774ac",
+        "Haswell": "4626d0658e4c9db088e816b0bb7eaf18e628869b7b0647245a67d78006b22c3a",
+    },
+    ("naive", "scattered", "x1"): {
+        "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
+        "Haswell": "37482e7c13b9e0b84c8ab31bb45c25a347ae219fe9ddf14f0b20c3638aaf83a7",
+    },
+    ("naive", "scattered", "x16"): {
+        "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
+        "Haswell": "37482e7c13b9e0b84c8ab31bb45c25a347ae219fe9ddf14f0b20c3638aaf83a7",
+    },
+    ("ebr", "fully_enrolled", "x1"): {
+        "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
+        "Haswell": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
+    },
+    ("ebr", "fully_enrolled", "x16"): {
+        "SkylakeX": "eb84fcaf68c3bb11bab94843c86c35c13e8abb045f161f0ce6916a7734a6f040",
+        "Haswell": "eb84fcaf68c3bb11bab94843c86c35c13e8abb045f161f0ce6916a7734a6f040",
+    },
+    ("ebr", "decreasing", "x1"): {
+        "SkylakeX": "1b8f368b9267dac115ef72565c74a35e32d8087a22945c6c8af61fcba0efee91",
+        "Haswell": "03b97a75c129ab077604c6b99da66c55e14097b3177060f14c1a799b58cb55fb",
+    },
+    ("ebr", "decreasing", "x16"): {
+        "SkylakeX": "c11eb3b520836d188e25f62bace0e63965b65ad2aa995a6456879fb714a68464",
+        "Haswell": "2f91c36de7d8edcff313b30d7db23677bee64e1c04d55c20b58df2f56bf54f86",
+    },
+    ("ebr", "increasing", "x1"): {
+        "SkylakeX": "ec7a684358d550055460853369b237301012254c519f33983aa1f3528be774ac",
+        "Haswell": "4626d0658e4c9db088e816b0bb7eaf18e628869b7b0647245a67d78006b22c3a",
+    },
+    ("ebr", "increasing", "x16"): {
+        "SkylakeX": "b641d6786971f5fefb386ceeec91da219c8da07d1b87f61a39c6d5b0d6d3f209",
+        "Haswell": "8d110f6e1ac70793853375ed36aa16545aefa42ad4439f64eb1f336722cfccc3",
+    },
+    ("ebr", "scattered", "x1"): {
+        "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
+        "Haswell": "3e698a6e1e74c973003b5b05451c46411ede1e011f320ba5b0827727fbbb0b2b",
+    },
+    ("ebr", "scattered", "x16"): {
+        "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
+        "Haswell": "3e698a6e1e74c973003b5b05451c46411ede1e011f320ba5b0827727fbbb0b2b",
+    },
+    ("ver_stats", "fully_enrolled", "x1"): {
+        "SkylakeX": "a3487da449232a6fc4f4fb13ecdae04e735128cafe8784bd1d3a2e8914459a7c",
+        "Haswell": "343d8e0694b168674411024c63d06a4b11b690b4f4572da051e08ee448317da4",
+    },
+    ("ver_stats", "fully_enrolled", "x16"): {
+        "SkylakeX": "69beedbc52144ee493956d3786dbce940c079464c80cf702f6eac43c1e0a342e",
+        "Haswell": "3871d96c17de3ec337cb86b588a3adb05a5dc67b5fc1a1ff32c45bbe80a780c9",
+    },
+    ("ver_stats", "decreasing", "x1"): {
+        "SkylakeX": "09ffe2114fd6e8dbbf168bdedd88772c64096f92b84dd8e2980d4d51c56d7d9d",
+        "Haswell": "d4e00426751c34c62711d94de729a09ed2c7e6d94134a3b8816984d3eed83b55",
+    },
+    ("ver_stats", "decreasing", "x16"): {
+        "SkylakeX": "63e0fd873bcbec76a5cdb5fa2fcb03da0ab5b56e007493daea4dc0590d9068a7",
+        "Haswell": "bf7864678ad7a25c85e9d4035b9e5d22062a9b3cddf71eea4b675299aaf9293c",
+    },
+    ("ver_stats", "increasing", "x1"): {
+        "SkylakeX": "53935d54aec1990bec0ce0e5aee7bfed4e3e37d2b530d5b11f1d2b00d628dd13",
+        "Haswell": "f31ea1a8ff341446932876177117f616b038e11d735a07c50c5d791a9d0e9bbc",
+    },
+    ("ver_stats", "increasing", "x16"): {
+        "SkylakeX": "d2568927a763693007dc3f7dc3838b5f15df065543350fd5ab85b9163d0cda59",
+        "Haswell": "205fbea409d1594b780782c5bee7633d24774c87d76529f249de67313dfb4b70",
+    },
+    ("ver_stats", "scattered", "x1"): {
+        "SkylakeX": "fd1162141284f7036a2c1275e74f2f217d877a015c09a964d21dce4499280ff2",
+        "Haswell": "f51a67b30815b243da4e28069994f026d0c23fd4f2c1f3786b6b284fb82a1272",
+    },
+    ("ver_stats", "scattered", "x16"): {
+        "SkylakeX": "fd1162141284f7036a2c1275e74f2f217d877a015c09a964d21dce4499280ff2",
+        "Haswell": "f51a67b30815b243da4e28069994f026d0c23fd4f2c1f3786b6b284fb82a1272",
+    },
+    ("ver_sampled", "fully_enrolled", "x1"): {
+        "SkylakeX": "59e75ed9b073b80e3d77070c8bbab9e4515a5e7e9af6f05d15a067df1b9673e4",
+        "Haswell": "93a3fb4471c000348bda6027c1658bc9dc91ef35164da4bc8e2a181395b96961",
+    },
+    ("ver_sampled", "fully_enrolled", "x16"): {
+        "SkylakeX": "7239b4dbcc7cca3ee3a66db327628a87bae891696f447ae1192e3205f4e2dca8",
+        "Haswell": "f7c6f54df5f8ae51f0dfba58d713d72cd6a7222ff6c8637dc153a59ed295b0d4",
+    },
+    ("ver_sampled", "decreasing", "x1"): {
+        "SkylakeX": "d23c7a3c1a6e4c7f3bca3fc0fb167cf02421bedd4645a2bafa5c71c05a971348",
+        "Haswell": "70a06eef2cbbb3600a0bee721cdc956ee84e422e53d4847106509d92e3c82668",
+    },
+    ("ver_sampled", "decreasing", "x16"): {
+        "SkylakeX": "a576e5dc237bb1485119c4c0b9cbfae5e140822089b9aa61d6c41895e6f65a0d",
+        "Haswell": "28d77ae77fb88ba83765606af98a455321510e4a63e385dbc0c85a643271c2d7",
+    },
+    ("ver_sampled", "increasing", "x1"): {
+        "SkylakeX": "ab45761f491b666574308f806836e6e9b04974d42b3c71b845f849df2a7c18a8",
+        "Haswell": "88dacd7671e98ade1d0a8c15d8cb2bf4a7c217b69d38e34c659dfee36fee91e8",
+    },
+    ("ver_sampled", "increasing", "x16"): {
+        "SkylakeX": "f44a36dcf2a1b49975b25c75ad3fe373277868eeeffa3763b8ad9dd098bc0dc0",
+        "Haswell": "16158727bd726ae527f5d697140f79576ffa0b78dec27c8b2f4ce0e5be173aa6",
+    },
+    ("ver_sampled", "scattered", "x1"): {
+        "SkylakeX": "67d5f2619043f956ca4bd35be448cea24153a2891a91e7634a103295bfdbb377",
+        "Haswell": "67d5f2619043f956ca4bd35be448cea24153a2891a91e7634a103295bfdbb377",
+    },
+    ("ver_sampled", "scattered", "x16"): {
+        "SkylakeX": "67d5f2619043f956ca4bd35be448cea24153a2891a91e7634a103295bfdbb377",
+        "Haswell": "67d5f2619043f956ca4bd35be448cea24153a2891a91e7634a103295bfdbb377",
     },
 }
 
@@ -147,13 +331,17 @@ def _pairs(strategy, arch):
     return pairs
 
 
-def _run(tmp_path, strategy, arch, *flags):
-    out = tmp_path / f"{strategy}-{arch}"
-    cfg = tmp_path / f"{strategy}-{arch}.cfg"
-    pairs = dict(_pairs(strategy, arch), out=str(out))
+def _run_pairs(tmp_path, name, pairs, *flags):
+    out = tmp_path / name
+    cfg = tmp_path / f"{name}.cfg"
+    pairs = dict(pairs, out=str(out))
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
     assert cli.main(["run", str(cfg), "--quiet", *flags]) == 0
     return out
+
+
+def _run(tmp_path, strategy, arch, *flags):
+    return _run_pairs(tmp_path, f"{strategy}-{arch}", _pairs(strategy, arch), *flags)
 
 
 def _sha256(path) -> str:
@@ -167,12 +355,8 @@ def rounds_digest(tmp_path, strategy, arch) -> str:
 def offline_repr(strategy) -> str:
     cfg = parse_pairs(_pairs(strategy, "mlp"))
     tasks = cfg.build_tasks()
-    accs, mean = run_offline(tasks, cfg.fl_config(), master_seed=cfg.master_seed(),
-                             encoder_spec=cfg.encoder_spec(tasks),
-                             classifier_spec=cfg.classifier_spec(tasks),
-                             beta=cfg["model.beta"],
-                             pretrain_epochs=cfg["model.pretrain_epochs"],
-                             pretrain_lr=cfg["model.pretrain_lr"])
+    accs, mean = run_offline(tasks, cfg.fl_config(), cfg.model_config(tasks),
+                             master_seed=cfg.master_seed())
     return repr((accs, mean))
 
 
@@ -194,4 +378,13 @@ def test_checkpoint_buffers_match_golden_digests(tmp_path, strategy):
     checkpoint = _run(tmp_path, strategy, "mlp", "--checkpoint-every", "3") / "checkpoint"
     got = {name: _sha256(checkpoint / name) for name in want}
     assert got == want, f"OpenBLAS core {core}"
-    assert sorted(p.name for p in checkpoint.glob("*.bin")) == sorted(want)
+    assert sorted(p.name for p in checkpoint.iterdir()) == sorted(want)
+
+
+@pytest.mark.parametrize("strategy,scenario,memory", list(MATRIX_SHA256))
+def test_matrix_rounds_csv_matches_golden_digest(tmp_path, strategy, scenario, memory):
+    core, want = recorded(MATRIX_SHA256[(strategy, scenario, memory)])
+    pairs = dict(MATRIX_PAIRS, **{"strategy.kind": strategy, "scenario": scenario,
+                                  "strategy.memory": memory})
+    out = _run_pairs(tmp_path, "matrix", pairs)
+    assert _sha256(out / "rounds.csv") == want, f"OpenBLAS core {core}"

@@ -8,7 +8,7 @@ import filver.numcore as nc
 from filver import models, storage
 from filver.errors import ContractViolation
 from filver.models import (EVAL_CHUNK, ClassifierModel, ClassifierSpec, EncoderModel,
-                           EncoderSpec, GaussianStats, VerLossConfig, classifier_accuracy,
+                           EncoderSpec, GaussianStats, ModelConfig, classifier_accuracy,
                            classifier_loss_and_grad, encode_for_eval, pretrain_encoder,
                            ver_loss)
 from filver.rng import RngStream
@@ -42,6 +42,14 @@ def test_conv_encoder_rejects_small_input():
 def test_mlp_encoder_rejects_image_dims():
     with pytest.raises(ContractViolation):
         EncoderModel(EncoderSpec("ebr", (8, 8), embed_dim=8, arch="mlp", hidden=16))
+
+
+@pytest.mark.parametrize("beta", [-1e-3, float("nan"), float("inf")])
+def test_model_config_rejects_a_negative_or_non_finite_beta(beta):
+    encoder = EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8)
+    with pytest.raises(ContractViolation, match="beta"):
+        ModelConfig(encoder, ClassifierSpec(classes=3, hidden=8), beta=beta,
+                    pretrain_epochs=1, pretrain_lr=0.05)
 
 
 def test_head_kind_enforcement(tiny_mlp_vee, tiny_mlp_ebr):
@@ -147,14 +155,13 @@ def _composite_loss(encoder, classifier, enc_params, cls_params, x, y, eps, beta
 def test_composite_loss_gradients_match_fd(tiny_mlp_vee, tiny_classifier):
     encoder, classifier = tiny_mlp_vee, tiny_classifier
     beta = 0.05
-    cfg = VerLossConfig(beta=beta)
     worst_enc, worst_cls = 0.0, 0.0
     for i in range(50):
         enc_params, cls_params, x, y, eps = _composite_instance(encoder, classifier, 1000 + i)
 
         mu, log_sigma, caches = encoder.stats_forward(enc_params, x)
         z = mu + nc.sigma_from_log(log_sigma) * eps
-        res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, classifier, cls_params, cfg)
+        res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, classifier, cls_params, beta)
         enc_grad = encoder.stats_backward(enc_params, caches, res.d_mu, res.d_log_sigma)
 
         check = _composite_loss(encoder, classifier, enc_params, cls_params, x, y, eps, beta)
@@ -186,8 +193,7 @@ def test_ver_loss_beta_zero_reduces_to_cross_entropy(tiny_mlp_vee, tiny_classifi
     mu, log_sigma, _ = tiny_mlp_vee.stats_forward(enc_params, x)
     sigma = nc.sigma_from_log(log_sigma)
     z = mu + sigma * eps
-    res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, tiny_classifier, cls_params,
-                   VerLossConfig(beta=0.0))
+    res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, tiny_classifier, cls_params, 0.0)
     ce, _ = nc.softmax_cross_entropy(tiny_classifier.forward(cls_params, z)[0], y)
     assert res.loss == ce and res.ce == ce
     assert res.kl > 0  # still reported for monitoring
@@ -208,8 +214,7 @@ def test_clamped_log_sigma_blocks_its_gradient(tiny_mlp_vee, tiny_classifier):
     mu, log_sigma, caches = tiny_mlp_vee.stats_forward(pushed, x)
     assert (log_sigma == nc.LOG_SIGMA_MAX).all()
     z = mu + nc.sigma_from_log(log_sigma) * eps
-    res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, tiny_classifier, cls_params,
-                   VerLossConfig(beta=0.05))
+    res = ver_loss(GaussianStats(mu, log_sigma), z, eps, y, tiny_classifier, cls_params, 0.05)
     grad = tiny_mlp_vee.stats_backward(pushed, caches, res.d_mu, res.d_log_sigma)
     assert np.array_equal(grad.get("log_sigma.b"), np.zeros(4))
     assert np.array_equal(grad.get("log_sigma.w"), np.zeros((8, 4)))
@@ -329,7 +334,7 @@ def test_pretrain_random_projection_stays_at_init():
     model = EncoderModel(spec)
     x, y = _blob_toy(30)
     rng = RngStream(31)
-    params = pretrain_encoder(x, y, 3, model, epochs=3, lr=0.05, rng=rng)
+    params = pretrain_encoder(x, y, 3, model, epochs=3, lr=0.05, rng=rng, beta=1e-3)
     init = model.init_params(RngStream(31).child("encoder_init"))
     assert params.checksum() == init.checksum()
 
@@ -357,21 +362,23 @@ def test_pretrain_vee_steps_through_ver_loss(monkeypatch):
     monkeypatch.setattr(models, "ver_loss", counted)
     x, y = _blob_toy(37)  # 120 rows: four batches of 32 per epoch
     model = EncoderModel(EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8))
-    pretrain_encoder(x, y, 3, model, epochs=2, lr=0.05, rng=RngStream(38))
+    pretrain_encoder(x, y, 3, model, epochs=2, lr=0.05, rng=RngStream(38), beta=1e-3)
     assert len(calls) == 2 * 4
 
 
 def test_pretrain_rejects_empty_dataset(tiny_mlp_ebr):
     with pytest.raises(ContractViolation):
         pretrain_encoder(np.zeros((0, 6)), np.zeros(0, dtype=np.int64), 3,
-                         tiny_mlp_ebr, epochs=1, lr=0.1, rng=RngStream(34))
+                         tiny_mlp_ebr, epochs=1, lr=0.1, rng=RngStream(34), beta=1e-3)
 
 
 def test_pretrain_is_deterministic():
     spec = EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8)
     x, y = _blob_toy(35)
-    a = pretrain_encoder(x, y, 3, EncoderModel(spec), epochs=2, lr=0.05, rng=RngStream(36))
-    b = pretrain_encoder(x, y, 3, EncoderModel(spec), epochs=2, lr=0.05, rng=RngStream(36))
+    a = pretrain_encoder(x, y, 3, EncoderModel(spec), epochs=2, lr=0.05, rng=RngStream(36),
+                         beta=1e-3)
+    b = pretrain_encoder(x, y, 3, EncoderModel(spec), epochs=2, lr=0.05, rng=RngStream(36),
+                         beta=1e-3)
     assert a.checksum() == b.checksum()
 
 
