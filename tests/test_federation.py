@@ -369,6 +369,39 @@ def test_local_train_ver_stats_uploads_stats_payloads():
     assert all(isinstance(rec.payload, GaussianStats) for rec in res.upload)
 
 
+def upload_bytes(upload) -> list:
+    return [(type(rec.payload).__name__, rec.label, rec.task_id, rec.round_id,
+             [a.tobytes() for a in vars(rec.payload).values()]) for rec in upload]
+
+
+@pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
+def test_local_train_results_do_not_depend_on_client_order(kind):
+    # mid-task, with filled buffers: every client trains on its own keyed
+    # stream, first in id order and then in reverse
+    from filver.rehearsal import StrategyConfig
+
+    _, state = run_experiment(tiny_tasks(), "fully_enrolled", tiny_fl(clients_per_round=4),
+                              StrategyConfig(kind=kind, rho=0.25), tiny_model(kind),
+                              master_seed=29, stop_after_round=4)
+    task_id, round_in_task = divmod(state.global_round, state.fl.rounds_per_task)
+    ids = sorted(state.shard_embeddings)
+    assert len(ids) == 4 and all(len(state.client_buffers[cid]) for cid in ids)
+
+    def train(cid):
+        return local_train(state.client_buffers[cid], state.classifier_params,
+                           state.shard_embeddings[cid], state.classifier, task_id,
+                           state.global_round, state.fl, state.strategy,
+                           state.master.child("local", cid, task_id, round_in_task))
+
+    forward = {cid: train(cid) for cid in ids}
+    backward = {cid: train(cid) for cid in reversed(ids)}
+    for cid in ids:
+        a, b = forward[cid], backward[cid]
+        assert np.array_equal(a.params.flat, b.params.flat)
+        assert (a.mean_loss, a.n_samples) == (b.mean_loss, b.n_samples)
+        assert a.upload and upload_bytes(a.upload) == upload_bytes(b.upload)
+
+
 def test_local_train_is_deterministic_in_the_stream():
     results = []
     for _ in range(2):

@@ -11,7 +11,9 @@ embeddings: buffers and snapshots hold no raw samples), so the FVMC and
 FVBF formats are pinned byte for byte too, and their meta.json, so a
 checkpoint written before a change to the run identity still resumes after
 it.  The matrix cases pin rounds.csv over every strategy x scenario x
-memory combination.  All cases together take a few seconds, so this is the
+memory combination, and a property over the same space checks that a run
+stopped after any round and resumed writes the uninterrupted run's bytes.
+All cases together take a few seconds, so this is the
 quick check to run before the acceptance battery.
 
 OpenBLAS picks its GEMM kernel, and with it the float summation order, for
@@ -27,12 +29,18 @@ draw) re-records these values under both cores and says so in CHANGES.md.
 
 import ctypes
 import hashlib
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from filver import cli
 from filver.config import parse_pairs
 from filver.federation import run_offline
+from filver.rehearsal import MEMORY_MULTIPLIERS, STRATEGY_KINDS
+from filver.scenarios import SCHEDULE_KINDS
 
 from conftest import openblas_libraries
 from test_acceptance import CLI_PAIRS
@@ -388,3 +396,40 @@ def test_matrix_rounds_csv_matches_golden_digest(tmp_path, strategy, scenario, m
                                   "strategy.memory": memory})
     out = _run_pairs(tmp_path, "matrix", pairs)
     assert _sha256(out / "rounds.csv") == want, f"OpenBLAS core {core}"
+
+
+# (strategy, scenario, memory) -> the uninterrupted run's outputs, shared by
+# every stop round drawn for that case
+_UNINTERRUPTED = {}
+
+
+def _outputs(out) -> dict:
+    """rounds.csv and every final checkpoint file, by name, as bytes."""
+    files = {"rounds.csv": (out / "rounds.csv").read_bytes()}
+    files.update({f"checkpoint/{p.name}": p.read_bytes()
+                  for p in sorted((out / "checkpoint").iterdir())})
+    return files
+
+
+@settings(max_examples=12, deadline=None)
+@given(strategy=st.sampled_from(STRATEGY_KINDS), scenario=st.sampled_from(SCHEDULE_KINDS),
+       memory=st.sampled_from(MEMORY_MULTIPLIERS), stop=st.integers(1, 8))
+@example(strategy="ver_stats", scenario="decreasing", memory="x16", stop=3)  # task boundary
+@example(strategy="naive", scenario="scattered", memory="x1", stop=6)  # task boundary
+@example(strategy="ver_sampled", scenario="increasing", memory="x16", stop=4)  # a task's round 1
+def test_resume_after_any_round_reproduces_the_uninterrupted_run(strategy, scenario, memory,
+                                                                stop):
+    # the matrix config runs 3 tasks of 3 rounds; both sides checkpoint every round
+    pairs = dict(MATRIX_PAIRS, **{"strategy.kind": strategy, "scenario": scenario,
+                                  "strategy.memory": memory})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        case = (strategy, scenario, memory)
+        if case not in _UNINTERRUPTED:
+            full = _run_pairs(tmp, "full", pairs, "--checkpoint-every", "1")
+            _UNINTERRUPTED[case] = _outputs(full)
+        out = _run_pairs(tmp, "split", pairs, "--checkpoint-every", "1",
+                         "--stop-after-round", str(stop))
+        _run_pairs(tmp, "split", pairs, "--checkpoint-every", "1",
+                   "--resume", str(out / "checkpoint"))
+        assert _outputs(out) == _UNINTERRUPTED[case]
