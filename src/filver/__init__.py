@@ -10,7 +10,7 @@ from .federation import (FLConfig, RoundReport, fedavg_aggregate, run_experiment
                          run_offline)
 from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, ModelConfig
 from .rehearsal import (RehearsalBuffer, RehearsalRecord, StrategyConfig, admit,
-                        materialize_batch, memory_budget, replay_batch)
+                        materialize_batch, replay_batch)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -23,6 +23,6 @@ __all__ = [
     "RehearsalRecord", "RngStream", "RoundReport", "StrategyConfig", "Task",
     "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks",
     "fedavg_aggregate", "load_idx", "make_schedule", "make_synthetic_blobs",
-    "materialize_batch", "memory_budget", "parse_config", "partition_clients",
+    "materialize_batch", "parse_config", "partition_clients",
     "preset_config", "replay_batch", "run_experiment", "run_offline",
 ]

@@ -17,9 +17,10 @@ import numpy as np
 from .datasets import (LabeledSet, TaskSequence, build_permuted_tasks, build_split_tasks,
                        load_idx, make_synthetic_blobs)
 from .errors import ConfigError, ContractViolation
-from .federation import FLConfig, encoder_kind_for_strategy
+from .federation import FLConfig
 from .models import ClassifierSpec, EncoderSpec, ModelConfig
-from .rehearsal import MEMORY_MULTIPLIERS, STRATEGY_KINDS, StrategyConfig
+from .rehearsal import (MEMORY_MULTIPLIERS, STRATEGY_KINDS, StrategyConfig,
+                        encoder_kind_for_strategy)
 from .rng import RngStream
 from .scenarios import SCHEDULE_KINDS
 
@@ -255,6 +256,9 @@ def parse_pairs(pairs: dict, origin: str = "<config>") -> ExperimentConfig:
             value = spec.parse(raw) if isinstance(raw, str) else raw
         except (TypeError, ValueError) as exc:
             problems.append(f"{key}: {exc}")
+            continue
+        if spec.parse is float and not np.isfinite(value):
+            problems.append(f"{key}: value {value!r} is not a finite number")
             continue
         if spec.check is not None and not spec.check(value):
             problems.append(f"{key}: value {value!r} out of range, expected {spec.hint}")

@@ -48,8 +48,8 @@ from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, EncoderSpec, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, load_buffer, materialize_batch, memory_budget,
-                        replay_batch, save_buffer)
+                        StrategyConfig, admit, buffer_capacity, load_buffer, materialize_batch,
+                        replay_batch, rows_from_records, save_buffer)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -99,16 +99,6 @@ class LocalResult:
     mean_loss: float
 
 
-def encoder_kind_for_strategy(kind: str) -> str:
-    """noise trains nothing; variational strategies need stats heads; the
-    rest share a deterministic encoder."""
-    if kind == "noise":
-        return "random_projection"
-    if kind in ("ver_stats", "ver_sampled"):
-        return "vee"
-    return "ebr"
-
-
 def fedavg_aggregate(updates: list) -> ParamVector:
     """Sample-count-weighted mean of client parameter vectors."""
     if not updates:
@@ -146,7 +136,7 @@ def _build_upload(embedded: dict, task_id: int, global_round: int,
                   strategy: StrategyConfig, rng: RngStream) -> list:
     """rho-sample this round's shard into rehearsal records, payload type
     fixed by the strategy.  This is the one rho-sample: admit keeps every
-    record it is offered, up to eviction."""
+    row it is offered, up to eviction."""
     if strategy.kind == "none":
         return []
     n = len(embedded["labels"])
@@ -266,17 +256,6 @@ def _embed_shards(state: ExperimentState, partition: ClientPartition, task_id: i
     return embedded
 
 
-def _embed_upload(state: ExperimentState, upload: list) -> list:
-    """An upload as buffers hold it: a naive upload's raw samples embedded in
-    one pass through the frozen encoder, any other upload as it is."""
-    if state.strategy.kind != "naive" or not upload:
-        return upload
-    z, _ = models.encode_for_eval(state.encoder, state.encoder_params,
-                                  np.stack([r.payload.x for r in upload]))
-    return [RehearsalRecord(EmbeddingPayload(row), r.label, r.task_id, r.round_id)
-            for row, r in zip(z, upload)]
-
-
 def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> RoundReport:
     fl = state.fl
     active = state.schedule.active_clients(task_id)  # ascending, never empty
@@ -296,13 +275,18 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
                            state.strategy, rng)
                for cid, rng in zip(chosen, streams)]
 
-    # each upload joins its client's own buffer and the server's, in
-    # client-id order for schedule independence
+    # each upload is stacked into rows once, a naive upload's raw samples
+    # embedded in one pass through the frozen encoder, and the same rows join
+    # its client's own buffer and the server's, in client-id order for
+    # schedule independence
     for cid, rng, res in zip(chosen, streams, results):
-        records = _embed_upload(state, res.upload)
-        if records:
-            admit(state.client_buffers[cid], records, rng.child("self_admit"))
-            admit(state.server_buffer, records,
+        rows = rows_from_records(res.upload)
+        if "x" in rows.columns:
+            rows.columns = {"z": models.encode_for_eval(state.encoder, state.encoder_params,
+                                                        rows.columns["x"])[0]}
+        if len(rows):
+            admit(state.client_buffers[cid], rows, rng.child("self_admit"))
+            admit(state.server_buffer, rows,
                   state.master.child("server_admit", task_id, round_in_task, cid))
 
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
@@ -319,25 +303,6 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
                          sum(len(b) for b in state.client_buffers))
     state.global_round += 1
     return report
-
-
-def _buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: int,
-                     raw_bytes: int, embed_dim: int) -> int:
-    """Capacity sized to hold one rho-sample per task within the memory
-    envelope.  Stats records carry two vectors; a naive budget is priced in
-    the raw samples a client ships, so it cancels back to the sample count."""
-    if strategy.kind == "none":
-        return 0
-    naive_count = math.ceil(strategy.rho * per_task_samples) * n_tasks
-    if naive_count == 0:
-        return 0
-    if strategy.kind == "naive":
-        payload_bytes = raw_bytes
-    elif strategy.kind == "ver_stats":
-        payload_bytes = 2 * embed_dim * 8
-    else:
-        payload_bytes = embed_dim * 8
-    return memory_budget(strategy, naive_count, raw_bytes, payload_bytes)
 
 
 def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelConfig,
@@ -386,8 +351,8 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                      for c in range(fl.n_clients) for t in range(n_tasks))
     per_task_total = max(len(t.train) for t in tasks.tasks)
     embed_dim = model.encoder.embed_dim
-    client_cap = _buffer_capacity(strategy, per_client, n_tasks, raw_bytes, embed_dim)
-    server_cap = _buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, embed_dim)
+    client_cap = buffer_capacity(strategy, per_client, n_tasks, raw_bytes, embed_dim)
+    server_cap = buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, embed_dim)
 
     identity = _run_identity(master_seed, fl, strategy, model, schedule)
     start_round = 0

@@ -14,15 +14,19 @@ embedding at replay time:
 The stats/sampled distinction is enforced by payload type: a ver_sampled
 record simply has no field in which statistics could travel.
 
-Records are what a client ships.  A buffer keeps them as columns instead:
-one float64 array per payload field, named after it (``z``, or ``mu`` and
-``log_sigma``), plus int64 label, task and round columns.  So the privacy
-rule is also a schema property: a ver_sampled buffer has no stats column.
+Records exist only on the wire.  `run_round` stacks each upload into rows
+once (`rows_from_records`): a float64 column per payload field (``x``, ``z``,
+or ``mu`` and ``log_sigma``), plus int64 label, task and round columns; a
+naive upload's ``x`` is embedded into ``z`` in the same step.  `admit` takes
+those rows, so the privacy rule is also a schema property: a ver_sampled
+buffer has no stats column.  `_STRATEGIES` alone names a strategy's encoder
+and buffer columns, and `buffer_capacity` prices a row from those columns.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -37,7 +41,18 @@ from .rng import RngStream
 
 log = logging.getLogger(__name__)
 
-STRATEGY_KINDS = ("none", "noise", "naive", "ebr", "ver_stats", "ver_sampled")
+# strategy kind -> (the encoder it pretrains and freezes, its buffers' payload
+# columns).  noise trains nothing; variational strategies need stats heads;
+# the rest share a deterministic one.  naive buffers hold the uploads' z.
+_STRATEGIES = {
+    "none": ("ebr", ()),
+    "noise": ("random_projection", ("z",)),
+    "naive": ("ebr", ("z",)),
+    "ebr": ("ebr", ("z",)),
+    "ver_stats": ("vee", ("mu", "log_sigma")),
+    "ver_sampled": ("vee", ("z",)),
+}
+STRATEGY_KINDS = tuple(_STRATEGIES)
 MEMORY_MULTIPLIERS = ("x1", "x16")
 
 
@@ -66,15 +81,6 @@ class EmbeddingPayload:
 
 # Stats payloads reuse GaussianStats with (d,) vectors for mu and log sigma.
 
-# strategy kind -> the payload columns its buffers hold
-_BUFFER_COLUMNS = {
-    "noise": ("z",),
-    "naive": ("z",),
-    "ebr": ("z",),
-    "ver_stats": ("mu", "log_sigma"),
-    "ver_sampled": ("z",),
-}
-
 
 @dataclass
 class RehearsalRecord:
@@ -91,8 +97,9 @@ class RehearsalRecord:
         self.round_id = int(self.round_id)
 
 
-# payload type -> the buffer columns its fields become, and the snapshot tag
+# payload type -> the columns its fields become, and the snapshot tag
 _COLUMNS_FOR_PAYLOAD = {
+    RawPayload: ("x",),
     EmbeddingPayload: ("z",),
     GaussianStats: ("mu", "log_sigma"),
 }
@@ -119,9 +126,13 @@ class StrategyConfig:
             raise ContractViolation(f"memory multiplier must be one of {MEMORY_MULTIPLIERS}")
 
 
+def encoder_kind_for_strategy(kind: str) -> str:
+    return _STRATEGIES[kind][0]
+
+
 def check_columns_match(kind: str, buffer: RehearsalBuffer) -> None:
-    want = _BUFFER_COLUMNS.get(kind)
-    if want is None:
+    want = _STRATEGIES.get(kind, (None, ()))[1]
+    if not want:
         raise ContractViolation(f"strategy {kind!r} admits no records")
     if tuple(buffer.columns) != want:
         raise ContractViolation(
@@ -136,7 +147,7 @@ def _no_ids() -> np.ndarray:
 class RehearsalBuffer:
     """Bounded rehearsal store with per-task eviction.
 
-    Row i is one record: ``columns[name][i]`` for each payload field, and
+    Row i is one uploaded sample: ``columns[name][i]`` for each payload field, and
     ``labels[i]``, ``tasks[i]``, ``rounds[i]``.  The first rows admitted fix
     the payload columns; an empty buffer may have none yet."""
 
@@ -163,18 +174,17 @@ class RehearsalBuffer:
                                self.labels[idx], self.tasks[idx], self.rounds[idx])
 
 
-def _rows_from_records(records: list) -> RehearsalBuffer:
-    """Stack a homogeneous record list into columns."""
+def rows_from_records(records: list) -> RehearsalBuffer:
+    """Stack a homogeneous record list into rows, one column per payload
+    field (raw samples become an ``x`` column); no records make no rows."""
+    if not records:
+        return RehearsalBuffer()
     kinds = {type(r.payload) for r in records}
     if len(kinds) != 1:
         raise ContractViolation(
             f"records mix payload types {sorted(k.__name__ for k in kinds)}")
-    kind = kinds.pop()
-    if kind not in _COLUMNS_FOR_PAYLOAD:
-        raise ContractViolation(
-            f"a buffer holds no {kind.__name__} records; embed raw samples before admission")
     columns = {}
-    for name in _COLUMNS_FOR_PAYLOAD[kind]:
+    for name in _COLUMNS_FOR_PAYLOAD[kinds.pop()]:
         try:
             columns[name] = np.stack([getattr(r.payload, name) for r in records])
         except ValueError as exc:
@@ -189,24 +199,27 @@ def _schema(buffer: RehearsalBuffer) -> tuple:
     return tuple((name, col.shape[1:]) for name, col in buffer.columns.items())
 
 
-def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> RehearsalBuffer:
-    """Append every candidate record, then evict to capacity.
+def admit(buffer: RehearsalBuffer, rows: RehearsalBuffer, rng: RngStream) -> RehearsalBuffer:
+    """Append every row of one upload, then evict to capacity.
 
-    The rho-fraction was already drawn once, when the client built its
-    upload.  Candidates must share one (task_id, round_id) and one payload
-    type, the one the buffer already holds.  Eviction removes a random record
-    from whichever task currently holds the most, breaking ties toward the
+    run_round stacks an upload once and hands the same rows to the client's
+    buffer and to the server's; admit never changes them.  The rho-fraction
+    was drawn once, at upload.  The rows must share one (task, round) and the
+    buffer's payload columns, and have no raw ``x`` column.  Eviction removes
+    a random row from whichever task holds the most, breaking ties toward the
     newest task so early tasks keep their representation.
     """
-    if not candidates:
+    if not len(rows):
         return buffer
-    keys = {(r.task_id, r.round_id) for r in candidates}
-    if len(keys) != 1:
-        raise ContractViolation(f"admit candidates span multiple (task, round) keys: {sorted(keys)}")
-    rows = _rows_from_records(candidates)
+    if rows.tasks.min() != rows.tasks.max() or rows.rounds.min() != rows.rounds.max():
+        keys = sorted(set(zip(rows.tasks.tolist(), rows.rounds.tolist())))
+        raise ContractViolation(f"admit rows span multiple (task, round) keys: {keys}")
+    if "x" in rows.columns:
+        raise ContractViolation(
+            "a buffer holds no raw samples (column 'x'); embed them before admission")
     if len(buffer) and _schema(rows) != _schema(buffer):
         raise ContractViolation(
-            f"buffer holds payload columns {_schema(buffer)}, candidates carry {_schema(rows)}")
+            f"buffer holds payload columns {_schema(buffer)}, rows carry {_schema(rows)}")
 
     keep = _survivors(np.concatenate([buffer.tasks, rows.tasks]), buffer.capacity, rng)
     n = len(buffer)
@@ -305,19 +318,22 @@ def materialize_batch(batch: RehearsalBuffer, kind: str, *, rng: RngStream = Non
     return z, batch.labels
 
 
-def memory_budget(cfg: StrategyConfig, naive_count: int,
-                  raw_bytes_per_sample: int, embed_bytes: int) -> int:
-    """Buffer capacity in records for a given memory envelope.
-
-    x1 matches the raw-sample count; x16 spends the same number of bytes the
-    raw samples would occupy, so capacity scales by the raw/embedding size
-    ratio (recomputed from the actual byte sizes, not hard-coded).
-    """
-    if naive_count <= 0 or raw_bytes_per_sample <= 0 or embed_bytes <= 0:
-        raise ContractViolation("memory_budget sizes must be positive")
-    if cfg.memory_multiplier == "x1":
-        return int(naive_count)
-    return int(naive_count * raw_bytes_per_sample // embed_bytes)
+def buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: int,
+                    raw_bytes: int, embed_dim: int) -> int:
+    """Rows to hold one rho-sample of `per_task_samples` per task within the
+    memory envelope: x1 matches the raw-sample count; x16 spends the bytes of
+    those raw samples, a row costing embed_dim float64s per column, except a
+    naive row, priced as the raw sample its client ships."""
+    if min(per_task_samples, n_tasks, raw_bytes, embed_dim) <= 0:
+        raise ContractViolation("buffer_capacity sizes must be positive")
+    columns = _STRATEGIES[strategy.kind][1]
+    naive_count = math.ceil(strategy.rho * per_task_samples) * n_tasks
+    if not columns:
+        return 0
+    if strategy.memory_multiplier == "x1":
+        return naive_count
+    row_bytes = raw_bytes if strategy.kind == "naive" else len(columns) * embed_dim * 8
+    return naive_count * raw_bytes // row_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -498,23 +498,29 @@ def test_criterion_09_byte_identical_reproducibility(capsys, tmp_path):
 
 
 def test_criterion_10_upload_payload_privacy(capsys, monkeypatch):
-    sampled_server, _, sampled_state = collect_admitted_payloads(monkeypatch, "ver_sampled")
-    # uploads are records, checked by payload type; the server buffer is
-    # columns, checked by schema: no stats column may exist under ver_sampled
-    sampled_columns = set(sampled_state.server_buffer.columns)
-    sampled_ok = (len(sampled_server) > 0
-                  and GaussianStats not in set(sampled_server)
+    # what ships is local_train's records, checked by payload type; what the
+    # server admits is rows, and its buffer is columns, both checked by
+    # column name: no stats column may exist under ver_sampled
+    stats = {"mu", "log_sigma"}
+    sampled_shipped, sampled_server, _, sampled_state = collect_admitted_payloads(
+        monkeypatch, "ver_sampled")
+    sampled_ok = (len(sampled_shipped) > 0
+                  and GaussianStats not in set(sampled_shipped)
+                  and len(sampled_server) > 0
+                  and not any(stats & set(columns) for columns in sampled_server)
                   and len(sampled_state.server_buffer) > 0
-                  and not sampled_columns & {"mu", "log_sigma"})
+                  and not set(sampled_state.server_buffer.columns) & stats)
 
-    stats_server, _, stats_state = collect_admitted_payloads(monkeypatch, "ver_stats")
-    stats_ok = (len(stats_server) > 0
-                and set(stats_server) == {GaussianStats}
+    stats_shipped, stats_server, _, stats_state = collect_admitted_payloads(
+        monkeypatch, "ver_stats")
+    stats_ok = (len(stats_shipped) > 0
+                and set(stats_shipped) == {GaussianStats}
+                and set(stats_server) == {("mu", "log_sigma")}
                 and len(stats_state.server_buffer) > 0
-                and set(stats_state.server_buffer.columns) == {"mu", "log_sigma"})
+                and tuple(stats_state.server_buffer.columns) == ("mu", "log_sigma"))
 
     ok = sampled_ok and stats_ok
     _verdict(capsys, 10, ok,
-             f"sampled VER shipped {len(sampled_server)} records, zero Gaussian "
-             f"stats: {sampled_ok}; stats VER shipped {len(stats_server)} records, "
+             f"sampled VER shipped {len(sampled_shipped)} records, zero Gaussian "
+             f"stats: {sampled_ok}; stats VER shipped {len(stats_shipped)} records, "
              f"all Gaussian stats: {stats_ok}")

@@ -574,6 +574,20 @@ def test_run_reports_config_problems_on_stderr(tmp_path, capsys):
     assert "fl.made_up" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", [k.name for k in KEY_TABLE.values() if k.parse is float])
+def test_a_non_finite_float_value_exits_2_before_pretraining(tmp_path, capsys, monkeypatch,
+                                                             key, value):
+    # an infinite learning rate or KL weight would otherwise fail only after
+    # pretraining, and an infinite blob spread would train on noise
+    pretrained = []
+    monkeypatch.setattr(models, "pretrain_encoder", lambda *args, **kw: pretrained.append(args))
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out", **{key: value})
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    assert f"{key}: value {float(value)!r} is not a finite number" in capsys.readouterr().err
+    assert pretrained == [] and not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: idx datasets
 # ---------------------------------------------------------------------------

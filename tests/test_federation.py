@@ -20,8 +20,6 @@ from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs,
 from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
-    _buffer_capacity,
-    encoder_kind_for_strategy,
     fedavg_aggregate,
     local_train,
     run_experiment,
@@ -40,7 +38,16 @@ from filver.models import (
     encode_for_eval,
 )
 from filver.numcore import ParamVector, sgd_step
-from filver.rehearsal import EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord, admit
+from filver.rehearsal import (
+    EmbeddingPayload,
+    RawPayload,
+    RehearsalBuffer,
+    RehearsalRecord,
+    admit,
+    buffer_capacity,
+    encoder_kind_for_strategy,
+    rows_from_records,
+)
 from filver.rng import RngStream
 
 # ---------------------------------------------------------------------------
@@ -321,7 +328,7 @@ def test_local_train_changes_no_buffer(kind):
     held = [RehearsalRecord(EmbeddingPayload(np.ones(EMBED)), 1, 0, 0)]
     if kind == "ver_stats":
         held = [RehearsalRecord(GaussianStats(np.ones(EMBED), np.zeros(EMBED)), 1, 0, 0)]
-    admit(buffer, held, RngStream(0))
+    admit(buffer, rows_from_records(held), RngStream(0))
     before = {name: col.copy() for name, col in buffer.columns.items()}
     res = local_train(buffer, cls_params, embedded, classifier, 0, 1,
                       tiny_fl(), strategy, rng.child("local"))
@@ -426,7 +433,7 @@ def server_buffer_two_clusters(rng, n=40):
         z = rng.child("z", i).normal((EMBED,)) * 0.2 + center
         records.append(RehearsalRecord(EmbeddingPayload(z), label, 0, 0))
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, records, rng.child("admit"))  # every record, in order
+    admit(buf, rows_from_records(records), rng.child("admit"))  # every record, in order
     assert len(buf) == n
     return buf
 
@@ -489,19 +496,19 @@ def test_buffer_capacity_per_strategy():
     per_task, n_tasks = 40, 3
     naive_count = math.ceil(0.25 * per_task) * n_tasks
 
-    assert _buffer_capacity(StrategyConfig("none"), per_task, n_tasks, raw_bytes, EMBED) == 0
-    assert _buffer_capacity(StrategyConfig("naive", rho=0.25), per_task, n_tasks,
-                            raw_bytes, EMBED) == naive_count
-    assert _buffer_capacity(StrategyConfig("ebr", rho=0.25), per_task, n_tasks,
-                            raw_bytes, EMBED) == naive_count
+    assert buffer_capacity(StrategyConfig("none"), per_task, n_tasks, raw_bytes, EMBED) == 0
+    assert buffer_capacity(StrategyConfig("naive", rho=0.25), per_task, n_tasks,
+                           raw_bytes, EMBED) == naive_count
+    assert buffer_capacity(StrategyConfig("ebr", rho=0.25), per_task, n_tasks,
+                           raw_bytes, EMBED) == naive_count
     x16 = StrategyConfig("ebr", rho=0.25, memory_multiplier="x16")
-    assert _buffer_capacity(x16, per_task, n_tasks, raw_bytes, EMBED) == \
+    assert buffer_capacity(x16, per_task, n_tasks, raw_bytes, EMBED) == \
         naive_count * raw_bytes // (EMBED * 8)
     stats16 = StrategyConfig("ver_stats", rho=0.25, memory_multiplier="x16")
-    assert _buffer_capacity(stats16, per_task, n_tasks, raw_bytes, EMBED) == \
+    assert buffer_capacity(stats16, per_task, n_tasks, raw_bytes, EMBED) == \
         naive_count * raw_bytes // (2 * EMBED * 8)
-    assert _buffer_capacity(StrategyConfig("ebr", rho=0.0), per_task, n_tasks,
-                            raw_bytes, EMBED) == 0
+    assert buffer_capacity(StrategyConfig("ebr", rho=0.0), per_task, n_tasks,
+                           raw_bytes, EMBED) == 0
 
 
 def test_encoder_kind_for_strategy_mapping():
@@ -655,34 +662,44 @@ def test_schedule_shape_must_match_config():
 
 
 def collect_admitted_payloads(monkeypatch, kind):
-    real_admit = federation.admit
-    calls = []
+    """(payload types of every record local_train shipped, the column names
+    of each row set admitted to the server's buffer, the same for the
+    clients' buffers, the final state) of a tiny run."""
+    real_admit, real_local_train = federation.admit, federation.local_train
+    shipped, admitted = [], []
 
-    def spy(buffer, candidates, rng):
-        calls.append((id(buffer), [type(rec.payload) for rec in candidates]))
+    def spy_local_train(*args):
+        res = real_local_train(*args)
+        shipped.extend(type(rec.payload) for rec in res.upload)
+        return res
+
+    def spy_admit(buffer, candidates, rng):
+        admitted.append((id(buffer), tuple(candidates.columns)))
         return real_admit(buffer, candidates, rng)
 
-    monkeypatch.setattr(federation, "admit", spy)
-    _, state = tiny_run(kind, seed=17)
+    with monkeypatch.context() as patch:  # the spies go when the run ends
+        patch.setattr(federation, "local_train", spy_local_train)
+        patch.setattr(federation, "admit", spy_admit)
+        _, state = tiny_run(kind, seed=17)
     server_id = id(state.server_buffer)
-    server_types = [t for bid, types in calls if bid == server_id for t in types]
-    client_types = [t for bid, types in calls if bid != server_id for t in types]
-    return server_types, client_types, state
+    server_columns = [cols for bid, cols in admitted if bid == server_id]
+    client_columns = [cols for bid, cols in admitted if bid != server_id]
+    return shipped, server_columns, client_columns, state
 
 
 def test_ver_sampled_never_ships_stats_to_the_server(monkeypatch):
-    server_types, client_types, state = collect_admitted_payloads(monkeypatch, "ver_sampled")
-    assert server_types
-    assert set(server_types) == {EmbeddingPayload}
-    assert set(client_types) == {EmbeddingPayload}
+    shipped, server_columns, client_columns, state = collect_admitted_payloads(
+        monkeypatch, "ver_sampled")
+    assert shipped and set(shipped) == {EmbeddingPayload}
+    assert server_columns and set(server_columns) == set(client_columns) == {("z",)}
     assert len(state.server_buffer) > 0
     assert list(state.server_buffer.columns) == ["z"]
 
 
 def test_ver_stats_ships_only_stats_payloads(monkeypatch):
-    server_types, _, state = collect_admitted_payloads(monkeypatch, "ver_stats")
-    assert server_types
-    assert set(server_types) == {GaussianStats}
+    shipped, server_columns, _, state = collect_admitted_payloads(monkeypatch, "ver_stats")
+    assert shipped and set(shipped) == {GaussianStats}
+    assert server_columns and set(server_columns) == {("mu", "log_sigma")}
     assert len(state.server_buffer) > 0
     assert list(state.server_buffer.columns) == ["mu", "log_sigma"]
 
@@ -690,20 +707,37 @@ def test_ver_stats_ships_only_stats_payloads(monkeypatch):
 def test_naive_ships_raw_samples(monkeypatch):
     # what ships is LocalResult.upload: raw samples.  The buffers admit their
     # embeddings.
-    shipped = []
-    real_local_train = federation.local_train
-
-    def spy(*args):
-        res = real_local_train(*args)
-        shipped.extend(type(rec.payload) for rec in res.upload)
-        return res
-
-    monkeypatch.setattr(federation, "local_train", spy)
-    server_types, client_types, state = collect_admitted_payloads(monkeypatch, "naive")
-    assert shipped
-    assert set(shipped) == {RawPayload}
-    assert set(server_types) == set(client_types) == {EmbeddingPayload}
+    shipped, server_columns, client_columns, state = collect_admitted_payloads(
+        monkeypatch, "naive")
+    assert shipped and set(shipped) == {RawPayload}
+    assert server_columns and set(server_columns) == set(client_columns) == {("z",)}
     assert list(state.server_buffer.columns) == ["z"]
+
+
+@pytest.mark.parametrize("kind", ["naive", "ver_stats"])
+def test_run_round_stacks_each_upload_once_for_both_buffers(monkeypatch, kind):
+    real_stack, real_admit = federation.rows_from_records, federation.admit
+    stacked, admitted = [], []  # the rows objects, in call order
+
+    def spy_stack(records):
+        stacked.append(real_stack(records))
+        return stacked[-1]
+
+    def spy_admit(buffer, candidates, rng):
+        admitted.append((buffer, candidates))
+        return real_admit(buffer, candidates, rng)
+
+    monkeypatch.setattr(federation, "rows_from_records", spy_stack)
+    monkeypatch.setattr(federation, "admit", spy_admit)
+    reports, state = tiny_run(kind, stop_after_round=2)
+    # one stack per upload, then the client's buffer and the server's take
+    # that same object
+    assert len(stacked) == sum(len(r.participants) for r in reports) == 4
+    assert len(admitted) == 2 * len(stacked)
+    for i, rows in enumerate(stacked):
+        (own, a), (server, b) = admitted[2 * i], admitted[2 * i + 1]
+        assert a is rows and b is rows
+        assert own is not state.server_buffer and server is state.server_buffer
 
 
 def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch):

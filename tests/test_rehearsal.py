@@ -1,5 +1,8 @@
 """Rehearsal buffers: admission, eviction, replay, materialization, budgets,
-snapshots, and agreement with the list-of-records reference model."""
+snapshots, and agreement with the list-of-records reference model.
+
+Records exist only on the wire, so every admission here stacks its records
+into rows first, as run_round does."""
 
 import itertools
 import os
@@ -25,11 +28,12 @@ from filver.rehearsal import (
     RehearsalRecord,
     StrategyConfig,
     admit,
+    buffer_capacity,
     check_columns_match,
     load_buffer,
     materialize_batch,
-    memory_budget,
     replay_batch,
+    rows_from_records,
     save_buffer,
 )
 from filver.rng import RngStream
@@ -44,11 +48,15 @@ def embed_batch(rng, n, task_id=0, round_id=0, dim=4):
             for i in range(n)]
 
 
+def embed_rows(rng, n, task_id=0, round_id=0, dim=4):
+    return rows_from_records(embed_batch(rng, n, task_id, round_id, dim))
+
+
 def buffer_of(records, capacity=None):
     """A buffer holding exactly `records`, in order (admission without eviction draws nothing)."""
     buf = RehearsalBuffer(capacity=None)
     for _, group in itertools.groupby(records, key=lambda r: (r.task_id, r.round_id)):
-        admit(buf, list(group), RngStream(0))
+        admit(buf, rows_from_records(list(group)), RngStream(0))
     buf.capacity = capacity
     return buf
 
@@ -124,8 +132,10 @@ def test_check_columns_match_enforces_payload_type():
 def test_admit_refuses_raw_samples():
     raws = [RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)]
     buf = RehearsalBuffer(capacity=None)
-    with pytest.raises(ContractViolation, match="no RawPayload records"):
-        admit(buf, raws, RngStream(0))
+    raw_rows = rows_from_records(raws)
+    assert list(raw_rows.columns) == ["x"]
+    with pytest.raises(ContractViolation, match="holds no raw samples"):
+        admit(buf, raw_rows, RngStream(0))
     assert len(buf) == 0 and buf.columns == {}
 
 
@@ -173,16 +183,20 @@ def test_payload_tags_are_distinct(tmp_path):
 def test_admit_rejects_a_second_payload_type():
     rng = RngStream(1)
     buf = buffer_of(embed_batch(rng.child("emb"), 3))
-    raws = [RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 1)]
+    raws = rows_from_records([RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 1)])
     with pytest.raises(ContractViolation):
         admit(buf, raws, rng.child("admit"))
-    wider = embed_batch(rng.child("wide"), 2, round_id=1, dim=5)
-    with pytest.raises(ContractViolation):
+    wider = embed_rows(rng.child("wide"), 2, round_id=1, dim=5)
+    with pytest.raises(ContractViolation, match="buffer holds payload columns"):
         admit(buf, wider, rng.child("admit"))
+    stats = rows_from_records([RehearsalRecord(GaussianStats(np.ones(4), np.zeros(4)), 0, 0, 2)])
+    with pytest.raises(ContractViolation, match="buffer holds payload columns"):
+        admit(buf, stats, rng.child("admit"))
+    # records of two payload types do not stack into one set of rows
     mixed = embed_batch(rng.child("m"), 2, round_id=2) + [
         RehearsalRecord(RawPayload(rng.normal((4,))), 0, 0, 2)]
-    with pytest.raises(ContractViolation):
-        admit(buf, mixed, rng.child("admit"))
+    with pytest.raises(ContractViolation, match="records mix payload types"):
+        rows_from_records(mixed)
     assert len(buf) == 3
 
 
@@ -200,7 +214,7 @@ def upload_of(n, rho, rng):
                 "mu": np.arange(n, dtype=np.float64)[:, None], "log_sigma": None}
     upload = _build_upload(embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
     buffer = RehearsalBuffer(capacity=None)
-    admit(buffer, upload, rng.child("self_admit"))
+    admit(buffer, rows_from_records(upload), rng.child("self_admit"))
     return upload, buffer
 
 
@@ -225,14 +239,16 @@ def test_admit_rho_one_takes_everything_in_order():
     rng = RngStream(7)
     cands = embed_batch(rng.child("cands"), 20)
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, cands, rng.child("admit"))
+    admit(buf, rows_from_records(cands), rng.child("admit"))
     assert rows(buf) == record_rows(cands)
     assert np.array_equal(buf.columns["z"], np.stack([r.payload.z for r in cands]))
 
 
 def test_admit_empty_candidate_list_is_a_no_op():
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, [], RngStream(7))
+    empty = rows_from_records([])
+    assert len(empty) == 0 and empty.columns == {}
+    admit(buf, empty, RngStream(7))
     assert len(buf) == 0
 
 
@@ -240,8 +256,10 @@ def test_admit_rejects_mixed_task_round_keys():
     rng = RngStream(7)
     cands = embed_batch(rng.child("a"), 3, task_id=0) + embed_batch(rng.child("b"), 3, task_id=1)
     buf = RehearsalBuffer(capacity=None)
-    with pytest.raises(ContractViolation):
-        admit(buf, cands, rng.child("admit"))
+    with pytest.raises(ContractViolation, match=r"span multiple \(task, round\) keys: "
+                                                r"\[\(0, 0\), \(1, 0\)\]"):
+        admit(buf, rows_from_records(cands), rng.child("admit"))
+    assert len(buf) == 0
 
 
 def test_admit_subset_is_uniform():
@@ -283,7 +301,7 @@ def test_eviction_balances_tasks_against_count_oracle():
     rng = RngStream(3)
     buf = RehearsalBuffer(capacity=50)
     for task_id in range(4):
-        admit(buf, embed_batch(rng.child("t", task_id), 20, task_id=task_id),
+        admit(buf, embed_rows(rng.child("t", task_id), 20, task_id=task_id),
               rng.child("admit", task_id))
         assert len(buf) <= 50
     expected = eviction_count_oracle([(t, 20) for t in range(4)], 50)
@@ -297,8 +315,8 @@ def test_eviction_balances_tasks_against_count_oracle():
 def test_eviction_tie_breaks_toward_newest_task():
     rng = RngStream(5)
     buf = RehearsalBuffer(capacity=3)
-    admit(buf, embed_batch(rng.child("a"), 2, task_id=0), rng.child("ad", 0))
-    admit(buf, embed_batch(rng.child("b"), 2, task_id=1), rng.child("ad", 1))
+    admit(buf, embed_rows(rng.child("a"), 2, task_id=0), rng.child("ad", 0))
+    admit(buf, embed_rows(rng.child("b"), 2, task_id=1), rng.child("ad", 1))
     assert buf.task_counts() == {0: 2, 1: 1}
 
 
@@ -306,7 +324,7 @@ def test_unbounded_buffer_never_evicts():
     rng = RngStream(5)
     buf = RehearsalBuffer(capacity=None)
     for task_id in range(6):
-        admit(buf, embed_batch(rng.child("t", task_id), 40, task_id=task_id),
+        admit(buf, embed_rows(rng.child("t", task_id), 40, task_id=task_id),
               rng.child("admit", task_id))
     assert len(buf) == 240
 
@@ -321,7 +339,7 @@ def test_capacity_is_never_exceeded(capacity, batches, seed):
     rng = RngStream(seed)
     buf = RehearsalBuffer(capacity=capacity)
     for task_id, n in enumerate(batches):
-        admit(buf, embed_batch(rng.child("t", task_id), n, task_id=task_id),
+        admit(buf, embed_rows(rng.child("t", task_id), n, task_id=task_id),
               rng.child("admit", task_id))
         assert len(buf) <= capacity
     oracle = eviction_count_oracle(list(enumerate(batches)), capacity)
@@ -336,7 +354,7 @@ def test_capacity_is_never_exceeded(capacity, batches, seed):
 def test_replay_without_replacement_when_buffer_is_large_enough():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, embed_batch(rng.child("cands"), 30), rng.child("admit"))
+    admit(buf, embed_rows(rng.child("cands"), 30), rng.child("admit"))
     batch = replay_batch(buf, 10, rng.child("replay"))
     assert len(batch) == 10
     assert len(set(rows(batch))) == 10
@@ -346,7 +364,7 @@ def test_replay_without_replacement_when_buffer_is_large_enough():
 def test_replay_with_replacement_when_batch_exceeds_buffer():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
+    admit(buf, embed_rows(rng.child("cands"), 4), rng.child("admit"))
     batch = replay_batch(buf, 12, rng.child("replay"))
     assert len(batch) == 12
     assert len(set(rows(batch))) <= 4
@@ -357,7 +375,7 @@ def test_replay_empty_buffer_and_zero_batch():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
     assert len(replay_batch(buf, 8, rng.child("a"))) == 0
-    admit(buf, embed_batch(rng.child("cands"), 4), rng.child("admit"))
+    admit(buf, embed_rows(rng.child("cands"), 4), rng.child("admit"))
     empty = replay_batch(buf, 0, rng.child("b"))
     assert len(empty) == 0 and empty.columns["z"].shape == (0, 4)
 
@@ -365,7 +383,7 @@ def test_replay_empty_buffer_and_zero_batch():
 def test_replay_eventually_touches_every_record():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, embed_batch(rng.child("cands"), 25), rng.child("admit"))
+    admit(buf, embed_rows(rng.child("cands"), 25), rng.child("admit"))
     seen = set()
     for t in range(60):
         seen.update(rows(replay_batch(buf, 5, rng.child("replay", t))))
@@ -468,24 +486,32 @@ def test_materialize_batch_rejects_empty_and_mismatched():
 # ---------------------------------------------------------------------------
 
 
-def test_memory_budget_x1_matches_naive_count_for_every_kind():
+def test_buffer_capacity_x1_matches_naive_count_for_every_kind():
+    # rho 0.1 of 1000 samples per task, over 5 tasks
     for kind in ("noise", "naive", "ebr", "ver_stats", "ver_sampled"):
         cfg = StrategyConfig(kind=kind, memory_multiplier="x1")
-        assert memory_budget(cfg, 500, 3136, 1024) == 500
+        assert buffer_capacity(cfg, 1000, 5, 3136, 128) == 500
+    assert buffer_capacity(StrategyConfig(kind="none"), 1000, 5, 3136, 128) == 0
 
 
-def test_memory_budget_x16_scales_by_byte_ratio():
+def test_buffer_capacity_x16_scales_by_byte_ratio():
+    # 500 raw samples at 3136 bytes buy 1531 rows of one 128-dim column
+    # (1024 bytes), 765 rows of two, and 500 naive rows, priced as the raw
+    # samples their clients ship
+    want = {"noise": 1531, "ebr": 1531, "ver_sampled": 1531, "ver_stats": 765, "naive": 500}
+    for kind, rows in want.items():
+        cfg = StrategyConfig(kind=kind, memory_multiplier="x16")
+        assert buffer_capacity(cfg, 1000, 5, 3136, 128) == rows, kind
     cfg = StrategyConfig(kind="ebr", memory_multiplier="x16")
-    # 500 raw samples at 3136 bytes buy 1531 embeddings at 1024 bytes
-    assert memory_budget(cfg, 500, 3136, 1024) == 1531
-    assert memory_budget(cfg, 500, 1024, 1024) == 500
+    assert buffer_capacity(cfg, 1000, 5, 1024, 128) == 500
 
 
-def test_memory_budget_rejects_nonpositive_sizes():
+def test_buffer_capacity_rejects_nonpositive_sizes():
     cfg = StrategyConfig(kind="ebr", memory_multiplier="x16")
-    for args in [(0, 3136, 1024), (500, 0, 1024), (500, 3136, 0)]:
-        with pytest.raises(ContractViolation):
-            memory_budget(cfg, *args)
+    for args in [(0, 5, 3136, 128), (1000, 0, 3136, 128), (1000, 5, 0, 128),
+                 (1000, 5, 3136, 0), (1000, 5, -8, 128)]:
+        with pytest.raises(ContractViolation, match="sizes must be positive"):
+            buffer_capacity(cfg, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +665,7 @@ def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed)
     ref = oracles.RehearsalBuffer(capacity=capacity, rho=1.0)
     for step, (task_id, round_id, n, batch_size) in enumerate(steps):
         cands = [make(rng.child("rec", step, i), i % 3, task_id, round_id) for i in range(n)]
-        admit(buf, cands, rng.child("admit", step))
+        admit(buf, rows_from_records(cands), rng.child("admit", step))
         oracles.admit(ref, cands, rng.child("admit", step))
         assert rows(buf) == record_rows(ref.records)
         assert buf.task_counts() == ref.task_counts()
