@@ -275,10 +275,9 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
                            state.strategy, rng)
                for cid, rng in zip(chosen, streams)]
 
-    # each upload is stacked into rows once, a naive upload's raw samples
-    # embedded in one pass through the frozen encoder, and the same rows join
-    # its client's own buffer and the server's, in client-id order for
-    # schedule independence
+    # each upload is stacked into rows once (a naive upload's raw samples
+    # embedded in one pass), and the same rows join its client's own buffer
+    # and the server's, in client-id order for schedule independence
     for cid, rng, res in zip(chosen, streams, results):
         rows = rows_from_records(res.upload)
         if "x" in rows.columns:
@@ -288,6 +287,7 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
             admit(state.client_buffers[cid], rows, rng.child("self_admit"))
             admit(state.server_buffer, rows,
                   state.master.child("server_admit", task_id, round_in_task, cid))
+        del rows  # kept alive into the next upload's stacking, it raised desk's peak RSS ~1 MiB
 
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
     state.classifier_params = server_side_training(

@@ -175,8 +175,7 @@ class RehearsalBuffer:
 
 
 def rows_from_records(records: list) -> RehearsalBuffer:
-    """Stack a homogeneous record list into rows, one column per payload
-    field (raw samples become an ``x`` column); no records make no rows."""
+    """A homogeneous record list stacked into rows, a column per payload field."""
     if not records:
         return RehearsalBuffer()
     kinds = {type(r.payload) for r in records}
@@ -215,8 +214,7 @@ def admit(buffer: RehearsalBuffer, rows: RehearsalBuffer, rng: RngStream) -> Reh
         keys = sorted(set(zip(rows.tasks.tolist(), rows.rounds.tolist())))
         raise ContractViolation(f"admit rows span multiple (task, round) keys: {keys}")
     if "x" in rows.columns:
-        raise ContractViolation(
-            "a buffer holds no raw samples (column 'x'); embed them before admission")
+        raise ContractViolation("a buffer holds no raw samples (column 'x'); embed them first")
     if len(buffer) and _schema(rows) != _schema(buffer):
         raise ContractViolation(
             f"buffer holds payload columns {_schema(buffer)}, rows carry {_schema(rows)}")

@@ -398,9 +398,11 @@ def test_matrix_rounds_csv_matches_golden_digest(tmp_path, strategy, scenario, m
     assert _sha256(out / "rounds.csv") == want, f"OpenBLAS core {core}"
 
 
-# (strategy, scenario, memory) -> the uninterrupted run's outputs, shared by
-# every stop round drawn for that case
-_UNINTERRUPTED = {}
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """(strategy, scenario, memory) -> the uninterrupted run's outputs,
+    shared by every stop round drawn for that case."""
+    return {}
 
 
 def _outputs(out) -> dict:
@@ -417,19 +419,19 @@ def _outputs(out) -> dict:
 @example(strategy="ver_stats", scenario="decreasing", memory="x16", stop=3)  # task boundary
 @example(strategy="naive", scenario="scattered", memory="x1", stop=6)  # task boundary
 @example(strategy="ver_sampled", scenario="increasing", memory="x16", stop=4)  # a task's round 1
-def test_resume_after_any_round_reproduces_the_uninterrupted_run(strategy, scenario, memory,
-                                                                stop):
+def test_resume_after_any_round_reproduces_the_uninterrupted_run(uninterrupted, strategy,
+                                                                scenario, memory, stop):
     # the matrix config runs 3 tasks of 3 rounds; both sides checkpoint every round
     pairs = dict(MATRIX_PAIRS, **{"strategy.kind": strategy, "scenario": scenario,
                                   "strategy.memory": memory})
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         case = (strategy, scenario, memory)
-        if case not in _UNINTERRUPTED:
+        if case not in uninterrupted:
             full = _run_pairs(tmp, "full", pairs, "--checkpoint-every", "1")
-            _UNINTERRUPTED[case] = _outputs(full)
+            uninterrupted[case] = _outputs(full)
         out = _run_pairs(tmp, "split", pairs, "--checkpoint-every", "1",
                          "--stop-after-round", str(stop))
         _run_pairs(tmp, "split", pairs, "--checkpoint-every", "1",
                    "--resume", str(out / "checkpoint"))
-        assert _outputs(out) == _UNINTERRUPTED[case]
+        assert _outputs(out) == uninterrupted[case]
