@@ -325,9 +325,9 @@ def buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: in
     if min(per_task_samples, n_tasks, raw_bytes, embed_dim) <= 0:
         raise ContractViolation("buffer_capacity sizes must be positive")
     columns = _STRATEGIES[strategy.kind][1]
-    naive_count = math.ceil(strategy.rho * per_task_samples) * n_tasks
     if not columns:
         return 0
+    naive_count = math.ceil(strategy.rho * per_task_samples) * n_tasks
     if strategy.memory_multiplier == "x1":
         return naive_count
     row_bytes = raw_bytes if strategy.kind == "naive" else len(columns) * embed_dim * 8
