@@ -262,6 +262,21 @@ def test_admit_rejects_mixed_task_round_keys():
     assert len(buf) == 0
 
 
+def test_admit_leaves_its_rows_unchanged_for_the_next_buffer():
+    # run_round admits one rows object to two buffers: a full one, which
+    # evicts and compacts in place, and an empty one
+    rng = RngStream(7)
+    new = embed_rows(rng.child("new"), 6, task_id=1)
+    want = rows(new)
+    full = buffer_of(embed_batch(rng.child("old"), 8), capacity=8)
+    empty = RehearsalBuffer(capacity=None)
+    for buf in (full, empty):
+        admit(buf, new, rng.child("admit", len(buf)))
+        assert not np.shares_memory(buf.columns["z"], new.columns["z"])
+    assert rows(new) == want
+    assert len(full) == 8 and rows(empty) == want
+
+
 def test_admit_subset_is_uniform():
     # chi-square over which shard samples get uploaded and admitted across many trials
     n, trials = 200, 400
