@@ -253,8 +253,10 @@ def parse_pairs(pairs: dict, origin: str = "<config>") -> ExperimentConfig:
             problems.append(f"{key}: unknown key")
             continue
         try:
-            value = spec.parse(raw) if isinstance(raw, str) else raw
-        except (TypeError, ValueError) as exc:
+            if not isinstance(raw, str):
+                raise ValueError(f"value {raw!r} is a {type(raw).__name__}, not a string")
+            value = spec.parse(raw)
+        except ValueError as exc:
             problems.append(f"{key}: {exc}")
             continue
         if spec.parse is float and not np.isfinite(value):

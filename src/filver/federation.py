@@ -48,8 +48,9 @@ from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, EncoderSpec, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, buffer_capacity, load_buffer, materialize_batch,
-                        replay_batch, rows_from_records, save_buffer)
+                        StrategyConfig, admit, buffer_capacity, encoder_kind_for_strategy,
+                        load_buffer, materialize_batch, replay_batch, rows_from_records,
+                        save_buffer)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -121,11 +122,11 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_batch(embedded: dict, strategy_kind: str, k: int, idx_rng: RngStream, eps_rng: RngStream):
+def _fresh_batch(embedded: dict, k: int, idx_rng: RngStream, eps_rng: RngStream):
     n = len(embedded["labels"])
     idx = idx_rng.choice(n, k, replace=k > n)
     y = embedded["labels"][idx]
-    if strategy_kind in ("ver_stats", "ver_sampled") and embedded["log_sigma"] is not None:
+    if embedded["log_sigma"] is not None:
         z, _ = reparam_sample(embedded["mu"][idx], embedded["log_sigma"][idx], eps_rng)
     else:
         z = embedded["mu"][idx]
@@ -153,8 +154,6 @@ def _build_upload(embedded: dict, task_id: int, global_round: int,
         payloads = [RawPayload(embedded["images"][j]) for j in idx]
     elif strategy.kind in ("ebr", "noise"):
         payloads = [EmbeddingPayload(mu[j]) for j in idx]
-    elif log_sigma is None:
-        raise ContractViolation(f"{strategy.kind} needs a variational encoder")
     elif strategy.kind == "ver_stats":
         payloads = [GaussianStats(np.array(mu[j]), np.array(log_sigma[j])) for j in idx]
     else:  # ver_sampled: draw z once; the stats never leave the client
@@ -178,7 +177,7 @@ def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: d
         use_replay = strategy.kind != "none" and len(buffer) > 0
         k_fresh = fl.batch_size // 2 if use_replay else fl.batch_size
         k_fresh = max(1, k_fresh)
-        z, y = _fresh_batch(embedded, strategy.kind, k_fresh, rng.child("fresh", i), rng.child("eps", i))
+        z, y = _fresh_batch(embedded, k_fresh, rng.child("fresh", i), rng.child("eps", i))
         if use_replay:
             batch = replay_batch(buffer, fl.batch_size - k_fresh, rng.child("replay", i))
             if len(batch):
@@ -190,8 +189,8 @@ def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: d
         losses.append(loss)
 
     if not losses:  # E = 0: report the loss without taking a step
-        z, y = _fresh_batch(embedded, strategy.kind, min(fl.batch_size, n),
-                            rng.child("fresh", 0), rng.child("eps", 0))
+        z, y = _fresh_batch(embedded, min(fl.batch_size, n), rng.child("fresh", 0),
+                            rng.child("eps", 0))
         loss, _ = models.classifier_loss_and_grad(classifier, params, z, y)
         losses = [loss]
 
@@ -336,6 +335,10 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ContractViolation(f"stop_after_round must be at least 1, got {stop_after_round}")
+    want = encoder_kind_for_strategy(strategy.kind)
+    if model.encoder.kind != want:
+        raise ContractViolation(f"strategy {strategy.kind!r} needs a {want!r} encoder, "
+                                f"the model has a {model.encoder.kind!r} encoder")
     master = RngStream(master_seed)
     n_tasks = tasks.n_tasks
 

@@ -21,23 +21,22 @@ naive upload's ``x`` is embedded into ``z`` in the same step.  `admit` takes
 those rows, so the privacy rule is also a schema property: a ver_sampled
 buffer has no stats column.  `_STRATEGIES` alone names a strategy's encoder
 and buffer columns, and `buffer_capacity` prices a row from those columns.
+`storage` alone defines snapshots; `save_buffer` and `load_buffer` convert.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import storage
 from .errors import ContractViolation
 from .models import GaussianStats
 from .numcore import reparam_sample
 from .rng import RngStream
+from .storage import PAYLOAD_TAGS, read_snapshot, write_snapshot
 
 log = logging.getLogger(__name__)
 
@@ -95,19 +94,6 @@ class RehearsalRecord:
         self.label = int(self.label)
         self.task_id = int(self.task_id)
         self.round_id = int(self.round_id)
-
-
-# payload type -> the columns its fields become, and the snapshot tag
-_COLUMNS_FOR_PAYLOAD = {
-    RawPayload: ("x",),
-    EmbeddingPayload: ("z",),
-    GaussianStats: ("mu", "log_sigma"),
-}
-_PAYLOAD_FOR_TAG = {
-    storage.PAYLOAD_EMBEDDING: EmbeddingPayload,
-    storage.PAYLOAD_STATS: GaussianStats,
-}
-_TAG_FOR_COLUMNS = {_COLUMNS_FOR_PAYLOAD[p]: tag for tag, p in _PAYLOAD_FOR_TAG.items()}
 
 
 @dataclass
@@ -183,7 +169,8 @@ def rows_from_records(records: list) -> RehearsalBuffer:
         raise ContractViolation(
             f"records mix payload types {sorted(k.__name__ for k in kinds)}")
     columns = {}
-    for name in _COLUMNS_FOR_PAYLOAD[kinds.pop()]:
+    payload_columns = dict(PAYLOAD_TAGS.values())  # payload type name -> its fields
+    for name in payload_columns[kinds.pop().__name__]:
         try:
             columns[name] = np.stack([getattr(r.payload, name) for r in records])
         except ValueError as exc:
@@ -335,105 +322,14 @@ def buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: in
 
 
 # ---------------------------------------------------------------------------
-# Snapshot round-trip (checkpoint/resume)
+# Snapshot round-trip (checkpoint/resume); the FVBF v1 format is storage's
 # ---------------------------------------------------------------------------
-
-SNAPSHOT_CHUNK = 512  # record frames packed per write in save_buffer
-# The FVBF v1 header has a rho field; admission keeps every record it is
-# offered (rho is sampled once, at upload), so the field is always 1.0.
-SNAPSHOT_RHO = 1.0
-_HEADER = struct.Struct("<4sIqdI")  # magic, version, capacity (-1: none), rho, count
-
-
-def _frame_dtype(buffer: RehearsalBuffer) -> np.dtype:
-    """One FVBF v1 record frame as a packed structured dtype: tag, label,
-    task, round, then per payload array its ndim, its dims and its data."""
-    fields = [("tag", "u1"), ("label", "<i8"), ("task", "<i8"), ("round", "<i8")]
-    for name, col in buffer.columns.items():
-        shape = col.shape[1:]
-        fields.append((f"{name}.ndim", "<u4"))
-        if shape:
-            fields.append((f"{name}.shape", "<u4", (len(shape),)))
-        fields.append((name, "<f8", shape) if shape else (name, "<f8"))
-    return np.dtype(fields)
 
 
 def save_buffer(path, buffer: RehearsalBuffer) -> None:
-    """Header, then one record frame per row, written SNAPSHOT_CHUNK frames
-    at a time so the packing copy stays small next to the buffer."""
-    n = len(buffer)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(storage.BUFFER_MAGIC, storage.FORMAT_VERSION,
-                             -1 if buffer.capacity is None else buffer.capacity,
-                             SNAPSHOT_RHO, n))
-        if n == 0:
-            return
-        dtype = _frame_dtype(buffer)
-        tag = _TAG_FOR_COLUMNS[tuple(buffer.columns)]
-        for start in range(0, n, SNAPSHOT_CHUNK):
-            part = slice(start, min(start + SNAPSHOT_CHUNK, n))
-            frames = np.empty(part.stop - start, dtype=dtype)
-            frames["tag"] = tag
-            frames["label"] = buffer.labels[part]
-            frames["task"] = buffer.tasks[part]
-            frames["round"] = buffer.rounds[part]
-            for name, col in buffer.columns.items():
-                frames[f"{name}.ndim"] = col.ndim - 1
-                if col.ndim > 1:
-                    frames[f"{name}.shape"] = col.shape[1:]
-                frames[name] = col[part]
-            f.write(frames)
+    write_snapshot(path, buffer.capacity, buffer.columns, buffer.labels, buffer.tasks,
+                   buffer.rounds)
 
 
 def load_buffer(path) -> RehearsalBuffer:
-    """Read a snapshot frame by frame into preallocated columns; the first
-    frame fixes the payload type and shapes that every other frame must
-    repeat."""
-    with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if header[:4] != storage.BUFFER_MAGIC:
-            raise ContractViolation(f"not a buffer snapshot: bad magic {header[:4]!r}")
-        if len(header) < _HEADER.size:
-            raise ContractViolation(f"buffer snapshot {path} truncated: header")
-        _, version, capacity, rho, count = _HEADER.unpack(header)
-        if version != storage.FORMAT_VERSION:
-            raise ContractViolation(f"unsupported snapshot version {version}")
-        if capacity < -1:
-            raise ContractViolation(
-                f"buffer snapshot {path} has capacity {capacity}; expected -1 (unbounded) or >= 0")
-        if rho != SNAPSHOT_RHO:
-            raise ContractViolation(
-                f"buffer snapshot {path} has rho {rho!r} in its header; expected {SNAPSHOT_RHO}")
-        if count * storage.MIN_FRAME_BYTES > os.fstat(f.fileno()).st_size - f.tell():
-            raise ContractViolation(f"buffer snapshot truncated: too short for {count} records")
-        buffer = RehearsalBuffer(capacity=None if capacity < 0 else capacity)
-        ids = np.zeros((3, count), dtype=np.int64)
-        first_tag = None
-        for i in range(count):
-            frame = storage.read_record_frame(f)
-            if frame is None:
-                raise ContractViolation("buffer snapshot truncated: missing records")
-            tag, label, task_id, round_id, arrays = frame
-            if tag == storage.PAYLOAD_RAW:
-                raise ContractViolation(
-                    f"buffer snapshot {path} holds raw samples (payload tag {tag}); buffers "
-                    f"hold embeddings, naive uploads are embedded at admission")
-            if tag not in _PAYLOAD_FOR_TAG:
-                raise ContractViolation(f"unknown payload tag {tag}")
-            if first_tag is None:
-                first_tag = tag
-                payload = _PAYLOAD_FOR_TAG[tag](*arrays)  # validates the payload shapes
-                buffer.columns = {name: np.empty((count,) + getattr(payload, name).shape)
-                                  for name in _COLUMNS_FOR_PAYLOAD[type(payload)]}
-            elif tag != first_tag:
-                named = ", ".join(f"{t} ({_PAYLOAD_FOR_TAG[t].__name__})"
-                                  for t in sorted((first_tag, tag)))
-                raise ContractViolation(f"buffer snapshot {path} mixes payload tags {named}")
-            for col, arr in zip(buffer.columns.values(), arrays):
-                if arr.shape != col.shape[1:]:
-                    raise ContractViolation(
-                        f"buffer snapshot {path} mixes payload shapes {col.shape[1:]} and {arr.shape}")
-                col[i] = arr
-            ids[:, i] = label, task_id, round_id
-    buffer.labels, buffer.tasks, buffer.rounds = ids
-    return buffer
+    return RehearsalBuffer(*read_snapshot(path))

@@ -1,11 +1,15 @@
 """Binary on-disk formats: model checkpoints and rehearsal buffer snapshots.
 
 Both formats are little-endian and length-prefixed throughout, and round-trip
-bit-exactly: float64 payloads are written as raw IEEE-754 bytes.
+bit-exactly: float64 payloads are written as raw IEEE-754 bytes.  A file that
+ends early, or runs on past its last segment or frame, is refused.  FVBF v1,
+the snapshot format, is defined here alone: one structured dtype per frame
+(`_frame_dtype`) writes a buffer's columns and reads them back in one pass.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import BinaryIO
 
@@ -28,13 +32,6 @@ def _read_u32(f: BinaryIO) -> int:
     if len(data) != 4:
         raise ContractViolation("truncated file: expected u32")
     return struct.unpack("<I", data)[0]
-
-
-def _read_i64(f: BinaryIO) -> int:
-    data = f.read(8)
-    if len(data) != 8:
-        raise ContractViolation("truncated file: expected i64")
-    return struct.unpack("<q", data)[0]
 
 
 def write_string(f: BinaryIO, text: str) -> None:
@@ -108,30 +105,137 @@ def load_model_checkpoint(path):
         for _ in range(n_segments):
             name = read_string(f)
             pairs.append((name, read_array(f)))
+        if f.read(1):
+            raise ContractViolation(f"model checkpoint {path} has bytes after its last segment")
     return ParamVector.from_arrays(pairs), header
 
 
 # ---------------------------------------------------------------------------
-# Buffer snapshots: a header (written by rehearsal.save_buffer), then one
-# frame per record: u8 payload tag, i64 label, task and round, then the
-# payload arrays in write_array's encoding (one, or two for stats)
+# Buffer snapshots (FVBF v1): a header, then one frame per row: u8 payload
+# tag, i64 label, task and round, then the row's payload arrays in
+# write_array's encoding (one, or two for stats)
 # ---------------------------------------------------------------------------
 
 PAYLOAD_RAW = 0
 PAYLOAD_EMBEDDING = 1
 PAYLOAD_STATS = 2
-MIN_FRAME_BYTES = 1 + 3 * 8 + 4 + 8  # tag, ids, and one 0-d array
+# tag -> (the payload type its frames carried on the wire, its array columns);
+# buffers hold no raw samples, so a raw frame is only ever refused
+PAYLOAD_TAGS = {
+    PAYLOAD_RAW: ("RawPayload", ("x",)),
+    PAYLOAD_EMBEDDING: ("EmbeddingPayload", ("z",)),
+    PAYLOAD_STATS: ("GaussianStats", ("mu", "log_sigma")),
+}
+SNAPSHOT_HEADER = struct.Struct("<4sIqdI")  # magic, version, capacity (-1: none), rho, count
+# admission keeps every row it is offered (rho is sampled once, at upload), so
+# the header's rho field is always 1.0
+SNAPSHOT_RHO = 1.0
+SNAPSHOT_CHUNK = 512  # frames packed per write
+
+
+def _frame_dtype(shapes: dict) -> np.dtype:
+    """One frame as a packed structured dtype: tag, label, task, round, then
+    per payload column (name -> per-row shape) its ndim, dims and data."""
+    fields = [("tag", "u1"), ("label", "<i8"), ("task", "<i8"), ("round", "<i8")]
+    for name, shape in shapes.items():
+        fields += [(f"{name}.ndim", "<u4"), (f"{name}.shape", "<u4", (len(shape),)),
+                   (name, "<f8", shape)]
+    return np.dtype(fields)
 
 
 def read_record_frame(f: BinaryIO):
-    """Returns (tag, label, task_id, round_id, arrays) or None at end of stream."""
-    head = f.read(1)
-    if not head:
-        return None
-    tag = struct.unpack("<B", head)[0]
-    label = _read_i64(f)
-    task_id = _read_i64(f)
-    round_id = _read_i64(f)
+    """Returns (tag, label, task_id, round_id, arrays) of the frame at f."""
+    ids = _frame_dtype({})  # the tag and ids that open every frame
+    head = f.read(ids.itemsize)
+    if len(head) != ids.itemsize:
+        raise ContractViolation("truncated file: expected a frame's tag and ids")
+    tag, label, task_id, round_id = np.frombuffer(head, ids)[0].item()
     n_arrays = 2 if tag == PAYLOAD_STATS else 1
-    arrays = [read_array(f) for _ in range(n_arrays)]
-    return tag, label, task_id, round_id, arrays
+    return tag, label, task_id, round_id, [read_array(f) for _ in range(n_arrays)]
+
+
+def write_snapshot(path, capacity, columns: dict, labels, tasks, rounds) -> None:
+    """Header, then one frame per row, packed SNAPSHOT_CHUNK frames at a time
+    so the packing copy stays small next to the rows."""
+    n = len(labels)
+    with open(path, "wb") as f:
+        f.write(SNAPSHOT_HEADER.pack(BUFFER_MAGIC, FORMAT_VERSION,
+                                     -1 if capacity is None else capacity, SNAPSHOT_RHO, n))
+        if n == 0:
+            return
+        dtype = _frame_dtype({name: col.shape[1:] for name, col in columns.items()})
+        tag = next(t for t, (_, names) in PAYLOAD_TAGS.items() if names == tuple(columns))
+        for start in range(0, n, SNAPSHOT_CHUNK):
+            part = slice(start, min(start + SNAPSHOT_CHUNK, n))
+            frames = np.empty(part.stop - start, dtype=dtype)
+            frames["tag"] = tag
+            for key, col in zip(("label", "task", "round"), (labels, tasks, rounds)):
+                frames[key] = col[part]
+            for name, col in columns.items():
+                frames[f"{name}.ndim"] = col.ndim - 1
+                frames[f"{name}.shape"] = col.shape[1:]
+                frames[name] = col[part]
+            f.write(frames)
+
+
+def _check_tag(path, tag: int, first: int) -> None:
+    if tag == PAYLOAD_RAW:
+        raise ContractViolation(
+            f"buffer snapshot {path} holds raw samples (payload tag {tag}); buffers "
+            f"hold embeddings, naive uploads are embedded at admission")
+    if tag not in PAYLOAD_TAGS:
+        raise ContractViolation(f"unknown payload tag {tag}")
+    if tag != first:
+        named = ", ".join(f"{t} ({PAYLOAD_TAGS[t][0]})" for t in sorted((first, tag)))
+        raise ContractViolation(f"buffer snapshot {path} mixes payload tags {named}")
+
+
+def read_snapshot(path):
+    """Returns (capacity, columns, labels, tasks, rounds), read in one pass.
+
+    The first frame fixes the payload tag and shapes, hence the size of
+    every frame; the frame region must then hold exactly the header's count
+    of frames, each repeating the first one's tag and dims.  Columns come
+    back float64 and the ids int64, all C-contiguous and writeable."""
+    with open(path, "rb") as f:
+        header = f.read(SNAPSHOT_HEADER.size)
+        if header[:4] != BUFFER_MAGIC:
+            raise ContractViolation(f"not a buffer snapshot: bad magic {header[:4]!r}")
+        if len(header) < SNAPSHOT_HEADER.size:
+            raise ContractViolation(f"buffer snapshot {path} truncated: header")
+        _, version, capacity, rho, count = SNAPSHOT_HEADER.unpack(header)
+        if version != FORMAT_VERSION:
+            raise ContractViolation(f"unsupported snapshot version {version}")
+        if capacity < -1:
+            raise ContractViolation(
+                f"buffer snapshot {path} has capacity {capacity}; expected -1 (unbounded) or >= 0")
+        if rho != SNAPSHOT_RHO:
+            raise ContractViolation(
+                f"buffer snapshot {path} has rho {rho!r} in its header; expected {SNAPSHOT_RHO}")
+        shapes, tag = {}, None
+        if count:
+            tag, *_, arrays = read_record_frame(f)
+            _check_tag(path, tag, tag)
+            if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+                raise ContractViolation(f"buffer snapshot {path} holds payload shapes "
+                                        f"{[a.shape for a in arrays]}, not vectors of one length")
+            shapes = {name: a.shape for name, a in zip(PAYLOAD_TAGS[tag][1], arrays)}
+        # mapped, not read: a freed multi-MB read buffer raises glibc's mmap threshold
+        data = memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))[SNAPSHOT_HEADER.size:]
+    dtype = _frame_dtype(shapes)
+    size = dtype.itemsize
+    # each frame starts with its tag, so a frame of another payload type shows
+    # at a step of one frame size, whatever its own size
+    for other in sorted(set(data[:count * size:size]) - {tag}):
+        _check_tag(path, other, tag)
+    if len(data) != count * size:
+        raise ContractViolation(
+            f"buffer snapshot {path} has {len(data)} bytes after its header; "
+            f"{count} records of {size} bytes take {count * size}")
+    frames = np.frombuffer(data, dtype)
+    for name, shape in shapes.items():
+        if np.any(frames[f"{name}.ndim"] != len(shape)) or np.any(frames[f"{name}.shape"] != shape):
+            raise ContractViolation(f"buffer snapshot {path} mixes payload shapes for {name!r}")
+    columns = {name: np.array(frames[name], dtype=np.float64) for name in shapes}
+    ids = np.array([frames[key] for key in ("label", "task", "round")], dtype=np.int64)
+    return (None if capacity < 0 else capacity), columns, *ids

@@ -76,6 +76,17 @@ def test_parse_pairs_bool_and_pair_parsers():
     assert len(err.value.problems) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("fl.rounds_per_task", 2.5), ("seed", True), ("model.conv_channels", [3, 4]), ("fl.eta", None),
+])
+def test_parse_pairs_refuses_a_value_that_is_not_a_string(key, value):
+    # such a value once skipped parsing and was accepted, or raised a bare TypeError
+    with pytest.raises(ConfigError) as err:
+        parse_pairs({key: value})
+    assert err.value.problems == [
+        f"{key}: value {value!r} is a {type(value).__name__}, not a string"]
+
+
 def test_parse_config_file_comments_duplicates_and_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(
@@ -541,6 +552,27 @@ def test_resume_refuses_a_missing_checkpoint_file(tmp_path, capsys, name):
     capsys.readouterr()
     assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
     assert str(ckpt / name) in capsys.readouterr().err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+@pytest.mark.parametrize("name,message", [
+    ("model.bin", "has bytes after its last segment"),
+    ("server_buffer.bin", "bytes after its header"),
+    ("client_1.bin", "bytes after its header"),
+])
+def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, name, message):
+    # appended bytes once loaded silently: the reader stopped at the last
+    # segment, or at the header's count of records
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    ckpt = tmp_path / "out" / "checkpoint"
+    with open(ckpt / name, "ab") as f:
+        f.write(b"\x00\x01\x02\x03")
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt / name) in err and message in err
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 

@@ -6,6 +6,7 @@ the documented stream keying.  Its reports must match run_experiment bit for
 bit across every round.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -598,6 +599,27 @@ def test_stop_after_round_below_one_is_refused_before_any_round(tmp_path, stop):
                  on_round=rounds.append)
     assert rounds == []
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("strategy_kind,encoder_kind", [
+    ("ver_sampled", "ebr"), ("ver_stats", "random_projection"), ("noise", "vee"), ("ebr", "vee"),
+])
+def test_an_encoder_the_strategy_does_not_use_is_refused_before_pretraining(
+        monkeypatch, strategy_kind, encoder_kind):
+    # a ver strategy without stats heads once failed only after pretraining,
+    # and a vee encoder under noise or ebr ran every round
+    from filver.rehearsal import StrategyConfig
+
+    pretrained = []
+    monkeypatch.setattr(models, "pretrain_encoder", lambda *args, **kw: pretrained.append(args))
+    model = tiny_model(strategy_kind)
+    model.encoder = dataclasses.replace(model.encoder, kind=encoder_kind)
+    with pytest.raises(ContractViolation, match=f"strategy '{strategy_kind}' needs a "
+                                                f"'{encoder_kind_for_strategy(strategy_kind)}' "
+                                                f"encoder, the model has a '{encoder_kind}'"):
+        run_experiment(tiny_tasks(), "fully_enrolled", tiny_fl(), StrategyConfig(strategy_kind),
+                       model, master_seed=7)
+    assert pretrained == []
 
 
 def test_resume_rejects_wrong_seed_and_encoder_kind(tmp_path):

@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -656,6 +656,101 @@ def test_buffer_snapshot_rejects_truncation(tmp_path):
         clipped.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ContractViolation):
             load_buffer(clipped)
+
+
+@pytest.mark.parametrize("frame,offset,message", [
+    (0, 69, r"payload shapes \[\(4,\), \(5,\)\], not vectors of one length"),
+    (1, 29, "mixes payload shapes for 'mu'"),
+], ids=["first-frame", "later-frame"])
+def test_buffer_snapshot_rejects_a_payload_shape_never_written(tmp_path, frame, offset, message):
+    # a stats frame: tag, 3 ids, then mu's ndim, dim (offset 29) and 4 values,
+    # then log_sigma's ndim, dim (offset 69) and values.  Every row carries
+    # vectors of one length, and every frame repeats the first one's dims
+    path = tmp_path / "buffer.bin"
+    save_buffer(path, buffer_of(snapshot_records("stats", 2)))
+    data = bytearray(path.read_bytes())
+    size = (len(data) - storage.SNAPSHOT_HEADER.size) // 2
+    struct.pack_into("<I", data, storage.SNAPSHOT_HEADER.size + frame * size + offset, 5)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ContractViolation, match=message):
+        load_buffer(path)
+
+
+def random_buffer(kind, dim, n, capacity, seed) -> RehearsalBuffer:
+    """n rows of one payload kind: payload columns of arbitrary float64 bit
+    patterns (NaN payloads, infinities, subnormals, -0.0) and random ids."""
+    gen = np.random.default_rng(seed)
+    names = ("z",) if kind == "embedding" else ("mu", "log_sigma")
+    columns = {name: gen.integers(0, 2**64, (n, dim), dtype=np.uint64).view(np.float64)
+               for name in names} if n else {}
+    ids = [gen.integers(0, 50, n, dtype=np.int64) for _ in range(3)]
+    return RehearsalBuffer(capacity, columns, *ids)
+
+
+def all_arrays(buf) -> dict:
+    return {**buf.columns, "labels": buf.labels, "tasks": buf.tasks, "rounds": buf.rounds}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PAYLOAD_MAKERS)),
+    dim=st.integers(1, 8),
+    n=st.integers(0, 1100),
+    slack=st.one_of(st.none(), st.integers(0, 3)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kind="stats", dim=8, n=1100, slack=0, seed=1)  # three write chunks, a full buffer
+@example(kind="embedding", dim=1, n=513, slack=None, seed=2)
+def test_snapshot_round_trip_keeps_every_byte(kind, dim, n, slack, seed):
+    # slack None: an unbounded buffer; slack 0: a full one, whose next admit
+    # moves its rows in place, so the loaded arrays must be writeable
+    capacity = None if slack is None else n + slack
+    buf = random_buffer(kind, dim, n, capacity, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "buffer.bin")
+        save_buffer(path, buf)
+        loaded = load_buffer(path)
+    assert loaded.capacity == capacity
+    got, want = all_arrays(loaded), all_arrays(buf)
+    assert list(got) == list(want)
+    for name, arr in got.items():
+        assert arr.dtype == (np.float64 if name in buf.columns else np.int64)
+        assert arr.shape == want[name].shape and arr.tobytes() == want[name].tobytes()
+        assert arr.flags.c_contiguous and arr.flags.writeable
+    new = random_buffer(kind, dim, 3, None, (seed, 1))
+    new.tasks[:], new.rounds[:] = 7, 60  # one upload: a single (task, round)
+    admit(buf, new, RngStream(seed).child("admit"))
+    admit(loaded, new, RngStream(seed).child("admit"))
+    assert len(loaded) == (n + 3 if capacity is None else capacity)
+    for name, arr in all_arrays(loaded).items():
+        assert arr.tobytes() == all_arrays(buf)[name].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PAYLOAD_MAKERS)),
+    dim=st.integers(1, 8),
+    n=st.integers(1, 3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_snapshot_cut_or_run_on_past_its_frames_is_refused(kind, dim, n, seed):
+    # the header's row count and the first frame fix the file's length;
+    # appended bytes, up to a whole repeated frame, once loaded silently
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "buffer.bin")
+        save_buffer(path, random_buffer(kind, dim, n, None, seed))
+        with open(path, "rb") as f:
+            blob = f.read()
+        head = storage.SNAPSHOT_HEADER.size
+        size = (len(blob) - head) // n
+        bad = [blob[:cut] for cut in range(head, len(blob))]
+        bad += [blob + blob[head:head + k] for k in range(1, size + 1)]
+        bad.append(blob[:head + size] + blob[head:])  # the first frame twice
+        for data in bad:
+            with open(path, "wb") as f:
+                f.write(data)
+            with pytest.raises(ContractViolation):
+                load_buffer(path)
 
 
 # ---------------------------------------------------------------------------
