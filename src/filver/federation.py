@@ -88,8 +88,6 @@ class RoundReport:
     accuracies: tuple
     mean_loss: float
     participants: tuple
-    server_buffer: int
-    client_buffer_total: int
 
 
 @dataclass
@@ -297,9 +295,7 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
         raise ContractViolation("frozen encoder parameters changed during training")
 
     report = RoundReport(g, task_id, state.evaluate(),
-                         float(np.mean([r.mean_loss for r in results])),
-                         tuple(chosen), len(state.server_buffer),
-                         sum(len(b) for b in state.client_buffers))
+                         float(np.mean([r.mean_loss for r in results])), tuple(chosen))
     state.global_round += 1
     return report
 
@@ -374,7 +370,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 f"stop_after_round {stop_after_round} is not past the checkpoint's "
                 f"round {start_round}")
         encoder_params, classifier_params, server_buffer, client_buffers = \
-            _load_checkpoint(resume_from, model.encoder, fl.n_clients)
+            _load_checkpoint(resume_from, model.encoder, fl.n_clients, server_cap, client_cap)
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
@@ -404,11 +400,11 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
             if on_round is not None:
                 on_round(report)
             done = state.global_round
-            if checkpoint_dir is not None and checkpoint_every > 0 and done % checkpoint_every == 0:
+            stop = stop_after_round is not None and done >= stop_after_round
+            if checkpoint_dir is not None and (
+                    stop or (checkpoint_every > 0 and done % checkpoint_every == 0)):
                 save_checkpoint(checkpoint_dir, state)
-            if stop_after_round is not None and done >= stop_after_round:
-                if checkpoint_dir is not None:
-                    save_checkpoint(checkpoint_dir, state)
+            if stop:
                 return reports, state
         state.shard_embeddings = {}
     return reports, state
@@ -490,15 +486,17 @@ def read_checkpoint_meta(directory) -> dict:
     if "global_round" not in meta:
         raise ContractViolation(f"checkpoint metadata {meta_path} has no 'global_round'")
     done = meta["global_round"]
-    if not isinstance(done, int) or done < 0:
+    if isinstance(done, bool) or not isinstance(done, int) or done < 0:
         raise ContractViolation(
             f"checkpoint metadata {meta_path} has global_round {done!r}, not a round count")
     return meta
 
 
-def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int):
+def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int, server_cap: int,
+                     client_cap: int):
     """(encoder params, classifier params, server buffer, client buffers by
-    id); every file save_checkpoint writes must be there."""
+    id); every file save_checkpoint writes must be there, and each buffer
+    must have the capacity buffer_capacity prices for this run."""
     model_path = os.path.join(directory, "model.bin")
     server_path = os.path.join(directory, "server_buffer.bin")
     client_paths = [os.path.join(directory, f"client_{cid}.bin") for cid in range(n_clients)]
@@ -509,8 +507,15 @@ def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int):
     if header["encoder_kind"] != encoder_spec.kind:
         raise ContractViolation("checkpoint encoder kind does not match the configuration")
     encoder_params, classifier_params = _split_params(merged)
-    return (encoder_params, classifier_params, load_buffer(server_path),
-            [load_buffer(path) for path in client_paths])
+    buffers = []
+    for path, owner, capacity in ([(server_path, "server", server_cap)]
+                                  + [(path, "client", client_cap) for path in client_paths]):
+        buffer = load_buffer(path)
+        if buffer.capacity != capacity:
+            raise ContractViolation(f"buffer snapshot {path} has capacity {buffer.capacity}, "
+                                    f"this run's {owner} buffers hold {capacity}")
+        buffers.append(buffer)
+    return encoder_params, classifier_params, buffers[0], buffers[1:]
 
 
 # ---------------------------------------------------------------------------

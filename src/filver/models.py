@@ -1,6 +1,7 @@
 """Encoder variants, the classifier head, and their training losses.
 
-Three encoder kinds share one trunk architecture:
+Three encoder kinds share one trunk architecture and one pass
+(EncoderModel.stats_forward/stats_backward):
 
   random_projection  frozen at initialization, never trained
   ebr                deterministic embedding head, trained on a classification probe
@@ -207,6 +208,14 @@ def _stack_backward(layers, params, caches, dout, grads, input_grad=True):
     return dout
 
 
+def _init_params(layers, rng: RngStream) -> ParamVector:
+    """Each layer's arrays, drawn from its own child stream, in stack order."""
+    pairs = []
+    for layer in layers:
+        pairs.extend(layer.init_arrays(rng.child("layer", layer.name)))
+    return ParamVector.from_arrays(pairs)
+
+
 def _in_layout_order(params: ParamVector, grads: dict) -> dict:
     """The gradient dict a backward pass filled (last layer first), in the
     parameters' layout order, which clip_gradient and sgd_step expect."""
@@ -259,10 +268,7 @@ class EncoderModel:
             self.heads = [_Dense("embed", spec.hidden, spec.embed_dim, "identity")]
 
     def init_params(self, rng: RngStream) -> ParamVector:
-        pairs = []
-        for layer in self.trunk + self.heads:
-            pairs.extend(layer.init_arrays(rng.child("layer", layer.name)))
-        return ParamVector.from_arrays(pairs)
+        return _init_params(self.trunk + self.heads, rng)
 
     def _prepare_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -276,40 +282,27 @@ class EncoderModel:
                 x = x.reshape(x.shape[0], -1)
         return x
 
-    def trunk_forward(self, params, x):
-        return _stack_forward(self.trunk, params, self._prepare_input(x))
-
     def stats_forward(self, params, x):
-        """VEE heads: (mu, log_sigma, caches). log_sigma is clamped to its band."""
-        if self.spec.kind != "vee":
-            raise ContractViolation("stats_forward requires a vee encoder")
-        h, trunk_caches = self.trunk_forward(params, x)
+        """The encoder pass of every kind: (mu, log_sigma, caches).  mu is the
+        embedding head's output; log_sigma, clamped to its band, comes from a
+        vee encoder's second head and is None for the one-head kinds."""
+        h, trunk_caches = _stack_forward(self.trunk, params, self._prepare_input(x))
         mu, mu_cache = self.heads[0].forward(params, h)
+        if len(self.heads) == 1:
+            return mu, None, (trunk_caches, mu_cache, None, None)
         log_sigma_raw, ls_cache = self.heads[1].forward(params, h)
         log_sigma = np.clip(log_sigma_raw, -nc.LOG_SIGMA_MAX, nc.LOG_SIGMA_MAX)
         clip_mask = (log_sigma_raw > -nc.LOG_SIGMA_MAX) & (log_sigma_raw < nc.LOG_SIGMA_MAX)
         return mu, log_sigma, (trunk_caches, mu_cache, ls_cache, clip_mask)
 
-    def stats_backward(self, params, caches, d_mu, d_log_sigma) -> dict:
+    def stats_backward(self, params, caches, d_mu, d_log_sigma=None) -> dict:
+        """Encoder gradient from the head gradients; d_log_sigma is None, or
+        left out, for the one-head kinds."""
         trunk_caches, mu_cache, ls_cache, clip_mask = caches
         grads: dict = {}
         dh = self.heads[0].backward(params, mu_cache, d_mu, grads)
-        dh = dh + self.heads[1].backward(params, ls_cache, d_log_sigma * clip_mask, grads)
-        _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
-        return _in_layout_order(params, grads)
-
-    def embed_forward(self, params, x):
-        """Deterministic head output: (z, caches)."""
-        if self.spec.kind == "vee":
-            raise ContractViolation("embed_forward requires a deterministic encoder")
-        h, trunk_caches = self.trunk_forward(params, x)
-        z, head_cache = self.heads[0].forward(params, h)
-        return z, (trunk_caches, head_cache)
-
-    def embed_backward(self, params, caches, dz) -> dict:
-        trunk_caches, head_cache = caches
-        grads: dict = {}
-        dh = self.heads[0].backward(params, head_cache, dz, grads)
+        if d_log_sigma is not None:
+            dh = dh + self.heads[1].backward(params, ls_cache, d_log_sigma * clip_mask, grads)
         _stack_backward(self.trunk, params, trunk_caches, dh, grads, input_grad=False)
         return _in_layout_order(params, grads)
 
@@ -317,27 +310,24 @@ class EncoderModel:
 def encode_for_eval(encoder: EncoderModel, params: ParamVector, x):
     """Noise-free forward pass over a whole set, EVAL_CHUNK rows at a time.
 
-    Returns (mu, log_sigma) for a vee encoder and (z, None) otherwise; the
-    first array is the embedding used for evaluation and deterministic
-    replay, and log_sigma is what a reparameterized draw needs besides it.
+    Returns (mu, log_sigma) as stats_forward does: log_sigma is None unless
+    a vee encoder.  The first array is the embedding used for evaluation and
+    deterministic replay, and log_sigma is what a reparameterized draw needs
+    besides it.
 
     A one-row remainder joins the chunk before it: numpy hands a one-row
     product to BLAS gemv, whose sums differ from gemm's in the last ulp, so
     a lone last row would get other bytes than the same row inside a chunk.
     """
-    variational = encoder.spec.kind == "vee"
     starts = list(range(0, len(x), EVAL_CHUNK))
     if len(starts) > 1 and len(x) - starts[-1] == 1:
         del starts[-1]
-    heads, log_sigmas = [], []
+    mus, log_sigmas = [], []
     for lo, hi in zip(starts, starts[1:] + [len(x)]):
-        if variational:
-            mu, log_sigma, _ = encoder.stats_forward(params, x[lo:hi])
-            heads.append(mu)
-            log_sigmas.append(log_sigma)
-        else:
-            heads.append(encoder.embed_forward(params, x[lo:hi])[0])
-    return np.concatenate(heads), (np.concatenate(log_sigmas) if variational else None)
+        mu, log_sigma, _ = encoder.stats_forward(params, x[lo:hi])
+        mus.append(mu)
+        log_sigmas.append(log_sigma)
+    return np.concatenate(mus), (None if log_sigmas[0] is None else np.concatenate(log_sigmas))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +348,7 @@ class ClassifierModel:
         self.layers = layers
 
     def init_params(self, rng: RngStream) -> ParamVector:
-        pairs = []
-        for layer in self.layers:
-            pairs.extend(layer.init_arrays(rng.child("layer", layer.name)))
-        return ParamVector.from_arrays(pairs)
+        return _init_params(self.layers, rng)
 
     def forward(self, params, z):
         z = np.asarray(z, dtype=np.float64)
@@ -479,17 +466,17 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
             xb, yb = task0_images[take], labels[take]
-            if encoder.spec.kind == "vee":
-                mu, log_sigma, caches = encoder.stats_forward(params, xb)
+            mu, log_sigma, caches = encoder.stats_forward(params, xb)
+            if log_sigma is None:
+                ce, probe_grad, d_mu = _head_cross_entropy(probe, probe_params, mu, yb)
+                d_log_sigma = None
+            else:
                 z, eps = nc.reparam_sample(mu, log_sigma, rng.child("pretrain_eps", epoch, start))
                 res = ver_loss(GaussianStats(mu, log_sigma), z, eps, yb, probe, probe_params, beta)
-                enc_grad = encoder.stats_backward(params, caches, res.d_mu, res.d_log_sigma)
-                ce, probe_grad = res.ce, res.classifier_grad
+                ce, probe_grad, d_mu, d_log_sigma = (res.ce, res.classifier_grad, res.d_mu,
+                                                     res.d_log_sigma)
                 kl_sum += res.kl
-            else:
-                z, caches = encoder.embed_forward(params, xb)
-                ce, probe_grad, dz = _head_cross_entropy(probe, probe_params, z, yb)
-                enc_grad = encoder.embed_backward(params, caches, dz)
+            enc_grad = encoder.stats_backward(params, caches, d_mu, d_log_sigma)
             params = nc.sgd_step(params, nc.clip_gradient(enc_grad, PRETRAIN_CLIP_NORM), lr)
             probe_params = nc.sgd_step(probe_params,
                                        nc.clip_gradient(probe_grad, PRETRAIN_CLIP_NORM), lr)

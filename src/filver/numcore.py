@@ -119,6 +119,17 @@ def clip_gradient(grad: dict, max_norm: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _activate(pre: np.ndarray, activation: str, op: str) -> np.ndarray:
+    """The forward ops' activation of their pre-activation, checked finite."""
+    if activation == "relu":
+        out = np.maximum(pre, 0.0)
+    elif activation == "identity":
+        out = pre
+    else:
+        raise ContractViolation(f"unknown activation {activation!r}")
+    return _ensure_finite(out, f"{op} output")
+
+
 def dense_forward(x, weights, bias, activation="relu"):
     """Affine map plus activation: activation(x @ W + b).
 
@@ -131,14 +142,7 @@ def dense_forward(x, weights, bias, activation="relu"):
             f"dense_forward: input cols {x.shape} incompatible with weights {weights.shape}"
         )
     pre = x @ weights + bias
-    if activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif activation == "identity":
-        out = pre
-    else:
-        raise ContractViolation(f"unknown activation {activation!r}")
-    _ensure_finite(out, "dense_forward output")
-    return out, (x, weights, pre, activation)
+    return _activate(pre, activation, "dense_forward"), (x, weights, pre, activation)
 
 
 def dense_backward(cache, dout, need_dx=True):
@@ -216,14 +220,7 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
     pre = np.matmul(kernels.transpose(3, 0, 1, 2).reshape(f, -1),
                     _windows(x, k).transpose(3, 4, 5, 0, 1, 2).reshape(k * k * c, -1))
     pre = pre.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0) + bias
-    if activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif activation == "identity":
-        out = pre
-    else:
-        raise ContractViolation(f"unknown activation {activation!r}")
-    _ensure_finite(out, "conv2d_forward output")
-    return out, (x, kernels, pre, activation)
+    return _activate(pre, activation, "conv2d_forward"), (x, kernels, pre, activation)
 
 
 def conv2d_backward(cache, dout, need_dx=True):

@@ -27,11 +27,16 @@ def _write_u32(f: BinaryIO, value: int) -> None:
     f.write(struct.pack("<I", value))
 
 
+def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """n bytes from f, or a refusal naming the file that ended early."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ContractViolation(f"truncated file {f.name}: expected {what}")
+    return data
+
+
 def _read_u32(f: BinaryIO) -> int:
-    data = f.read(4)
-    if len(data) != 4:
-        raise ContractViolation("truncated file: expected u32")
-    return struct.unpack("<I", data)[0]
+    return struct.unpack("<I", _read_exact(f, 4, "u32"))[0]
 
 
 def write_string(f: BinaryIO, text: str) -> None:
@@ -41,11 +46,7 @@ def write_string(f: BinaryIO, text: str) -> None:
 
 
 def read_string(f: BinaryIO) -> str:
-    n = _read_u32(f)
-    raw = f.read(n)
-    if len(raw) != n:
-        raise ContractViolation("truncated file: expected string payload")
-    return raw.decode("utf-8")
+    return _read_exact(f, _read_u32(f), "string payload").decode("utf-8")
 
 
 def write_array(f: BinaryIO, arr: np.ndarray) -> None:
@@ -60,9 +61,7 @@ def read_array(f: BinaryIO) -> np.ndarray:
     ndim = _read_u32(f)
     shape = tuple(_read_u32(f) for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    raw = f.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ContractViolation("truncated file: expected array payload")
+    raw = _read_exact(f, 8 * count, "array payload")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
@@ -90,10 +89,10 @@ def load_model_checkpoint(path):
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MODEL_MAGIC:
-            raise ContractViolation(f"not a model checkpoint: bad magic {magic!r}")
+            raise ContractViolation(f"{path} is not a model checkpoint: bad magic {magic!r}")
         version = _read_u32(f)
         if version != FORMAT_VERSION:
-            raise ContractViolation(f"unsupported checkpoint version {version}")
+            raise ContractViolation(f"model checkpoint {path} has unsupported version {version}")
         header = {
             "version": version,
             "encoder_kind": read_string(f),
@@ -146,9 +145,7 @@ def _frame_dtype(shapes: dict) -> np.dtype:
 def read_record_frame(f: BinaryIO):
     """Returns (tag, label, task_id, round_id, arrays) of the frame at f."""
     ids = _frame_dtype({})  # the tag and ids that open every frame
-    head = f.read(ids.itemsize)
-    if len(head) != ids.itemsize:
-        raise ContractViolation("truncated file: expected a frame's tag and ids")
+    head = _read_exact(f, ids.itemsize, "a frame's tag and ids")
     tag, label, task_id, round_id = np.frombuffer(head, ids)[0].item()
     n_arrays = 2 if tag == PAYLOAD_STATS else 1
     return tag, label, task_id, round_id, [read_array(f) for _ in range(n_arrays)]
@@ -184,7 +181,7 @@ def _check_tag(path, tag: int, first: int) -> None:
             f"buffer snapshot {path} holds raw samples (payload tag {tag}); buffers "
             f"hold embeddings, naive uploads are embedded at admission")
     if tag not in PAYLOAD_TAGS:
-        raise ContractViolation(f"unknown payload tag {tag}")
+        raise ContractViolation(f"buffer snapshot {path} has unknown payload tag {tag}")
     if tag != first:
         named = ", ".join(f"{t} ({PAYLOAD_TAGS[t][0]})" for t in sorted((first, tag)))
         raise ContractViolation(f"buffer snapshot {path} mixes payload tags {named}")
@@ -200,12 +197,12 @@ def read_snapshot(path):
     with open(path, "rb") as f:
         header = f.read(SNAPSHOT_HEADER.size)
         if header[:4] != BUFFER_MAGIC:
-            raise ContractViolation(f"not a buffer snapshot: bad magic {header[:4]!r}")
+            raise ContractViolation(f"{path} is not a buffer snapshot: bad magic {header[:4]!r}")
         if len(header) < SNAPSHOT_HEADER.size:
             raise ContractViolation(f"buffer snapshot {path} truncated: header")
         _, version, capacity, rho, count = SNAPSHOT_HEADER.unpack(header)
         if version != FORMAT_VERSION:
-            raise ContractViolation(f"unsupported snapshot version {version}")
+            raise ContractViolation(f"buffer snapshot {path} has unsupported version {version}")
         if capacity < -1:
             raise ContractViolation(
                 f"buffer snapshot {path} has capacity {capacity}; expected -1 (unbounded) or >= 0")

@@ -517,7 +517,10 @@ def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, c
     (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "fl.n_clients"}),
      "has no 'fl.n_clients'"),
     (lambda meta: json.dumps(meta)[:-2], "is not valid JSON"),
-], ids=["missing-key", "invalid-json"])
+    # a bool is an int in Python; true once resumed as round 1
+    (lambda meta: json.dumps({**meta, "global_round": True}),
+     "has global_round True, not a round count"),
+], ids=["missing-key", "invalid-json", "bool-round"])
 def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
@@ -573,6 +576,47 @@ def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, 
     assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert str(ckpt / name) in err and message in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+@pytest.mark.parametrize("name,damage,message", [
+    ("model.bin", lambda data: data[:-10], "truncated file"),
+    ("server_buffer.bin", lambda data: data[:struct.calcsize("<4sIqdI") + 10],
+     "expected a frame's tag and ids"),
+    ("model.bin", lambda data: b"XXXX" + data[4:], "is not a model checkpoint: bad magic"),
+    ("client_1.bin", lambda data: b"XXXX" + data[4:], "is not a buffer snapshot: bad magic"),
+], ids=["model-cut", "snapshot-cut-in-first-frame", "model-magic", "snapshot-magic"])
+def test_resume_refusals_of_a_cut_or_foreign_checkpoint_file_name_it(tmp_path, capsys, name,
+                                                                      damage, message):
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    path = tmp_path / "out" / "checkpoint" / name
+    path.write_bytes(damage(path.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert "Traceback" not in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+@pytest.mark.parametrize("name", ["server_buffer.bin", "client_1.bin"])
+@pytest.mark.parametrize("capacity", [5, 10**6])
+def test_resume_refuses_a_buffer_snapshot_of_another_capacity(tmp_path, capsys, name, capacity):
+    # the header's capacity (bytes 8-16) once replaced the capacity this run prices
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    path = tmp_path / "out" / "checkpoint" / name
+    data = bytearray(path.read_bytes())
+    assert struct.unpack_from("<q", data, 8)[0] not in (5, 10**6)
+    struct.pack_into("<q", data, 8, capacity)
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and f"has capacity {capacity}" in err
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 

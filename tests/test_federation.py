@@ -99,8 +99,13 @@ def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, **kwargs):
 
 
 def report_tuples(reports):
-    return [(r.round_id, r.task_id, r.accuracies, r.mean_loss, r.participants,
-             r.server_buffer, r.client_buffer_total) for r in reports]
+    return [(r.round_id, r.task_id, r.accuracies, r.mean_loss, r.participants)
+            for r in reports]
+
+
+def buffer_sizes(state):
+    """(server buffer rows, client buffer rows by client id) at the end of a run."""
+    return len(state.server_buffer), tuple(len(b) for b in state.client_buffers)
 
 
 def random_params(rng, layout=(("w", (3, 4)), ("b", (4,)))):
@@ -250,8 +255,7 @@ def test_vanilla_run_matches_mirror_oracle():
         assert got.participants == chosen
         assert got.accuracies == accuracies
         assert got.mean_loss == mean_loss
-        assert got.server_buffer == 0
-        assert got.client_buffer_total == 0
+    assert buffer_sizes(state) == (0, (0,) * fl.n_clients)
     assert np.array_equal(state.classifier_params.flat, want_params.flat)
 
 
@@ -527,15 +531,16 @@ def test_encoder_kind_for_strategy_mapping():
 
 
 def test_run_is_deterministic_per_seed():
-    reports1, _ = tiny_run("ebr", seed=11)
-    reports2, _ = tiny_run("ebr", seed=11)
+    reports1, state1 = tiny_run("ebr", seed=11)
+    reports2, state2 = tiny_run("ebr", seed=11)
     reports3, _ = tiny_run("ebr", seed=12)
     assert report_tuples(reports1) == report_tuples(reports2)
+    assert buffer_sizes(state1) == buffer_sizes(state2)
     assert report_tuples(reports1) != report_tuples(reports3)
 
 
 def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
-    reports_clean, _ = tiny_run("naive", seed=13)
+    reports_clean, clean_state = tiny_run("naive", seed=13)
 
     # the partition holds every shard: poison a task's shards there after
     # the task's last round, so any later read of them (a naive upload
@@ -558,6 +563,7 @@ def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
 
     assert len(partitions) == 1
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
+    assert buffer_sizes(state) == buffer_sizes(clean_state)
     # the embed stage's entries, and their references to the rows, are gone
     assert state.shard_embeddings == {}
 
@@ -579,6 +585,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     part2, resumed_state = tiny_run("ebr", seed=21, resume_from=str(ckpt))
 
     assert report_tuples(part1 + part2) == report_tuples(full_reports)
+    assert buffer_sizes(resumed_state) == buffer_sizes(full_state)
     assert np.array_equal(resumed_state.classifier_params.flat,
                           full_state.classifier_params.flat)
     # buffers carried through the checkpoint identically
@@ -588,6 +595,22 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert np.array_equal(resumed.columns["z"], full.columns["z"])
     for name in ("labels", "tasks", "rounds"):
         assert np.array_equal(getattr(resumed, name), getattr(full, name))
+
+
+@pytest.mark.parametrize("every,stop,saves", [(2, 4, [2, 4]), (2, 3, [2, 3])])
+def test_each_checkpoint_round_is_saved_once(tmp_path, monkeypatch, every, stop, saves):
+    # a stop on a checkpoint round once saved that round twice
+    rounds = []
+    real_save = federation.save_checkpoint
+
+    def save(directory, state):
+        rounds.append(state.global_round)
+        real_save(directory, state)
+
+    monkeypatch.setattr(federation, "save_checkpoint", save)
+    tiny_run("ebr", checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=every,
+             stop_after_round=stop)
+    assert rounds == saves
 
 
 @pytest.mark.parametrize("stop", [0, -1])
@@ -818,6 +841,7 @@ def test_naive_resume_mid_task_matches_uninterrupted_run(tmp_path):
     part1, _ = tiny_run("naive", seed=21, checkpoint_dir=str(ckpt), stop_after_round=2)
     part2, resumed_state = tiny_run("naive", seed=21, resume_from=str(ckpt))
     assert report_tuples(part1 + part2) == report_tuples(full)
+    assert buffer_sizes(resumed_state) == buffer_sizes(full_state)
     assert list(resumed_state.server_buffer.columns) == ["z"]
     assert np.array_equal(resumed_state.server_buffer.columns["z"],
                           full_state.server_buffer.columns["z"])

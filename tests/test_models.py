@@ -53,13 +53,14 @@ def test_model_config_rejects_a_negative_or_non_finite_beta(beta):
 
 
 def test_head_kind_enforcement(tiny_mlp_vee, tiny_mlp_ebr):
+    # one pass serves both kinds; only a vee encoder has a log-sigma head
     vee_params = tiny_mlp_vee.init_params(RngStream(3))
     ebr_params = tiny_mlp_ebr.init_params(RngStream(3))
     x = RngStream(4).normal((2, 6))
-    with pytest.raises(ContractViolation):
-        tiny_mlp_vee.embed_forward(vee_params, x)
-    with pytest.raises(ContractViolation):
-        tiny_mlp_ebr.stats_forward(ebr_params, x)
+    mu, log_sigma, _ = tiny_mlp_vee.stats_forward(vee_params, x)
+    assert log_sigma is not None and log_sigma.shape == mu.shape == (2, 4)
+    z, none, _ = tiny_mlp_ebr.stats_forward(ebr_params, x)
+    assert z.shape == (2, 4) and none is None
 
 
 def test_encoder_forward_deterministic(tiny_mlp_vee):
@@ -77,7 +78,7 @@ def test_encode_for_eval_is_noise_free(tiny_mlp_vee, tiny_mlp_ebr):
     got_mu, got_log_sigma = encode_for_eval(tiny_mlp_vee, vp, x)
     assert np.array_equal(got_mu, mu) and np.array_equal(got_log_sigma, log_sigma)
     ep = jittered_params(tiny_mlp_ebr, RngStream(12))
-    z, _ = tiny_mlp_ebr.embed_forward(ep, x)
+    z, _, _ = tiny_mlp_ebr.stats_forward(ep, x)
     got_z, none = encode_for_eval(tiny_mlp_ebr, ep, x)
     assert np.array_equal(got_z, z) and none is None
 
@@ -281,12 +282,11 @@ def _use_oracle_conv_kernels(monkeypatch):
 
 
 def _encoder_grads(model, params, x, rng):
-    if model.spec.kind == "vee":
-        mu, log_sigma, caches = model.stats_forward(params, x)
-        d_mu, d_ls = rng.child("d_mu").normal(mu.shape), rng.child("d_ls").normal(mu.shape)
-        return (mu, log_sigma), model.stats_backward(params, caches, d_mu, d_ls)
-    z, caches = model.embed_forward(params, x)
-    return (z,), model.embed_backward(params, caches, rng.child("dz").normal(z.shape))
+    mu, log_sigma, caches = model.stats_forward(params, x)
+    if log_sigma is None:
+        return (mu,), model.stats_backward(params, caches, rng.child("dz").normal(mu.shape))
+    d_mu, d_ls = rng.child("d_mu").normal(mu.shape), rng.child("d_ls").normal(mu.shape)
+    return (mu, log_sigma), model.stats_backward(params, caches, d_mu, d_ls)
 
 
 @pytest.mark.parametrize("kind", ["vee", "ebr"])
