@@ -35,6 +35,7 @@ Stream keying contract (master = RngStream(master_seed)):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -45,12 +46,12 @@ import numpy as np
 from . import models, storage
 from .datasets import ClientPartition, TaskSequence, partition_clients
 from .errors import ContractViolation
-from .models import ClassifierModel, EncoderModel, EncoderSpec, GaussianStats, ModelConfig
+from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, buffer_capacity, encoder_kind_for_strategy,
-                        load_buffer, materialize_batch, replay_batch, rows_from_records,
-                        save_buffer)
+                        StrategyConfig, admit, buffer_capacity, buffer_columns,
+                        encoder_kind_for_strategy, load_buffer, materialize_batch, replay_batch,
+                        rows_from_records, save_buffer)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -123,12 +124,10 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 def _fresh_batch(embedded: dict, k: int, idx_rng: RngStream, eps_rng: RngStream):
     n = len(embedded["labels"])
     idx = idx_rng.choice(n, k, replace=k > n)
-    y = embedded["labels"][idx]
+    z = embedded["mu"][idx]
     if embedded["log_sigma"] is not None:
-        z, _ = reparam_sample(embedded["mu"][idx], embedded["log_sigma"][idx], eps_rng)
-    else:
-        z = embedded["mu"][idx]
-    return z, y
+        z, _ = reparam_sample(z, embedded["log_sigma"][idx], eps_rng)
+    return z, embedded["labels"][idx]
 
 
 def _build_upload(embedded: dict, task_id: int, global_round: int,
@@ -165,21 +164,21 @@ def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: d
                 classifier: ClassifierModel, task_id: int, global_round: int, fl: FLConfig,
                 strategy: StrategyConfig, rng: RngStream) -> LocalResult:
     """E SGD steps on batches mixing the client's embedded shard with replay
-    from its own buffer (half and half once the buffer is nonempty), then
-    the upload; run_round admits it."""
+    from its own buffer (half and half once the buffer is nonempty; a none
+    run's buffers hold nothing), then the upload; run_round admits it."""
     n = len(embedded["labels"])
 
     params = global_params
     losses = []
     for i in range(fl.local_iters):
-        use_replay = strategy.kind != "none" and len(buffer) > 0
+        use_replay = len(buffer) > 0
         k_fresh = fl.batch_size // 2 if use_replay else fl.batch_size
         k_fresh = max(1, k_fresh)
         z, y = _fresh_batch(embedded, k_fresh, rng.child("fresh", i), rng.child("eps", i))
         if use_replay:
             batch = replay_batch(buffer, fl.batch_size - k_fresh, rng.child("replay", i))
             if len(batch):
-                z_r, y_r = materialize_batch(batch, strategy.kind, rng=rng.child("replay_eps", i))
+                z_r, y_r = materialize_batch(batch, rng=rng.child("replay_eps", i))
                 z = np.concatenate([z, z_r])
                 y = np.concatenate([y, y_r])
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
@@ -197,14 +196,14 @@ def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: d
 
 
 def server_side_training(params: ParamVector, server_buffer: RehearsalBuffer,
-                         classifier: ClassifierModel, fl: FLConfig, strategy_kind: str,
+                         classifier: ClassifierModel, fl: FLConfig,
                          rng: RngStream) -> ParamVector:
     """S_max SGD steps on batches replayed from the pooled server buffer."""
     if fl.s_max == 0 or len(server_buffer) == 0:
         return params
     for s in range(fl.s_max):
         batch = replay_batch(server_buffer, fl.batch_size, rng.child("batch", s))
-        z, y = materialize_batch(batch, strategy_kind, rng=rng.child("eps", s))
+        z, y = materialize_batch(batch, rng=rng.child("eps", s))
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta_s)
     return params
@@ -289,7 +288,7 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
     state.classifier_params = server_side_training(
         state.classifier_params, state.server_buffer, state.classifier, fl,
-        state.strategy.kind, state.master.child("sst", task_id, round_in_task))
+        state.master.child("sst", task_id, round_in_task))
 
     if state.encoder_params.checksum() != state.encoder_checksum:
         raise ContractViolation("frozen encoder parameters changed during training")
@@ -370,7 +369,8 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 f"stop_after_round {stop_after_round} is not past the checkpoint's "
                 f"round {start_round}")
         encoder_params, classifier_params, server_buffer, client_buffers = \
-            _load_checkpoint(resume_from, model.encoder, fl.n_clients, server_cap, client_cap)
+            _load_checkpoint(resume_from, encoder, classifier, strategy, fl.n_clients, server_cap,
+                             client_cap)
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
@@ -492,11 +492,13 @@ def read_checkpoint_meta(directory) -> dict:
     return meta
 
 
-def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int, server_cap: int,
-                     client_cap: int):
+def _load_checkpoint(directory, encoder: EncoderModel, classifier: ClassifierModel,
+                     strategy: StrategyConfig, n_clients: int, server_cap: int, client_cap: int):
     """(encoder params, classifier params, server buffer, client buffers by
-    id); every file save_checkpoint writes must be there, and each buffer
-    must have the capacity buffer_capacity prices for this run."""
+    id); every file save_checkpoint writes must be there, the parameters
+    must have the layout this run's models build, and each buffer must have
+    the capacity buffer_capacity prices for this run and, unless empty, the
+    strategy's columns, which replay then trusts."""
     model_path = os.path.join(directory, "model.bin")
     server_path = os.path.join(directory, "server_buffer.bin")
     client_paths = [os.path.join(directory, f"client_{cid}.bin") for cid in range(n_clients)]
@@ -504,9 +506,15 @@ def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int, serve
         if not os.path.exists(path):
             raise ContractViolation(f"checkpoint file {path} is missing")
     merged, header = storage.load_model_checkpoint(model_path)
-    if header["encoder_kind"] != encoder_spec.kind:
-        raise ContractViolation("checkpoint encoder kind does not match the configuration")
+    if header["encoder_kind"] != encoder.spec.kind:
+        raise ContractViolation(f"model checkpoint {model_path} has another encoder kind")
+    want = _merge_params(encoder.init_params(RngStream(0)), classifier.init_params(RngStream(0)))
+    for have, need in itertools.zip_longest(merged.layout, want.layout):
+        if have != need:
+            raise ContractViolation(f"model checkpoint {model_path} has parameter {have}, "
+                                    f"this run's model has {need}")
     encoder_params, classifier_params = _split_params(merged)
+    columns = buffer_columns(strategy.kind)
     buffers = []
     for path, owner, capacity in ([(server_path, "server", server_cap)]
                                   + [(path, "client", client_cap) for path in client_paths]):
@@ -514,6 +522,10 @@ def _load_checkpoint(directory, encoder_spec: EncoderSpec, n_clients: int, serve
         if buffer.capacity != capacity:
             raise ContractViolation(f"buffer snapshot {path} has capacity {buffer.capacity}, "
                                     f"this run's {owner} buffers hold {capacity}")
+        if len(buffer) and tuple(buffer.columns) != columns:
+            raise ContractViolation(f"buffer snapshot {path} holds columns "
+                                    f"{tuple(buffer.columns)}, strategy {strategy.kind!r} "
+                                    f"buffers hold {columns}")
         buffers.append(buffer)
     return encoder_params, classifier_params, buffers[0], buffers[1:]
 
@@ -535,23 +547,22 @@ def run_offline(tasks: TaskSequence, fl: FLConfig, model: ModelConfig, *, master
     encoder_params, params = _pretrain(encoder, classifier, model, first.images, first.labels,
                                        tasks.class_count, fl.batch_size, master)
 
+    # every task's train rows, pooled into one embed-stage entry
     embedded = [models.encode_for_eval(encoder, encoder_params, task.train.images)
                 for task in tasks.tasks]
-    mu_all = np.concatenate([mu for mu, _ in embedded])
-    log_sigma_all = (np.concatenate([ls for _, ls in embedded])
-                     if model.encoder.kind == "vee" else None)
-    y_all = np.concatenate([np.asarray(task.train.labels) for task in tasks.tasks])
-    n = len(y_all)
+    pooled = {"mu": np.concatenate([mu for mu, _ in embedded]),
+              "log_sigma": (None if embedded[0][1] is None
+                            else np.concatenate([ls for _, ls in embedded])),
+              "labels": np.concatenate([np.asarray(task.train.labels) for task in tasks.tasks])}
+    n = len(pooled["labels"])
 
     if steps is None:
         steps = tasks.n_tasks * fl.rounds_per_task * (fl.local_iters + fl.s_max)
     for s in range(steps):
-        idx = master.child("offline_batch", s).choice(n, min(fl.batch_size, n), replace=False)
-        if log_sigma_all is not None:
-            z, _ = reparam_sample(mu_all[idx], log_sigma_all[idx], master.child("offline_eps", s))
-        else:
-            z = mu_all[idx]
-        loss, grad = models.classifier_loss_and_grad(classifier, params, z, y_all[idx])
+        # a batch never exceeds n, so this is a draw without replacement
+        z, y = _fresh_batch(pooled, min(fl.batch_size, n), master.child("offline_batch", s),
+                            master.child("offline_eps", s))
+        loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta)
 
     accs = tuple(models.classifier_accuracy(classifier, params, z, y)

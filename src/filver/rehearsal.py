@@ -116,13 +116,9 @@ def encoder_kind_for_strategy(kind: str) -> str:
     return _STRATEGIES[kind][0]
 
 
-def check_columns_match(kind: str, buffer: RehearsalBuffer) -> None:
-    want = _STRATEGIES.get(kind, (None, ()))[1]
-    if not want:
-        raise ContractViolation(f"strategy {kind!r} admits no records")
-    if tuple(buffer.columns) != want:
-        raise ContractViolation(
-            f"strategy {kind!r} expects buffer columns {want}, got {tuple(buffer.columns)}")
+def buffer_columns(kind: str) -> tuple:
+    """The payload columns of strategy `kind`'s buffers; () for none."""
+    return _STRATEGIES[kind][1]
 
 
 def _no_ids() -> np.ndarray:
@@ -288,18 +284,15 @@ def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> Re
     return buffer.take(rng.choice(n, batch_size, replace=replace))
 
 
-def materialize_batch(batch: RehearsalBuffer, kind: str, *, rng: RngStream = None):
-    """Turn a replayed batch into training pairs (Z, y): embeddings verbatim,
-    stats by a fresh draw z = mu + sigma * eps on every replay."""
+def materialize_batch(batch: RehearsalBuffer, *, rng: RngStream):
+    """Turn a replayed batch into training pairs (Z, y) by its own columns:
+    a stored z verbatim, or from mu and log_sigma a fresh draw
+    z = mu + sigma * eps on every replay."""
     if len(batch) == 0:
         raise ContractViolation("cannot materialize an empty batch")
-    check_columns_match(kind, batch)
-    columns = batch.columns
-    if "z" in columns:
-        return columns["z"], batch.labels
-    if rng is None:
-        raise ContractViolation("stats payloads need an rng to materialize")
-    z, _ = reparam_sample(columns["mu"], columns["log_sigma"], rng)
+    z = batch.columns.get("z")
+    if z is None:
+        z, _ = reparam_sample(batch.columns["mu"], batch.columns["log_sigma"], rng)
     return z, batch.labels
 
 

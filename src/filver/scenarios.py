@@ -89,58 +89,32 @@ def make_schedule(kind: str, n_clients: int, n_tasks: int, rng: RngStream) -> En
     if kind != "fully_enrolled" and n_clients < n_tasks:
         raise ContractViolation(f"{kind} schedules need n_clients >= n_tasks")
 
-    grid = np.full((n_clients, n_tasks), NOT_ENROLLED_YET, dtype=np.int8)
-    if kind == "fully_enrolled":
-        grid[:] = ACTIVE
-        return EnrollmentSchedule(grid)
-
+    # client c is active for tasks join[c] <= t < leave[c]
+    join = np.zeros(n_clients, dtype=np.int64)
+    leave = np.full(n_clients, n_tasks, dtype=np.int64)
     rate = -(-n_clients // n_tasks)  # ceil(N / T) joins or drops per boundary
-
     if kind == "decreasing":
         # all start active; `rate` active clients leave at each boundary,
         # always keeping at least one until the end
-        grid[:, 0] = ACTIVE
-        dropped: list = []
         for t in range(1, n_tasks):
-            still = [c for c in range(n_clients) if c not in dropped]
+            still = np.flatnonzero(leave == n_tasks)
             n_drop = min(rate, len(still) - 1)
             if n_drop > 0:
-                pick = rng.child("drop", t).choice(len(still), n_drop, replace=False)
-                dropped.extend(still[i] for i in pick)
-            for c in range(n_clients):
-                grid[c, t] = NO_LONGER_ACTIVE if c in dropped else ACTIVE
-        return EnrollmentSchedule(grid)
-
-    if kind == "increasing":
-        # mirror image: start small, `rate` clients join at each boundary
+                leave[still[rng.child("drop", t).choice(len(still), n_drop, replace=False)]] = t
+    elif kind == "increasing":
+        # mirror image: start small, `rate` clients join at each boundary;
+        # any left over when rate under-counts join in the final task
         start = max(1, n_clients - rate * (n_tasks - 1))
-        order = rng.child("join").permutation(n_clients)
-        joined = list(order[:start])
-        cursor = start
-        for t in range(n_tasks):
-            if t > 0:
-                take = min(rate, n_clients - cursor)
-                joined.extend(order[cursor:cursor + take])
-                cursor += take
-            for c in joined:
-                grid[c, t] = ACTIVE
-        # anyone never used would violate the one-active rule; absorb them
-        # into the final task (only possible when rate under-counts)
-        for c in order[cursor:]:
-            grid[c, n_tasks - 1] = ACTIVE
-        return EnrollmentSchedule(grid)
-
-    # scattered: each client is active for exactly one task; a permutation
-    # guarantees every task gets one before extras are spread at random
-    order = rng.child("scatter").permutation(n_clients)
-    assignment = np.empty(n_clients, dtype=np.int64)
-    for slot, c in enumerate(order):
-        if slot < n_tasks:
-            assignment[c] = slot
-        else:
-            assignment[c] = int(rng.child("scatter_extra", int(c)).integers(0, n_tasks))
-    for c in range(n_clients):
-        t = assignment[c]
-        grid[c, t] = ACTIVE
-        grid[c, t + 1:] = NO_LONGER_ACTIVE
-    return EnrollmentSchedule(grid)
+        slots = np.arange(n_clients) - start
+        join[rng.child("join").permutation(n_clients)] = np.clip(slots // rate + 1, 0, n_tasks - 1)
+    elif kind == "scattered":
+        # each client is active for exactly one task; a permutation
+        # guarantees every task gets one before extras are spread at random
+        order = rng.child("scatter").permutation(n_clients)
+        join[order[:n_tasks]] = np.arange(n_tasks)
+        for c in order[n_tasks:]:
+            join[c] = rng.child("scatter_extra", int(c)).integers(0, n_tasks)
+        leave = join + 1
+    t = np.arange(n_tasks)
+    return EnrollmentSchedule(np.where(t < join[:, None], NOT_ENROLLED_YET,
+                                       np.where(t < leave[:, None], ACTIVE, NO_LONGER_ACTIVE)))

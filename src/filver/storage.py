@@ -46,7 +46,11 @@ def write_string(f: BinaryIO, text: str) -> None:
 
 
 def read_string(f: BinaryIO) -> str:
-    return _read_exact(f, _read_u32(f), "string payload").decode("utf-8")
+    raw = _read_exact(f, _read_u32(f), "string payload")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ContractViolation(f"file {f.name} holds a string that is not UTF-8") from None
 
 
 def write_array(f: BinaryIO, arr: np.ndarray) -> None:
@@ -100,6 +104,8 @@ def load_model_checkpoint(path):
             "classes": _read_u32(f),
         }
         n_segments = _read_u32(f)
+        if n_segments == 0:
+            raise ContractViolation(f"model checkpoint {path} has no parameter segments")
         pairs = []
         for _ in range(n_segments):
             name = read_string(f)

@@ -1,8 +1,9 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
 and finite differences, plus the list-of-records rehearsal buffer that the
 columnar one replaced, the segment-list parameter vector that the flat one
-replaced, the two-step dataset builders that the one-copy ones replaced, and
-the keyed draw that built a new Philox and Generator per call.  Everything
+replaced, the two-step dataset builders that the one-copy ones replaced,
+the keyed draw that built a new Philox and Generator per call, and the
+cell-by-cell enrollment grids that join/leave arrays replaced.  Everything
 here is deliberately slow and obvious."""
 
 import hashlib
@@ -19,6 +20,7 @@ from filver.errors import ContractViolation
 from filver.numcore import _ensure_finite
 from filver.rehearsal import EmbeddingPayload, RawPayload
 from filver.rng import _MASK64, RngStream
+from filver.scenarios import ACTIVE, NO_LONGER_ACTIVE, NOT_ENROLLED_YET
 
 
 # ---------------------------------------------------------------------------
@@ -656,3 +658,61 @@ class ConstructorRngStream(RngStream):
         )
         self.counter += 1
         return np.random.Generator(bitgen)
+
+
+# ---------------------------------------------------------------------------
+# Enrollment schedules: the cell-by-cell grids that filver.scenarios'
+# join/leave arrays replaced, with the same keyed draws
+# ---------------------------------------------------------------------------
+
+def make_schedule(kind: str, n_clients: int, n_tasks: int, rng: RngStream) -> np.ndarray:
+    """The (n_clients, n_tasks) enrollment grid of a legal kind and size."""
+    grid = np.full((n_clients, n_tasks), NOT_ENROLLED_YET, dtype=np.int8)
+    if kind == "fully_enrolled":
+        grid[:] = ACTIVE
+        return grid
+
+    rate = -(-n_clients // n_tasks)  # ceil(N / T) joins or drops per boundary
+
+    if kind == "decreasing":
+        grid[:, 0] = ACTIVE
+        dropped: list = []
+        for t in range(1, n_tasks):
+            still = [c for c in range(n_clients) if c not in dropped]
+            n_drop = min(rate, len(still) - 1)
+            if n_drop > 0:
+                pick = rng.child("drop", t).choice(len(still), n_drop, replace=False)
+                dropped.extend(still[i] for i in pick)
+            for c in range(n_clients):
+                grid[c, t] = NO_LONGER_ACTIVE if c in dropped else ACTIVE
+        return grid
+
+    if kind == "increasing":
+        start = max(1, n_clients - rate * (n_tasks - 1))
+        order = rng.child("join").permutation(n_clients)
+        joined = list(order[:start])
+        cursor = start
+        for t in range(n_tasks):
+            if t > 0:
+                take = min(rate, n_clients - cursor)
+                joined.extend(order[cursor:cursor + take])
+                cursor += take
+            for c in joined:
+                grid[c, t] = ACTIVE
+        for c in order[cursor:]:
+            grid[c, n_tasks - 1] = ACTIVE
+        return grid
+
+    # scattered
+    order = rng.child("scatter").permutation(n_clients)
+    assignment = np.empty(n_clients, dtype=np.int64)
+    for slot, c in enumerate(order):
+        if slot < n_tasks:
+            assignment[c] = slot
+        else:
+            assignment[c] = int(rng.child("scatter_extra", int(c)).integers(0, n_tasks))
+    for c in range(n_clients):
+        t = assignment[c]
+        grid[c, t] = ACTIVE
+        grid[c, t + 1:] = NO_LONGER_ACTIVE
+    return grid

@@ -13,7 +13,7 @@ import pytest
 
 import filver.cli as cli
 import oracles
-from filver import models
+from filver import federation, models
 from filver.config import (
     DATA_ROOT_ENV,
     KEY_TABLE,
@@ -585,7 +585,13 @@ def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, 
      "expected a frame's tag and ids"),
     ("model.bin", lambda data: b"XXXX" + data[4:], "is not a model checkpoint: bad magic"),
     ("client_1.bin", lambda data: b"XXXX" + data[4:], "is not a buffer snapshot: bad magic"),
-], ids=["model-cut", "snapshot-cut-in-first-frame", "model-magic", "snapshot-magic"])
+    # the header (magic, version, encoder kind, d, K) with a segment count of 0
+    ("model.bin", lambda data: data[:20 + struct.unpack_from("<I", data, 8)[0]] + bytes(4),
+     "has no parameter segments"),
+    ("model.bin", lambda data: data.replace(b"enc.fc1.w", b"\xffnc.fc1.w", 1),
+     "holds a string that is not UTF-8"),
+], ids=["model-cut", "snapshot-cut-in-first-frame", "model-magic", "snapshot-magic",
+        "model-no-segments", "model-name-not-utf8"])
 def test_resume_refusals_of_a_cut_or_foreign_checkpoint_file_name_it(tmp_path, capsys, name,
                                                                       damage, message):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
@@ -617,6 +623,50 @@ def test_resume_refuses_a_buffer_snapshot_of_another_capacity(tmp_path, capsys, 
     assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and f"has capacity {capacity}" in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def test_resume_refuses_a_model_bin_of_another_layout(tmp_path, capsys):
+    # model.bin was read by name alone, so a 10-wide classifier resumed a
+    # 12-wide run and trained on
+    other = write_tiny_cfg(tmp_path / "other.cfg", tmp_path / "other",
+                           **{"model.classifier_hidden": 10})
+    assert cli.main(["run", str(other), "--stop-after-round", "2", "--quiet"]) == 0
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    path = tmp_path / "out" / "checkpoint" / "model.bin"
+    path.write_bytes((tmp_path / "other" / "checkpoint" / "model.bin").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("has parameter ('cls.cls1.w', (6, 10)), this run's model has "
+            "('cls.cls1.w', (6, 12))") in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def test_resume_refuses_snapshots_of_another_strategys_columns(tmp_path, capsys, monkeypatch):
+    # replay reads a batch's own columns, so resume checks them where they
+    # enter; they were once refused only at the first replay, naming no file
+    stats = write_tiny_cfg(tmp_path / "stats.cfg", tmp_path / "stats",
+                           **{"strategy.kind": "ver_stats"})
+    assert cli.main(["run", str(stats), "--stop-after-round", "2", "--quiet"]) == 0
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")  # ver_sampled
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    ckpt = tmp_path / "out" / "checkpoint"
+    for name in ("server_buffer.bin", "client_0.bin", "client_1.bin"):
+        (ckpt / name).write_bytes((tmp_path / "stats" / "checkpoint" / name).read_bytes())
+    embedded = []
+    monkeypatch.setattr(federation, "_embed_shards", lambda *args: embedded.append(args))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(ckpt / "server_buffer.bin") in err
+    assert ("holds columns ('mu', 'log_sigma'), strategy 'ver_sampled' buffers hold ('z',)"
+            in err)
+    assert embedded == []  # refused before the embed stage, so before any round
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 

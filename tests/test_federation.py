@@ -449,12 +449,10 @@ def test_sst_zero_steps_and_empty_buffer_are_no_ops():
     classifier = ClassifierModel(cls_spec, EMBED)
     params = classifier.init_params(rng.child("cls"))
     buf = server_buffer_two_clusters(rng.child("buf"))
-    out = server_side_training(params, buf, classifier, tiny_fl(s_max=0), "ebr",
-                               rng.child("sst"))
+    out = server_side_training(params, buf, classifier, tiny_fl(s_max=0), rng.child("sst"))
     assert out is params
     empty = RehearsalBuffer(capacity=None)
-    out = server_side_training(params, empty, classifier, tiny_fl(s_max=5), "ebr",
-                               rng.child("sst"))
+    out = server_side_training(params, empty, classifier, tiny_fl(s_max=5), rng.child("sst"))
     assert out is params
 
 
@@ -468,8 +466,7 @@ def test_sst_fits_the_server_buffer():
     y = buf.labels
     loss_before, _ = classifier_loss_and_grad(classifier, params, z, y)
     out = server_side_training(params, buf, classifier,
-                               tiny_fl(s_max=60, eta_s=0.1, batch_size=16), "ebr",
-                               rng.child("sst"))
+                               tiny_fl(s_max=60, eta_s=0.1, batch_size=16), rng.child("sst"))
     loss_after, _ = classifier_loss_and_grad(classifier, out, z, y)
     assert loss_after < loss_before
     assert classifier_accuracy(classifier, out, z, y) >= 0.9
@@ -482,9 +479,9 @@ def test_sst_is_deterministic_per_stream():
     params = classifier.init_params(rng.child("cls"))
     buf = server_buffer_two_clusters(rng.child("buf"))
     fl = tiny_fl(s_max=10)
-    a = server_side_training(params, buf, classifier, fl, "ebr", RngStream(77))
-    b = server_side_training(params, buf, classifier, fl, "ebr", RngStream(77))
-    c = server_side_training(params, buf, classifier, fl, "ebr", RngStream(78))
+    a = server_side_training(params, buf, classifier, fl, RngStream(77))
+    b = server_side_training(params, buf, classifier, fl, RngStream(77))
+    c = server_side_training(params, buf, classifier, fl, RngStream(78))
     assert np.array_equal(a.flat, b.flat)
     assert not np.array_equal(a.flat, c.flat)
 

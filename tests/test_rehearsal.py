@@ -29,7 +29,6 @@ from filver.rehearsal import (
     StrategyConfig,
     admit,
     buffer_capacity,
-    check_columns_match,
     load_buffer,
     materialize_batch,
     replay_batch,
@@ -106,27 +105,6 @@ def test_expected_payload_types_per_kind():
     for kind, types in want.items():
         upload = _build_upload(embedded, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
         assert {type(rec.payload) for rec in upload} == types, kind
-
-
-def test_check_columns_match_enforces_payload_type():
-    rng = RngStream(0)
-    emb = buffer_of([embed_record(rng)])
-    stats = buffer_of([RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))), 1, 0, 0)])
-    assert tuple(emb.columns) == ("z",)
-    assert tuple(stats.columns) == ("mu", "log_sigma")
-    check_columns_match("ebr", emb)
-    check_columns_match("naive", emb)  # naive buffers hold the uploads' embeddings
-    check_columns_match("ver_stats", stats)
-    with pytest.raises(ContractViolation):
-        check_columns_match("naive", stats)
-    with pytest.raises(ContractViolation):
-        check_columns_match("ver_stats", emb)
-    with pytest.raises(ContractViolation):
-        check_columns_match("ver_sampled", stats)
-    with pytest.raises(ContractViolation):
-        check_columns_match("none", emb)
-    with pytest.raises(ContractViolation):
-        check_columns_match("verbatim", emb)
 
 
 def test_admit_refuses_raw_samples():
@@ -414,12 +392,9 @@ def test_materialize_embedding_returns_stored_vector():
     rng = RngStream(21)
     rec = embed_record(rng, label=1)
     batch = buffer_of([rec])
-    z, y = materialize_batch(batch, "ebr")
+    z, y = materialize_batch(batch, rng=rng.child("eps"))
     assert np.array_equal(z, rec.payload.z[None])
     assert list(y) == [1]
-    for kind in ("ver_sampled", "naive", "noise"):
-        z2, _ = materialize_batch(batch, kind)
-        assert np.array_equal(z2, rec.payload.z[None])
 
 
 def test_materialize_stats_resamples_every_draw():
@@ -427,19 +402,17 @@ def test_materialize_stats_resamples_every_draw():
     mu = rng.normal((4,))
     log_sigma = rng.normal((4,)) * 0.1
     batch = buffer_of([RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)])
-    z1, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 0))
-    z2, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 1))
-    z1r, _ = materialize_batch(batch, "ver_stats", rng=rng.child("draw", 0))
+    z1, _ = materialize_batch(batch, rng=rng.child("draw", 0))
+    z2, _ = materialize_batch(batch, rng=rng.child("draw", 1))
+    z1r, _ = materialize_batch(batch, rng=rng.child("draw", 0))
     assert not np.array_equal(z1, z2)
     assert np.array_equal(z1, z1r)
-    with pytest.raises(ContractViolation):
-        materialize_batch(batch, "ver_stats")
 
 
 def test_materialize_stats_zero_sigma_returns_mean():
     mu = np.array([0.5, -1.5, 2.0])
     batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)])
-    z, _ = materialize_batch(batch, "ver_stats", rng=RngStream(3))
+    z, _ = materialize_batch(batch, rng=RngStream(3))
     assert np.array_equal(z, mu[None])
 
 
@@ -449,7 +422,7 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
     sigma = np.array([0.5, 1.0, 0.25, 2.0])
     batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)])
     n = 10_000
-    draws = np.concatenate([materialize_batch(batch, "ver_stats", rng=rng.child("d", i))[0]
+    draws = np.concatenate([materialize_batch(batch, rng=rng.child("d", i))[0]
                             for i in range(n)])
     se = sigma / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 3 * se)
@@ -458,13 +431,12 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
 def test_materialize_batch_matches_singles_for_deterministic_kinds():
     rng = RngStream(31)
     embs = buffer_of(embed_batch(rng.child("emb"), 5))
-    for kind in ("ebr", "naive"):
-        Z, y = materialize_batch(embs, kind)
-        assert y.dtype == np.int64
-        for i in range(5):
-            zi, yi = materialize_batch(embs.take([i]), kind)
-            assert np.array_equal(Z[i], zi[0])
-            assert y[i] == yi[0]
+    Z, y = materialize_batch(embs, rng=rng.child("eps"))
+    assert y.dtype == np.int64
+    for i in range(5):
+        zi, yi = materialize_batch(embs.take([i]), rng=rng.child("eps", i))
+        assert np.array_equal(Z[i], zi[0])
+        assert y[i] == yi[0]
     assert np.array_equal(Z, embs.columns["z"])
     assert np.array_equal(y, embs.labels)
 
@@ -474,26 +446,20 @@ def test_materialize_batch_stats_is_deterministic_per_stream():
     batch = buffer_of([RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
                                                      rng.child("ls", i).normal((4,)) * 0.1),
                                        i, 0, 0) for i in range(6)])
-    Z1, y1 = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 0))
-    Z2, _ = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 0))
-    Z3, _ = materialize_batch(batch, "ver_stats", rng=rng.child("eps", 1))
+    Z1, y1 = materialize_batch(batch, rng=rng.child("eps", 0))
+    Z2, _ = materialize_batch(batch, rng=rng.child("eps", 0))
+    Z3, _ = materialize_batch(batch, rng=rng.child("eps", 1))
     assert np.array_equal(Z1, Z2)
     assert not np.array_equal(Z1, Z3)
     assert Z1.shape == (6, 4)
     assert list(y1) == list(range(6))
-    with pytest.raises(ContractViolation):
-        materialize_batch(batch, "ver_stats")
 
 
-def test_materialize_batch_rejects_empty_and_mismatched():
+def test_materialize_batch_rejects_empty():
+    # a batch's columns are the strategy's: resume checks a snapshot's columns
+    # where it loads (test_config_cli), so materialize checks no kind
     with pytest.raises(ContractViolation):
-        materialize_batch(RehearsalBuffer(), "ebr")
-    rng = RngStream(31)
-    with pytest.raises(ContractViolation):
-        materialize_batch(buffer_of(embed_batch(rng, 3)), "ver_stats")
-    stats = buffer_of([stats_record(rng.child("s"), 0, 0, 0)])
-    with pytest.raises(ContractViolation):
-        materialize_batch(stats, "naive", rng=rng.child("eps"))
+        materialize_batch(RehearsalBuffer(), rng=RngStream(31))
 
 
 # ---------------------------------------------------------------------------

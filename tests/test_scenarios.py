@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from filver.errors import ContractViolation
 from filver.rng import RngStream
 from filver.scenarios import (
@@ -46,6 +47,20 @@ def test_generated_schedules_are_legal(kind, n_tasks, extra, seed):
         assert ROW_SHAPE.match(row_string(sched.grid, c)), row_string(sched.grid, c)
     for t in range(n_tasks):
         assert sched.active_clients(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(SCHEDULE_KINDS),
+    n_tasks=st.integers(min_value=1, max_value=8),
+    extra=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_schedules_equal_the_cell_by_cell_oracle(kind, n_tasks, extra, seed):
+    # the join/leave arrays make the same keyed draws as the per-cell loops
+    n_clients = n_tasks + extra
+    want = oracles.make_schedule(kind, n_clients, n_tasks, RngStream(seed))
+    assert np.array_equal(make_schedule(kind, n_clients, n_tasks, RngStream(seed)).grid, want)
 
 
 def test_states_are_distinct_small_ints():
