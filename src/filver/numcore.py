@@ -1,7 +1,10 @@
 """Differentiable numeric core: dense/conv/pool layers, losses, sampling, SGD.
 
-Everything is float64 and pure: ops return new arrays, caches are explicit
-values handed back to the matching backward function.  Matrices are plain
+Everything is float64 and pure: ops return new arrays and never write into
+their inputs, and caches are explicit values handed back to the matching
+backward function.  A dense cache holds the pre-activation; a conv cache
+holds the output itself, which conv2d_forward activates in place on the
+GEMM product it owns (see the note above it).  Matrices are plain
 2-D float64 ndarrays; image batches are NHWC float64 ndarrays.  There is no
 autodiff tape — the model zoo is fixed and small, so each op carries its own
 hand-written backward.
@@ -119,10 +122,11 @@ def clip_gradient(grad: dict, max_norm: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _activate(pre: np.ndarray, activation: str, op: str) -> np.ndarray:
-    """The forward ops' activation of their pre-activation, checked finite."""
+def _activate(pre: np.ndarray, activation: str, op: str, out=None) -> np.ndarray:
+    """The forward ops' activation of their pre-activation, checked finite;
+    out=pre activates in place."""
     if activation == "relu":
-        out = np.maximum(pre, 0.0)
+        out = np.maximum(pre, 0.0, out=out)
     elif activation == "identity":
         out = pre
     else:
@@ -184,10 +188,15 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
 # flags.  (K @ cols.T differs from K @ rows in the last ulp for some shapes,
 # and F = 1 takes a matrix-vector path.)  The im2col copies are made by
 # reshape, which copies only when it must, as einsum's did.  Output layouts
-# are part of the contract too: `pre` and dK come back channel-major (F-major
-# views of the GEMM product), dpre is C-contiguous, and reductions run in
-# memory order -- clip_gradient sums dK**2 and db sums dpre that way -- so a
-# C-contiguous dK with the same values still moves the clip norm by an ulp.
+# are part of the contract too: the forward output and dK come back
+# channel-major (F-major views of the GEMM product), dpre is C-contiguous, and
+# reductions run in memory order -- clip_gradient sums dK**2 and db sums dpre
+# that way -- so a C-contiguous dK with the same values still moves the clip
+# norm by an ulp.  The forward adds the bias and applies ReLU in place on its
+# product and caches that output, not the pre-activation: elementwise ops
+# give the same bytes in place, and the backward mask `out > 0` equals
+# `pre > 0`, so the two (B, H', W', F) arrays that `pre + bias` and the ReLU
+# allocated are gone.
 # Not reproduced: two corners where einsum changed path because size-1 axes
 # left nothing to contract or made its reshapes views -- one output channel
 # for one image with a one-column output (F = 1, B = 1, W' = 1), and a
@@ -201,8 +210,11 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
 
     x: (B, H, W, C), kernels: (k, k, C, F), bias: (F,).
     Output spatial dims shrink by k - 1.  One (k*k*C, B*H'*W') im2col copy
-    and one GEMM; `pre` (and the output) is an F-major view of the
-    (F, B*H'*W') product.  The cache is (x, kernels, pre, activation).
+    and one GEMM; the bias add and the activation then run in place on the
+    product, so the output is an F-major view of the (F, B*H'*W') product and
+    no pre-activation array is kept.  The cache is (x, kernels, out,
+    activation): conv2d_backward's ReLU mask reads `out > 0`, which equals
+    `pre > 0`.  x, kernels and bias are only read.
     """
     x = np.asarray(x, dtype=np.float64)
     k = kernels.shape[0]
@@ -217,10 +229,18 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
     b, h, w, c = x.shape
     f = kernels.shape[3]
     # the im2col copy is a temporary, freed as soon as the product exists
-    pre = np.matmul(kernels.transpose(3, 0, 1, 2).reshape(f, -1),
+    out = np.matmul(kernels.transpose(3, 0, 1, 2).reshape(f, -1),
                     _windows(x, k).transpose(3, 4, 5, 0, 1, 2).reshape(k * k * c, -1))
-    pre = pre.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0) + bias
-    return _activate(pre, activation, "conv2d_forward"), (x, kernels, pre, activation)
+    # the product is ours: add the bias and activate in place, in its layout
+    out = out.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0)
+    if 1 in out.shape:
+        # numpy strides a fresh array's size-1 axes unlike this view's, and
+        # the layout contract pins the strides the einsum kernels returned
+        out = out + bias
+    else:
+        np.add(out, bias, out=out)
+    out = _activate(out, activation, "conv2d_forward", out=out)
+    return out, (x, kernels, out, activation)
 
 
 def conv2d_backward(cache, dout, need_dx=True):
@@ -234,13 +254,13 @@ def conv2d_backward(cache, dout, need_dx=True):
     first layer of a stack has no one to pass it to.  dout is expected
     C-contiguous, as pool backward returns it.
     """
-    x, kernels, pre, activation = cache
+    x, kernels, out, activation = cache
     k, _, c, f = kernels.shape
     if activation == "relu":
         # a C-contiguous mask: a C-contiguous dout (what pool backward returns)
         # then gives the C-contiguous dpre that db's summation order assumes,
         # without a slow multiply across two layouts
-        dpre = dout * np.ascontiguousarray(pre > 0.0)
+        dpre = dout * np.ascontiguousarray(out > 0.0)
     else:
         dpre = dout
     b, oh, ow = dpre.shape[:3]

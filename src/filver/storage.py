@@ -112,6 +112,10 @@ def load_model_checkpoint(path):
             pairs.append((name, read_array(f)))
         if f.read(1):
             raise ContractViolation(f"model checkpoint {path} has bytes after its last segment")
+    names = [name for name, _ in pairs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ContractViolation(f"model checkpoint {path} repeats parameter names {repeated}")
     return ParamVector.from_arrays(pairs), header
 
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from filver.cli import pin_allocator
 from filver.models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec
 from filver.numcore import ParamVector
 from filver.rng import RngStream
@@ -18,6 +19,14 @@ def openblas_libraries() -> list:
     """Paths of the scipy-openblas libraries bundled in numpy's wheel."""
     return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*.so"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def pinned_allocator():
+    """The allocator policy the CLI sets for its own process (cli.main calls
+    pin_allocator), so the suite's conv runs reuse heap pages as a real run
+    does instead of faulting fresh ones in at every step."""
+    pin_allocator()
 
 
 @pytest.fixture

@@ -355,6 +355,27 @@ def test_conv_kernels_match_the_einsum_oracle_bit_for_bit(c, f, batch, h, w, cha
         assert _bits(np.sum(dk2**2)) == _bits(np.sum(dk**2))
 
 
+@given(c=st.integers(1, 8), f=st.integers(1, 8), batch=st.integers(1, 8),
+       h=st.integers(5, 12), w=st.integers(5, 12), channel_major=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_conv_forward_writes_only_into_its_own_product(c, f, batch, h, w, channel_major, seed):
+    # the bias add and the ReLU run in place: on the GEMM product, never on an input
+    rng = RngStream(seed)
+    x = rng.normal((batch, h, w, c))
+    if channel_major:
+        x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    kernels = rng.normal((5, 5, c, f))
+    bias = rng.normal(f)
+    inputs = [(a, a.copy()) for a in (x, kernels, bias)]
+    for activation in ("relu", "identity"):
+        out, cache = nc.conv2d_forward(x, kernels, bias, activation)
+        for arr, before in inputs:
+            assert _same(arr, before)
+            assert not np.shares_memory(out, arr)
+        assert cache[2] is out
+
+
 @given(c=st.integers(1, 16), batch=st.integers(1, 64), h=st.integers(2, 28),
        w=st.integers(2, 28), channel_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
