@@ -4,7 +4,7 @@ Everything is float64 and pure: ops return new arrays and never write into
 their inputs, and caches are explicit values handed back to the matching
 backward function.  A dense cache holds the pre-activation; a conv cache
 holds the output itself, which conv2d_forward activates in place on the
-GEMM product it owns (see the note above it).  Matrices are plain
+fresh array its bias add made (see the note above it).  Matrices are plain
 2-D float64 ndarrays; image batches are NHWC float64 ndarrays.  There is no
 autodiff tape — the model zoo is fixed and small, so each op carries its own
 hand-written backward.
@@ -189,14 +189,13 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
 # and F = 1 takes a matrix-vector path.)  The im2col copies are made by
 # reshape, which copies only when it must, as einsum's did.  Output layouts
 # are part of the contract too: the forward output and dK come back
-# channel-major (F-major views of the GEMM product), dpre is C-contiguous, and
-# reductions run in memory order -- clip_gradient sums dK**2 and db sums dpre
-# that way -- so a C-contiguous dK with the same values still moves the clip
-# norm by an ulp.  The forward adds the bias and applies ReLU in place on its
-# product and caches that output, not the pre-activation: elementwise ops
-# give the same bytes in place, and the backward mask `out > 0` equals
-# `pre > 0`, so the two (B, H', W', F) arrays that `pre + bias` and the ReLU
-# allocated are gone.
+# channel-major (laid out F-major, as the GEMM product is), dpre is
+# C-contiguous, and reductions run in memory order -- clip_gradient sums
+# dK**2 and db sums dpre that way -- so a C-contiguous dK with the same values
+# still moves the clip norm by an ulp.  The forward applies ReLU in place on
+# the array `pre + bias` made and caches that output, not the pre-activation:
+# the ReLU gives the same bytes in place, and the backward mask `out > 0`
+# equals `pre > 0`, so the (B, H', W', F) array the ReLU allocated is gone.
 # Not reproduced: two corners where einsum changed path because size-1 axes
 # left nothing to contract or made its reshapes views -- one output channel
 # for one image with a one-column output (F = 1, B = 1, W' = 1), and a
@@ -210,11 +209,11 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
 
     x: (B, H, W, C), kernels: (k, k, C, F), bias: (F,).
     Output spatial dims shrink by k - 1.  One (k*k*C, B*H'*W') im2col copy
-    and one GEMM; the bias add and the activation then run in place on the
-    product, so the output is an F-major view of the (F, B*H'*W') product and
-    no pre-activation array is kept.  The cache is (x, kernels, out,
-    activation): conv2d_backward's ReLU mask reads `out > 0`, which equals
-    `pre > 0`.  x, kernels and bias are only read.
+    and one GEMM; the bias add makes the output in the product's F-major
+    layout and the activation runs in place on it, so no pre-activation array
+    is kept.  The cache is (x, kernels, out, activation): conv2d_backward's
+    ReLU mask reads `out > 0`, which equals `pre > 0`.  x, kernels and bias
+    are only read.
     """
     x = np.asarray(x, dtype=np.float64)
     k = kernels.shape[0]
@@ -231,14 +230,7 @@ def conv2d_forward(x, kernels, bias, activation="relu"):
     # the im2col copy is a temporary, freed as soon as the product exists
     out = np.matmul(kernels.transpose(3, 0, 1, 2).reshape(f, -1),
                     _windows(x, k).transpose(3, 4, 5, 0, 1, 2).reshape(k * k * c, -1))
-    # the product is ours: add the bias and activate in place, in its layout
-    out = out.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0)
-    if 1 in out.shape:
-        # numpy strides a fresh array's size-1 axes unlike this view's, and
-        # the layout contract pins the strides the einsum kernels returned
-        out = out + bias
-    else:
-        np.add(out, bias, out=out)
+    out = out.reshape(f, b, h - k + 1, w - k + 1).transpose(1, 2, 3, 0) + bias
     out = _activate(out, activation, "conv2d_forward", out=out)
     return out, (x, kernels, out, activation)
 

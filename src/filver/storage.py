@@ -112,11 +112,11 @@ def load_model_checkpoint(path):
             pairs.append((name, read_array(f)))
         if f.read(1):
             raise ContractViolation(f"model checkpoint {path} has bytes after its last segment")
-    names = [name for name, _ in pairs]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ContractViolation(f"model checkpoint {path} repeats parameter names {repeated}")
-    return ParamVector.from_arrays(pairs), header
+    try:
+        params = ParamVector.from_arrays(pairs)
+    except ContractViolation as e:
+        raise ContractViolation(f"model checkpoint {path}: {e}") from None
+    return params, header
 
 
 # ---------------------------------------------------------------------------

@@ -590,9 +590,9 @@ def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, 
      "has no parameter segments"),
     ("model.bin", lambda data: data.replace(b"enc.fc1.w", b"\xffnc.fc1.w", 1),
      "holds a string that is not UTF-8"),
-    # a repeated name was refused inside ParamVector, with no path
+    # ParamVector refuses a repeated name; the loader adds the path
     ("model.bin", lambda data: data.replace(b"enc.fc2.w", b"enc.fc1.w", 1),
-     "repeats parameter names ['enc.fc1.w']"),
+     "duplicate parameter names"),
 ], ids=["model-cut", "snapshot-cut-in-first-frame", "model-magic", "snapshot-magic",
         "model-no-segments", "model-name-not-utf8", "model-name-repeated"])
 def test_resume_refusals_of_a_cut_or_foreign_checkpoint_file_name_it(tmp_path, capsys, name,

@@ -359,8 +359,8 @@ def test_conv_kernels_match_the_einsum_oracle_bit_for_bit(c, f, batch, h, w, cha
        h=st.integers(5, 12), w=st.integers(5, 12), channel_major=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_conv_forward_writes_only_into_its_own_product(c, f, batch, h, w, channel_major, seed):
-    # the bias add and the ReLU run in place: on the GEMM product, never on an input
+def test_conv_forward_writes_only_into_its_own_output(c, f, batch, h, w, channel_major, seed):
+    # the ReLU runs in place: on the array the bias add made, never on an input
     rng = RngStream(seed)
     x = rng.normal((batch, h, w, c))
     if channel_major:
