@@ -9,8 +9,7 @@ from .errors import ConfigError, ContractViolation, IdxFormatError
 from .federation import (FLConfig, RoundReport, fedavg_aggregate, run_experiment,
                          run_offline)
 from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, ModelConfig
-from .rehearsal import (RehearsalBuffer, RehearsalRecord, StrategyConfig, admit,
-                        materialize_batch, replay_batch)
+from .rehearsal import RehearsalBuffer, RehearsalRecord, StrategyConfig, admit, draw_batch
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -21,8 +20,7 @@ __all__ = [
     "EncoderModel", "EncoderSpec", "EnrollmentSchedule", "ExperimentConfig",
     "FLConfig", "IdxFormatError", "LabeledSet", "ModelConfig", "RehearsalBuffer",
     "RehearsalRecord", "RngStream", "RoundReport", "StrategyConfig", "Task",
-    "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks",
+    "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks", "draw_batch",
     "fedavg_aggregate", "load_idx", "make_schedule", "make_synthetic_blobs",
-    "materialize_batch", "parse_config", "partition_clients",
-    "preset_config", "replay_batch", "run_experiment", "run_offline",
+    "parse_config", "partition_clients", "preset_config", "run_experiment", "run_offline",
 ]

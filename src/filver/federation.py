@@ -49,9 +49,8 @@ from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, buffer_capacity, buffer_columns,
-                        encoder_kind_for_strategy, load_buffer, materialize_batch, replay_batch,
-                        rows_from_records, save_buffer)
+                        StrategyConfig, admit, buffer_capacity, buffer_columns, draw_batch,
+                        encoder_kind_for_strategy, load_buffer, rows_from_records, save_buffer)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -121,15 +120,6 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_batch(embedded: dict, k: int, idx_rng: RngStream, eps_rng: RngStream):
-    n = len(embedded["labels"])
-    idx = idx_rng.choice(n, k, replace=k > n)
-    z = embedded["mu"][idx]
-    if embedded["log_sigma"] is not None:
-        z, _ = reparam_sample(z, embedded["log_sigma"][idx], eps_rng)
-    return z, embedded["labels"][idx]
-
-
 def _build_upload(embedded: dict, task_id: int, global_round: int,
                   strategy: StrategyConfig, rng: RngStream) -> list:
     """rho-sample this round's shard into rehearsal records, payload type
@@ -165,29 +155,27 @@ def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: d
                 strategy: StrategyConfig, rng: RngStream) -> LocalResult:
     """E SGD steps on batches mixing the client's embedded shard with replay
     from its own buffer (half and half once the buffer is nonempty; a none
-    run's buffers hold nothing), then the upload; run_round admits it."""
+    run's buffers hold nothing), then the upload; run_round admits it.  At
+    batch size 1 the replay half is 0 rows."""
     n = len(embedded["labels"])
 
     params = global_params
     losses = []
     for i in range(fl.local_iters):
-        use_replay = len(buffer) > 0
-        k_fresh = fl.batch_size // 2 if use_replay else fl.batch_size
-        k_fresh = max(1, k_fresh)
-        z, y = _fresh_batch(embedded, k_fresh, rng.child("fresh", i), rng.child("eps", i))
-        if use_replay:
-            batch = replay_batch(buffer, fl.batch_size - k_fresh, rng.child("replay", i))
-            if len(batch):
-                z_r, y_r = materialize_batch(batch, rng=rng.child("replay_eps", i))
-                z = np.concatenate([z, z_r])
-                y = np.concatenate([y, y_r])
+        k_fresh = max(1, fl.batch_size // 2) if len(buffer) else fl.batch_size
+        z, y = draw_batch(embedded, embedded["labels"], k_fresh, rng.child("fresh", i),
+                          rng.child("eps", i))
+        if len(buffer):
+            z_r, y_r = draw_batch(buffer.columns, buffer.labels, fl.batch_size - k_fresh,
+                                  rng.child("replay", i), rng.child("replay_eps", i))
+            z, y = np.concatenate([z, z_r]), np.concatenate([y, y_r])
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta)
         losses.append(loss)
 
     if not losses:  # E = 0: report the loss without taking a step
-        z, y = _fresh_batch(embedded, min(fl.batch_size, n), rng.child("fresh", 0),
-                            rng.child("eps", 0))
+        z, y = draw_batch(embedded, embedded["labels"], min(fl.batch_size, n),
+                          rng.child("fresh", 0), rng.child("eps", 0))
         loss, _ = models.classifier_loss_and_grad(classifier, params, z, y)
         losses = [loss]
 
@@ -202,8 +190,8 @@ def server_side_training(params: ParamVector, server_buffer: RehearsalBuffer,
     if fl.s_max == 0 or len(server_buffer) == 0:
         return params
     for s in range(fl.s_max):
-        batch = replay_batch(server_buffer, fl.batch_size, rng.child("batch", s))
-        z, y = materialize_batch(batch, rng=rng.child("eps", s))
+        z, y = draw_batch(server_buffer.columns, server_buffer.labels, fl.batch_size,
+                          rng.child("batch", s), rng.child("eps", s))
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta_s)
     return params
@@ -483,8 +471,13 @@ def read_checkpoint_meta(directory) -> dict:
                 f"checkpoint metadata {meta_path} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ContractViolation(f"checkpoint metadata {meta_path} is not a JSON object")
-    if "global_round" not in meta:
-        raise ContractViolation(f"checkpoint metadata {meta_path} has no 'global_round'")
+    for key in ("format", "global_round"):
+        if key not in meta:
+            raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
+    version = meta["format"]
+    if type(version) is not int or version != storage.FORMAT_VERSION:
+        raise ContractViolation(f"checkpoint metadata {meta_path} has format {version!r}, "
+                                f"this program reads format {storage.FORMAT_VERSION}")
     done = meta["global_round"]
     if isinstance(done, bool) or not isinstance(done, int) or done < 0:
         raise ContractViolation(
@@ -507,7 +500,9 @@ def _load_checkpoint(directory, encoder: EncoderModel, classifier: ClassifierMod
             raise ContractViolation(f"checkpoint file {path} is missing")
     merged, header = storage.load_model_checkpoint(model_path)
     if header["encoder_kind"] != encoder.spec.kind:
-        raise ContractViolation(f"model checkpoint {model_path} has another encoder kind")
+        raise ContractViolation(f"model checkpoint {model_path} has encoder kind "
+                                f"{header['encoder_kind']!r}, this run's model has "
+                                f"{encoder.spec.kind!r}")
     want = _merge_params(encoder.init_params(RngStream(0)), classifier.init_params(RngStream(0)))
     for have, need in itertools.zip_longest(merged.layout, want.layout):
         if have != need:
@@ -560,8 +555,8 @@ def run_offline(tasks: TaskSequence, fl: FLConfig, model: ModelConfig, *, master
         steps = tasks.n_tasks * fl.rounds_per_task * (fl.local_iters + fl.s_max)
     for s in range(steps):
         # a batch never exceeds n, so this is a draw without replacement
-        z, y = _fresh_batch(pooled, min(fl.batch_size, n), master.child("offline_batch", s),
-                            master.child("offline_eps", s))
+        z, y = draw_batch(pooled, pooled["labels"], min(fl.batch_size, n),
+                          master.child("offline_batch", s), master.child("offline_eps", s))
         loss, grad = models.classifier_loss_and_grad(classifier, params, z, y)
         params = sgd_step(params, grad, fl.eta)
 

@@ -26,7 +26,6 @@ and buffer columns, and `buffer_capacity` prices a row from those columns.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -37,8 +36,6 @@ from .models import GaussianStats
 from .numcore import reparam_sample
 from .rng import RngStream
 from .storage import PAYLOAD_TAGS, read_snapshot, write_snapshot
-
-log = logging.getLogger(__name__)
 
 # strategy kind -> (the encoder it pretrains and freezes, its buffers' payload
 # columns).  noise trains nothing; variational strategies need stats heads;
@@ -145,15 +142,6 @@ class RehearsalBuffer:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def task_counts(self) -> dict:
-        tasks, counts = np.unique(self.tasks, return_counts=True)
-        return {int(t): int(c) for t, c in zip(tasks, counts)}
-
-    def take(self, idx) -> RehearsalBuffer:
-        """The rows at `idx`, in that order, as an unbounded buffer."""
-        return RehearsalBuffer(None, {k: v[idx] for k, v in self.columns.items()},
-                               self.labels[idx], self.tasks[idx], self.rounds[idx])
 
 
 def rows_from_records(records: list) -> RehearsalBuffer:
@@ -272,28 +260,24 @@ def _survivors(tasks: np.ndarray, capacity: int | None, rng: RngStream):
     return keep
 
 
-def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> RehearsalBuffer:
-    """Uniform sample of rows; falls back to with-replacement when asked for
-    more than the buffer holds.  An empty buffer yields an empty batch."""
-    n = len(buffer)
-    if n == 0:
-        log.debug("replay requested on empty buffer")
-    if n == 0 or batch_size <= 0:
-        return buffer.take(_no_ids())
-    replace = batch_size > n
-    return buffer.take(rng.choice(n, batch_size, replace=replace))
+def draw_batch(columns: dict, labels: np.ndarray, k: int, idx_rng: RngStream,
+               eps_rng: RngStream):
+    """k training pairs (z, y) drawn uniformly from the rows of `columns`,
+    with replacement only when k exceeds the row count.
 
-
-def materialize_batch(batch: RehearsalBuffer, *, rng: RngStream):
-    """Turn a replayed batch into training pairs (Z, y) by its own columns:
-    a stored z verbatim, or from mu and log_sigma a fresh draw
-    z = mu + sigma * eps on every replay."""
-    if len(batch) == 0:
-        raise ContractViolation("cannot materialize an empty batch")
-    z = batch.columns.get("z")
-    if z is None:
-        z, _ = reparam_sample(batch.columns["mu"], batch.columns["log_sigma"], rng)
-    return z, batch.labels
+    The one batch sampler: a buffer's columns and an embed-stage entry
+    (whose "log_sigma" is None for a deterministic encoder) both serve.  A
+    stored ``z`` comes back as it is, as does ``mu`` without ``log_sigma``;
+    with it, each call draws z = mu + sigma * eps afresh.  A draw of 0 rows
+    gives empty arrays."""
+    n = len(labels)
+    if k > 0 and n == 0:
+        raise ContractViolation(f"cannot draw {k} rows from zero rows")
+    idx = idx_rng.choice(n, k, replace=k > n)
+    z = columns["z" if "z" in columns else "mu"][idx]
+    if columns.get("log_sigma") is not None:
+        z, _ = reparam_sample(z, columns["log_sigma"][idx], eps_rng)
+    return z, labels[idx]
 
 
 def buffer_capacity(strategy: StrategyConfig, per_task_samples: int, n_tasks: int,

@@ -2,8 +2,9 @@
 and finite differences, plus the list-of-records rehearsal buffer that the
 columnar one replaced, the segment-list parameter vector that the flat one
 replaced, the two-step dataset builders that the one-copy ones replaced,
-the keyed draw that built a new Philox and Generator per call, and the
-cell-by-cell enrollment grids that join/leave arrays replaced.  Everything
+the keyed draw that built a new Philox and Generator per call, the
+cell-by-cell enrollment grids that join/leave arrays replaced, and the
+fresh and replay batch samplers that draw_batch replaced.  Everything
 here is deliberately slow and obvious."""
 
 import hashlib
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, stats
 
-from filver import storage
+from filver import rehearsal, storage
 from filver.datasets import LabeledSet, Task, TaskSequence
 from filver.errors import ContractViolation
-from filver.numcore import _ensure_finite
+from filver.numcore import _ensure_finite, reparam_sample
 from filver.rehearsal import EmbeddingPayload, RawPayload
 from filver.rng import _MASK64, RngStream
 from filver.scenarios import ACTIVE, NO_LONGER_ACTIVE, NOT_ENROLLED_YET
@@ -353,6 +354,45 @@ def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> li
     replace = batch_size > n
     idx = rng.choice(n, batch_size, replace=replace)
     return [buffer.records[i] for i in idx]
+
+
+# ---------------------------------------------------------------------------
+# The batch samplers draw_batch replaced: a fresh batch from an embed-stage
+# entry, and replay in two steps, rows taken into a batch buffer and then
+# materialized.  local_train skipped a replay batch of 0 rows.
+# ---------------------------------------------------------------------------
+
+def fresh_batch(embedded: dict, k: int, idx_rng: RngStream, eps_rng: RngStream):
+    n = len(embedded["labels"])
+    idx = idx_rng.choice(n, k, replace=k > n)
+    z = embedded["mu"][idx]
+    if embedded["log_sigma"] is not None:
+        z, _ = reparam_sample(z, embedded["log_sigma"][idx], eps_rng)
+    return z, embedded["labels"][idx]
+
+
+def replay_rows(buffer: rehearsal.RehearsalBuffer, batch_size: int,
+                rng: RngStream) -> rehearsal.RehearsalBuffer:
+    """Uniform sample of rows; falls back to with-replacement when asked for
+    more than the buffer holds.  An empty buffer yields an empty batch."""
+    n = len(buffer)
+    if n == 0 or batch_size <= 0:
+        idx = np.zeros(0, dtype=np.int64)
+    else:
+        idx = rng.choice(n, batch_size, replace=batch_size > n)
+    return rehearsal.RehearsalBuffer(None, {k: v[idx] for k, v in buffer.columns.items()},
+                                     buffer.labels[idx], buffer.tasks[idx], buffer.rounds[idx])
+
+
+def materialize_batch(batch: rehearsal.RehearsalBuffer, *, rng: RngStream):
+    """A replayed batch as training pairs (Z, y) by its own columns: a stored
+    z verbatim, or from mu and log_sigma a fresh draw z = mu + sigma * eps."""
+    if len(batch) == 0:
+        raise ContractViolation("cannot materialize an empty batch")
+    z = batch.columns.get("z")
+    if z is None:
+        z, _ = reparam_sample(batch.columns["mu"], batch.columns["log_sigma"], rng)
+    return z, batch.labels
 
 
 def payload_tag(record) -> int:

@@ -520,7 +520,11 @@ def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, c
     # a bool is an int in Python; true once resumed as round 1
     (lambda meta: json.dumps({**meta, "global_round": True}),
      "has global_round True, not a round count"),
-], ids=["missing-key", "invalid-json", "bool-round"])
+    (lambda meta: json.dumps({**meta, "format": 99}),
+     "has format 99, this program reads format 1"),
+    (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "format"}),
+     "has no 'format'"),
+], ids=["missing-key", "invalid-json", "bool-round", "format-99", "no-format"])
 def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
@@ -530,6 +534,36 @@ def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
     assert cli.main(["run", str(cfg), "--resume", str(meta_path.parent), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert str(meta_path) in err and message in err
+
+
+def test_resume_refuses_a_checkpoint_without_meta_json(tmp_path, capsys):
+    # the CLI leaves the refusal to run_experiment's loader, and rounds.csv as it was
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    meta_path = tmp_path / "out" / "checkpoint" / "meta.json"
+    meta_path.unlink()
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(meta_path.parent), "--quiet"]) == 3
+    assert f"no checkpoint metadata at {meta_path}" in capsys.readouterr().err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def test_resume_refuses_a_model_bin_of_another_encoder_kind(tmp_path, capsys):
+    # noise pretrains a random_projection encoder with ebr's layout, so only
+    # model.bin's header tells the two apart
+    noise = write_tiny_cfg(tmp_path / "noise.cfg", tmp_path / "noise",
+                           **{"strategy.kind": "noise"})
+    ebr = write_tiny_cfg(tmp_path / "ebr.cfg", tmp_path / "ebr", **{"strategy.kind": "ebr"})
+    for cfg in (noise, ebr):
+        assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
+    model = tmp_path / "ebr" / "checkpoint" / "model.bin"
+    model.write_bytes((tmp_path / "noise" / "checkpoint" / "model.bin").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["run", str(ebr), "--resume", str(model.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert (f"model checkpoint {model} has encoder kind 'random_projection', "
+            f"this run's model has 'ebr'") in err
 
 
 def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, capsys):

@@ -816,7 +816,7 @@ def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch
         if getattr(module, "encode_for_eval", None) is real_encode:
             monkeypatch.setattr(module, "encode_for_eval", encode)
     monkeypatch.setattr(federation, "local_train", local_train)
-    for name in ("materialize_batch", "server_side_training"):
+    for name in ("draw_batch", "server_side_training"):
         monkeypatch.setattr(federation, name, traced(name, getattr(federation, name)))
 
     tasks, fl = tiny_tasks(), tiny_fl()
@@ -827,7 +827,7 @@ def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch
     naive_uploads = sum(1 for n in uploads if n)
     assert naive_uploads == len(uploads) == fl.rounds_per_task * tasks.n_tasks * 2
     assert len(calls) == tasks.n_tasks + active_shards + naive_uploads
-    assert not any(calls)  # none under materialize_batch or server_side_training
+    assert not any(calls)  # none under draw_batch or server_side_training
 
 
 def test_naive_resume_mid_task_matches_uninterrupted_run(tmp_path):

@@ -10,7 +10,8 @@ ver_sampled (sampled embeddings) and naive (raw uploads, buffered as their
 embeddings: buffers and snapshots hold no raw samples), so the FVMC and
 FVBF formats are pinned byte for byte too, and their meta.json, so a
 checkpoint written before a change to the run identity still resumes after
-it.  The matrix cases pin rounds.csv over every strategy x scenario x
+it.  The batch-size-1 cases pin local steps whose replay half is 0 rows.
+The matrix cases pin rounds.csv over every strategy x scenario x
 memory combination, and a property over the same space checks that a run
 stopped after any round and resumed writes the uninterrupted run's bytes.
 All cases together take a few seconds, so this is the
@@ -133,6 +134,19 @@ CHECKPOINT_SHA256 = {
             "client_1.bin": "16d2ea5e3f941d1c0a279ec21fdc83ea792c377c2ae1d6fa8fdfcf4db454181d",
             "meta.json": "41b1f59e3e2d2e2cd5f19da01e4f9cdc3d052dc760855dcc283d02e35d63bfb2",
         },
+    },
+}
+
+# fl.batch_size = 1: every local step after a client's first upload replays
+# 0 rows next to its 1 fresh row, and SST draws 1 row a step
+BATCH_ONE_SHA256 = {
+    "ver_sampled": {
+        "SkylakeX": "539d24b361bd564e2ef38d23be7fbc25b2cb16a888ce5e0711da7a7527355d98",
+        "Haswell": "92f64e408c54daaa4afeb719333ab784e37daf58e379ffd2f95789b62b376527",
+    },
+    "ver_stats": {
+        "SkylakeX": "22d27533ea3e3c90ca363a38a055d7c48b1930be86462b0c102c05046782a672",
+        "Haswell": "b42ade1573513ce4fb974d1f061590e492bae0caae30e0ccd99a9b02f7fdb0c1",
     },
 }
 
@@ -372,6 +386,14 @@ def offline_repr(strategy) -> str:
 def test_rounds_csv_matches_golden_digest(tmp_path, strategy, arch):
     core, want = recorded(ROUNDS_SHA256[(strategy, arch)])
     assert rounds_digest(tmp_path, strategy, arch) == want, f"OpenBLAS core {core}"
+
+
+@pytest.mark.parametrize("strategy", list(BATCH_ONE_SHA256))
+def test_batch_size_one_rounds_csv_matches_golden_digest(tmp_path, strategy):
+    core, want = recorded(BATCH_ONE_SHA256[strategy])
+    pairs = dict(_pairs(strategy, "mlp"), **{"fl.batch_size": "1"})
+    out = _run_pairs(tmp_path, "batch-one", pairs)
+    assert _sha256(out / "rounds.csv") == want, f"OpenBLAS core {core}"
 
 
 @pytest.mark.parametrize("strategy", list(OFFLINE_ACCURACIES))

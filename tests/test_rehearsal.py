@@ -1,5 +1,6 @@
-"""Rehearsal buffers: admission, eviction, replay, materialization, budgets,
-snapshots, and agreement with the list-of-records reference model.
+"""Rehearsal buffers: admission, eviction, batch draws, budgets, snapshots,
+and agreement with the list-of-records reference model and with the
+two-step replay that draw_batch replaced.
 
 Records exist only on the wire, so every admission here stacks its records
 into rows first, as run_round does."""
@@ -29,9 +30,8 @@ from filver.rehearsal import (
     StrategyConfig,
     admit,
     buffer_capacity,
+    draw_batch,
     load_buffer,
-    materialize_batch,
-    replay_batch,
     rows_from_records,
     save_buffer,
 )
@@ -65,6 +65,22 @@ def rows(buf):
     return [(tuple(np.concatenate([buf.columns[k][i].ravel() for k in buf.columns])),
              int(buf.labels[i]), int(buf.tasks[i]), int(buf.rounds[i]))
             for i in range(len(buf))]
+
+
+def task_counts(buf):
+    """Rows per task id."""
+    tasks, counts = np.unique(buf.tasks, return_counts=True)
+    return dict(zip(tasks.tolist(), counts.tolist()))
+
+
+def draw(buf, k, rng):
+    """A replay draw from buf, on rng's "replay" and "replay_eps" streams."""
+    return draw_batch(buf.columns, buf.labels, k, rng.child("replay"), rng.child("replay_eps"))
+
+
+def pairs(z, y):
+    """Drawn (z, y) pairs as comparable tuples."""
+    return [(tuple(row), int(label)) for row, label in zip(z, y)]
 
 
 def record_rows(records):
@@ -298,8 +314,8 @@ def test_eviction_balances_tasks_against_count_oracle():
               rng.child("admit", task_id))
         assert len(buf) <= 50
     expected = eviction_count_oracle([(t, 20) for t in range(4)], 50)
-    assert buf.task_counts() == expected
-    counts = buf.task_counts()
+    assert task_counts(buf) == expected
+    counts = task_counts(buf)
     # the policy protects early tasks: task 0 never holds fewer than task 3
     assert counts[0] >= counts[3]
     assert abs(max(counts.values()) - min(counts.values())) <= 1
@@ -310,7 +326,7 @@ def test_eviction_tie_breaks_toward_newest_task():
     buf = RehearsalBuffer(capacity=3)
     admit(buf, embed_rows(rng.child("a"), 2, task_id=0), rng.child("ad", 0))
     admit(buf, embed_rows(rng.child("b"), 2, task_id=1), rng.child("ad", 1))
-    assert buf.task_counts() == {0: 2, 1: 1}
+    assert task_counts(buf) == {0: 2, 1: 1}
 
 
 def test_unbounded_buffer_never_evicts():
@@ -336,11 +352,11 @@ def test_capacity_is_never_exceeded(capacity, batches, seed):
               rng.child("admit", task_id))
         assert len(buf) <= capacity
     oracle = eviction_count_oracle(list(enumerate(batches)), capacity)
-    assert buf.task_counts() == oracle
+    assert task_counts(buf) == oracle
 
 
 # ---------------------------------------------------------------------------
-# Replay
+# Replay: draw_batch from a buffer's columns
 # ---------------------------------------------------------------------------
 
 
@@ -348,29 +364,33 @@ def test_replay_without_replacement_when_buffer_is_large_enough():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
     admit(buf, embed_rows(rng.child("cands"), 30), rng.child("admit"))
-    batch = replay_batch(buf, 10, rng.child("replay"))
-    assert len(batch) == 10
-    assert len(set(rows(batch))) == 10
-    assert set(rows(batch)) <= set(rows(buf))
+    z, y = draw(buf, 10, rng)
+    assert z.shape == (10, 4) and y.shape == (10,)
+    assert len(set(pairs(z, y))) == 10
+    assert set(pairs(z, y)) <= set(pairs(buf.columns["z"], buf.labels))
 
 
 def test_replay_with_replacement_when_batch_exceeds_buffer():
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
     admit(buf, embed_rows(rng.child("cands"), 4), rng.child("admit"))
-    batch = replay_batch(buf, 12, rng.child("replay"))
-    assert len(batch) == 12
-    assert len(set(rows(batch))) <= 4
-    assert set(rows(batch)) <= set(rows(buf))
+    z, y = draw(buf, 12, rng)
+    assert z.shape == (12, 4)
+    assert len(set(pairs(z, y))) <= 4
+    assert set(pairs(z, y)) <= set(pairs(buf.columns["z"], buf.labels))
 
 
 def test_replay_empty_buffer_and_zero_batch():
+    # local_train concatenates a 0-row replay draw at batch size 1, so it
+    # has the columns' width and dtypes
     rng = RngStream(11)
     buf = RehearsalBuffer(capacity=None)
-    assert len(replay_batch(buf, 8, rng.child("a"))) == 0
+    with pytest.raises(ContractViolation, match="cannot draw 8 rows from zero rows"):
+        draw(buf, 8, rng.child("a"))
     admit(buf, embed_rows(rng.child("cands"), 4), rng.child("admit"))
-    empty = replay_batch(buf, 0, rng.child("b"))
-    assert len(empty) == 0 and empty.columns["z"].shape == (0, 4)
+    z, y = draw(buf, 0, rng.child("b"))
+    assert z.shape == (0, 4) and z.dtype == np.float64
+    assert y.shape == (0,) and y.dtype == np.int64
 
 
 def test_replay_eventually_touches_every_record():
@@ -379,20 +399,19 @@ def test_replay_eventually_touches_every_record():
     admit(buf, embed_rows(rng.child("cands"), 25), rng.child("admit"))
     seen = set()
     for t in range(60):
-        seen.update(rows(replay_batch(buf, 5, rng.child("replay", t))))
-    assert seen == set(rows(buf))
+        seen.update(pairs(*draw(buf, 5, rng.child("step", t))))
+    assert seen == set(pairs(buf.columns["z"], buf.labels))
 
 
 # ---------------------------------------------------------------------------
-# Materialization
+# Materialization: what a drawn row becomes
 # ---------------------------------------------------------------------------
 
 
 def test_materialize_embedding_returns_stored_vector():
     rng = RngStream(21)
     rec = embed_record(rng, label=1)
-    batch = buffer_of([rec])
-    z, y = materialize_batch(batch, rng=rng.child("eps"))
+    z, y = draw(buffer_of([rec]), 1, rng)
     assert np.array_equal(z, rec.payload.z[None])
     assert list(y) == [1]
 
@@ -401,18 +420,18 @@ def test_materialize_stats_resamples_every_draw():
     rng = RngStream(21)
     mu = rng.normal((4,))
     log_sigma = rng.normal((4,)) * 0.1
-    batch = buffer_of([RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)])
-    z1, _ = materialize_batch(batch, rng=rng.child("draw", 0))
-    z2, _ = materialize_batch(batch, rng=rng.child("draw", 1))
-    z1r, _ = materialize_batch(batch, rng=rng.child("draw", 0))
+    buf = buffer_of([RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)])
+    z1, _ = draw(buf, 1, rng.child("draw", 0))
+    z2, _ = draw(buf, 1, rng.child("draw", 1))
+    z1r, _ = draw(buf, 1, rng.child("draw", 0))
     assert not np.array_equal(z1, z2)
     assert np.array_equal(z1, z1r)
 
 
 def test_materialize_stats_zero_sigma_returns_mean():
     mu = np.array([0.5, -1.5, 2.0])
-    batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)])
-    z, _ = materialize_batch(batch, rng=RngStream(3))
+    buf = buffer_of([RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)])
+    z, _ = draw(buf, 1, RngStream(3))
     assert np.array_equal(z, mu[None])
 
 
@@ -420,46 +439,88 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
     rng = RngStream(77)
     mu = np.array([0.3, -0.7, 1.2, 0.0])
     sigma = np.array([0.5, 1.0, 0.25, 2.0])
-    batch = buffer_of([RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)])
+    buf = buffer_of([RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)])
     n = 10_000
-    draws = np.concatenate([materialize_batch(batch, rng=rng.child("d", i))[0]
-                            for i in range(n)])
+    draws = np.concatenate([draw(buf, 1, rng.child("d", i))[0] for i in range(n)])
     se = sigma / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 3 * se)
 
 
-def test_materialize_batch_matches_singles_for_deterministic_kinds():
+def test_draw_batch_gathers_the_rows_its_index_stream_picks():
     rng = RngStream(31)
     embs = buffer_of(embed_batch(rng.child("emb"), 5))
-    Z, y = materialize_batch(embs, rng=rng.child("eps"))
-    assert y.dtype == np.int64
-    for i in range(5):
-        zi, yi = materialize_batch(embs.take([i]), rng=rng.child("eps", i))
-        assert np.array_equal(Z[i], zi[0])
-        assert y[i] == yi[0]
-    assert np.array_equal(Z, embs.columns["z"])
-    assert np.array_equal(y, embs.labels)
+    for k in (3, 5, 9):
+        z, y = draw(embs, k, rng.child("k", k))
+        idx = rng.child("k", k).child("replay").choice(5, k, replace=k > 5)
+        assert y.dtype == np.int64
+        assert np.array_equal(z, embs.columns["z"][idx])
+        assert np.array_equal(y, embs.labels[idx])
 
 
-def test_materialize_batch_stats_is_deterministic_per_stream():
+def test_draw_batch_stats_is_deterministic_per_stream():
     rng = RngStream(31)
-    batch = buffer_of([RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
-                                                     rng.child("ls", i).normal((4,)) * 0.1),
-                                       i, 0, 0) for i in range(6)])
-    Z1, y1 = materialize_batch(batch, rng=rng.child("eps", 0))
-    Z2, _ = materialize_batch(batch, rng=rng.child("eps", 0))
-    Z3, _ = materialize_batch(batch, rng=rng.child("eps", 1))
-    assert np.array_equal(Z1, Z2)
-    assert not np.array_equal(Z1, Z3)
-    assert Z1.shape == (6, 4)
-    assert list(y1) == list(range(6))
+    buf = buffer_of([RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
+                                                   rng.child("ls", i).normal((4,)) * 0.1),
+                                     i, 0, 0) for i in range(6)])
+    z1, y1 = draw(buf, 6, rng.child("eps", 0))
+    z2, _ = draw(buf, 6, rng.child("eps", 0))
+    z3, _ = draw(buf, 6, rng.child("eps", 1))
+    assert np.array_equal(z1, z2)
+    assert not np.array_equal(z1, z3)
+    assert z1.shape == (6, 4)
+    assert sorted(y1) == list(range(6))
 
 
-def test_materialize_batch_rejects_empty():
-    # a batch's columns are the strategy's: resume checks a snapshot's columns
-    # where it loads (test_config_cli), so materialize checks no kind
+def test_draw_batch_refuses_rows_from_an_empty_buffer():
+    # a buffer's columns are the strategy's: resume checks a snapshot's
+    # columns where it loads (test_config_cli), so a draw checks no kind
     with pytest.raises(ContractViolation):
-        materialize_batch(RehearsalBuffer(), rng=RngStream(31))
+        draw(RehearsalBuffer(), 1, RngStream(31))
+
+
+def reference_draw(columns, labels, k, idx_rng, eps_rng):
+    """The batch the replaced samplers made from draw_batch's arguments: an
+    embed-stage entry through the fresh sampler, buffer columns through
+    replay and then materialize, where 0 rows made no batch at all."""
+    if "labels" in columns:
+        return oracles.fresh_batch(columns, k, idx_rng, eps_rng)
+    ids = np.zeros(len(labels), dtype=np.int64)
+    batch = oracles.replay_rows(RehearsalBuffer(None, columns, labels, ids, ids), k, idx_rng)
+    if not len(batch):
+        first = next(iter(columns.values()))
+        return first[:0], labels[:0]
+    return oracles.materialize_batch(batch, rng=eps_rng)
+
+
+@pytest.mark.parametrize("reach", ["zero", "within", "beyond"])
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.sampled_from(["z", "stats", "entry", "entry-stats"]),
+    n=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_draw_batch_equals_the_two_step_reference(reach, source, n, dim, data, seed):
+    # k = 0 is what a local step replays at batch size 1; k > n draws with
+    # replacement
+    if reach == "zero":
+        k = 0
+    else:
+        k = data.draw(st.integers(1, n) if reach == "within" else st.integers(n + 1, 3 * n))
+    rng = RngStream(seed)
+    labels = rng.child("labels").integers(0, 5, n)
+    mu = rng.child("mu").normal((n, dim))
+    log_sigma = rng.child("log_sigma").normal((n, dim)) * 0.3
+    columns = {"z": {"z": mu}, "stats": {"mu": mu, "log_sigma": log_sigma},
+               "entry": {"images": mu, "labels": labels, "mu": mu, "log_sigma": None},
+               "entry-stats": {"images": mu, "labels": labels, "mu": mu,
+                               "log_sigma": log_sigma}}[source]
+    got = draw_batch(columns, labels, k, rng.child("idx"), rng.child("eps"))
+    want = reference_draw(columns, labels, k, rng.child("idx"), rng.child("eps"))
+    assert got[0].shape == (k, dim) and got[1].shape == (k,)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +805,15 @@ def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed)
         admit(buf, rows_from_records(cands), rng.child("admit", step))
         oracles.admit(ref, cands, rng.child("admit", step))
         assert rows(buf) == record_rows(ref.records)
-        assert buf.task_counts() == ref.task_counts()
-        got = replay_batch(buf, batch_size, rng.child("replay", step))
-        want = oracles.replay_batch(ref, batch_size, rng.child("replay", step))
-        assert rows(got) == record_rows(want)
+        assert task_counts(buf) == ref.task_counts()
+        if len(buf):  # the program replays only from a buffer that holds rows
+            got = draw_batch(buf.columns, buf.labels, batch_size, rng.child("replay", step),
+                             rng.child("replay_eps", step))
+            want = oracles.replay_batch(ref, batch_size, rng.child("replay", step))
+            if want:  # the reference materialized no 0-row batch
+                want = pairs(*oracles.materialize_batch(rows_from_records(want),
+                                                        rng=rng.child("replay_eps", step)))
+            assert pairs(*got) == want
     # the snapshot of the final state is the reference's byte for byte
     with tempfile.TemporaryDirectory() as tmp:
         saved, expected = os.path.join(tmp, "columnar.bin"), os.path.join(tmp, "reference.bin")
