@@ -19,10 +19,11 @@ import sys
 import time
 from datetime import datetime, timezone
 
+from .checkpoint import CHECKPOINT_META, read_checkpoint_meta
 from .config import (DATA_ROOT_ENV, PRESET_STRATEGY_SWEEPS, PRESETS, ExperimentConfig,
                      build_manifest, parse_config, preset_config)
 from .errors import ConfigError, ContractViolation, IdxFormatError
-from .federation import CHECKPOINT_META, read_checkpoint_meta, run_experiment
+from .federation import run_experiment
 
 
 def _fmt(x) -> str:
@@ -37,14 +38,15 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _rows_up_to_checkpoint(rounds_path: str, checkpoint_dir: str):
+def _rows_up_to_checkpoint(rounds_path: str, checkpoint_dir: str, total_rounds: int):
     """The header and the first global_round rows of rounds.csv: rows a run
     wrote after its last checkpoint are written again by the resumed run.
     None when the checkpoint has no metadata, which run_experiment's loader
-    reports."""
+    refuses: perfbench's set-up launches resume from an empty directory and
+    stop once run_experiment is entered."""
     if not os.path.exists(os.path.join(checkpoint_dir, CHECKPOINT_META)):
         return None
-    done = read_checkpoint_meta(checkpoint_dir)["global_round"]
+    done = read_checkpoint_meta(checkpoint_dir, total_rounds)["global_round"]
     lines = []
     if os.path.exists(rounds_path):
         with open(rounds_path) as f:
@@ -81,7 +83,7 @@ def execute_run(cfg: ExperimentConfig, *, resume_from=None, stop_after_round=Non
               + ["mean_loss", "n_clients"])
     kept = [",".join(header) + "\n"]
     if resume_from is not None:
-        kept = _rows_up_to_checkpoint(rounds_path, resume_from)
+        kept = _rows_up_to_checkpoint(rounds_path, resume_from, tasks.n_tasks * fl.rounds_per_task)
     # rounds.csv is rewritten only once run_experiment has accepted the
     # checkpoint: a refused resume leaves the file as it was
     csv_file = None

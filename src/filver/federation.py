@@ -7,7 +7,9 @@ start of each task, on the shards of the clients active in it, and on each
 naive upload before any buffer admits it.  Every random draw is keyed by
 purpose and round coordinates from one master stream, so results do not
 depend on the order in which clients train, and a run resumed from any
-checkpoint repeats the uninterrupted run bit-exactly.
+checkpoint repeats the uninterrupted run bit-exactly.  The checkpoint module
+owns the files: run_experiment calls load_checkpoint to resume, and
+save_checkpoint after each checkpoint round.
 
 Each fact has one holder.  The client partition holds every shard; the embed
 stage (`ExperimentState.shard_embeddings`) holds the current task's, with
@@ -35,26 +37,22 @@ Stream keying contract (master = RngStream(master_seed)):
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
-import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models, storage
+from . import models
+from .checkpoint import load_checkpoint, run_identity, save_checkpoint
 from .datasets import ClientPartition, TaskSequence, partition_clients
 from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
 from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, buffer_capacity, buffer_columns, draw_batch,
-                        encoder_kind_for_strategy, load_buffer, rows_from_records, save_buffer)
+                        StrategyConfig, admit, buffer_capacity, draw_batch,
+                        encoder_kind_for_strategy, rows_from_records)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
-
-CHECKPOINT_META = "meta.json"
 
 
 @dataclass
@@ -216,7 +214,7 @@ class ExperimentState:
     server_buffer: RehearsalBuffer
     schedule: EnrollmentSchedule
     eval_cache: list  # (validation embeddings, labels) in task order
-    identity: dict  # _run_identity, written to meta.json
+    identity: dict  # checkpoint.run_identity, written to meta.json
     global_round: int = 0
     shard_embeddings: dict = field(default_factory=dict)  # this task's, by client id
 
@@ -340,25 +338,16 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     client_cap = buffer_capacity(strategy, per_client, n_tasks, raw_bytes, embed_dim)
     server_cap = buffer_capacity(strategy, per_task_total, n_tasks, raw_bytes, embed_dim)
 
-    identity = _run_identity(master_seed, fl, strategy, model, schedule)
+    identity = run_identity(master_seed, fl, strategy, model, schedule)
     start_round = 0
     if resume_from is not None:
-        meta = read_checkpoint_meta(resume_from)
-        for key, value in identity.items():
-            if key not in meta:
-                meta_path = os.path.join(resume_from, CHECKPOINT_META)
-                raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
-            if meta[key] != value:
-                raise ContractViolation(
-                    f"checkpoint was written with {key} {meta[key]!r}, this run has {value!r}")
-        start_round = meta["global_round"]
+        start_round, encoder_params, classifier_params, server_buffer, client_buffers = \
+            load_checkpoint(resume_from, identity, encoder, classifier, strategy, fl, n_tasks,
+                            server_cap, client_cap)
         if stop_after_round is not None and stop_after_round <= start_round:
             raise ContractViolation(
                 f"stop_after_round {stop_after_round} is not past the checkpoint's "
                 f"round {start_round}")
-        encoder_params, classifier_params, server_buffer, client_buffers = \
-            _load_checkpoint(resume_from, encoder, classifier, strategy, fl.n_clients, server_cap,
-                             client_cap)
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
@@ -396,133 +385,6 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
                 return reports, state
         state.shard_embeddings = {}
     return reports, state
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def _merge_params(encoder_params: ParamVector, classifier_params: ParamVector) -> ParamVector:
-    pairs = [("enc." + name, values) for name, values in encoder_params.items()]
-    pairs += [("cls." + name, values) for name, values in classifier_params.items()]
-    return ParamVector.from_arrays(pairs)
-
-
-def _split_params(merged: ParamVector):
-    enc = [(name[4:], values) for name, values in merged.items() if name.startswith("enc.")]
-    cls = [(name[4:], values) for name, values in merged.items() if name.startswith("cls.")]
-    return ParamVector.from_arrays(enc), ParamVector.from_arrays(cls)
-
-
-def save_checkpoint(directory, state: ExperimentState) -> None:
-    os.makedirs(directory, exist_ok=True)
-    merged = _merge_params(state.encoder_params, state.classifier_params)
-    storage.save_model_checkpoint(os.path.join(directory, "model.bin"), merged,
-                                  state.encoder.spec.kind, state.encoder.spec.embed_dim,
-                                  state.classifier.spec.classes)
-    save_buffer(os.path.join(directory, "server_buffer.bin"), state.server_buffer)
-    for cid, buffer in enumerate(state.client_buffers):
-        save_buffer(os.path.join(directory, f"client_{cid}.bin"), buffer)
-    meta = {"format": storage.FORMAT_VERSION, "global_round": state.global_round,
-            **state.identity}
-    with open(os.path.join(directory, CHECKPOINT_META), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-
-
-def _identity_fields(prefix: str, config):
-    """(dotted name, value) of each field of a config dataclass; a field that
-    is itself a dataclass contributes its own fields under its field name."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            yield from _identity_fields(f.name, value)
-        else:
-            yield f"{prefix}.{f.name}", value
-
-
-def _run_identity(master_seed: int, fl: FLConfig, strategy: StrategyConfig,
-                  model: ModelConfig, schedule: EnrollmentSchedule) -> dict:
-    """What a checkpoint and the run resuming it must agree on, under dotted
-    names: the master seed, every FLConfig, StrategyConfig, EncoderSpec and
-    ClassifierSpec field ("fl.s_max", "encoder.hidden"), the rest of the
-    ModelConfig ("model.beta") and the rendered enrollment schedule
-    ("scenario.schedule", which also covers schedule objects passed in
-    directly).  Resume reports the first missing or mismatched key in this
-    order, so a changed client count is named before the schedule it
-    reshapes.  Values are as meta.json stores them: tuples read back as
-    lists."""
-    identity = {"master_seed": master_seed}
-    for prefix, config in (("fl", fl), ("strategy", strategy), ("model", model)):
-        identity.update(_identity_fields(prefix, config))
-    identity["scenario.schedule"] = schedule.render()
-    return json.loads(json.dumps(identity))
-
-
-def read_checkpoint_meta(directory) -> dict:
-    meta_path = os.path.join(directory, CHECKPOINT_META)
-    if not os.path.exists(meta_path):
-        raise ContractViolation(f"no checkpoint metadata at {meta_path}")
-    with open(meta_path) as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ContractViolation(
-                f"checkpoint metadata {meta_path} is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ContractViolation(f"checkpoint metadata {meta_path} is not a JSON object")
-    for key in ("format", "global_round"):
-        if key not in meta:
-            raise ContractViolation(f"checkpoint metadata {meta_path} has no {key!r}")
-    version = meta["format"]
-    if type(version) is not int or version != storage.FORMAT_VERSION:
-        raise ContractViolation(f"checkpoint metadata {meta_path} has format {version!r}, "
-                                f"this program reads format {storage.FORMAT_VERSION}")
-    done = meta["global_round"]
-    if isinstance(done, bool) or not isinstance(done, int) or done < 0:
-        raise ContractViolation(
-            f"checkpoint metadata {meta_path} has global_round {done!r}, not a round count")
-    return meta
-
-
-def _load_checkpoint(directory, encoder: EncoderModel, classifier: ClassifierModel,
-                     strategy: StrategyConfig, n_clients: int, server_cap: int, client_cap: int):
-    """(encoder params, classifier params, server buffer, client buffers by
-    id); every file save_checkpoint writes must be there, the parameters
-    must have the layout this run's models build, and each buffer must have
-    the capacity buffer_capacity prices for this run and, unless empty, the
-    strategy's columns, which replay then trusts."""
-    model_path = os.path.join(directory, "model.bin")
-    server_path = os.path.join(directory, "server_buffer.bin")
-    client_paths = [os.path.join(directory, f"client_{cid}.bin") for cid in range(n_clients)]
-    for path in (model_path, server_path, *client_paths):
-        if not os.path.exists(path):
-            raise ContractViolation(f"checkpoint file {path} is missing")
-    merged, header = storage.load_model_checkpoint(model_path)
-    if header["encoder_kind"] != encoder.spec.kind:
-        raise ContractViolation(f"model checkpoint {model_path} has encoder kind "
-                                f"{header['encoder_kind']!r}, this run's model has "
-                                f"{encoder.spec.kind!r}")
-    want = _merge_params(encoder.init_params(RngStream(0)), classifier.init_params(RngStream(0)))
-    for have, need in itertools.zip_longest(merged.layout, want.layout):
-        if have != need:
-            raise ContractViolation(f"model checkpoint {model_path} has parameter {have}, "
-                                    f"this run's model has {need}")
-    encoder_params, classifier_params = _split_params(merged)
-    columns = buffer_columns(strategy.kind)
-    buffers = []
-    for path, owner, capacity in ([(server_path, "server", server_cap)]
-                                  + [(path, "client", client_cap) for path in client_paths]):
-        buffer = load_buffer(path)
-        if buffer.capacity != capacity:
-            raise ContractViolation(f"buffer snapshot {path} has capacity {buffer.capacity}, "
-                                    f"this run's {owner} buffers hold {capacity}")
-        if len(buffer) and tuple(buffer.columns) != columns:
-            raise ContractViolation(f"buffer snapshot {path} holds columns "
-                                    f"{tuple(buffer.columns)}, strategy {strategy.kind!r} "
-                                    f"buffers hold {columns}")
-        buffers.append(buffer)
-    return encoder_params, classifier_params, buffers[0], buffers[1:]
 
 
 # ---------------------------------------------------------------------------

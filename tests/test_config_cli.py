@@ -13,7 +13,7 @@ import pytest
 
 import filver.cli as cli
 import oracles
-from filver import federation, models
+from filver import federation, models, storage
 from filver.config import (
     DATA_ROOT_ENV,
     KEY_TABLE,
@@ -26,7 +26,8 @@ from filver.config import (
 )
 from filver.errors import ConfigError
 from filver.models import GaussianStats
-from filver.rehearsal import EmbeddingPayload, RawPayload, RehearsalRecord
+from filver.rehearsal import (EmbeddingPayload, RawPayload, RehearsalRecord, load_buffer,
+                              save_buffer)
 
 # ---------------------------------------------------------------------------
 # parse_pairs and parse_config
@@ -524,7 +525,10 @@ def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, c
      "has format 99, this program reads format 1"),
     (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "format"}),
      "has no 'format'"),
-], ids=["missing-key", "invalid-json", "bool-round", "format-99", "no-format"])
+    # the CLI once blamed rounds.csv for holding fewer than 99 rows
+    (lambda meta: json.dumps({**meta, "global_round": 99}),
+     "has global_round 99, past this run's 4 rounds"),
+], ids=["missing-key", "invalid-json", "bool-round", "format-99", "no-format", "round-99"])
 def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
@@ -641,6 +645,57 @@ def test_resume_refusals_of_a_cut_or_foreign_checkpoint_file_name_it(tmp_path, c
     err = capsys.readouterr().err
     assert str(path) in err and message in err
     assert "Traceback" not in err
+    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def _overfill(buffer):
+    """The buffer's rows repeated to one row past its capacity."""
+    rows = np.arange(buffer.capacity + 1) % len(buffer)
+    buffer.columns = {name: column[rows] for name, column in buffer.columns.items()}
+    buffer.labels, buffer.tasks, buffer.rounds = (ids[rows] for ids in
+                                                  (buffer.labels, buffer.tasks, buffer.rounds))
+
+
+@pytest.mark.parametrize("name,damage,message", [
+    ("server_buffer.bin", _overfill, "holds 17 rows, more than its capacity 16"),
+    ("client_1.bin", lambda b: np.put(b.labels, 3, 99), "holds label 99, outside [0, 2)"),
+    ("server_buffer.bin", lambda b: np.put(b.labels, 0, -1), "holds label -1, outside [0, 2)"),
+    ("server_buffer.bin", lambda b: np.put(b.tasks, 5, 99), "holds task 99, outside [0, 2)"),
+    # the checkpoint is at round 2, so its buffers hold rounds 0 and 1 only
+    ("client_0.bin", lambda b: np.put(b.rounds, 0, 2), "holds round 2, outside [0, 2)"),
+    ("server_buffer.bin", lambda b: np.put(b.columns["z"], 7, np.nan),
+     "holds a non-finite value in column 'z'"),
+    ("client_1.bin", lambda b: np.put(b.columns["z"], 0, -np.inf),
+     "holds a non-finite value in column 'z'"),
+    ("model.bin", lambda params: np.put(params.get("cls.cls1.w"), 4, np.nan),
+     "holds a non-finite value in parameter 'cls.cls1.w'"),
+    ("model.bin", lambda params: np.put(params.get("enc.fc1.b"), 0, np.inf),
+     "holds a non-finite value in parameter 'enc.fc1.b'"),
+], ids=["snapshot-over-capacity", "snapshot-label-99", "snapshot-label-negative",
+        "snapshot-task-99", "snapshot-round-not-yet-run", "snapshot-nan", "snapshot-inf",
+        "model-nan", "model-inf"])
+def test_resume_refusals_of_checkpoint_contents_name_the_file(tmp_path, capsys, name, damage,
+                                                              message):
+    # each file is well formed, but holds what no run writes: these once
+    # resumed with exit 0 and other rows, or failed only in training, naming
+    # no file
+    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
+    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    path = tmp_path / "out" / "checkpoint" / name
+    if name == "model.bin":
+        params, header = storage.load_model_checkpoint(path)
+        damage(params)
+        storage.save_model_checkpoint(path, params, header["encoder_kind"], header["embed_dim"],
+                                      header["classes"])
+    else:
+        buffer = load_buffer(path)
+        damage(buffer)
+        save_buffer(path, buffer)
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
     assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 

@@ -7,6 +7,7 @@ bit across every round.
 """
 
 import dataclasses
+import json
 import math
 import sys
 
@@ -651,6 +652,19 @@ def test_resume_rejects_wrong_seed_and_encoder_kind(tmp_path):
         tiny_run("ver_sampled", seed=21, resume_from=str(ckpt))
     with pytest.raises(ContractViolation):
         tiny_run("ebr", seed=21, resume_from=str(tmp_path / "missing"))
+
+
+def test_resume_refuses_a_checkpoint_round_past_the_run(tmp_path):
+    # the library once resumed round 99 of a 6-round run and returned no reports
+    ckpt = tmp_path / "ckpt"
+    tiny_run("ebr", seed=21, checkpoint_dir=str(ckpt), stop_after_round=6)
+    reports, state = tiny_run("ebr", seed=21, resume_from=str(ckpt))
+    assert reports == [] and state.global_round == 6  # the last round resumes to nothing
+    meta = json.loads((ckpt / "meta.json").read_text())
+    (ckpt / "meta.json").write_text(json.dumps({**meta, "global_round": 99}))
+    with pytest.raises(ContractViolation, match="meta.json has global_round 99, past this "
+                                                "run's 6 rounds"):
+        tiny_run("ebr", seed=21, resume_from=str(ckpt))
 
 
 def test_resume_under_a_different_schedule_object_is_refused(tmp_path):
