@@ -9,7 +9,7 @@ from .errors import ConfigError, ContractViolation, IdxFormatError
 from .federation import (FLConfig, RoundReport, fedavg_aggregate, run_experiment,
                          run_offline)
 from .models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec, ModelConfig
-from .rehearsal import RehearsalBuffer, RehearsalRecord, StrategyConfig, admit, draw_batch
+from .rehearsal import RehearsalBuffer, StrategyConfig, Upload, admit, draw_batch
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -19,8 +19,8 @@ __all__ = [
     "ClassifierModel", "ClassifierSpec", "ConfigError", "ContractViolation",
     "EncoderModel", "EncoderSpec", "EnrollmentSchedule", "ExperimentConfig",
     "FLConfig", "IdxFormatError", "LabeledSet", "ModelConfig", "RehearsalBuffer",
-    "RehearsalRecord", "RngStream", "RoundReport", "StrategyConfig", "Task",
-    "TaskSequence", "admit", "build_permuted_tasks", "build_split_tasks", "draw_batch",
-    "fedavg_aggregate", "load_idx", "make_schedule", "make_synthetic_blobs",
-    "parse_config", "partition_clients", "preset_config", "run_experiment", "run_offline",
+    "RngStream", "RoundReport", "StrategyConfig", "Task", "TaskSequence", "Upload", "admit",
+    "build_permuted_tasks", "build_split_tasks", "draw_batch", "fedavg_aggregate", "load_idx",
+    "make_schedule", "make_synthetic_blobs", "parse_config", "partition_clients",
+    "preset_config", "run_experiment", "run_offline",
 ]

@@ -129,11 +129,11 @@ def read_checkpoint_meta(directory, total_rounds: int, identity: dict = None) ->
 
 
 def _check_buffer(path, buffer: RehearsalBuffer, owner: str, capacity: int, strategy_kind: str,
-                  id_bounds: tuple) -> None:
+                  id_bounds: tuple, rounds_per_task: int) -> None:
     """A snapshot has its owner's capacity (buffer_capacity) and no more rows;
     unless empty, the strategy's columns, all finite (replay trusts them),
-    and label, task and round ids in [0, stop) for each (name, stop) of
-    `id_bounds`."""
+    label, task and round ids in [0, stop) for each (name, stop) of
+    `id_bounds`, and each row's task the one its round belongs to."""
     if buffer.capacity != capacity:
         raise ContractViolation(f"buffer snapshot {path} has capacity {buffer.capacity}, "
                                 f"this run's {owner} buffers hold {capacity}")
@@ -156,6 +156,11 @@ def _check_buffer(path, buffer: RehearsalBuffer, owner: str, capacity: int, stra
         if len(bad):
             raise ContractViolation(f"buffer snapshot {path} holds {name} {bad[0]}, "
                                     f"outside [0, {stop})")
+    wrong = np.flatnonzero(buffer.tasks != buffer.rounds // rounds_per_task)
+    if len(wrong):
+        task, round_id = buffer.tasks[wrong[0]], buffer.rounds[wrong[0]]
+        raise ContractViolation(f"buffer snapshot {path} holds task {task} in round {round_id}, "
+                                f"which belongs to task {round_id // rounds_per_task}")
 
 
 def load_checkpoint(directory, identity: dict, encoder: EncoderModel, classifier: ClassifierModel,
@@ -188,5 +193,6 @@ def load_checkpoint(directory, identity: dict, encoder: EncoderModel, classifier
     for i, path in enumerate(buffer_paths):  # the server's, then the clients'
         owner, capacity = ("client", client_cap) if i else ("server", server_cap)
         buffers.append(load_buffer(path))
-        _check_buffer(path, buffers[-1], owner, capacity, strategy.kind, id_bounds)
+        _check_buffer(path, buffers[-1], owner, capacity, strategy.kind, id_bounds,
+                      fl.rounds_per_task)
     return (done, *_split_params(merged), buffers[0], buffers[1:])

@@ -48,9 +48,8 @@ from .datasets import ClientPartition, TaskSequence, partition_clients
 from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
-from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, RehearsalRecord,
-                        StrategyConfig, admit, buffer_capacity, draw_batch,
-                        encoder_kind_for_strategy, rows_from_records)
+from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, StrategyConfig, Upload,
+                        admit, buffer_capacity, draw_batch, encoder_kind_for_strategy)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -120,32 +119,26 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 
 def _build_upload(embedded: dict, task_id: int, global_round: int,
                   strategy: StrategyConfig, rng: RngStream) -> list:
-    """rho-sample this round's shard into rehearsal records, payload type
-    fixed by the strategy.  This is the one rho-sample: admit keeps every
-    row it is offered, up to eviction."""
-    if strategy.kind == "none":
-        return []
+    """rho-sample this round's shard into [one Upload], its payload type fixed
+    by the strategy, or [] when nothing ships.  This is the one rho-sample:
+    admit keeps every row it is offered, up to eviction.  Each payload array
+    is one gather from the embed stage's entry, so it owns its memory."""
     n = len(embedded["labels"])
     n_up = math.ceil(strategy.rho * n)
-    if n_up == 0:
+    if strategy.kind == "none" or n_up == 0:
         return []
-    if n_up >= n:
-        idx = np.arange(n)
-    else:
-        idx = rng.child("upload").choice(n, n_up, replace=False)
+    idx = np.arange(n) if n_up >= n else rng.child("upload").choice(n, n_up, replace=False)
     mu, log_sigma = embedded["mu"], embedded["log_sigma"]
-    # RawPayload and EmbeddingPayload copy their array; GaussianStats does not
     if strategy.kind == "naive":
-        payloads = [RawPayload(embedded["images"][j]) for j in idx]
+        payload = RawPayload(embedded["images"][idx])
     elif strategy.kind in ("ebr", "noise"):
-        payloads = [EmbeddingPayload(mu[j]) for j in idx]
+        payload = EmbeddingPayload(mu[idx])
     elif strategy.kind == "ver_stats":
-        payloads = [GaussianStats(np.array(mu[j]), np.array(log_sigma[j])) for j in idx]
+        payload = GaussianStats(mu[idx], log_sigma[idx])
     else:  # ver_sampled: draw z once; the stats never leave the client
         z, _ = reparam_sample(mu[idx], log_sigma[idx], rng.child("upload_eps"))
-        payloads = [EmbeddingPayload(row) for row in z]
-    return [RehearsalRecord(p, y, task_id, global_round)
-            for p, y in zip(payloads, embedded["labels"][idx])]
+        payload = EmbeddingPayload(z)
+    return [Upload(payload, embedded["labels"][idx], task_id, global_round)]
 
 
 def local_train(buffer: RehearsalBuffer, global_params: ParamVector, embedded: dict,
@@ -257,19 +250,19 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
                            state.strategy, rng)
                for cid, rng in zip(chosen, streams)]
 
-    # each upload is stacked into rows once (a naive upload's raw samples
-    # embedded in one pass), and the same rows join its client's own buffer
-    # and the server's, in client-id order for schedule independence
+    # each upload becomes rows once (a naive upload's raw samples embedded in
+    # one pass), and the same rows join its client's own buffer and the
+    # server's, in client-id order for schedule independence
     for cid, rng, res in zip(chosen, streams, results):
-        rows = rows_from_records(res.upload)
-        if "x" in rows.columns:
-            rows.columns = {"z": models.encode_for_eval(state.encoder, state.encoder_params,
-                                                        rows.columns["x"])[0]}
-        if len(rows):
+        for upload in res.upload:
+            rows = upload.rows()
+            if "x" in rows.columns:
+                rows.columns = {"z": models.encode_for_eval(state.encoder, state.encoder_params,
+                                                            rows.columns["x"])[0]}
             admit(state.client_buffers[cid], rows, rng.child("self_admit"))
             admit(state.server_buffer, rows,
                   state.master.child("server_admit", task_id, round_in_task, cid))
-        del rows  # kept alive into the next upload's stacking, it raised desk's peak RSS ~1 MiB
+            del rows  # kept alive into the next upload's rows, it raised desk's peak RSS ~1 MiB
 
     state.classifier_params = fedavg_aggregate([(r.params, r.n_samples) for r in results])
     state.classifier_params = server_side_training(

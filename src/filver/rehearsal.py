@@ -1,6 +1,6 @@
 """Rehearsal strategies and replay buffers.
 
-Six strategies govern what a record carries and how it becomes a training
+Six strategies govern what an upload carries and how it becomes a training
 embedding at replay time:
 
   none         no buffers at all; training sees only fresh data
@@ -12,13 +12,13 @@ embedding at replay time:
   ver_sampled  sampled z only; no distribution statistics ever leave a client
 
 The stats/sampled distinction is enforced by payload type: a ver_sampled
-record simply has no field in which statistics could travel.
+upload's payload simply has no field in which statistics could travel.
 
-Records exist only on the wire.  `run_round` stacks each upload into rows
-once (`rows_from_records`): a float64 column per payload field (``x``, ``z``,
-or ``mu`` and ``log_sigma``), plus int64 label, task and round columns; a
-naive upload's ``x`` is embedded into ``z`` in the same step.  `admit` takes
-those rows, so the privacy rule is also a schema property: a ver_sampled
+An `Upload` is what a client ships in a round: one payload whose arrays
+(``x``, ``z``, or ``mu`` and ``log_sigma``) hold a float64 row per sample,
+and the samples' labels.  `Upload.rows` makes those arrays the columns of
+buffer rows; run_round embeds a naive upload's ``x`` into ``z``, and `admit`
+takes the rows, so the privacy rule is also a schema property: a ver_sampled
 buffer has no stats column.  `_STRATEGIES` alone names a strategy's encoder
 and buffer columns, and `buffer_capacity` prices a row from those columns.
 `storage` alone defines snapshots; `save_buffer` and `load_buffer` convert.
@@ -35,7 +35,7 @@ from .errors import ContractViolation
 from .models import GaussianStats
 from .numcore import reparam_sample
 from .rng import RngStream
-from .storage import PAYLOAD_TAGS, read_snapshot, write_snapshot
+from .storage import read_snapshot, write_snapshot
 
 # strategy kind -> (the encoder it pretrains and freezes, its buffers' payload
 # columns).  noise trains nothing; variational strategies need stats heads;
@@ -54,43 +54,19 @@ MEMORY_MULTIPLIERS = ("x1", "x16")
 
 @dataclass
 class RawPayload:
-    """An input sample shipped as-is (the privacy-leaky baseline)."""
+    """Input samples shipped as-is (the privacy-leaky baseline), a row each."""
 
     x: np.ndarray
-
-    def __post_init__(self):
-        # records must own their memory: shards are dropped at task boundaries
-        self.x = np.array(self.x, dtype=np.float64)
 
 
 @dataclass
 class EmbeddingPayload:
-    """A fixed embedding vector, replayed bit-identically."""
+    """Embedding vectors, a row each, replayed bit-identically."""
 
     z: np.ndarray
 
-    def __post_init__(self):
-        self.z = np.array(self.z, dtype=np.float64)
-        if self.z.ndim != 1:
-            raise ContractViolation(f"embedding payload must be a vector, got shape {self.z.shape}")
 
-
-# Stats payloads reuse GaussianStats with (d,) vectors for mu and log sigma.
-
-
-@dataclass
-class RehearsalRecord:
-    payload: object
-    label: int
-    task_id: int
-    round_id: int
-
-    def __post_init__(self):
-        if not isinstance(self.payload, (RawPayload, EmbeddingPayload, GaussianStats)):
-            raise ContractViolation(f"unknown payload type {type(self.payload).__name__}")
-        self.label = int(self.label)
-        self.task_id = int(self.task_id)
-        self.round_id = int(self.round_id)
+# Stats payloads reuse GaussianStats, with a row of mu and of log sigma each.
 
 
 @dataclass
@@ -144,25 +120,30 @@ class RehearsalBuffer:
         return len(self.labels)
 
 
-def rows_from_records(records: list) -> RehearsalBuffer:
-    """A homogeneous record list stacked into rows, a column per payload field."""
-    if not records:
-        return RehearsalBuffer()
-    kinds = {type(r.payload) for r in records}
-    if len(kinds) != 1:
-        raise ContractViolation(
-            f"records mix payload types {sorted(k.__name__ for k in kinds)}")
-    columns = {}
-    payload_columns = dict(PAYLOAD_TAGS.values())  # payload type name -> its fields
-    for name in payload_columns[kinds.pop().__name__]:
-        try:
-            columns[name] = np.stack([getattr(r.payload, name) for r in records])
-        except ValueError as exc:
-            raise ContractViolation(f"records carry {name!r} payloads of differing shapes") from exc
-    return RehearsalBuffer(None, columns,
-                           np.array([r.label for r in records], dtype=np.int64),
-                           np.array([r.task_id for r in records], dtype=np.int64),
-                           np.array([r.round_id for r in records], dtype=np.int64))
+@dataclass
+class Upload:
+    """What one client ships in one round: a payload whose arrays hold one
+    row per uploaded sample, the samples' labels, and their (task, round)."""
+
+    payload: object
+    labels: np.ndarray
+    task_id: int
+    round_id: int
+
+    def __post_init__(self):
+        if not isinstance(self.payload, (RawPayload, EmbeddingPayload, GaussianStats)):
+            raise ContractViolation(f"unknown payload type {type(self.payload).__name__}")
+        for name, column in vars(self.payload).items():
+            if np.shape(column)[:1] != (len(self.labels),):
+                raise ContractViolation(f"upload payload {name!r} of shape {np.shape(column)} "
+                                        f"has no row for each of {len(self.labels)} labels")
+
+    def rows(self) -> RehearsalBuffer:
+        """The upload as buffer rows, its payload arrays (not copied) the columns."""
+        n = len(self.labels)
+        return RehearsalBuffer(None, dict(vars(self.payload)), np.asarray(self.labels, np.int64),
+                               np.full(n, self.task_id, np.int64),
+                               np.full(n, self.round_id, np.int64))
 
 
 def _schema(buffer: RehearsalBuffer) -> tuple:
@@ -172,7 +153,7 @@ def _schema(buffer: RehearsalBuffer) -> tuple:
 def admit(buffer: RehearsalBuffer, rows: RehearsalBuffer, rng: RngStream) -> RehearsalBuffer:
     """Append every row of one upload, then evict to capacity.
 
-    run_round stacks an upload once and hands the same rows to the client's
+    run_round builds an upload's rows once and hands them to the client's
     buffer and to the server's; admit never changes them.  The rho-fraction
     was drawn once, at upload.  The rows must share one (task, round) and the
     buffer's payload columns, and have no raw ``x`` column.  Eviction removes
@@ -245,7 +226,7 @@ def _compact(arr: np.ndarray, kept: np.ndarray) -> None:
 def _survivors(tasks: np.ndarray, capacity: int | None, rng: RngStream):
     """Boolean mask of the rows that stay after evicting down to capacity.
 
-    Each victim costs one draw, made exactly as when records are evicted one
+    Each victim costs one draw, made exactly as when rows are evicted one
     at a time from a list: pick the task holding the most rows (ties to the
     newest), then its k-th remaining row in buffer order, k uniform."""
     keep = np.ones(len(tasks), dtype=bool)

@@ -1,6 +1,7 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
 and finite differences, plus the list-of-records rehearsal buffer that the
-columnar one replaced, the segment-list parameter vector that the flat one
+columnar one replaced (and the per-row records that uploads once were
+made of), the segment-list parameter vector that the flat one
 replaced, the two-step dataset builders that the one-copy ones replaced,
 the keyed draw that built a new Philox and Generator per call, the
 cell-by-cell enrollment grids that join/leave arrays replaced, and the
@@ -281,6 +282,34 @@ def sample_pool_instance(rng: RngStream, batch=2, h=6, w=6, c=2):
 # Admission, eviction and replay make the same draws as filver.rehearsal; the
 # snapshot writer emits one FVBF v1 frame per record.
 # ---------------------------------------------------------------------------
+
+@dataclass
+class RehearsalRecord:
+    """One row as a record: a payload holding that row's arrays (``x``, ``z``,
+    or ``mu`` and ``log_sigma``), its label, task and round.  Uploads were
+    once lists of these; filver.rehearsal.Upload holds all of a round's rows."""
+
+    payload: object
+    label: int
+    task_id: int
+    round_id: int
+
+
+def records_of(upload) -> list:
+    """An upload's rows as records, in order; each payload array a view of one row."""
+    arrays = vars(upload.payload)
+    return [RehearsalRecord(type(upload.payload)(**{name: a[i] for name, a in arrays.items()}),
+                            int(label), upload.task_id, upload.round_id)
+            for i, label in enumerate(upload.labels)]
+
+
+def stack_records(records: list) -> rehearsal.RehearsalBuffer:
+    """Records of one payload type stacked into rows, a column per payload field."""
+    names = list(vars(records[0].payload))
+    columns = {name: np.stack([getattr(r.payload, name) for r in records]) for name in names}
+    ids = np.array([(r.label, r.task_id, r.round_id) for r in records], dtype=np.int64)
+    return rehearsal.RehearsalBuffer(None, columns, *ids.T.copy())
+
 
 @dataclass
 class RehearsalBuffer:

@@ -498,7 +498,7 @@ def test_criterion_09_byte_identical_reproducibility(capsys, tmp_path):
 
 
 def test_criterion_10_upload_payload_privacy(capsys, monkeypatch):
-    # what ships is local_train's records, checked by payload type; what the
+    # what ships is local_train's uploads, checked by payload type; what the
     # server admits is rows, and its buffer is columns, both checked by
     # column name: no stats column may exist under ver_sampled
     stats = {"mu", "log_sigma"}
@@ -521,6 +521,6 @@ def test_criterion_10_upload_payload_privacy(capsys, monkeypatch):
 
     ok = sampled_ok and stats_ok
     _verdict(capsys, 10, ok,
-             f"sampled VER shipped {len(sampled_shipped)} records, zero Gaussian "
-             f"stats: {sampled_ok}; stats VER shipped {len(stats_shipped)} records, "
+             f"sampled VER shipped {len(sampled_shipped)} uploads, zero Gaussian "
+             f"stats: {sampled_ok}; stats VER shipped {len(stats_shipped)} uploads, "
              f"all Gaussian stats: {stats_ok}")

@@ -26,8 +26,7 @@ from filver.config import (
 )
 from filver.errors import ConfigError
 from filver.models import GaussianStats
-from filver.rehearsal import (EmbeddingPayload, RawPayload, RehearsalRecord, load_buffer,
-                              save_buffer)
+from filver.rehearsal import EmbeddingPayload, RawPayload, load_buffer, save_buffer
 
 # ---------------------------------------------------------------------------
 # parse_pairs and parse_config
@@ -400,7 +399,7 @@ def test_resume_refuses_a_naive_checkpoint_of_raw_samples(tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
     ckpt = tmp_path / "out" / "checkpoint"
     rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    raw = [RehearsalRecord(RawPayload(np.full((4, 4), 0.5)), 1, 0, 0)]  # a 4x4 image
+    raw = [oracles.RehearsalRecord(RawPayload(np.full((4, 4), 0.5)), 1, 0, 0)]  # a 4x4 image
     oracles.save_buffer(ckpt / "client_1.bin", oracles.RehearsalBuffer(None, 1.0, raw))
     capsys.readouterr()
     assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
@@ -574,8 +573,8 @@ def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, caps
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
     ckpt = tmp_path / "out" / "checkpoint"
-    mixed = [RehearsalRecord(EmbeddingPayload(np.zeros(4)), 0, 0, 0),
-             RehearsalRecord(GaussianStats(np.zeros(4), np.zeros(4)), 1, 0, 0)]
+    mixed = [oracles.RehearsalRecord(EmbeddingPayload(np.zeros(4)), 0, 0, 0),
+             oracles.RehearsalRecord(GaussianStats(np.zeros(4), np.zeros(4)), 1, 0, 0)]
     oracles.save_buffer(ckpt / "server_buffer.bin", oracles.RehearsalBuffer(None, 1.0, mixed))
     capsys.readouterr()
     assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
@@ -661,6 +660,9 @@ def _overfill(buffer):
     ("client_1.bin", lambda b: np.put(b.labels, 3, 99), "holds label 99, outside [0, 2)"),
     ("server_buffer.bin", lambda b: np.put(b.labels, 0, -1), "holds label -1, outside [0, 2)"),
     ("server_buffer.bin", lambda b: np.put(b.tasks, 5, 99), "holds task 99, outside [0, 2)"),
+    # rounds 0 and 1 both belong to task 0 (two rounds a task)
+    ("server_buffer.bin", lambda b: b.tasks.fill(1),
+     "holds task 1 in round 0, which belongs to task 0"),
     # the checkpoint is at round 2, so its buffers hold rounds 0 and 1 only
     ("client_0.bin", lambda b: np.put(b.rounds, 0, 2), "holds round 2, outside [0, 2)"),
     ("server_buffer.bin", lambda b: np.put(b.columns["z"], 7, np.nan),
@@ -672,8 +674,8 @@ def _overfill(buffer):
     ("model.bin", lambda params: np.put(params.get("enc.fc1.b"), 0, np.inf),
      "holds a non-finite value in parameter 'enc.fc1.b'"),
 ], ids=["snapshot-over-capacity", "snapshot-label-99", "snapshot-label-negative",
-        "snapshot-task-99", "snapshot-round-not-yet-run", "snapshot-nan", "snapshot-inf",
-        "model-nan", "model-inf"])
+        "snapshot-task-99", "snapshot-task-of-another-round", "snapshot-round-not-yet-run",
+        "snapshot-nan", "snapshot-inf", "model-nan", "model-inf"])
 def test_resume_refusals_of_checkpoint_contents_name_the_file(tmp_path, capsys, name, damage,
                                                               message):
     # each file is well formed, but holds what no run writes: these once

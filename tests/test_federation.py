@@ -44,11 +44,10 @@ from filver.rehearsal import (
     EmbeddingPayload,
     RawPayload,
     RehearsalBuffer,
-    RehearsalRecord,
+    Upload,
     admit,
     buffer_capacity,
     encoder_kind_for_strategy,
-    rows_from_records,
 )
 from filver.rng import RngStream
 
@@ -331,14 +330,15 @@ def test_local_train_steps_change_params_and_report_loss():
 @pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
 def test_local_train_changes_no_buffer(kind):
     embedded, classifier, cls_params, buffer, strategy, rng = local_setup(kind)
-    held = [RehearsalRecord(EmbeddingPayload(np.ones(EMBED)), 1, 0, 0)]
+    held = Upload(EmbeddingPayload(np.ones((1, EMBED))), [1], 0, 0)
     if kind == "ver_stats":
-        held = [RehearsalRecord(GaussianStats(np.ones(EMBED), np.zeros(EMBED)), 1, 0, 0)]
-    admit(buffer, rows_from_records(held), RngStream(0))
+        held = Upload(GaussianStats(np.ones((1, EMBED)), np.zeros((1, EMBED))), [1], 0, 0)
+    admit(buffer, held.rows(), RngStream(0))
     before = {name: col.copy() for name, col in buffer.columns.items()}
     res = local_train(buffer, cls_params, embedded, classifier, 0, 1,
                       tiny_fl(), strategy, rng.child("local"))
-    assert len(res.upload) == math.ceil(0.25 * 20)
+    (upload,) = res.upload
+    assert len(upload.labels) == math.ceil(0.25 * 20)
     assert len(buffer) == 1
     for name, col in buffer.columns.items():
         assert np.array_equal(col, before[name])
@@ -360,18 +360,17 @@ def test_local_train_uploads_rho_sample_and_self_admits(monkeypatch):
     trained = [b for b in state.client_buffers if id(b) in uploads]
     assert len(uploads) == len(trained) == 2
     for buffer in trained:
-        upload, embedded = uploads[id(buffer)]
-        assert len(upload) == math.ceil(0.25 * len(embedded["labels"]))
-        for rec in upload:
-            assert isinstance(rec.payload, EmbeddingPayload)
-            assert (rec.task_id, rec.round_id) == (0, 0)
+        (upload,), embedded = uploads[id(buffer)]
+        assert len(upload.labels) == math.ceil(0.25 * len(embedded["labels"]))
+        assert isinstance(upload.payload, EmbeddingPayload)
+        assert (upload.task_id, upload.round_id) == (0, 0)
         # the buffer holds exactly the upload, and the upload is rows of the
         # frozen encoder's embedding of the shard
-        assert np.array_equal(buffer.columns["z"], np.stack([r.payload.z for r in upload]))
-        assert list(buffer.labels) == [r.label for r in upload]
+        assert np.array_equal(buffer.columns["z"], upload.payload.z)
+        assert list(buffer.labels) == list(upload.labels)
         det, _ = encode_for_eval(state.encoder, state.encoder_params, embedded["images"])
-        for rec in upload:
-            assert any(np.array_equal(rec.payload.z, row) for row in det)
+        for z in upload.payload.z:
+            assert any(np.array_equal(z, row) for row in det)
 
 
 def test_local_train_ver_stats_uploads_stats_payloads():
@@ -379,12 +378,12 @@ def test_local_train_ver_stats_uploads_stats_payloads():
     res = local_train(buffer, cls_params, embedded, classifier, 0, 0,
                       tiny_fl(), strategy, rng.child("local"))
     assert res.upload
-    assert all(isinstance(rec.payload, GaussianStats) for rec in res.upload)
+    assert all(isinstance(up.payload, GaussianStats) for up in res.upload)
 
 
 def upload_bytes(upload) -> list:
-    return [(type(rec.payload).__name__, rec.label, rec.task_id, rec.round_id,
-             [a.tobytes() for a in vars(rec.payload).values()]) for rec in upload]
+    return [(type(up.payload).__name__, up.labels.tobytes(), up.task_id, up.round_id,
+             [a.tobytes() for a in vars(up.payload).values()]) for up in upload]
 
 
 @pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
@@ -432,14 +431,11 @@ def test_local_train_is_deterministic_in_the_stream():
 
 
 def server_buffer_two_clusters(rng, n=40):
-    records = []
-    for i in range(n):
-        label = i % 2
-        center = 2.0 if label else -2.0
-        z = rng.child("z", i).normal((EMBED,)) * 0.2 + center
-        records.append(RehearsalRecord(EmbeddingPayload(z), label, 0, 0))
+    labels = np.arange(n) % 2
+    z = np.stack([rng.child("z", i).normal((EMBED,)) * 0.2 + (2.0 if label else -2.0)
+                  for i, label in enumerate(labels)])
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, rows_from_records(records), rng.child("admit"))  # every record, in order
+    admit(buf, Upload(EmbeddingPayload(z), labels, 0, 0).rows(), rng.child("admit"))  # every row
     assert len(buf) == n
     return buf
 
@@ -718,7 +714,7 @@ def test_schedule_shape_must_match_config():
 
 
 def collect_admitted_payloads(monkeypatch, kind):
-    """(payload types of every record local_train shipped, the column names
+    """(payload types of every upload local_train shipped, the column names
     of each row set admitted to the server's buffer, the same for the
     clients' buffers, the final state) of a tiny run."""
     real_admit, real_local_train = federation.admit, federation.local_train
@@ -726,7 +722,7 @@ def collect_admitted_payloads(monkeypatch, kind):
 
     def spy_local_train(*args):
         res = real_local_train(*args)
-        shipped.extend(type(rec.payload) for rec in res.upload)
+        shipped.extend(type(up.payload) for up in res.upload)
         return res
 
     def spy_admit(buffer, candidates, rng):
@@ -772,22 +768,22 @@ def test_naive_ships_raw_samples(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["naive", "ver_stats"])
 def test_run_round_stacks_each_upload_once_for_both_buffers(monkeypatch, kind):
-    real_stack, real_admit = federation.rows_from_records, federation.admit
+    real_rows, real_admit = Upload.rows, federation.admit
     stacked, admitted = [], []  # the rows objects, in call order
 
-    def spy_stack(records):
-        stacked.append(real_stack(records))
+    def spy_rows(upload):
+        stacked.append(real_rows(upload))
         return stacked[-1]
 
     def spy_admit(buffer, candidates, rng):
         admitted.append((buffer, candidates))
         return real_admit(buffer, candidates, rng)
 
-    monkeypatch.setattr(federation, "rows_from_records", spy_stack)
+    monkeypatch.setattr(Upload, "rows", spy_rows)
     monkeypatch.setattr(federation, "admit", spy_admit)
     reports, state = tiny_run(kind, stop_after_round=2)
-    # one stack per upload, then the client's buffer and the server's take
-    # that same object
+    # one rows object per upload, then the client's buffer and the server's
+    # take that same object
     assert len(stacked) == sum(len(r.participants) for r in reports) == 4
     assert len(admitted) == 2 * len(stacked)
     for i, rows in enumerate(stacked):

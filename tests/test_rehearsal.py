@@ -1,11 +1,10 @@
-"""Rehearsal buffers: admission, eviction, batch draws, budgets, snapshots,
-and agreement with the list-of-records reference model and with the
-two-step replay that draw_batch replaced.
+"""Rehearsal buffers: uploads, admission, eviction, batch draws, budgets,
+snapshots, and agreement with the list-of-records reference model and with
+the two-step replay that draw_batch replaced.
 
-Records exist only on the wire, so every admission here stacks its records
-into rows first, as run_round does."""
+An upload is columnar, so every admission here takes an upload's rows, as
+run_round does; the reference model takes the same rows as records."""
 
-import itertools
 import os
 import re
 import struct
@@ -23,39 +22,49 @@ from filver.errors import ContractViolation
 from filver.federation import _build_upload
 from filver.models import GaussianStats
 from filver.rehearsal import (
+    STRATEGY_KINDS,
     EmbeddingPayload,
     RawPayload,
     RehearsalBuffer,
-    RehearsalRecord,
     StrategyConfig,
+    Upload,
     admit,
     buffer_capacity,
+    buffer_columns,
     draw_batch,
     load_buffer,
-    rows_from_records,
     save_buffer,
 )
 from filver.rng import RngStream
 
 
-def embed_record(rng, task_id=0, round_id=0, label=0, dim=4):
-    return RehearsalRecord(EmbeddingPayload(rng.normal((dim,))), label, task_id, round_id)
+def embed_upload(rng, n, task_id=0, round_id=0, dim=4):
+    """n embedding rows of one (task, round), labelled i % 3."""
+    return Upload(EmbeddingPayload(rng.normal((n, dim))), np.arange(n) % 3, task_id, round_id)
 
 
-def embed_batch(rng, n, task_id=0, round_id=0, dim=4):
-    return [embed_record(rng.child("rec", i), task_id, round_id, label=i % 3, dim=dim)
-            for i in range(n)]
+def stats_upload(rng, n, task_id=0, round_id=0, dim=4):
+    """The same with (mu, log_sigma) rows."""
+    return Upload(GaussianStats(rng.child("mu").normal((n, dim)),
+                                rng.child("log_sigma").normal((n, dim))),
+                  np.arange(n) % 3, task_id, round_id)
 
 
 def embed_rows(rng, n, task_id=0, round_id=0, dim=4):
-    return rows_from_records(embed_batch(rng, n, task_id, round_id, dim))
+    return embed_upload(rng, n, task_id, round_id, dim).rows()
 
 
-def buffer_of(records, capacity=None):
-    """A buffer holding exactly `records`, in order (admission without eviction draws nothing)."""
+def one_row(payload_type, *arrays, label=0):
+    """A one-row upload of the given row arrays."""
+    return Upload(payload_type(*(np.asarray(a)[None] for a in arrays)), [label], 0, 0)
+
+
+def buffer_of(uploads, capacity=None):
+    """A buffer holding exactly the rows of `uploads`, in order (admission
+    without eviction draws nothing)."""
     buf = RehearsalBuffer(capacity=None)
-    for _, group in itertools.groupby(records, key=lambda r: (r.task_id, r.round_id)):
-        admit(buf, rows_from_records(list(group)), RngStream(0))
+    for upload in uploads:
+        admit(buf, upload.rows(), RngStream(0))
     buf.capacity = capacity
     return buf
 
@@ -90,7 +99,7 @@ def record_rows(records):
 
 
 # ---------------------------------------------------------------------------
-# Config and record validation
+# Config and upload validation
 # ---------------------------------------------------------------------------
 
 
@@ -110,48 +119,85 @@ def test_strategy_config_rejects_bad_multiplier():
         StrategyConfig(kind="ebr", memory_multiplier="x4")
 
 
+SHARD = {"images": np.zeros((8, 6)), "labels": np.arange(8) % 2,
+         "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
+
+
 def test_expected_payload_types_per_kind():
     # what each strategy ships: raw samples only under naive, stats only
     # under ver_stats, nothing under none
-    embedded = {"images": np.zeros((8, 6)), "labels": np.arange(8) % 2,
-                "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
     want = {"none": set(), "noise": {EmbeddingPayload}, "naive": {RawPayload},
             "ebr": {EmbeddingPayload}, "ver_stats": {GaussianStats},
             "ver_sampled": {EmbeddingPayload}}
     for kind, types in want.items():
-        upload = _build_upload(embedded, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
-        assert {type(rec.payload) for rec in upload} == types, kind
+        upload = _build_upload(SHARD, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
+        assert {type(up.payload) for up in upload} == types, kind
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_upload_payload_fields_are_the_buffer_columns(kind):
+    # privacy as schema: an upload's payload fields are its rows' columns,
+    # and they are the strategy's buffer columns, but for the raw samples a
+    # naive client ships.  A ver_sampled upload has no field for statistics.
+    upload = _build_upload(SHARD, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
+    if kind == "none":
+        assert upload == [] and buffer_columns(kind) == ()
+        return
+    (only,) = upload
+    fields = tuple(vars(only.payload))
+    assert fields == tuple(only.rows().columns)
+    assert fields == (("x",) if kind == "naive" else buffer_columns(kind))
+    if kind == "ver_sampled":
+        assert fields == ("z",)
+    if kind == "ver_stats":
+        assert fields == ("mu", "log_sigma")
+    assert all(len(a) == len(only.labels) == 4 for a in vars(only.payload).values())
+
+
+@pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_upload_arrays_share_no_memory_with_the_embed_stage(kind, rho):
+    # an upload outlives the embed stage's entry, which is dropped at the
+    # task boundary; at rho 1 it ships every row, still as its own copy
+    entry = {"images": np.ones((8, 6)), "labels": np.arange(8) % 2,
+             "mu": np.ones((8, 4)), "log_sigma": np.zeros((8, 4))}
+    (upload,) = _build_upload(entry, 0, 0, StrategyConfig(kind=kind, rho=rho), RngStream(1))
+    for mine in [upload.labels, *vars(upload.payload).values()]:
+        assert not any(np.shares_memory(mine, theirs) for theirs in entry.values())
+    rows = upload.rows()
+    for name in ("labels", "tasks", "rounds"):
+        assert not any(np.shares_memory(getattr(rows, name), theirs)
+                       for theirs in entry.values())
 
 
 def test_admit_refuses_raw_samples():
-    raws = [RehearsalRecord(RawPayload(np.ones(6)), 0, 0, 0)]
     buf = RehearsalBuffer(capacity=None)
-    raw_rows = rows_from_records(raws)
+    raw_rows = one_row(RawPayload, np.ones(6)).rows()
     assert list(raw_rows.columns) == ["x"]
     with pytest.raises(ContractViolation, match="holds no raw samples"):
         admit(buf, raw_rows, RngStream(0))
     assert len(buf) == 0 and buf.columns == {}
 
 
-def test_record_rejects_unknown_payload_object():
-    with pytest.raises(ContractViolation):
-        RehearsalRecord(np.zeros(4), 0, 0, 0)
+def test_upload_rejects_unknown_payload_object():
+    with pytest.raises(ContractViolation, match="unknown payload type ndarray"):
+        Upload(np.zeros((1, 4)), [0], 0, 0)
 
 
-def test_embedding_payload_must_be_vector():
-    with pytest.raises(ContractViolation):
-        EmbeddingPayload(np.zeros((2, 2)))
-
-
-def test_payloads_own_their_memory():
-    x = np.ones((6,))
-    z = np.ones((4,))
-    raw = RawPayload(x)
-    emb = EmbeddingPayload(z)
-    x[:] = -1.0
-    z[:] = -1.0
-    assert np.all(raw.x == 1.0)
-    assert np.all(emb.z == 1.0)
+@pytest.mark.parametrize("payload,rows_held", [
+    (EmbeddingPayload(np.zeros((2, 4))), 2),
+    (EmbeddingPayload(np.zeros(4)), 4),
+    (EmbeddingPayload(np.float64(1.0)), None),
+    (RawPayload(np.zeros((4, 2, 2))), 4),
+    (GaussianStats(np.zeros((3, 4)), np.zeros((3, 4))), 3),
+], ids=["rows-2", "vector", "scalar", "raw-rows-4", "stats-rows-3"])
+def test_upload_payload_needs_a_row_per_label(payload, rows_held):
+    # an upload's arrays stack its rows: one row per label, so no row can
+    # go missing or take another row's shape
+    with pytest.raises(ContractViolation, match="has no row for each of 1 labels"):
+        Upload(payload, [0], 0, 0)
+    if rows_held is not None:
+        assert len(Upload(payload, np.arange(rows_held), 0, 0).rows()) == rows_held
 
 
 def first_frame_tag(tmp_path, buf) -> int:
@@ -167,30 +213,24 @@ def test_payload_tags_are_distinct(tmp_path):
     rng = RngStream(1)
     tags = {
         storage.PAYLOAD_RAW,
-        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(EmbeddingPayload(rng.normal((4,))), 0, 0, 0)])),
-        first_frame_tag(tmp_path, buffer_of([RehearsalRecord(
-            GaussianStats(rng.normal((4,)), rng.normal((4,))), 0, 0, 0)])),
+        first_frame_tag(tmp_path, buffer_of([embed_upload(rng.child("z"), 1)])),
+        first_frame_tag(tmp_path, buffer_of([stats_upload(rng.child("stats"), 1)])),
     }
     assert len(tags) == 3
 
 
 def test_admit_rejects_a_second_payload_type():
     rng = RngStream(1)
-    buf = buffer_of(embed_batch(rng.child("emb"), 3))
-    raws = rows_from_records([RehearsalRecord(RawPayload(rng.normal((6,))), 0, 0, 1)])
+    buf = buffer_of([embed_upload(rng.child("emb"), 3)])
+    raws = Upload(RawPayload(rng.normal((1, 6))), [0], 0, 1).rows()
     with pytest.raises(ContractViolation):
         admit(buf, raws, rng.child("admit"))
     wider = embed_rows(rng.child("wide"), 2, round_id=1, dim=5)
     with pytest.raises(ContractViolation, match="buffer holds payload columns"):
         admit(buf, wider, rng.child("admit"))
-    stats = rows_from_records([RehearsalRecord(GaussianStats(np.ones(4), np.zeros(4)), 0, 0, 2)])
+    stats = Upload(GaussianStats(np.ones((1, 4)), np.zeros((1, 4))), [0], 0, 2).rows()
     with pytest.raises(ContractViolation, match="buffer holds payload columns"):
         admit(buf, stats, rng.child("admit"))
-    # records of two payload types do not stack into one set of rows
-    mixed = embed_batch(rng.child("m"), 2, round_id=2) + [
-        RehearsalRecord(RawPayload(rng.normal((4,))), 0, 0, 2)]
-    with pytest.raises(ContractViolation, match="records mix payload types"):
-        rows_from_records(mixed)
     assert len(buf) == 3
 
 
@@ -208,20 +248,21 @@ def upload_of(n, rho, rng):
                 "mu": np.arange(n, dtype=np.float64)[:, None], "log_sigma": None}
     upload = _build_upload(embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
     buffer = RehearsalBuffer(capacity=None)
-    admit(buffer, rows_from_records(upload), rng.child("self_admit"))
+    for up in upload:
+        admit(buffer, up.rows(), rng.child("self_admit"))
     return upload, buffer
 
 
 def test_admit_takes_exact_ceil_fraction():
-    upload, buf = upload_of(1000, 0.1, RngStream(7))
-    assert len(upload) == len(buf) == 100
+    (upload,), buf = upload_of(1000, 0.1, RngStream(7))
+    assert len(upload.labels) == len(buf) == 100
     assert len(set(buf.columns["z"][:, 0].tolist())) == 100
 
 
 def test_admit_ceil_rounds_up():
-    # 5 samples at rho 0.1 still upload and admit one record
-    upload, buf = upload_of(5, 0.1, RngStream(7))
-    assert len(upload) == len(buf) == 1
+    # 5 samples at rho 0.1 still upload and admit one row
+    (upload,), buf = upload_of(5, 0.1, RngStream(7))
+    assert len(upload.labels) == len(buf) == 1
 
 
 def test_admit_rho_zero_is_a_no_op():
@@ -231,28 +272,32 @@ def test_admit_rho_zero_is_a_no_op():
 
 def test_admit_rho_one_takes_everything_in_order():
     rng = RngStream(7)
-    cands = embed_batch(rng.child("cands"), 20)
+    cands = embed_upload(rng.child("cands"), 20)
     buf = RehearsalBuffer(capacity=None)
-    admit(buf, rows_from_records(cands), rng.child("admit"))
-    assert rows(buf) == record_rows(cands)
-    assert np.array_equal(buf.columns["z"], np.stack([r.payload.z for r in cands]))
+    admit(buf, cands.rows(), rng.child("admit"))
+    assert rows(buf) == record_rows(oracles.records_of(cands))
+    assert np.array_equal(buf.columns["z"], cands.payload.z)
 
 
 def test_admit_empty_candidate_list_is_a_no_op():
     buf = RehearsalBuffer(capacity=None)
-    empty = rows_from_records([])
+    empty = RehearsalBuffer()
     assert len(empty) == 0 and empty.columns == {}
     admit(buf, empty, RngStream(7))
+    admit(buf, embed_rows(RngStream(7), 0), RngStream(7))
     assert len(buf) == 0
 
 
 def test_admit_rejects_mixed_task_round_keys():
     rng = RngStream(7)
-    cands = embed_batch(rng.child("a"), 3, task_id=0) + embed_batch(rng.child("b"), 3, task_id=1)
+    a, b = (embed_rows(rng.child(name), 3, task_id=t) for name, t in (("a", 0), ("b", 1)))
+    cands = RehearsalBuffer(None, {"z": np.concatenate([a.columns["z"], b.columns["z"]])},
+                            *(np.concatenate([getattr(a, k), getattr(b, k)])
+                              for k in ("labels", "tasks", "rounds")))
     buf = RehearsalBuffer(capacity=None)
     with pytest.raises(ContractViolation, match=r"span multiple \(task, round\) keys: "
                                                 r"\[\(0, 0\), \(1, 0\)\]"):
-        admit(buf, rows_from_records(cands), rng.child("admit"))
+        admit(buf, cands, rng.child("admit"))
     assert len(buf) == 0
 
 
@@ -262,7 +307,7 @@ def test_admit_leaves_its_rows_unchanged_for_the_next_buffer():
     rng = RngStream(7)
     new = embed_rows(rng.child("new"), 6, task_id=1)
     want = rows(new)
-    full = buffer_of(embed_batch(rng.child("old"), 8), capacity=8)
+    full = buffer_of([embed_upload(rng.child("old"), 8)], capacity=8)
     empty = RehearsalBuffer(capacity=None)
     for buf in (full, empty):
         admit(buf, new, rng.child("admit", len(buf)))
@@ -410,9 +455,9 @@ def test_replay_eventually_touches_every_record():
 
 def test_materialize_embedding_returns_stored_vector():
     rng = RngStream(21)
-    rec = embed_record(rng, label=1)
-    z, y = draw(buffer_of([rec]), 1, rng)
-    assert np.array_equal(z, rec.payload.z[None])
+    upload = one_row(EmbeddingPayload, rng.normal((4,)), label=1)
+    z, y = draw(buffer_of([upload]), 1, rng)
+    assert np.array_equal(z, upload.payload.z)
     assert list(y) == [1]
 
 
@@ -420,7 +465,7 @@ def test_materialize_stats_resamples_every_draw():
     rng = RngStream(21)
     mu = rng.normal((4,))
     log_sigma = rng.normal((4,)) * 0.1
-    buf = buffer_of([RehearsalRecord(GaussianStats(mu, log_sigma), 0, 0, 0)])
+    buf = buffer_of([one_row(GaussianStats, mu, log_sigma)])
     z1, _ = draw(buf, 1, rng.child("draw", 0))
     z2, _ = draw(buf, 1, rng.child("draw", 1))
     z1r, _ = draw(buf, 1, rng.child("draw", 0))
@@ -430,7 +475,7 @@ def test_materialize_stats_resamples_every_draw():
 
 def test_materialize_stats_zero_sigma_returns_mean():
     mu = np.array([0.5, -1.5, 2.0])
-    buf = buffer_of([RehearsalRecord(GaussianStats(mu, np.full(3, -np.inf)), 0, 0, 0)])
+    buf = buffer_of([one_row(GaussianStats, mu, np.full(3, -np.inf))])
     z, _ = draw(buf, 1, RngStream(3))
     assert np.array_equal(z, mu[None])
 
@@ -439,7 +484,7 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
     rng = RngStream(77)
     mu = np.array([0.3, -0.7, 1.2, 0.0])
     sigma = np.array([0.5, 1.0, 0.25, 2.0])
-    buf = buffer_of([RehearsalRecord(GaussianStats(mu, np.log(sigma)), 0, 0, 0)])
+    buf = buffer_of([one_row(GaussianStats, mu, np.log(sigma))])
     n = 10_000
     draws = np.concatenate([draw(buf, 1, rng.child("d", i))[0] for i in range(n)])
     se = sigma / np.sqrt(n)
@@ -448,7 +493,7 @@ def test_materialize_stats_monte_carlo_mean_matches_mu():
 
 def test_draw_batch_gathers_the_rows_its_index_stream_picks():
     rng = RngStream(31)
-    embs = buffer_of(embed_batch(rng.child("emb"), 5))
+    embs = buffer_of([embed_upload(rng.child("emb"), 5)])
     for k in (3, 5, 9):
         z, y = draw(embs, k, rng.child("k", k))
         idx = rng.child("k", k).child("replay").choice(5, k, replace=k > 5)
@@ -459,9 +504,9 @@ def test_draw_batch_gathers_the_rows_its_index_stream_picks():
 
 def test_draw_batch_stats_is_deterministic_per_stream():
     rng = RngStream(31)
-    buf = buffer_of([RehearsalRecord(GaussianStats(rng.child("mu", i).normal((4,)),
-                                                   rng.child("ls", i).normal((4,)) * 0.1),
-                                     i, 0, 0) for i in range(6)])
+    stats = GaussianStats(np.stack([rng.child("mu", i).normal((4,)) for i in range(6)]),
+                          np.stack([rng.child("ls", i).normal((4,)) * 0.1 for i in range(6)]))
+    buf = buffer_of([Upload(stats, np.arange(6), 0, 0)])
     z1, y1 = draw(buf, 6, rng.child("eps", 0))
     z2, _ = draw(buf, 6, rng.child("eps", 0))
     z3, _ = draw(buf, 6, rng.child("eps", 1))
@@ -561,27 +606,20 @@ def test_buffer_capacity_rejects_nonpositive_sizes():
 # ---------------------------------------------------------------------------
 
 
-def stats_record(rng, label, task_id, round_id):
-    return RehearsalRecord(GaussianStats(rng.normal((4,)), rng.normal((4,))),
-                           label, task_id, round_id)
+PAYLOAD_MAKERS = {"embedding": embed_upload, "stats": stats_upload}
 
 
-def embedding_record(rng, label, task_id, round_id):
-    return embed_record(rng, task_id, round_id, label)
-
-
-PAYLOAD_MAKERS = {"embedding": embedding_record, "stats": stats_record}
-
-
-def snapshot_records(kind, n, seed=41):
+def snapshot_uploads(kind, n, seed=41):
+    """n rows of one payload kind, uploaded two a round, two rounds a task."""
     rng = RngStream(seed)
-    return [PAYLOAD_MAKERS[kind](rng.child("rec", i), i % 3, i // 4, i // 2) for i in range(n)]
+    return [PAYLOAD_MAKERS[kind](rng.child("round", r), min(2, n - 2 * r), r // 2, r)
+            for r in range((n + 1) // 2)]
 
 
 @pytest.mark.parametrize("capacity", [None, 17])
 def test_buffer_snapshot_roundtrip(tmp_path, capacity):
     for kind in PAYLOAD_MAKERS:
-        buf = buffer_of(snapshot_records(kind, 7), capacity=capacity)
+        buf = buffer_of(snapshot_uploads(kind, 7), capacity=capacity)
         path = tmp_path / f"{kind}.bin"
         save_buffer(path, buf)
         loaded = load_buffer(path)
@@ -601,10 +639,11 @@ def test_buffer_snapshot_roundtrip(tmp_path, capacity):
 @pytest.mark.parametrize("kind", list(PAYLOAD_MAKERS))
 def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, capacity, n):
     # 1100 rows span three chunks of the bulk writer
-    records = snapshot_records(kind, n)
+    uploads = snapshot_uploads(kind, n)
+    records = [record for upload in uploads for record in oracles.records_of(upload)]
     columnar, reference = tmp_path / "columnar.bin", tmp_path / "reference.bin"
-    save_buffer(columnar, buffer_of(records, capacity=capacity))
-    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 1.0, list(records)))
+    save_buffer(columnar, buffer_of(uploads, capacity=capacity))
+    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 1.0, records))
     assert columnar.read_bytes() == reference.read_bytes()
     loaded = load_buffer(columnar)
     assert len(loaded) == n and loaded.capacity == capacity
@@ -612,7 +651,8 @@ def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, cap
 
 def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
     rng = RngStream(41)
-    mixed = [stats_record(rng.child("a"), 0, 0, 1), embed_record(rng.child("b"), 1, 2, 1)]
+    mixed = (oracles.records_of(stats_upload(rng.child("a"), 1, 0, 1))
+             + oracles.records_of(embed_upload(rng.child("b"), 1, 2, 1)))
     path = tmp_path / "mixed.bin"
     oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, mixed))
     with pytest.raises(ContractViolation, match=r"mixes payload tags 1 \(EmbeddingPayload\), "
@@ -624,8 +664,9 @@ def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
 def test_buffer_snapshot_of_raw_samples_is_refused(tmp_path, first):
     # a naive snapshot written before naive uploads were embedded at admission
     rng = RngStream(41)
-    raw = RehearsalRecord(RawPayload(rng.normal((2, 3))), 0, 0, 1)
-    records = [raw, embed_record(rng)] if first == "raw" else [embed_record(rng), raw]
+    raw = oracles.RehearsalRecord(RawPayload(rng.normal((2, 3))), 0, 0, 1)
+    (embedded,) = oracles.records_of(embed_upload(rng, 1))
+    records = [raw, embedded] if first == "raw" else [embedded, raw]
     path = tmp_path / "naive.bin"
     oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, records))
     with pytest.raises(ContractViolation, match=re.escape(f"buffer snapshot {path} holds raw samples")):
@@ -633,7 +674,7 @@ def test_buffer_snapshot_of_raw_samples_is_refused(tmp_path, first):
 
 
 def test_buffer_snapshot_rejects_unknown_tag(tmp_path):
-    buf = buffer_of(snapshot_records("embedding", 2))
+    buf = buffer_of(snapshot_uploads("embedding", 2))
     path = tmp_path / "buffer.bin"
     save_buffer(path, buf)
     data = bytearray(path.read_bytes())
@@ -658,7 +699,7 @@ def test_buffer_snapshot_rejects_a_header_field_never_written(tmp_path, field, o
                                                               value, message):
     # only -1 (unbounded) or a capacity >= 0, and rho 1.0, are ever written
     path = tmp_path / "buffer.bin"
-    save_buffer(path, buffer_of(snapshot_records("embedding", 2), capacity=5))
+    save_buffer(path, buffer_of(snapshot_uploads("embedding", 2), capacity=5))
     data = bytearray(path.read_bytes())
     struct.pack_into(fmt, data, offset, value)
     path.write_bytes(bytes(data))
@@ -668,7 +709,7 @@ def test_buffer_snapshot_rejects_a_header_field_never_written(tmp_path, field, o
 
 def test_buffer_snapshot_rejects_a_truncated_header(tmp_path):
     path = tmp_path / "buffer.bin"
-    save_buffer(path, buffer_of(snapshot_records("embedding", 2)))
+    save_buffer(path, buffer_of(snapshot_uploads("embedding", 2)))
     path.write_bytes(path.read_bytes()[:20])
     with pytest.raises(ContractViolation, match="truncated: header"):
         load_buffer(path)
@@ -676,7 +717,7 @@ def test_buffer_snapshot_rejects_a_truncated_header(tmp_path):
 
 def test_buffer_snapshot_rejects_truncation(tmp_path):
     for kind in PAYLOAD_MAKERS:
-        buf = buffer_of(snapshot_records(kind, 3))
+        buf = buffer_of(snapshot_uploads(kind, 3))
         path = tmp_path / "buffer.bin"
         save_buffer(path, buf)
         clipped = tmp_path / "clipped.bin"
@@ -694,7 +735,7 @@ def test_buffer_snapshot_rejects_a_payload_shape_never_written(tmp_path, frame, 
     # then log_sigma's ndim, dim (offset 69) and values.  Every row carries
     # vectors of one length, and every frame repeats the first one's dims
     path = tmp_path / "buffer.bin"
-    save_buffer(path, buffer_of(snapshot_records("stats", 2)))
+    save_buffer(path, buffer_of(snapshot_uploads("stats", 2)))
     data = bytearray(path.read_bytes())
     size = (len(data) - storage.SNAPSHOT_HEADER.size) // 2
     struct.pack_into("<I", data, storage.SNAPSHOT_HEADER.size + frame * size + offset, 5)
@@ -801,9 +842,9 @@ def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed)
     buf = RehearsalBuffer(capacity=capacity)
     ref = oracles.RehearsalBuffer(capacity=capacity, rho=1.0)
     for step, (task_id, round_id, n, batch_size) in enumerate(steps):
-        cands = [make(rng.child("rec", step, i), i % 3, task_id, round_id) for i in range(n)]
-        admit(buf, rows_from_records(cands), rng.child("admit", step))
-        oracles.admit(ref, cands, rng.child("admit", step))
+        upload = make(rng.child("rec", step), n, task_id, round_id)
+        admit(buf, upload.rows(), rng.child("admit", step))
+        oracles.admit(ref, oracles.records_of(upload), rng.child("admit", step))
         assert rows(buf) == record_rows(ref.records)
         assert task_counts(buf) == ref.task_counts()
         if len(buf):  # the program replays only from a buffer that holds rows
@@ -811,7 +852,7 @@ def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed)
                              rng.child("replay_eps", step))
             want = oracles.replay_batch(ref, batch_size, rng.child("replay", step))
             if want:  # the reference materialized no 0-row batch
-                want = pairs(*oracles.materialize_batch(rows_from_records(want),
+                want = pairs(*oracles.materialize_batch(oracles.stack_records(want),
                                                         rng=rng.child("replay_eps", step)))
             assert pairs(*got) == want
     # the snapshot of the final state is the reference's byte for byte
