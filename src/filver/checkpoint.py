@@ -175,10 +175,11 @@ def load_checkpoint(directory, identity: dict, encoder: EncoderModel, classifier
         if not os.path.exists(path):
             raise ContractViolation(f"checkpoint file {path} is missing")
     merged, header = storage.load_model_checkpoint(model_path)
-    if header["encoder_kind"] != encoder.spec.kind:
-        raise ContractViolation(f"model checkpoint {model_path} has encoder kind "
-                                f"{header['encoder_kind']!r}, this run's model has "
-                                f"{encoder.spec.kind!r}")
+    for key, want in (("encoder_kind", encoder.spec.kind), ("embed_dim", encoder.spec.embed_dim),
+                      ("classes", classifier.spec.classes)):
+        if header[key] != want:
+            raise ContractViolation(f"model checkpoint {model_path} has {key.replace('_', ' ')} "
+                                    f"{header[key]!r}, this run's model has {want!r}")
     want = _merge_params(encoder.init_params(RngStream(0)), classifier.init_params(RngStream(0)))
     for have, need in itertools.zip_longest(merged.layout, want.layout):
         if have != need:

@@ -9,7 +9,9 @@ the snapshot format, is defined here alone: one structured dtype per frame
 
 from __future__ import annotations
 
+import math
 import mmap
+import os
 import struct
 from typing import BinaryIO
 
@@ -28,11 +30,12 @@ def _write_u32(f: BinaryIO, value: int) -> None:
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """n bytes from f, or a refusal naming the file that ended early."""
-    data = f.read(n)
-    if len(data) != n:
+    """n bytes from f, or a refusal naming the file that ends before them.
+    A damaged length field can ask for more bytes than the file holds, and
+    more than memory holds: such a read is refused before it allocates."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ContractViolation(f"truncated file {f.name}: expected {what}")
-    return data
+    return f.read(n)
 
 
 def _read_u32(f: BinaryIO) -> int:
@@ -64,8 +67,7 @@ def write_array(f: BinaryIO, arr: np.ndarray) -> None:
 def read_array(f: BinaryIO) -> np.ndarray:
     ndim = _read_u32(f)
     shape = tuple(_read_u32(f) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(f, 8 * count, "array payload")
+    raw = _read_exact(f, 8 * math.prod(shape), "array payload")  # np.prod wraps at 2**63
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 

@@ -1,28 +1,25 @@
 """Independent oracles for numerics tests: brute-force loops, quadrature,
-and finite differences, plus the list-of-records rehearsal buffer that the
-columnar one replaced (and the per-row records that uploads once were
-made of), the segment-list parameter vector that the flat one
-replaced, the two-step dataset builders that the one-copy ones replaced,
-the keyed draw that built a new Philox and Generator per call, the
-cell-by-cell enrollment grids that join/leave arrays replaced, and the
-fresh and replay batch samplers that draw_batch replaced.  Everything
-here is deliberately slow and obvious."""
+and finite differences, plus the segment-list parameter vector that the
+flat one replaced, the two-step dataset builders that the one-copy ones
+replaced, the keyed draw that built a new Philox and Generator per call,
+the cell-by-cell enrollment grids that join/leave arrays replaced, and the
+per-row FVBF snapshot writer that the bulk one replaced.  The rehearsal
+path as a whole (list buffer, row draws, uploads, rounds) has one
+reference, `reference.py`, which takes its schedules from here.
+Everything here is deliberately slow and obvious."""
 
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
 
-from filver import rehearsal, storage
 from filver.datasets import LabeledSet, Task, TaskSequence
 from filver.errors import ContractViolation
-from filver.numcore import _ensure_finite, reparam_sample
-from filver.rehearsal import EmbeddingPayload, RawPayload
+from filver.numcore import _ensure_finite
 from filver.rng import _MASK64, RngStream
-from filver.scenarios import ACTIVE, NO_LONGER_ACTIVE, NOT_ENROLLED_YET
 
 
 # ---------------------------------------------------------------------------
@@ -278,189 +275,24 @@ def sample_pool_instance(rng: RngStream, batch=2, h=6, w=6, c=2):
 
 
 # ---------------------------------------------------------------------------
-# Reference rehearsal buffer: a Python list of records, one array each.
-# Admission, eviction and replay make the same draws as filver.rehearsal; the
-# snapshot writer emits one FVBF v1 frame per record.
+# FVBF v1 written one frame per row, as the per-record writer that
+# storage's bulk writer replaced did: rows are anything with columns (a
+# dict of arrays), label, task and round, such as reference.Row
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RehearsalRecord:
-    """One row as a record: a payload holding that row's arrays (``x``, ``z``,
-    or ``mu`` and ``log_sigma``), its label, task and round.  Uploads were
-    once lists of these; filver.rehearsal.Upload holds all of a round's rows."""
-
-    payload: object
-    label: int
-    task_id: int
-    round_id: int
+FRAME_TAGS = {("x",): 0, ("z",): 1, ("mu", "log_sigma"): 2}
 
 
-def records_of(upload) -> list:
-    """An upload's rows as records, in order; each payload array a view of one row."""
-    arrays = vars(upload.payload)
-    return [RehearsalRecord(type(upload.payload)(**{name: a[i] for name, a in arrays.items()}),
-                            int(label), upload.task_id, upload.round_id)
-            for i, label in enumerate(upload.labels)]
-
-
-def stack_records(records: list) -> rehearsal.RehearsalBuffer:
-    """Records of one payload type stacked into rows, a column per payload field."""
-    names = list(vars(records[0].payload))
-    columns = {name: np.stack([getattr(r.payload, name) for r in records]) for name in names}
-    ids = np.array([(r.label, r.task_id, r.round_id) for r in records], dtype=np.int64)
-    return rehearsal.RehearsalBuffer(None, columns, *ids.T.copy())
-
-
-@dataclass
-class RehearsalBuffer:
-    """Bounded record store with fractional admission and per-task eviction."""
-
-    capacity: int | None = None
-    rho: float = 0.10
-    records: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity is not None and self.capacity < 0:
-            raise ContractViolation("capacity must be nonnegative or None")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ContractViolation(f"rho must lie in [0, 1], got {self.rho}")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def task_counts(self) -> dict:
-        counts: dict = {}
-        for rec in self.records:
-            counts[rec.task_id] = counts.get(rec.task_id, 0) + 1
-        return counts
-
-
-def admit(buffer: RehearsalBuffer, candidates: list, rng: RngStream) -> RehearsalBuffer:
-    """Admit ceil(rho * n) uniformly chosen candidates, then evict to capacity.
-
-    Candidates must share one (task_id, round_id).  Eviction removes a random
-    record from whichever task currently holds the most, breaking ties toward
-    the newest task so early tasks keep their representation.
-    """
-    if not candidates:
-        return buffer
-    keys = {(r.task_id, r.round_id) for r in candidates}
-    if len(keys) != 1:
-        raise ContractViolation(f"admit candidates span multiple (task, round) keys: {sorted(keys)}")
-    n_admit = math.ceil(buffer.rho * len(candidates))
-    if n_admit == 0:
-        return buffer
-    if n_admit >= len(candidates):
-        chosen = list(candidates)
-    else:
-        idx = rng.choice(len(candidates), n_admit, replace=False)
-        chosen = [candidates[i] for i in idx]
-    buffer.records.extend(chosen)
-    _evict_to_capacity(buffer, rng)
-    return buffer
-
-
-def _evict_to_capacity(buffer: RehearsalBuffer, rng: RngStream) -> None:
-    if buffer.capacity is None:
-        return
-    while len(buffer.records) > buffer.capacity:
-        counts = buffer.task_counts()
-        biggest = max(counts.values())
-        victim_task = max(t for t, c in counts.items() if c == biggest)
-        slots = [i for i, rec in enumerate(buffer.records) if rec.task_id == victim_task]
-        pick = slots[int(rng.integers(0, len(slots)))]
-        buffer.records.pop(pick)
-
-
-def replay_batch(buffer: RehearsalBuffer, batch_size: int, rng: RngStream) -> list:
-    """Uniform sample of records; falls back to with-replacement when asked
-    for more than the buffer holds.  An empty buffer yields an empty batch."""
-    n = len(buffer.records)
-    if n == 0:
-        return []
-    if batch_size <= 0:
-        return []
-    replace = batch_size > n
-    idx = rng.choice(n, batch_size, replace=replace)
-    return [buffer.records[i] for i in idx]
-
-
-# ---------------------------------------------------------------------------
-# The batch samplers draw_batch replaced: a fresh batch from an embed-stage
-# entry, and replay in two steps, rows taken into a batch buffer and then
-# materialized.  local_train skipped a replay batch of 0 rows.
-# ---------------------------------------------------------------------------
-
-def fresh_batch(embedded: dict, k: int, idx_rng: RngStream, eps_rng: RngStream):
-    n = len(embedded["labels"])
-    idx = idx_rng.choice(n, k, replace=k > n)
-    z = embedded["mu"][idx]
-    if embedded["log_sigma"] is not None:
-        z, _ = reparam_sample(z, embedded["log_sigma"][idx], eps_rng)
-    return z, embedded["labels"][idx]
-
-
-def replay_rows(buffer: rehearsal.RehearsalBuffer, batch_size: int,
-                rng: RngStream) -> rehearsal.RehearsalBuffer:
-    """Uniform sample of rows; falls back to with-replacement when asked for
-    more than the buffer holds.  An empty buffer yields an empty batch."""
-    n = len(buffer)
-    if n == 0 or batch_size <= 0:
-        idx = np.zeros(0, dtype=np.int64)
-    else:
-        idx = rng.choice(n, batch_size, replace=batch_size > n)
-    return rehearsal.RehearsalBuffer(None, {k: v[idx] for k, v in buffer.columns.items()},
-                                     buffer.labels[idx], buffer.tasks[idx], buffer.rounds[idx])
-
-
-def materialize_batch(batch: rehearsal.RehearsalBuffer, *, rng: RngStream):
-    """A replayed batch as training pairs (Z, y) by its own columns: a stored
-    z verbatim, or from mu and log_sigma a fresh draw z = mu + sigma * eps."""
-    if len(batch) == 0:
-        raise ContractViolation("cannot materialize an empty batch")
-    z = batch.columns.get("z")
-    if z is None:
-        z, _ = reparam_sample(batch.columns["mu"], batch.columns["log_sigma"], rng)
-    return z, batch.labels
-
-
-def payload_tag(record) -> int:
-    if isinstance(record.payload, RawPayload):
-        return storage.PAYLOAD_RAW
-    if isinstance(record.payload, EmbeddingPayload):
-        return storage.PAYLOAD_EMBEDDING
-    return storage.PAYLOAD_STATS
-
-
-def frame_arrays(record) -> list:
-    p = record.payload
-    if isinstance(p, RawPayload):
-        return [p.x]
-    if isinstance(p, EmbeddingPayload):
-        return [p.z]
-    return [p.mu, p.log_sigma]
-
-
-def write_record_frame(f, tag: int, label: int, task_id: int, round_id: int,
-                       arrays: list) -> None:
-    f.write(struct.pack("<B", tag))
-    f.write(struct.pack("<q", label))
-    f.write(struct.pack("<q", task_id))
-    f.write(struct.pack("<q", round_id))
-    for arr in arrays:
-        storage.write_array(f, arr)
-
-
-def save_buffer(path, buffer: RehearsalBuffer) -> None:
+def write_snapshot(path, capacity, rows) -> None:
     with open(path, "wb") as f:
-        f.write(storage.BUFFER_MAGIC)
-        f.write(struct.pack("<I", storage.FORMAT_VERSION))
-        f.write(struct.pack("<q", -1 if buffer.capacity is None else buffer.capacity))
-        f.write(struct.pack("<d", buffer.rho))
-        f.write(struct.pack("<I", len(buffer.records)))
-        for rec in buffer.records:
-            write_record_frame(f, payload_tag(rec), rec.label, rec.task_id,
-                               rec.round_id, frame_arrays(rec))
+        f.write(b"FVBF" + struct.pack("<Iqd", 1, -1 if capacity is None else capacity, 1.0))
+        f.write(struct.pack("<I", len(rows)))
+        for row in rows:
+            f.write(struct.pack("<Bqqq", FRAME_TAGS[tuple(row.columns)], row.label, row.task,
+                                row.round))
+            for arr in row.columns.values():
+                arr = np.asarray(arr, dtype="<f8")
+                f.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +563,11 @@ class ConstructorRngStream(RngStream):
 
 # ---------------------------------------------------------------------------
 # Enrollment schedules: the cell-by-cell grids that filver.scenarios'
-# join/leave arrays replaced, with the same keyed draws
+# join/leave arrays replaced, with the same keyed draws and cell states
 # ---------------------------------------------------------------------------
+
+NOT_ENROLLED_YET, ACTIVE, NO_LONGER_ACTIVE = 0, 1, 2
+
 
 def make_schedule(kind: str, n_clients: int, n_tasks: int, rng: RngStream) -> np.ndarray:
     """The (n_clients, n_tasks) enrollment grid of a legal kind and size."""

@@ -13,6 +13,7 @@ import pytest
 
 import filver.cli as cli
 import oracles
+import reference
 from filver import federation, models, storage
 from filver.config import (
     DATA_ROOT_ENV,
@@ -25,8 +26,7 @@ from filver.config import (
     preset_config,
 )
 from filver.errors import ConfigError
-from filver.models import GaussianStats
-from filver.rehearsal import EmbeddingPayload, RawPayload, load_buffer, save_buffer
+from filver.rehearsal import load_buffer, save_buffer
 
 # ---------------------------------------------------------------------------
 # parse_pairs and parse_config
@@ -377,36 +377,42 @@ def test_stop_after_round_below_one_is_refused(tmp_path, capsys, stop):
     assert not (tmp_path / "out" / "checkpoint").exists()
 
 
+def stopped_run(directory, stop=2, **pairs):
+    """(config, checkpoint dir, rounds.csv bytes) of the tiny run with
+    `pairs` added, in `directory`, stopped after round `stop`."""
+    directory.mkdir(exist_ok=True)
+    cfg = write_tiny_cfg(directory / "exp.cfg", directory / "out", **pairs)
+    assert cli.main(["run", str(cfg), "--stop-after-round", str(stop), "--quiet"]) == 0
+    return cfg, directory / "out" / "checkpoint", (directory / "out" / "rounds.csv").read_bytes()
+
+
+def refused_resume(capsys, cfg, ckpt, rows, *args) -> str:
+    """stderr of a resume of `cfg` from `ckpt`, which must exit 3 and leave
+    rounds.csv holding `rows`."""
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet", *args]) == 3
+    assert (ckpt.parent / "rounds.csv").read_bytes() == rows
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stop", ["2", "3"])
 def test_resume_refuses_a_stop_round_not_past_the_checkpoint(tmp_path, capsys, stop):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "3", "--quiet"]) == 0
-    ckpt = tmp_path / "out" / "checkpoint"
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    cfg, ckpt, rows = stopped_run(tmp_path, 3)
     saved = {p.name: p.read_bytes() for p in ckpt.iterdir()}
-    capsys.readouterr()
-    rc = cli.main(["run", str(cfg), "--resume", str(ckpt), "--stop-after-round", stop, "--quiet"])
-    assert rc == 3
-    assert f"stop_after_round {stop} is not past the checkpoint's round 3" in capsys.readouterr().err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+    err = refused_resume(capsys, cfg, ckpt, rows, "--stop-after-round", stop)
+    assert f"stop_after_round {stop} is not past the checkpoint's round 3" in err
     assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == saved
 
 
 def test_resume_refuses_a_naive_checkpoint_of_raw_samples(tmp_path, capsys):
     # naive buffers once held the raw samples themselves (payload tag 0);
     # they now hold embeddings, so such a snapshot is refused before any round
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out", **{"strategy.kind": "naive"})
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    ckpt = tmp_path / "out" / "checkpoint"
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    raw = [oracles.RehearsalRecord(RawPayload(np.full((4, 4), 0.5)), 1, 0, 0)]  # a 4x4 image
-    oracles.save_buffer(ckpt / "client_1.bin", oracles.RehearsalBuffer(None, 1.0, raw))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    cfg, ckpt, rows = stopped_run(tmp_path, **{"strategy.kind": "naive"})
+    raw = [reference.Row({"x": np.full((4, 4), 0.5)}, 1, 0, 0)]  # a 4x4 image
+    oracles.write_snapshot(ckpt / "client_1.bin", None, raw)
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(ckpt / "client_1.bin") in err and "holds raw samples" in err
     assert "Traceback" not in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_resume_after_the_last_checkpoint_keeps_only_checkpointed_rows(baseline_run, tmp_path):
@@ -423,74 +429,48 @@ def test_resume_after_the_last_checkpoint_keeps_only_checkpointed_rows(baseline_
 
 
 def test_resume_refuses_a_rounds_csv_shorter_than_the_checkpoint(tmp_path, capsys):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "3", "--quiet"]) == 0
-    rounds = tmp_path / "out" / "rounds.csv"
+    cfg, ckpt, _ = stopped_run(tmp_path, 3)
+    rounds = ckpt.parent / "rounds.csv"
     short = "".join(rounds.read_text().splitlines(keepends=True)[:3])  # header + 2 rows
     rounds.write_text(short)
-    capsys.readouterr()
-    rc = cli.main(["run", str(cfg), "--resume", str(tmp_path / "out" / "checkpoint"), "--quiet"])
-    assert rc == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, short.encode())
     assert "2 rows" in err and "round 3" in err
-    assert rounds.read_text() == short
 
 
 def test_resume_under_a_different_seed_is_a_contract_violation(tmp_path, capsys):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    ckpt = tmp_path / "out" / "checkpoint"
-    rc = cli.main(["run", str(cfg), "--seed", "6", "--resume", str(ckpt), "--quiet"])
-    assert rc == 3
-    assert "contract violation" in capsys.readouterr().err
+    cfg, ckpt, rows = stopped_run(tmp_path, 1)
+    assert "contract violation" in refused_resume(capsys, cfg, ckpt, rows, "--seed", "6")
 
 
 @pytest.mark.parametrize("key,override", [("strategy", {"strategy.kind": "ver_stats"}),
                                           ("n_clients", {"fl.n_clients": "3"})])
 def test_resume_under_a_different_strategy_or_client_count_is_refused(tmp_path, capsys,
                                                                        key, override):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    _, ckpt, rows = stopped_run(tmp_path, 1)
     changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **override)
-    ckpt = tmp_path / "out" / "checkpoint"
-    capsys.readouterr()
-    assert cli.main(["run", str(changed), "--resume", str(ckpt), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, changed, ckpt, rows)
     meta_key = {"strategy": "strategy.kind", "n_clients": "fl.n_clients"}[key]
     saved = json.loads((ckpt / "meta.json").read_text())[meta_key]
     assert meta_key in err and repr(saved) in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_resume_under_any_changed_fl_or_strategy_setting_is_refused(tmp_path, capsys):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    ckpt = tmp_path / "out" / "checkpoint"
+    _, ckpt, rows = stopped_run(tmp_path, 1)
     for key, value, message in [("strategy.rho", "0.9", "strategy.rho 0.25, this run has 0.9"),
                                 ("fl.s_max", "3", "fl.s_max 1, this run has 3")]:
         changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{key: value})
-        capsys.readouterr()
-        assert cli.main(["run", str(changed), "--resume", str(ckpt), "--quiet"]) == 3
-        assert message in capsys.readouterr().err
-        assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+        assert message in refused_resume(capsys, changed, ckpt, rows)
 
 
 def test_a_refused_resume_leaves_rounds_csv_untouched(tmp_path, capsys):
     cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
     # round 4 is written after the round-3 checkpoint, as before a crash
     assert cli.main(["run", str(cfg), "--checkpoint-every", "3", "--quiet"]) == 0
-    rounds = tmp_path / "out" / "rounds.csv"
-    before = rounds.read_bytes()
+    before = (tmp_path / "out" / "rounds.csv").read_bytes()
     assert len(before.splitlines()) == 1 + 4
     changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{"strategy.rho": "0.9"})
-    capsys.readouterr()
-    rc = cli.main(["run", str(changed), "--resume", str(tmp_path / "out" / "checkpoint"),
-                   "--quiet"])
-    assert rc == 3
-    assert "strategy.rho" in capsys.readouterr().err
-    assert rounds.read_bytes() == before
+    assert "strategy.rho" in refused_resume(capsys, changed, tmp_path / "out" / "checkpoint",
+                                            before)
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -501,16 +481,9 @@ def test_a_refused_resume_leaves_rounds_csv_untouched(tmp_path, capsys):
 ])
 def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, capsys, key,
                                                                       value, message):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
+    _, ckpt, rows = stopped_run(tmp_path, 1)
     changed = write_tiny_cfg(tmp_path / "changed.cfg", tmp_path / "out", **{key: value})
-    capsys.readouterr()
-    rc = cli.main(["run", str(changed), "--resume", str(tmp_path / "out" / "checkpoint"),
-                   "--quiet"])
-    assert rc == 3
-    assert message in capsys.readouterr().err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+    assert message in refused_resume(capsys, changed, ckpt, rows)
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -529,70 +502,46 @@ def test_resume_under_a_changed_scenario_or_model_setting_is_refused(tmp_path, c
      "has global_round 99, past this run's 4 rounds"),
 ], ids=["missing-key", "invalid-json", "bool-round", "format-99", "no-format", "round-99"])
 def test_resume_refuses_a_broken_meta_json(tmp_path, capsys, damage, message):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    meta_path = tmp_path / "out" / "checkpoint" / "meta.json"
+    cfg, ckpt, rows = stopped_run(tmp_path, 1)
+    meta_path = ckpt / "meta.json"
     meta_path.write_text(damage(json.loads(meta_path.read_text())))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(meta_path.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(meta_path) in err and message in err
 
 
 def test_resume_refuses_a_checkpoint_without_meta_json(tmp_path, capsys):
     # the CLI leaves the refusal to run_experiment's loader, and rounds.csv as it was
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    meta_path = tmp_path / "out" / "checkpoint" / "meta.json"
-    meta_path.unlink()
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(meta_path.parent), "--quiet"]) == 3
-    assert f"no checkpoint metadata at {meta_path}" in capsys.readouterr().err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+    cfg, ckpt, rows = stopped_run(tmp_path, 1)
+    (ckpt / "meta.json").unlink()
+    err = refused_resume(capsys, cfg, ckpt, rows)
+    assert f"no checkpoint metadata at {ckpt / 'meta.json'}" in err
 
 
 def test_resume_refuses_a_model_bin_of_another_encoder_kind(tmp_path, capsys):
     # noise pretrains a random_projection encoder with ebr's layout, so only
     # model.bin's header tells the two apart
-    noise = write_tiny_cfg(tmp_path / "noise.cfg", tmp_path / "noise",
-                           **{"strategy.kind": "noise"})
-    ebr = write_tiny_cfg(tmp_path / "ebr.cfg", tmp_path / "ebr", **{"strategy.kind": "ebr"})
-    for cfg in (noise, ebr):
-        assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    model = tmp_path / "ebr" / "checkpoint" / "model.bin"
-    model.write_bytes((tmp_path / "noise" / "checkpoint" / "model.bin").read_bytes())
-    capsys.readouterr()
-    assert cli.main(["run", str(ebr), "--resume", str(model.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
-    assert (f"model checkpoint {model} has encoder kind 'random_projection', "
+    _, noise, _ = stopped_run(tmp_path / "noise", 1, **{"strategy.kind": "noise"})
+    cfg, ckpt, rows = stopped_run(tmp_path, 1, **{"strategy.kind": "ebr"})
+    (ckpt / "model.bin").write_bytes((noise / "model.bin").read_bytes())
+    err = refused_resume(capsys, cfg, ckpt, rows)
+    assert (f"model checkpoint {ckpt / 'model.bin'} has encoder kind 'random_projection', "
             f"this run's model has 'ebr'") in err
 
 
 def test_resume_refuses_a_buffer_snapshot_with_mixed_payload_tags(tmp_path, capsys):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "1", "--quiet"]) == 0
-    ckpt = tmp_path / "out" / "checkpoint"
-    mixed = [oracles.RehearsalRecord(EmbeddingPayload(np.zeros(4)), 0, 0, 0),
-             oracles.RehearsalRecord(GaussianStats(np.zeros(4), np.zeros(4)), 1, 0, 0)]
-    oracles.save_buffer(ckpt / "server_buffer.bin", oracles.RehearsalBuffer(None, 1.0, mixed))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    cfg, ckpt, rows = stopped_run(tmp_path, 1)
+    mixed = [reference.Row({"z": np.zeros(4)}, 0, 0, 0),
+             reference.Row({"mu": np.zeros(4), "log_sigma": np.zeros(4)}, 1, 0, 0)]
+    oracles.write_snapshot(ckpt / "server_buffer.bin", None, mixed)
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert "mixes payload tags 1 (EmbeddingPayload), 2 (GaussianStats)" in err
 
 
 @pytest.mark.parametrize("name", ["client_1.bin", "server_buffer.bin", "model.bin"])
 def test_resume_refuses_a_missing_checkpoint_file(tmp_path, capsys, name):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    ckpt = tmp_path / "out" / "checkpoint"
+    cfg, ckpt, rows = stopped_run(tmp_path)
     (ckpt / name).unlink()
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
-    assert str(ckpt / name) in capsys.readouterr().err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+    assert str(ckpt / name) in refused_resume(capsys, cfg, ckpt, rows)
 
 
 @pytest.mark.parametrize("name,message", [
@@ -603,17 +552,15 @@ def test_resume_refuses_a_missing_checkpoint_file(tmp_path, capsys, name):
 def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, name, message):
     # appended bytes once loaded silently: the reader stopped at the last
     # segment, or at the header's count of records
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    ckpt = tmp_path / "out" / "checkpoint"
+    cfg, ckpt, rows = stopped_run(tmp_path)
     with open(ckpt / name, "ab") as f:
         f.write(b"\x00\x01\x02\x03")
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(ckpt / name) in err and message in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
+
+
+def _with_u32(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + struct.pack("<I", value) + data[offset + 4:]
 
 
 @pytest.mark.parametrize("name,damage,message", [
@@ -630,21 +577,23 @@ def test_resume_refuses_a_checkpoint_file_with_trailing_bytes(tmp_path, capsys, 
     # ParamVector refuses a repeated name; the loader adds the path
     ("model.bin", lambda data: data.replace(b"enc.fc2.w", b"enc.fc1.w", 1),
      "duplicate parameter names"),
+    # a length past the end of the file: the first dim of enc.fc1.w, and the
+    # first frame's column dim, once asked for 34 GB and ended in MemoryError
+    ("model.bin", lambda data: _with_u32(data, data.index(b"enc.fc1.w") + 13, 0xFFFFFFFF),
+     "expected array payload"),
+    ("server_buffer.bin", lambda data: _with_u32(data, struct.calcsize("<4sIqdI") + 29,
+                                                 0xFFFFFFFF), "expected array payload"),
 ], ids=["model-cut", "snapshot-cut-in-first-frame", "model-magic", "snapshot-magic",
-        "model-no-segments", "model-name-not-utf8", "model-name-repeated"])
+        "model-no-segments", "model-name-not-utf8", "model-name-repeated",
+        "model-length-past-end", "snapshot-length-past-end"])
 def test_resume_refusals_of_a_cut_or_foreign_checkpoint_file_name_it(tmp_path, capsys, name,
                                                                       damage, message):
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    path = tmp_path / "out" / "checkpoint" / name
+    cfg, ckpt, rows = stopped_run(tmp_path)
+    path = ckpt / name
     path.write_bytes(damage(path.read_bytes()))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(path) in err and message in err
     assert "Traceback" not in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def _overfill(buffer):
@@ -669,99 +618,80 @@ def _overfill(buffer):
      "holds a non-finite value in column 'z'"),
     ("client_1.bin", lambda b: np.put(b.columns["z"], 0, -np.inf),
      "holds a non-finite value in column 'z'"),
-    ("model.bin", lambda params: np.put(params.get("cls.cls1.w"), 4, np.nan),
+    ("model.bin", lambda params, header: np.put(params.get("cls.cls1.w"), 4, np.nan),
      "holds a non-finite value in parameter 'cls.cls1.w'"),
-    ("model.bin", lambda params: np.put(params.get("enc.fc1.b"), 0, np.inf),
+    ("model.bin", lambda params, header: np.put(params.get("enc.fc1.b"), 0, np.inf),
      "holds a non-finite value in parameter 'enc.fc1.b'"),
+    # the header's sizes were read and never checked
+    ("model.bin", lambda params, header: header.update(embed_dim=99),
+     "has embed dim 99, this run's model has 6"),
+    ("model.bin", lambda params, header: header.update(classes=77),
+     "has classes 77, this run's model has 2"),
 ], ids=["snapshot-over-capacity", "snapshot-label-99", "snapshot-label-negative",
         "snapshot-task-99", "snapshot-task-of-another-round", "snapshot-round-not-yet-run",
-        "snapshot-nan", "snapshot-inf", "model-nan", "model-inf"])
+        "snapshot-nan", "snapshot-inf", "model-nan", "model-inf", "model-embed-dim-99",
+        "model-classes-77"])
 def test_resume_refusals_of_checkpoint_contents_name_the_file(tmp_path, capsys, name, damage,
                                                               message):
     # each file is well formed, but holds what no run writes: these once
     # resumed with exit 0 and other rows, or failed only in training, naming
     # no file
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    path = tmp_path / "out" / "checkpoint" / name
+    cfg, ckpt, rows = stopped_run(tmp_path)
+    path = ckpt / name
     if name == "model.bin":
         params, header = storage.load_model_checkpoint(path)
-        damage(params)
+        damage(params, header)
         storage.save_model_checkpoint(path, params, header["encoder_kind"], header["embed_dim"],
                                       header["classes"])
     else:
         buffer = load_buffer(path)
         damage(buffer)
         save_buffer(path, buffer)
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(path) in err and message in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 @pytest.mark.parametrize("name", ["server_buffer.bin", "client_1.bin"])
 @pytest.mark.parametrize("capacity", [5, 10**6])
 def test_resume_refuses_a_buffer_snapshot_of_another_capacity(tmp_path, capsys, name, capacity):
     # the header's capacity (bytes 8-16) once replaced the capacity this run prices
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    path = tmp_path / "out" / "checkpoint" / name
+    cfg, ckpt, rows = stopped_run(tmp_path)
+    path = ckpt / name
     data = bytearray(path.read_bytes())
     assert struct.unpack_from("<q", data, 8)[0] not in (5, 10**6)
     struct.pack_into("<q", data, 8, capacity)
     path.write_bytes(bytes(data))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(path) in err and f"has capacity {capacity}" in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_resume_refuses_a_model_bin_of_another_layout(tmp_path, capsys):
     # model.bin was read by name alone, so a 10-wide classifier resumed a
     # 12-wide run and trained on
-    other = write_tiny_cfg(tmp_path / "other.cfg", tmp_path / "other",
-                           **{"model.classifier_hidden": 10})
-    assert cli.main(["run", str(other), "--stop-after-round", "2", "--quiet"]) == 0
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    path = tmp_path / "out" / "checkpoint" / "model.bin"
-    path.write_bytes((tmp_path / "other" / "checkpoint" / "model.bin").read_bytes())
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(path.parent), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    _, other, _ = stopped_run(tmp_path / "other", **{"model.classifier_hidden": 10})
+    cfg, ckpt, rows = stopped_run(tmp_path)
+    path = ckpt / "model.bin"
+    path.write_bytes((other / "model.bin").read_bytes())
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(path) in err
     assert ("has parameter ('cls.cls1.w', (6, 10)), this run's model has "
             "('cls.cls1.w', (6, 12))") in err
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_resume_refuses_snapshots_of_another_strategys_columns(tmp_path, capsys, monkeypatch):
     # replay reads a batch's own columns, so resume checks them where they
     # enter; they were once refused only at the first replay, naming no file
-    stats = write_tiny_cfg(tmp_path / "stats.cfg", tmp_path / "stats",
-                           **{"strategy.kind": "ver_stats"})
-    assert cli.main(["run", str(stats), "--stop-after-round", "2", "--quiet"]) == 0
-    cfg = write_tiny_cfg(tmp_path / "exp.cfg", tmp_path / "out")  # ver_sampled
-    assert cli.main(["run", str(cfg), "--stop-after-round", "2", "--quiet"]) == 0
-    rows = (tmp_path / "out" / "rounds.csv").read_bytes()
-    ckpt = tmp_path / "out" / "checkpoint"
+    _, stats, _ = stopped_run(tmp_path / "stats", **{"strategy.kind": "ver_stats"})
+    cfg, ckpt, rows = stopped_run(tmp_path)  # ver_sampled
     for name in ("server_buffer.bin", "client_0.bin", "client_1.bin"):
-        (ckpt / name).write_bytes((tmp_path / "stats" / "checkpoint" / name).read_bytes())
+        (ckpt / name).write_bytes((stats / name).read_bytes())
     embedded = []
     monkeypatch.setattr(federation, "_embed_shards", lambda *args: embedded.append(args))
-    capsys.readouterr()
-    assert cli.main(["run", str(cfg), "--resume", str(ckpt), "--quiet"]) == 3
-    err = capsys.readouterr().err
+    err = refused_resume(capsys, cfg, ckpt, rows)
     assert str(ckpt / "server_buffer.bin") in err
     assert ("holds columns ('mu', 'log_sigma'), strategy 'ver_sampled' buffers hold ('z',)"
             in err)
     assert embedded == []  # refused before the embed stage, so before any round
-    assert (tmp_path / "out" / "rounds.csv").read_bytes() == rows
 
 
 def test_checkpoint_every_writes_checkpoints(tmp_path):

@@ -1,9 +1,8 @@
 """Federated loop: aggregation, local training, SST, full runs, checkpoints.
 
-The heaviest check here is a mirror oracle: a from-scratch reimplementation
-of the vanilla federated path (no rehearsal, no server training) using only
-the documented stream keying.  Its reports must match run_experiment bit for
-bit across every round.
+The whole-run check is in test_reference.py: every strategy and schedule,
+interrupted and resumed, against a reference simulator, bit for bit.  This
+file checks the loop's parts and the contracts between them.
 """
 
 import dataclasses
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import filver.federation as federation
 from filver import models, scenarios
-from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs, partition_clients
+from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs
 from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
@@ -39,11 +38,12 @@ from filver.models import (
     classifier_loss_and_grad,
     encode_for_eval,
 )
-from filver.numcore import ParamVector, sgd_step
+from filver.numcore import ParamVector
 from filver.rehearsal import (
     EmbeddingPayload,
     RawPayload,
     RehearsalBuffer,
+    StrategyConfig,
     Upload,
     admit,
     buffer_capacity,
@@ -80,17 +80,12 @@ def tiny_specs(kind):
     return enc, cls
 
 
-BETA = 1e-3
-
-
 def tiny_model(kind, pretrain_epochs=2):
-    return ModelConfig(*tiny_specs(kind), beta=BETA, pretrain_epochs=pretrain_epochs,
+    return ModelConfig(*tiny_specs(kind), beta=1e-3, pretrain_epochs=pretrain_epochs,
                        pretrain_lr=0.05)
 
 
 def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, **kwargs):
-    from filver.rehearsal import StrategyConfig
-
     tasks = tiny_tasks()
     fl = fl or tiny_fl()
     strategy = StrategyConfig(kind=strategy_kind, rho=rho)
@@ -180,86 +175,6 @@ def test_fedavg_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Vanilla mirror oracle: keying contract end to end
-# ---------------------------------------------------------------------------
-
-
-def mirror_vanilla_run(tasks, fl, seed, enc_spec, cls_spec):
-    """Reference federated run for strategy none, s_max ignored (empty server
-    buffer), fully enrolled clients.  Follows only the documented keying."""
-    master = RngStream(seed)
-    encoder = EncoderModel(enc_spec)
-    classifier = ClassifierModel(cls_spec, enc_spec.embed_dim)
-
-    partition = partition_clients(tasks, fl.n_clients, master.child("partition"))
-    shards = {(c, t): partition.shard(c, t)
-              for c in range(fl.n_clients) for t in range(tasks.n_tasks)}
-
-    images = np.concatenate([shards[(c, 0)].images for c in range(fl.n_clients)])
-    labels = np.concatenate([shards[(c, 0)].labels for c in range(fl.n_clients)])
-    enc_params = models.pretrain_encoder(images, labels, tasks.class_count, encoder,
-                                         2, 0.05, master.child("pretrain"),
-                                         batch_size=fl.batch_size, beta=BETA)
-    params = classifier.init_params(master.child("classifier_init"))
-
-    embeds = {key: encode_for_eval(encoder, enc_params, s.images)[0]
-              for key, s in shards.items()}
-    val = [(encode_for_eval(encoder, enc_params, t.val.images)[0], np.asarray(t.val.labels))
-           for t in tasks.tasks]
-
-    reports = []
-    for t in range(tasks.n_tasks):
-        for r in range(fl.rounds_per_task):
-            pick = master.child("client_sample", t, r).choice(
-                fl.n_clients, fl.clients_per_round, replace=False)
-            chosen = sorted(int(c) for c in pick)
-            results = []
-            for cid in chosen:
-                L = master.child("local", cid, t, r)
-                z_all, y_all = embeds[(cid, t)], shards[(cid, t)].labels
-                n = len(y_all)
-                local = params
-                losses = []
-                for i in range(fl.local_iters):
-                    idx = L.child("fresh", i).choice(n, fl.batch_size,
-                                                     replace=fl.batch_size > n)
-                    loss, grad = classifier_loss_and_grad(classifier, local,
-                                                          z_all[idx], y_all[idx])
-                    local = sgd_step(local, grad, fl.eta)
-                    losses.append(loss)
-                results.append((local, n, float(np.mean(losses))))
-            acc = np.zeros(params.flat.size)
-            total = 0.0
-            for local, n, _ in results:
-                acc += float(n) * local.flat
-                total += float(n)
-            params = ParamVector(params.layout, acc / total)
-            accuracies = tuple(classifier_accuracy(classifier, params, z, y) for z, y in val)
-            reports.append((t, r, accuracies, float(np.mean([m for _, _, m in results])),
-                            tuple(chosen)))
-    return reports, params
-
-
-def test_vanilla_run_matches_mirror_oracle():
-    tasks = tiny_tasks()
-    fl = tiny_fl(s_max=1)  # strategy none never populates the server buffer
-    enc_spec, cls_spec = tiny_specs("none")
-    seed = 42
-
-    got_reports, state = tiny_run("none", fl=fl, seed=seed)
-    want_reports, want_params = mirror_vanilla_run(tasks, fl, seed, enc_spec, cls_spec)
-
-    assert len(got_reports) == len(want_reports) == fl.rounds_per_task * tasks.n_tasks
-    for got, (t, r, accuracies, mean_loss, chosen) in zip(got_reports, want_reports):
-        assert got.task_id == t
-        assert got.participants == chosen
-        assert got.accuracies == accuracies
-        assert got.mean_loss == mean_loss
-    assert buffer_sizes(state) == (0, (0,) * fl.n_clients)
-    assert np.array_equal(state.classifier_params.flat, want_params.flat)
-
-
-# ---------------------------------------------------------------------------
 # Local training
 # ---------------------------------------------------------------------------
 
@@ -273,8 +188,6 @@ def make_shard(rng, n=20):
 def local_setup(kind, seed=5):
     """A one-client set-up: its shard of task 0 embedded as the embed stage
     does it, a classifier, its rehearsal buffer and a stream."""
-    from filver.rehearsal import StrategyConfig
-
     rng = RngStream(seed)
     enc_spec, cls_spec = tiny_specs(kind)
     encoder = EncoderModel(enc_spec)
@@ -292,8 +205,6 @@ def test_local_train_requires_data_for_task(monkeypatch):
     # 40 clients share a task's 36 training samples, so some get an empty
     # shard, which the embed stage does not embed; run_round refuses such a
     # client once chosen, before any chosen client trains
-    from filver.rehearsal import StrategyConfig
-
     trained = []
     real_local_train = federation.local_train
 
@@ -381,39 +292,6 @@ def test_local_train_ver_stats_uploads_stats_payloads():
     assert all(isinstance(up.payload, GaussianStats) for up in res.upload)
 
 
-def upload_bytes(upload) -> list:
-    return [(type(up.payload).__name__, up.labels.tobytes(), up.task_id, up.round_id,
-             [a.tobytes() for a in vars(up.payload).values()]) for up in upload]
-
-
-@pytest.mark.parametrize("kind", ["naive", "ebr", "ver_stats", "ver_sampled"])
-def test_local_train_results_do_not_depend_on_client_order(kind):
-    # mid-task, with filled buffers: every client trains on its own keyed
-    # stream, first in id order and then in reverse
-    from filver.rehearsal import StrategyConfig
-
-    _, state = run_experiment(tiny_tasks(), "fully_enrolled", tiny_fl(clients_per_round=4),
-                              StrategyConfig(kind=kind, rho=0.25), tiny_model(kind),
-                              master_seed=29, stop_after_round=4)
-    task_id, round_in_task = divmod(state.global_round, state.fl.rounds_per_task)
-    ids = sorted(state.shard_embeddings)
-    assert len(ids) == 4 and all(len(state.client_buffers[cid]) for cid in ids)
-
-    def train(cid):
-        return local_train(state.client_buffers[cid], state.classifier_params,
-                           state.shard_embeddings[cid], state.classifier, task_id,
-                           state.global_round, state.fl, state.strategy,
-                           state.master.child("local", cid, task_id, round_in_task))
-
-    forward = {cid: train(cid) for cid in ids}
-    backward = {cid: train(cid) for cid in reversed(ids)}
-    for cid in ids:
-        a, b = forward[cid], backward[cid]
-        assert np.array_equal(a.params.flat, b.params.flat)
-        assert (a.mean_loss, a.n_samples) == (b.mean_loss, b.n_samples)
-        assert a.upload and upload_bytes(a.upload) == upload_bytes(b.upload)
-
-
 def test_local_train_is_deterministic_in_the_stream():
     results = []
     for _ in range(2):
@@ -489,8 +367,6 @@ def test_sst_is_deterministic_per_stream():
 
 
 def test_buffer_capacity_per_strategy():
-    from filver.rehearsal import StrategyConfig
-
     raw_bytes = D_IN * 8
     per_task, n_tasks = 40, 3
     naive_count = math.ceil(0.25 * per_task) * n_tasks
@@ -570,27 +446,6 @@ def test_frozen_encoder_is_verified_every_round():
         federation.run_round(state, 0, 1)
 
 
-def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
-    full_reports, full_state = tiny_run("ebr", seed=21)
-
-    ckpt = tmp_path / "ckpt"
-    part1, _ = tiny_run("ebr", seed=21, checkpoint_dir=str(ckpt), stop_after_round=3)
-    assert len(part1) == 3
-    part2, resumed_state = tiny_run("ebr", seed=21, resume_from=str(ckpt))
-
-    assert report_tuples(part1 + part2) == report_tuples(full_reports)
-    assert buffer_sizes(resumed_state) == buffer_sizes(full_state)
-    assert np.array_equal(resumed_state.classifier_params.flat,
-                          full_state.classifier_params.flat)
-    # buffers carried through the checkpoint identically
-    assert len(resumed_state.server_buffer) == len(full_state.server_buffer)
-    resumed, full = resumed_state.server_buffer, full_state.server_buffer
-    assert list(resumed.columns) == list(full.columns) == ["z"]
-    assert np.array_equal(resumed.columns["z"], full.columns["z"])
-    for name in ("labels", "tasks", "rounds"):
-        assert np.array_equal(getattr(resumed, name), getattr(full, name))
-
-
 @pytest.mark.parametrize("every,stop,saves", [(2, 4, [2, 4]), (2, 3, [2, 3])])
 def test_each_checkpoint_round_is_saved_once(tmp_path, monkeypatch, every, stop, saves):
     # a stop on a checkpoint round once saved that round twice
@@ -625,8 +480,6 @@ def test_an_encoder_the_strategy_does_not_use_is_refused_before_pretraining(
         monkeypatch, strategy_kind, encoder_kind):
     # a ver strategy without stats heads once failed only after pretraining,
     # and a vee encoder under noise or ebr ran every round
-    from filver.rehearsal import StrategyConfig
-
     pretrained = []
     monkeypatch.setattr(models, "pretrain_encoder", lambda *args, **kw: pretrained.append(args))
     model = tiny_model(strategy_kind)
@@ -664,8 +517,6 @@ def test_resume_refuses_a_checkpoint_round_past_the_run(tmp_path):
 
 
 def test_resume_under_a_different_schedule_object_is_refused(tmp_path):
-    from filver.rehearsal import StrategyConfig
-
     tasks, fl = tiny_tasks(), tiny_fl()
     ckpt = tmp_path / "ckpt"
 
@@ -683,8 +534,6 @@ def test_resume_under_a_different_schedule_object_is_refused(tmp_path):
 
 
 def test_scattered_schedule_skips_rounds_without_active_clients():
-    from filver.rehearsal import StrategyConfig
-
     tasks = tiny_tasks()
     fl = tiny_fl(n_clients=4, clients_per_round=2)
     # hand-built schedule: task 1 served only by client 3
@@ -704,8 +553,6 @@ def test_scattered_schedule_skips_rounds_without_active_clients():
 
 
 def test_schedule_shape_must_match_config():
-    from filver.rehearsal import StrategyConfig
-
     tasks = tiny_tasks()
     schedule = scenarios.make_schedule("fully_enrolled", 3, 2, RngStream(0))
     with pytest.raises(ContractViolation):
@@ -793,8 +640,6 @@ def test_run_round_stacks_each_upload_once_for_both_buffers(monkeypatch, kind):
 
 
 def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch):
-    from filver.rehearsal import StrategyConfig
-
     # task 0 served by clients 0-2, task 1 by clients 1-3
     schedule = scenarios.EnrollmentSchedule(np.array([[1, 2], [1, 1], [1, 1], [0, 1]],
                                                      dtype=np.int8))
@@ -838,20 +683,6 @@ def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch
     assert naive_uploads == len(uploads) == fl.rounds_per_task * tasks.n_tasks * 2
     assert len(calls) == tasks.n_tasks + active_shards + naive_uploads
     assert not any(calls)  # none under draw_batch or server_side_training
-
-
-def test_naive_resume_mid_task_matches_uninterrupted_run(tmp_path):
-    # the resumed run embeds the current task's shards again; its buffers
-    # come back from the checkpoint as embeddings
-    full, full_state = tiny_run("naive", seed=21)
-    ckpt = tmp_path / "ckpt"
-    part1, _ = tiny_run("naive", seed=21, checkpoint_dir=str(ckpt), stop_after_round=2)
-    part2, resumed_state = tiny_run("naive", seed=21, resume_from=str(ckpt))
-    assert report_tuples(part1 + part2) == report_tuples(full)
-    assert buffer_sizes(resumed_state) == buffer_sizes(full_state)
-    assert list(resumed_state.server_buffer.columns) == ["z"]
-    assert np.array_equal(resumed_state.server_buffer.columns["z"],
-                          full_state.server_buffer.columns["z"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Rehearsal buffers: uploads, admission, eviction, batch draws, budgets,
-snapshots, and agreement with the list-of-records reference model and with
-the two-step replay that draw_batch replaced.
+snapshots, and agreement with the reference simulator's list buffer and row
+draw (`reference.py`) and with the per-row snapshot writer (`oracles.py`).
 
 An upload is columnar, so every admission here takes an upload's rows, as
-run_round does; the reference model takes the same rows as records."""
+run_round does; the reference takes the same rows as records."""
 
 import os
 import re
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import reference
 from filver import storage
 from filver.errors import ContractViolation
 from filver.federation import _build_upload
@@ -92,10 +93,18 @@ def pairs(z, y):
     return [(tuple(row), int(label)) for row, label in zip(z, y)]
 
 
+def rows_of(upload) -> list:
+    """An upload's rows as the reference's records, in order."""
+    arrays = vars(upload.payload)
+    return [reference.Row({name: a[i] for name, a in arrays.items()}, int(label),
+                          upload.task_id, upload.round_id)
+            for i, label in enumerate(upload.labels)]
+
+
 def record_rows(records):
-    """The same tuples for a list of records (the reference model's rows)."""
-    return [(tuple(np.concatenate([a.ravel() for a in oracles.frame_arrays(r)])),
-             r.label, r.task_id, r.round_id) for r in records]
+    """The same tuples for a list of records (the reference's rows)."""
+    return [(tuple(np.concatenate([a.ravel() for a in r.columns.values()])),
+             r.label, r.task, r.round) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,7 @@ def test_admit_rho_one_takes_everything_in_order():
     cands = embed_upload(rng.child("cands"), 20)
     buf = RehearsalBuffer(capacity=None)
     admit(buf, cands.rows(), rng.child("admit"))
-    assert rows(buf) == record_rows(oracles.records_of(cands))
+    assert rows(buf) == record_rows(rows_of(cands))
     assert np.array_equal(buf.columns["z"], cands.payload.z)
 
 
@@ -524,17 +533,14 @@ def test_draw_batch_refuses_rows_from_an_empty_buffer():
 
 
 def reference_draw(columns, labels, k, idx_rng, eps_rng):
-    """The batch the replaced samplers made from draw_batch's arguments: an
-    embed-stage entry through the fresh sampler, buffer columns through
-    replay and then materialize, where 0 rows made no batch at all."""
+    """The reference's row draw on draw_batch's arguments: an embed-stage
+    entry's rows hold its mu as a stored z, or its (mu, log_sigma)."""
     if "labels" in columns:
-        return oracles.fresh_batch(columns, k, idx_rng, eps_rng)
-    ids = np.zeros(len(labels), dtype=np.int64)
-    batch = oracles.replay_rows(RehearsalBuffer(None, columns, labels, ids, ids), k, idx_rng)
-    if not len(batch):
-        first = next(iter(columns.values()))
-        return first[:0], labels[:0]
-    return oracles.materialize_batch(batch, rng=eps_rng)
+        columns = ({"z": columns["mu"]} if columns["log_sigma"] is None else
+                   {"mu": columns["mu"], "log_sigma": columns["log_sigma"]})
+    rows = [reference.Row({name: col[i] for name, col in columns.items()}, int(label), 0, 0)
+            for i, label in enumerate(labels)]
+    return reference.draw_rows(rows, k, idx_rng, eps_rng)
 
 
 @pytest.mark.parametrize("reach", ["zero", "within", "beyond"])
@@ -562,10 +568,12 @@ def test_draw_batch_equals_the_two_step_reference(reach, source, n, dim, data, s
                "entry-stats": {"images": mu, "labels": labels, "mu": mu,
                                "log_sigma": log_sigma}}[source]
     got = draw_batch(columns, labels, k, rng.child("idx"), rng.child("eps"))
-    want = reference_draw(columns, labels, k, rng.child("idx"), rng.child("eps"))
     assert got[0].shape == (k, dim) and got[1].shape == (k,)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[0].dtype == np.float64 and got[1].dtype == np.int64
+    if k:  # the reference draws no batch of 0 rows
+        want = reference_draw(columns, labels, k, rng.child("idx"), rng.child("eps"))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -640,21 +648,21 @@ def test_buffer_snapshot_roundtrip(tmp_path, capacity):
 def test_save_buffer_bytes_equal_the_per_record_frame_writer(tmp_path, kind, capacity, n):
     # 1100 rows span three chunks of the bulk writer
     uploads = snapshot_uploads(kind, n)
-    records = [record for upload in uploads for record in oracles.records_of(upload)]
-    columnar, reference = tmp_path / "columnar.bin", tmp_path / "reference.bin"
+    records = [record for upload in uploads for record in rows_of(upload)]
+    columnar, per_row = tmp_path / "columnar.bin", tmp_path / "per_row.bin"
     save_buffer(columnar, buffer_of(uploads, capacity=capacity))
-    oracles.save_buffer(reference, oracles.RehearsalBuffer(capacity, 1.0, records))
-    assert columnar.read_bytes() == reference.read_bytes()
+    oracles.write_snapshot(per_row, capacity, records)
+    assert columnar.read_bytes() == per_row.read_bytes()
     loaded = load_buffer(columnar)
     assert len(loaded) == n and loaded.capacity == capacity
 
 
 def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
     rng = RngStream(41)
-    mixed = (oracles.records_of(stats_upload(rng.child("a"), 1, 0, 1))
-             + oracles.records_of(embed_upload(rng.child("b"), 1, 2, 1)))
+    mixed = (rows_of(stats_upload(rng.child("a"), 1, 0, 1))
+             + rows_of(embed_upload(rng.child("b"), 1, 2, 1)))
     path = tmp_path / "mixed.bin"
-    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, mixed))
+    oracles.write_snapshot(path, None, mixed)
     with pytest.raises(ContractViolation, match=r"mixes payload tags 1 \(EmbeddingPayload\), "
                                                 r"2 \(GaussianStats\)"):
         load_buffer(path)
@@ -664,11 +672,11 @@ def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
 def test_buffer_snapshot_of_raw_samples_is_refused(tmp_path, first):
     # a naive snapshot written before naive uploads were embedded at admission
     rng = RngStream(41)
-    raw = oracles.RehearsalRecord(RawPayload(rng.normal((2, 3))), 0, 0, 1)
-    (embedded,) = oracles.records_of(embed_upload(rng, 1))
+    raw = reference.Row({"x": rng.normal((2, 3))}, 0, 0, 1)
+    (embedded,) = rows_of(embed_upload(rng, 1))
     records = [raw, embedded] if first == "raw" else [embedded, raw]
     path = tmp_path / "naive.bin"
-    oracles.save_buffer(path, oracles.RehearsalBuffer(None, 1.0, records))
+    oracles.write_snapshot(path, None, records)
     with pytest.raises(ContractViolation, match=re.escape(f"buffer snapshot {path} holds raw samples")):
         load_buffer(path)
 
@@ -822,7 +830,7 @@ def test_snapshot_cut_or_run_on_past_its_frames_is_refused(kind, dim, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Agreement with the list-of-records reference model
+# Agreement with the reference's list buffer and row draw
 # ---------------------------------------------------------------------------
 
 
@@ -836,29 +844,25 @@ def test_snapshot_cut_or_run_on_past_its_frames_is_refused(kind, dim, n, seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_columnar_buffer_matches_the_list_reference(kind, steps, capacity, seed):
-    # the reference admits ceil(rho * n) candidates; at rho 1 it keeps them all, as admit does
     rng = RngStream(seed)
     make = PAYLOAD_MAKERS[kind]
     buf = RehearsalBuffer(capacity=capacity)
-    ref = oracles.RehearsalBuffer(capacity=capacity, rho=1.0)
+    ref = reference.ListBuffer(capacity)
     for step, (task_id, round_id, n, batch_size) in enumerate(steps):
         upload = make(rng.child("rec", step), n, task_id, round_id)
         admit(buf, upload.rows(), rng.child("admit", step))
-        oracles.admit(ref, oracles.records_of(upload), rng.child("admit", step))
-        assert rows(buf) == record_rows(ref.records)
-        assert task_counts(buf) == ref.task_counts()
-        if len(buf):  # the program replays only from a buffer that holds rows
+        reference.admit(ref, rows_of(upload), rng.child("admit", step))
+        assert rows(buf) == record_rows(ref.rows)
+        if len(buf) and batch_size:  # the program replays only from a buffer that holds rows
             got = draw_batch(buf.columns, buf.labels, batch_size, rng.child("replay", step),
                              rng.child("replay_eps", step))
-            want = oracles.replay_batch(ref, batch_size, rng.child("replay", step))
-            if want:  # the reference materialized no 0-row batch
-                want = pairs(*oracles.materialize_batch(oracles.stack_records(want),
-                                                        rng=rng.child("replay_eps", step)))
-            assert pairs(*got) == want
-    # the snapshot of the final state is the reference's byte for byte
+            want = reference.draw_rows(ref.rows, batch_size, rng.child("replay", step),
+                                       rng.child("replay_eps", step))
+            assert pairs(*got) == pairs(*want)
+    # the snapshot of the final state is the per-row writer's byte for byte
     with tempfile.TemporaryDirectory() as tmp:
-        saved, expected = os.path.join(tmp, "columnar.bin"), os.path.join(tmp, "reference.bin")
+        saved, expected = os.path.join(tmp, "columnar.bin"), os.path.join(tmp, "per_row.bin")
         save_buffer(saved, buf)
-        oracles.save_buffer(expected, ref)
+        oracles.write_snapshot(expected, capacity, ref.rows)
         with open(saved, "rb") as a, open(expected, "rb") as b:
             assert a.read() == b.read()
