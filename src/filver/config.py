@@ -8,8 +8,11 @@ reference experimental setup are flagged in the run manifest.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,6 +426,24 @@ def _version_string() -> str:
         return "unknown"
 
 
+def openblas_libraries() -> list:
+    """Paths of the scipy-openblas libraries bundled in numpy's wheel."""
+    return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+
+
+def blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS chose at load time, or
+    "unknown" where numpy bundles no single such library."""
+    libs = openblas_libraries()
+    if len(libs) != 1:
+        return "unknown"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii")
+
+
 def build_manifest(cfg: ExperimentConfig, started_at: str, duration_s: float) -> dict:
     non_ref = sorted(k for k in cfg.defaulted if not KEY_TABLE[k].reference_default)
     serializable = {}
@@ -437,4 +458,8 @@ def build_manifest(cfg: ExperimentConfig, started_at: str, duration_s: float) ->
         "started_at": started_at,
         "duration_s": duration_s,
         "module_checksums": _module_checksums(),
+        "numpy": np.__version__,
+        "blas_core": blas_core(),
+        # this process's peak resident set so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

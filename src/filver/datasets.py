@@ -4,8 +4,8 @@ Covers the IDX binary format used by the MNIST family, synthetic Gaussian
 stand-ins, and the two task protocols: pixel-permuted tasks (one permutation
 per task, applied identically to train and val) and class-split tasks (each
 task owns a disjoint band of original classes, relabeled to a fixed 0..K-1
-head).  Client partitions deal samples per label round-robin so every client
-holds a balanced shard.
+head).  Client partitions deal each task's rows per label round-robin so
+every client holds a balanced shard, as row indices into the task.
 """
 
 from __future__ import annotations
@@ -75,14 +75,21 @@ class TaskSequence:
 
 
 class ClientPartition:
-    """Per-(client, task) training shards; shards of one task tile its train set."""
+    """Per-(client, task) shards as int64 row indices into the task's train
+    set, the one copy of its images; the shards of one task tile it."""
 
-    def __init__(self, n_clients: int, shards: dict):
+    def __init__(self, seq: TaskSequence, n_clients: int, rows: dict):
         self.n_clients = n_clients
-        self._shards = shards
+        self._seq = seq
+        self._rows = rows
+
+    def rows(self, client_id: int, task_id: int) -> np.ndarray:
+        """The shard's rows of its task's train set, in dealing order."""
+        return self._rows[(client_id, task_id)]
 
     def shard(self, client_id: int, task_id: int) -> LabeledSet:
-        return self._shards[(client_id, task_id)]
+        """The shard's samples, gathered into new arrays."""
+        return self._seq.tasks[task_id].train.subset(self.rows(client_id, task_id))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +243,20 @@ def build_split_tasks(base: LabeledSet, n_tasks: int = 4, classes_per_task: int 
 
 
 def partition_clients(seq: TaskSequence, n_clients: int, rng: RngStream) -> ClientPartition:
-    """Deal each task's samples per label round-robin across clients (+-1)."""
+    """Deal each task's rows per label round-robin across clients (+-1), as
+    row indices: no image is copied."""
     if n_clients < 1:
         raise ContractViolation("n_clients must be >= 1")
-    shards = {}
+    rows = {}
     for task in seq.tasks:
-        per_client_idx = [[] for _ in range(n_clients)]
+        dealt = []  # per label, its rows in dealing order: position p goes to client p % n
         for label in range(task.train.class_count):
             idx = np.flatnonzero(task.train.labels == label)
-            order = rng.child("deal", task.task_id, int(label)).permutation(len(idx))
-            for pos, sample in enumerate(idx[order]):
-                per_client_idx[pos % n_clients].append(int(sample))
+            dealt.append(idx[rng.child("deal", task.task_id, int(label)).permutation(len(idx))])
         for client in range(n_clients):
-            shards[(client, task.task_id)] = task.train.subset(np.array(per_client_idx[client],
-                                                                        dtype=np.int64))
-    return ClientPartition(n_clients, shards)
+            rows[(client, task.task_id)] = np.concatenate(
+                [d[client::n_clients] for d in dealt]).astype(np.int64, copy=False)
+    return ClientPartition(seq, n_clients, rows)
 
 
 def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,

@@ -11,12 +11,12 @@ checkpoint repeats the uninterrupted run bit-exactly.  The checkpoint module
 owns the files: run_experiment calls load_checkpoint to resume, and
 save_checkpoint after each checkpoint round.
 
-Each fact has one holder.  The client partition holds every shard; the embed
-stage (`ExperimentState.shard_embeddings`) holds the current task's, with
-their embeddings, and drops them at the task boundary; the enrollment
-schedule alone says which clients are active; a client carries nothing
-across rounds but its rehearsal buffer (`ExperimentState.client_buffers`,
-indexed by client id).
+Each fact has one holder.  A task's train set holds its images, once; the
+client partition holds each shard as row indices into it; the embed stage
+(`ExperimentState.shard_embeddings`) gathers the current task's active
+shards, with their embeddings, and drops them at the task boundary; the
+enrollment schedule alone says which clients are active; a client carries
+nothing across rounds but its rehearsal buffer (`ExperimentState.client_buffers`).
 
 Stream keying contract (master = RngStream(master_seed)):
   partition            master.child("partition")
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import models
 from .checkpoint import load_checkpoint, run_identity, save_checkpoint
-from .datasets import ClientPartition, TaskSequence, partition_clients
+from .datasets import ClientPartition, LabeledSet, TaskSequence, partition_clients
 from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
@@ -218,9 +218,9 @@ class ExperimentState:
 
 def _embed_shards(state: ExperimentState, partition: ClientPartition, task_id: int) -> dict:
     """The embed stage: each nonempty shard of a client active in `task_id`,
-    embedded once, by client id.  An entry also refers to the shard's rows
-    ("images", not a copy), which naive uploads ship; "log_sigma" is None
-    unless a vee encoder."""
+    embedded once, by client id.  An entry also holds the shard's images
+    ("images", gathered from the task's train set), which naive uploads
+    ship; "log_sigma" is None unless a vee encoder."""
     embedded = {}
     for cid in state.schedule.active_clients(task_id):
         shard = partition.shard(cid, task_id)
@@ -279,11 +279,11 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
 
 
 def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelConfig,
-              images, labels, classes: int, batch_size: int, master: RngStream):
-    """(encoder params pretrained on the given rows, initial classifier
-    params), drawn from the master's "pretrain" and "classifier_init"."""
+              data: LabeledSet, classes: int, batch_size: int, master: RngStream):
+    """(encoder params pretrained on data, initial classifier params), drawn
+    from the master's "pretrain" and "classifier_init"."""
     encoder_params = models.pretrain_encoder(
-        images, labels, classes, encoder, model.pretrain_epochs, model.pretrain_lr,
+        data.images, data.labels, classes, encoder, model.pretrain_epochs, model.pretrain_lr,
         master.child("pretrain"), beta=model.beta, batch_size=batch_size)
     return encoder_params, classifier.init_params(master.child("classifier_init"))
 
@@ -303,9 +303,9 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     its shards and run rounds_per_task rounds.
 
     The rounds read a task's rows only through the embed stage's entries,
-    which are dropped at its boundary; only rehearsal buffers carry
-    information forward.  Returns (reports, state); a resumed run returns
-    reports for the remaining rounds only.
+    gathered when the task starts and dropped at its boundary; only
+    rehearsal buffers carry information forward.  Returns (reports, state);
+    a resumed run returns reports for the remaining rounds only.
     """
     if stop_after_round is not None and stop_after_round < 1:
         raise ContractViolation(f"stop_after_round must be at least 1, got {stop_after_round}")
@@ -324,7 +324,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     encoder, classifier = model.build()
     partition = partition_clients(tasks, fl.n_clients, master.child("partition"))
     raw_bytes = int(np.prod(tasks.tasks[0].train.images.shape[1:])) * 8
-    per_client = max(len(partition.shard(c, t))
+    per_client = max(len(partition.rows(c, t))
                      for c in range(fl.n_clients) for t in range(n_tasks))
     per_task_total = max(len(t.train) for t in tasks.tasks)
     embed_dim = model.encoder.embed_dim
@@ -344,11 +344,11 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
-        first_shards = [partition.shard(c, 0) for c in schedule.active_clients(0)]
-        images = np.concatenate([s.images for s in first_shards])
-        labels = np.concatenate([s.labels for s in first_shards])
+        # one gather of task 0's active rows, freed when pretraining returns
+        first_rows = np.concatenate([partition.rows(c, 0) for c in schedule.active_clients(0)])
         encoder_params, classifier_params = _pretrain(
-            encoder, classifier, model, images, labels, tasks.class_count, fl.batch_size, master)
+            encoder, classifier, model, tasks.tasks[0].train.subset(first_rows),
+            tasks.class_count, fl.batch_size, master)
 
     state = ExperimentState(
         master=master, fl=fl, strategy=strategy,
@@ -393,8 +393,7 @@ def run_offline(tasks: TaskSequence, fl: FLConfig, model: ModelConfig, *, master
     (per-task accuracies, their mean)."""
     master = RngStream(master_seed)
     encoder, classifier = model.build()
-    first = tasks.tasks[0].train
-    encoder_params, params = _pretrain(encoder, classifier, model, first.images, first.labels,
+    encoder_params, params = _pretrain(encoder, classifier, model, tasks.tasks[0].train,
                                        tasks.class_count, fl.batch_size, master)
 
     # every task's train rows, pooled into one embed-stage entry

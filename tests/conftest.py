@@ -1,24 +1,17 @@
 """Shared fixtures and parameter-space helpers for the test suite."""
 
 import ctypes
-import glob
-import os
 
 import numpy as np
 import pytest
 
 from filver.cli import pin_allocator
+from filver.config import openblas_libraries
 from filver.models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec
 from filver.numcore import ParamVector
 from filver.rng import RngStream
 
 from oracles import fd_flat
-
-
-def openblas_libraries() -> list:
-    """Paths of the scipy-openblas libraries bundled in numpy's wheel."""
-    return glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
 
 
 @pytest.fixture(scope="session", autouse=True)

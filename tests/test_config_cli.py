@@ -6,6 +6,7 @@ well under a second.
 """
 
 import json
+import resource
 import struct
 
 import numpy as np
@@ -14,12 +15,13 @@ import pytest
 import filver.cli as cli
 import oracles
 import reference
-from filver import federation, models, storage
+from filver import config, federation, models, storage
 from filver.config import (
     DATA_ROOT_ENV,
     KEY_TABLE,
     PRESET_STRATEGY_SWEEPS,
     PRESETS,
+    blas_core,
     build_manifest,
     parse_config,
     parse_pairs,
@@ -272,7 +274,7 @@ def test_sweep_presets_reference_real_strategies():
             assert cfg["strategy.kind"] == kind
 
 
-def test_manifest_flags_defaults_that_are_not_reference_values():
+def test_manifest_flags_defaults_that_are_not_reference_values(monkeypatch):
     pairs = dict(TINY_PAIRS)
     del pairs["seed"]               # our default, not a reference value
     del pairs["fl.rounds_per_task"]  # reference default
@@ -287,8 +289,13 @@ def test_manifest_flags_defaults_that_are_not_reference_values():
     assert manifest["duration_s"] == 1.5
     assert "config.py" in manifest["module_checksums"]
     assert "federation.py" in manifest["module_checksums"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas_core"] == blas_core()
     # json-serializable throughout
     json.dumps(manifest)
+    # without numpy's bundled OpenBLAS the core is named unknown
+    monkeypatch.setattr(config, "openblas_libraries", lambda: [])
+    assert build_manifest(cfg, "2026-01-01T00:00:00+00:00", 1.5)["blas_core"] == "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +341,9 @@ def test_run_writes_rounds_summary_and_manifest(baseline_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 5
     assert manifest["config"]["out"] == str(out)
+    # the peak of the run's process (this one) when the manifest was written
+    now = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    assert 0 < manifest["peak_rss_mib"] <= now
 
 
 def test_identical_configs_give_byte_identical_outputs(baseline_run, tmp_path):

@@ -285,6 +285,21 @@ def test_desk_task_build_holds_at_most_about_two_copies_of_the_images():
     assert peak <= 2.25 * image_bytes, f"peak {peak / image_bytes:.2f}x the task images"
 
 
+def test_desk_partition_copies_no_image():
+    # a shard is row indices into its task's train set, the one copy of its
+    # images; gathering shards would allocate the train images once more
+    cfg = preset_config("desk-split4")
+    seq = cfg.build_tasks()
+    tracemalloc.start()
+    try:
+        partition_clients(seq, cfg["fl.n_clients"], RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    train_bytes = sum(t.train.images.nbytes for t in seq.tasks)
+    assert peak < 0.01 * train_bytes, f"peak {peak / train_bytes:.4f}x the train images"
+
+
 # ---------------------------------------------------------------------------
 # Client partitioning
 # ---------------------------------------------------------------------------
@@ -294,11 +309,18 @@ def test_partition_tiles_each_task():
                             val_fraction=0.2, rng=RngStream(6))
     part = partition_clients(seq, 3, RngStream(7))
     for t, task in enumerate(seq.tasks):
-        sizes = [len(part.shard(c, t)) for c in range(3)]
-        assert sum(sizes) == len(task.train)
+        rows = [part.rows(c, t) for c in range(3)]
+        # disjoint, and together every train row exactly once
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(len(task.train)))
+        sizes = [len(r) for r in rows]
         assert max(sizes) - min(sizes) <= 2  # round-robin per label, +-1 each
         for c in range(3):
+            assert rows[c].dtype == np.int64
             shard = part.shard(c, t)
+            want = task.train.subset(rows[c])
+            assert np.array_equal(shard.images, want.images)
+            assert np.array_equal(shard.labels, want.labels)
+            assert shard.class_count == task.train.class_count
             counts = np.bincount(shard.labels, minlength=2)
             assert counts.max() - counts.min() <= 1 or counts.min() > 0
 

@@ -409,33 +409,35 @@ def test_run_is_deterministic_per_seed():
     assert report_tuples(reports1) != report_tuples(reports3)
 
 
-def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
-    reports_clean, clean_state = tiny_run("naive", seed=13)
-
-    # the partition holds every shard: poison a task's shards there after
-    # the task's last round, so any later read of them (a naive upload
-    # included) sees NaN
-    partitions = []
-    real_partition_clients = federation.partition_clients
-
-    def keep_partition(*args):
-        partitions.append(real_partition_clients(*args))
-        return partitions[-1]
-
-    def poison(report):
-        if (report.round_id + 1) % fl.rounds_per_task == 0:
-            for cid in range(fl.n_clients):
-                partitions[0].shard(cid, report.task_id).images[:] = np.nan
-
-    monkeypatch.setattr(federation, "partition_clients", keep_partition)
+def test_training_data_is_never_read_after_its_task_ends():
     fl = tiny_fl()
-    reports_poisoned, state = tiny_run("naive", fl=fl, seed=13, on_round=poison)
+    reports_clean, clean_state = tiny_run("naive", fl=fl, seed=13)
 
-    assert len(partitions) == 1
+    def poisoned_run(lead):
+        # a task's train rows are the one copy of its images (a shard is row
+        # indices into them): poison them `lead` rounds before the round that
+        # ends the task, so any later read (a naive upload included) sees NaN
+        tasks = tiny_tasks()
+
+        def poison(report):
+            ended, offset = divmod(report.round_id + 1 + lead, fl.rounds_per_task)
+            if offset == 0 and ended <= tasks.n_tasks:
+                tasks.tasks[ended - 1].train.images[:] = np.nan
+
+        return run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="naive", rho=0.25),
+                              tiny_model("naive"), master_seed=13, on_round=poison)
+
+    reports_poisoned, state = poisoned_run(0)
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
     assert buffer_sizes(state) == buffer_sizes(clean_state)
-    # the embed stage's entries, and their references to the rows, are gone
+    # the embed stage's entries, and their gathered rows, are gone
     assert state.shard_embeddings == {}
+
+    # the same poison a task early, before the task starts, does reach the
+    # run: its rows are read when the task's shards are gathered, and the
+    # encoder refuses the NaN
+    with pytest.raises(ContractViolation, match="non-finite"):
+        poisoned_run(fl.rounds_per_task)
 
 
 def test_frozen_encoder_is_verified_every_round():

@@ -28,7 +28,6 @@ A change that is meant to alter results (a new summation order, a new
 draw) re-records these values under both cores and says so in CHANGES.md.
 """
 
-import ctypes
 import hashlib
 import pathlib
 import tempfile
@@ -38,12 +37,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filver import cli
-from filver.config import parse_pairs
+from filver.config import blas_core, parse_pairs
 from filver.federation import run_offline
 from filver.rehearsal import MEMORY_MULTIPLIERS, STRATEGY_KINDS
 from filver.scenarios import SCHEDULE_KINDS
 
-from conftest import openblas_libraries
 from test_acceptance import CLI_PAIRS
 
 ROUNDS_SHA256 = {
@@ -324,17 +322,6 @@ MATRIX_SHA256 = {
         "Haswell": "67d5f2619043f956ca4bd35be448cea24153a2891a91e7634a103295bfdbb377",
     },
 }
-
-
-def blas_core() -> str:
-    """The kernel family numpy's bundled OpenBLAS chose at load time."""
-    libs = openblas_libraries()
-    if len(libs) != 1:
-        return f"unknown (found {len(libs)} bundled scipy-openblas libraries)"
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    return corename().decode("ascii")
 
 
 def recorded(by_core: dict):

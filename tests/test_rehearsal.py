@@ -344,32 +344,28 @@ def test_admit_subset_is_uniform():
 # ---------------------------------------------------------------------------
 
 
-def eviction_count_oracle(arrivals, capacity):
-    """Replay the documented policy on task counts alone.  Which record
-    inside the victim task gets dropped is random, but per-task counts
-    are fully determined: evict from the largest task, ties to newest."""
-    counts = {}
-    for task_id, n in arrivals:
-        counts[task_id] = counts.get(task_id, 0) + n
-        while sum(counts.values()) > capacity:
-            biggest = max(counts.values())
-            victim = max(t for t, c in counts.items() if c == biggest)
-            counts[victim] -= 1
-            if counts[victim] == 0:
-                del counts[victim]
-    return counts
+def admit_tasks(capacity, sizes, rng):
+    """(program buffer, reference ListBuffer) after admitting, to each on the
+    same stream, one upload of sizes[t] rows for each task t in turn."""
+    buf, ref = RehearsalBuffer(capacity=capacity), reference.ListBuffer(capacity)
+    for task_id, n in enumerate(sizes):
+        upload = embed_upload(rng.child("t", task_id), n, task_id=task_id)
+        admit(buf, upload.rows(), rng.child("admit", task_id))
+        reference.admit(ref, rows_of(upload), rng.child("admit", task_id))
+        assert len(buf) <= capacity
+    return buf, ref
 
 
-def test_eviction_balances_tasks_against_count_oracle():
-    rng = RngStream(3)
-    buf = RehearsalBuffer(capacity=50)
-    for task_id in range(4):
-        admit(buf, embed_rows(rng.child("t", task_id), 20, task_id=task_id),
-              rng.child("admit", task_id))
-        assert len(buf) <= 50
-    expected = eviction_count_oracle([(t, 20) for t in range(4)], 50)
-    assert task_counts(buf) == expected
+def reference_task_counts(ref):
+    """Rows per task id in a reference ListBuffer."""
+    tasks, counts = np.unique([row.task for row in ref.rows], return_counts=True)
+    return dict(zip(tasks.tolist(), counts.tolist()))
+
+
+def test_eviction_balances_tasks_against_the_reference():
+    buf, ref = admit_tasks(50, [20] * 4, RngStream(3))
     counts = task_counts(buf)
+    assert counts == reference_task_counts(ref)
     # the policy protects early tasks: task 0 never holds fewer than task 3
     assert counts[0] >= counts[3]
     assert abs(max(counts.values()) - min(counts.values())) <= 1
@@ -399,14 +395,8 @@ def test_unbounded_buffer_never_evicts():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_capacity_is_never_exceeded(capacity, batches, seed):
-    rng = RngStream(seed)
-    buf = RehearsalBuffer(capacity=capacity)
-    for task_id, n in enumerate(batches):
-        admit(buf, embed_rows(rng.child("t", task_id), n, task_id=task_id),
-              rng.child("admit", task_id))
-        assert len(buf) <= capacity
-    oracle = eviction_count_oracle(list(enumerate(batches)), capacity)
-    assert task_counts(buf) == oracle
+    buf, ref = admit_tasks(capacity, batches, RngStream(seed))
+    assert task_counts(buf) == reference_task_counts(ref)
 
 
 # ---------------------------------------------------------------------------
