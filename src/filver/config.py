@@ -173,6 +173,14 @@ class ExperimentConfig:
                 val_labels_path = self.resolve_path(v["dataset.val_labels"])
                 base_val = load_idx(self.resolve_path(v["dataset.val_images"]), val_labels_path,
                                     transpose=v["dataset.transpose"])
+                # a validation row of a class the training rows lack is never scored
+                # right; a split keeps only the classes below `needed`
+                unseen = np.setdiff1d(base_val.labels, base.labels)
+                unseen = unseen[unseen < needed] if v["protocol.kind"] == "split" else unseen
+                if len(unseen):
+                    raise ConfigError(val_labels_path, [
+                        f"validation labels file {val_labels_path} holds classes "
+                        f"{unseen.tolist()} that training labels file {labels_path} lacks"])
         if v["protocol.kind"] == "split":
             tasks = build_split_tasks(base, v["protocol.tasks"], v["protocol.classes_per_task"],
                                       base_val=base_val, val_fraction=v["protocol.val_fraction"],

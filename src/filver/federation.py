@@ -2,9 +2,10 @@
 upload, and server-side rehearsal training.
 
 The encoder is pretrained on the first task and frozen; federated rounds
-train only the classifier, on embeddings: the frozen encoder runs at the
-start of each task, on the shards of the clients active in it, and on each
-naive upload before any buffer admits it.  Every random draw is keyed by
+train only the classifier, on embeddings: the frozen encoder runs only at
+the start of each task, on the shards of the clients active in it.  A naive
+upload carries those rows of its raw samples (`models.EVAL_CHUNK` makes a
+row's embedding independent of its pass).  Every random draw is keyed by
 purpose and round coordinates from one master stream, so results do not
 depend on the order in which clients train, and a run resumed from any
 checkpoint repeats the uninterrupted run bit-exactly.  The checkpoint module
@@ -48,8 +49,8 @@ from .datasets import ClientPartition, LabeledSet, TaskSequence, partition_clien
 from .errors import ContractViolation
 from .models import ClassifierModel, EncoderModel, GaussianStats, ModelConfig
 from .numcore import ParamVector, reparam_sample, sgd_step
-from .rehearsal import (EmbeddingPayload, RawPayload, RehearsalBuffer, StrategyConfig, Upload,
-                        admit, buffer_capacity, draw_batch, encoder_kind_for_strategy)
+from .rehearsal import (EmbeddingPayload, RehearsalBuffer, StrategyConfig, Upload, admit,
+                        buffer_capacity, draw_batch, encoder_kind_for_strategy)
 from .rng import RngStream
 from .scenarios import EnrollmentSchedule, make_schedule
 
@@ -129,9 +130,7 @@ def _build_upload(embedded: dict, task_id: int, global_round: int,
         return []
     idx = np.arange(n) if n_up >= n else rng.child("upload").choice(n, n_up, replace=False)
     mu, log_sigma = embedded["mu"], embedded["log_sigma"]
-    if strategy.kind == "naive":
-        payload = RawPayload(embedded["images"][idx])
-    elif strategy.kind in ("ebr", "noise"):
+    if strategy.kind in ("naive", "ebr", "noise"):  # naive: its raw samples' embeddings
         payload = EmbeddingPayload(mu[idx])
     elif strategy.kind == "ver_stats":
         payload = GaussianStats(mu[idx], log_sigma[idx])
@@ -218,16 +217,16 @@ class ExperimentState:
 
 def _embed_shards(state: ExperimentState, partition: ClientPartition, task_id: int) -> dict:
     """The embed stage: each nonempty shard of a client active in `task_id`,
-    embedded once, by client id.  An entry also holds the shard's images
-    ("images", gathered from the task's train set), which naive uploads
-    ship; "log_sigma" is None unless a vee encoder."""
+    embedded once, by client id.  An entry holds the shard's "labels", "mu"
+    and "log_sigma" (None unless a vee encoder); the images gathered for the
+    pass are dropped once it returns."""
     embedded = {}
     for cid in state.schedule.active_clients(task_id):
         shard = partition.shard(cid, task_id)
         if len(shard):
             mu, log_sigma = models.encode_for_eval(state.encoder, state.encoder_params, shard.images)
-            embedded[cid] = {"images": shard.images, "labels": np.asarray(shard.labels),
-                             "mu": mu, "log_sigma": log_sigma}
+            embedded[cid] = {"labels": np.asarray(shard.labels), "mu": mu,
+                             "log_sigma": log_sigma}
     return embedded
 
 
@@ -250,15 +249,11 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
                            state.strategy, rng)
                for cid, rng in zip(chosen, streams)]
 
-    # each upload becomes rows once (a naive upload's raw samples embedded in
-    # one pass), and the same rows join its client's own buffer and the
-    # server's, in client-id order for schedule independence
+    # each upload becomes rows once, and the same rows join its client's own
+    # buffer and the server's, in client-id order for schedule independence
     for cid, rng, res in zip(chosen, streams, results):
         for upload in res.upload:
             rows = upload.rows()
-            if "x" in rows.columns:
-                rows.columns = {"z": models.encode_for_eval(state.encoder, state.encoder_params,
-                                                            rows.columns["x"])[0]}
             admit(state.client_buffers[cid], rows, rng.child("self_admit"))
             admit(state.server_buffer, rows,
                   state.master.child("server_admit", task_id, round_in_task, cid))

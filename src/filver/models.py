@@ -12,7 +12,8 @@ pooling, then two dense layers; the mlp trunk is the two dense layers alone.
 Classifiers are plain ReLU MLPs over the embedding space.  Parameters live in
 ParamVectors and gradients are dicts in the parameters' layout order; the
 model objects here hold only architecture, so forward and backward calls stay
-pure.
+pure.  encode_for_eval pads every frozen-encoder pass to EVAL_CHUNK rows, so
+a row embeds to the same bytes whatever set it is embedded in.
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ from .errors import ContractViolation
 from .numcore import ParamVector
 from .rng import RngStream
 
-# Rows per frozen-encoder forward pass in encode_for_eval.  At 64 rows the
-# desk conv1 im2col copy (25 x 64*24*24 float64) is 7 MB; a 512-row chunk's
-# is 59 MB and would set the whole run's peak memory.  The smaller working
-# set is also faster: 10,000 desk rows embed in 1.6 s against 2.6 s at 512
-# rows (one core of a 2-core x86 host).  The size can change the bytes: BLAS
-# picks its kernel path by operand height, and rows of a 531-row set embedded
-# in calls of 1 to 133 rows differed from the same rows in 64-row chunks (one
-# BLAS thread; Haswell: at every odd height tried, for mlp and desk conv
-# encoders alike; SkylakeX: one-row calls for desk conv, most heights for a
-# 784-96-48 mlp and a 16x16 conv with channels (16, 32)).  test_models pins
-# equal bytes for sizes 2, 64 and 512 only on sets whose final chunk has an
-# odd height at each of them (515 and 577 rows).
+# Rows in every encode_for_eval pass, part of the output contract: BLAS picks
+# its kernel path by operand height, so padding each pass to this height makes
+# a row's embedding depend only on the params and the row.  At 64 rows the
+# desk conv1 im2col copy (25 x 64*24*24 float64) is 7 MB.
 EVAL_CHUNK = 64
 PRETRAIN_CLIP_NORM = 5.0  # global gradient-norm clip in pretrain_encoder
 
@@ -308,25 +301,23 @@ class EncoderModel:
 
 
 def encode_for_eval(encoder: EncoderModel, params: ParamVector, x):
-    """Noise-free forward pass over a whole set, EVAL_CHUNK rows at a time.
+    """Noise-free forward pass over a whole set, in passes of EVAL_CHUNK rows,
+    the last one padded with zero rows whose outputs are dropped.
 
     Returns (mu, log_sigma) as stats_forward does: log_sigma is None unless
     a vee encoder.  The first array is the embedding used for evaluation and
     deterministic replay, and log_sigma is what a reparameterized draw needs
     besides it.
-
-    A one-row remainder joins the chunk before it: numpy hands a one-row
-    product to BLAS gemv, whose sums differ from gemm's in the last ulp, so
-    a lone last row would get other bytes than the same row inside a chunk.
     """
-    starts = list(range(0, len(x), EVAL_CHUNK))
-    if len(starts) > 1 and len(x) - starts[-1] == 1:
-        del starts[-1]
     mus, log_sigmas = [], []
-    for lo, hi in zip(starts, starts[1:] + [len(x)]):
-        mu, log_sigma, _ = encoder.stats_forward(params, x[lo:hi])
-        mus.append(mu)
-        log_sigmas.append(log_sigma)
+    for lo in range(0, len(x), EVAL_CHUNK):
+        chunk = x[lo:lo + EVAL_CHUNK]
+        n = len(chunk)
+        if n < EVAL_CHUNK:
+            chunk = np.concatenate([chunk, np.zeros((EVAL_CHUNK - n,) + chunk.shape[1:])])
+        mu, log_sigma, _ = encoder.stats_forward(params, chunk)
+        mus.append(mu[:n])
+        log_sigmas.append(None if log_sigma is None else log_sigma[:n])
     return np.concatenate(mus), (None if log_sigmas[0] is None else np.concatenate(log_sigmas))
 
 

@@ -5,8 +5,8 @@ embedding at replay time:
 
   none         no buffers at all; training sees only fresh data
   noise        embeddings from a frozen randomly initialized encoder
-  naive        raw samples on the wire, embedded once through the frozen encoder
-               at admission and replayed verbatim
+  naive        raw samples on the wire, priced as such, carried as their embed-stage
+               rows: a row embeds to the same bytes in any pass (models.EVAL_CHUNK)
   ebr          deterministic embeddings stored once, replayed verbatim
   ver_stats    per-example (mu, log sigma); fresh z is drawn at every replay
   ver_sampled  sampled z only; no distribution statistics ever leave a client
@@ -15,13 +15,13 @@ The stats/sampled distinction is enforced by payload type: a ver_sampled
 upload's payload simply has no field in which statistics could travel.
 
 An `Upload` is what a client ships in a round: one payload whose arrays
-(``x``, ``z``, or ``mu`` and ``log_sigma``) hold a float64 row per sample,
-and the samples' labels.  `Upload.rows` makes those arrays the columns of
-buffer rows; run_round embeds a naive upload's ``x`` into ``z``, and `admit`
-takes the rows, so the privacy rule is also a schema property: a ver_sampled
-buffer has no stats column.  `_STRATEGIES` alone names a strategy's encoder
-and buffer columns, and `buffer_capacity` prices a row from those columns.
-`storage` alone defines snapshots; `save_buffer` and `load_buffer` convert.
+(``z``, or ``mu`` and ``log_sigma``) hold a float64 row per sample, and the
+samples' labels.  `Upload.rows` makes those arrays the columns of buffer
+rows, and `admit` takes the rows, so the privacy rule is also a schema
+property: a ver_sampled buffer has no stats column.  `_STRATEGIES` alone
+names a strategy's encoder and buffer columns, and `buffer_capacity` prices
+a row from those columns.  `storage` alone defines snapshots; `save_buffer`
+and `load_buffer` convert.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .storage import read_snapshot, write_snapshot
 
 # strategy kind -> (the encoder it pretrains and freezes, its buffers' payload
 # columns).  noise trains nothing; variational strategies need stats heads;
-# the rest share a deterministic one.  naive buffers hold the uploads' z.
+# the rest share a deterministic one.
 _STRATEGIES = {
     "none": ("ebr", ()),
     "noise": ("random_projection", ("z",)),
@@ -50,13 +50,6 @@ _STRATEGIES = {
 }
 STRATEGY_KINDS = tuple(_STRATEGIES)
 MEMORY_MULTIPLIERS = ("x1", "x16")
-
-
-@dataclass
-class RawPayload:
-    """Input samples shipped as-is (the privacy-leaky baseline), a row each."""
-
-    x: np.ndarray
 
 
 @dataclass
@@ -131,7 +124,7 @@ class Upload:
     round_id: int
 
     def __post_init__(self):
-        if not isinstance(self.payload, (RawPayload, EmbeddingPayload, GaussianStats)):
+        if not isinstance(self.payload, (EmbeddingPayload, GaussianStats)):
             raise ContractViolation(f"unknown payload type {type(self.payload).__name__}")
         for name, column in vars(self.payload).items():
             if np.shape(column)[:1] != (len(self.labels),):
@@ -156,7 +149,7 @@ def admit(buffer: RehearsalBuffer, rows: RehearsalBuffer, rng: RngStream) -> Reh
     run_round builds an upload's rows once and hands them to the client's
     buffer and to the server's; admit never changes them.  The rho-fraction
     was drawn once, at upload.  The rows must share one (task, round) and the
-    buffer's payload columns, and have no raw ``x`` column.  Eviction removes
+    buffer's payload columns.  Eviction removes
     a random row from whichever task holds the most, breaking ties toward the
     newest task so early tasks keep their representation.
     """
@@ -165,8 +158,6 @@ def admit(buffer: RehearsalBuffer, rows: RehearsalBuffer, rng: RngStream) -> Reh
     if rows.tasks.min() != rows.tasks.max() or rows.rounds.min() != rows.rounds.max():
         keys = sorted(set(zip(rows.tasks.tolist(), rows.rounds.tolist())))
         raise ContractViolation(f"admit rows span multiple (task, round) keys: {keys}")
-    if "x" in rows.columns:
-        raise ContractViolation("a buffer holds no raw samples (column 'x'); embed them first")
     if len(buffer) and _schema(rows) != _schema(buffer):
         raise ContractViolation(
             f"buffer holds payload columns {_schema(buffer)}, rows carry {_schema(rows)}")

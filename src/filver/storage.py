@@ -131,7 +131,7 @@ PAYLOAD_RAW = 0
 PAYLOAD_EMBEDDING = 1
 PAYLOAD_STATS = 2
 # tag -> (the payload type its frames carried on the wire, its array columns);
-# buffers hold no raw samples, so a raw frame is only ever refused
+# tag 0 is from before buffers held only embeddings, and is only ever refused
 PAYLOAD_TAGS = {
     PAYLOAD_RAW: ("RawPayload", ("x",)),
     PAYLOAD_EMBEDDING: ("EmbeddingPayload", ("z",)),
@@ -191,7 +191,7 @@ def _check_tag(path, tag: int, first: int) -> None:
     if tag == PAYLOAD_RAW:
         raise ContractViolation(
             f"buffer snapshot {path} holds raw samples (payload tag {tag}); buffers "
-            f"hold embeddings, naive uploads are embedded at admission")
+            f"hold embeddings, a naive row is its raw sample's embedding")
     if tag not in PAYLOAD_TAGS:
         raise ContractViolation(f"buffer snapshot {path} has unknown payload tag {tag}")
     if tag != first:

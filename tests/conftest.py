@@ -1,5 +1,6 @@
 """Shared fixtures and parameter-space helpers for the test suite."""
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -22,15 +23,10 @@ def pinned_allocator():
     pin_allocator()
 
 
-@pytest.fixture
-def one_blas_thread():
-    """BLAS on one thread for the test, as the bit-identity claims assume.
-
-    A threaded GEMM splits its operands between threads, so which rows take
-    the kernel's tail path can depend on the operand's height: with two
-    Haswell threads, 577 desk rows embedded 32 at a time differ from 512 at
-    a time in three rows.
-    """
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """BLAS on n threads inside the block; a no-op where numpy bundles no
+    single scipy-openblas library."""
     libs = openblas_libraries()
     if len(libs) != 1:
         yield
@@ -42,11 +38,38 @@ def one_blas_thread():
     set_threads.argtypes = [ctypes.c_int]
     set_threads.restype = None
     before = get_threads()
-    set_threads(1)
+    set_threads(n)
     try:
         yield
     finally:
         set_threads(before)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS on one thread for the test, as the bit-identity claims assume.
+
+    A threaded GEMM splits its operands between threads, so which rows take
+    the kernel's tail path can depend on the operand's height: with two
+    Haswell threads, 577 desk rows embedded 32 at a time differ from 512 at
+    a time in three rows.
+    """
+    with blas_threads(1):
+        yield
+
+
+@pytest.fixture(scope="module")
+def one_blas_thread_for_module():
+    """one_blas_thread for every test of a module, hypothesis tests included
+    (a function-scoped fixture is not reset between a property's examples).
+
+    The golden digests use it: a 64-row encoder pass of the 16x16 conv is
+    tall enough for OpenBLAS to split it between threads, and on a 2-core
+    SkylakeX host the ebr and ver_sampled conv runs write other bytes on
+    two threads than on one.
+    """
+    with blas_threads(1):
+        yield
 
 
 def fd_params(loss_fn, params: ParamVector, h=1e-6) -> ParamVector:

@@ -94,7 +94,8 @@ def capacity(kind: str, rho: float, memory: str, per_task: int, n_tasks: int, ra
 def _upload(kind: str, rho: float, shard: list, g: int, encoder, encoder_params,
             local: RngStream) -> list:
     """A client's uploaded rows, as both buffers admit them: a rho-sample of
-    its shard, naive raw samples embedded in one pass."""
+    its shard, naive raw samples embedded in one pass at admission (the
+    program ships their embed-stage rows, which must be the same bytes)."""
     n_up = math.ceil(rho * len(shard))
     if kind == "none" or n_up == 0:
         return []

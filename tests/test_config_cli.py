@@ -830,6 +830,33 @@ def test_an_idx_validation_file_lacking_a_tasks_classes_is_a_config_error(
     assert pretrained == []
 
 
+@pytest.mark.parametrize("protocol", ["permuted", "split"])
+def test_an_idx_validation_file_with_classes_the_training_file_lacks(
+        tmp_path, monkeypatch, capsys, protocol):
+    # train classes 0-3, validation classes 0-5.  Permuted tasks score every
+    # validation row, so a third of them could never be scored right, and
+    # the run once exited 0: refused before pretraining.  A 2 x 2 split keeps
+    # only classes 0-3, so it drops the others and runs
+    img_name, lab_name = write_idx_pair(tmp_path)
+    val_img_name, val_lab_name = write_idx_pair(tmp_path, n=24, classes=6, prefix="val")
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    cfg = write_tiny_cfg(
+        tmp_path / "exp.cfg", tmp_path / "out",
+        **{"dataset.kind": "idx", "dataset.images": img_name, "dataset.labels": lab_name,
+           "dataset.val_images": val_img_name, "dataset.val_labels": val_lab_name,
+           "protocol.kind": protocol})
+    if protocol == "split":
+        assert cli.main(["run", str(cfg), "--quiet"]) == 0
+        return
+    pretrained = []
+    monkeypatch.setattr(models, "pretrain_encoder", lambda *a, **k: pretrained.append(a))
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert (f"validation labels file {tmp_path / val_lab_name} holds classes [4, 5] that "
+            f"training labels file {tmp_path / lab_name} lacks") in err
+    assert pretrained == [] and not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: multi-strategy sweeps
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import filver.federation as federation
 from filver import models, scenarios
-from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs
+from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs, partition_clients
 from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
@@ -41,7 +41,6 @@ from filver.models import (
 from filver.numcore import ParamVector
 from filver.rehearsal import (
     EmbeddingPayload,
-    RawPayload,
     RehearsalBuffer,
     StrategyConfig,
     Upload,
@@ -196,7 +195,7 @@ def local_setup(kind, seed=5):
     cls_params = classifier.init_params(rng.child("cls"))
     shard = make_shard(rng.child("client"))
     mu, log_sigma = encode_for_eval(encoder, enc_params, shard.images)
-    embedded = {"images": shard.images, "labels": shard.labels, "mu": mu, "log_sigma": log_sigma}
+    embedded = {"labels": shard.labels, "mu": mu, "log_sigma": log_sigma}
     strategy = StrategyConfig(kind=kind, rho=0.25)
     return embedded, classifier, cls_params, RehearsalBuffer(capacity=64), strategy, rng
 
@@ -276,12 +275,11 @@ def test_local_train_uploads_rho_sample_and_self_admits(monkeypatch):
         assert isinstance(upload.payload, EmbeddingPayload)
         assert (upload.task_id, upload.round_id) == (0, 0)
         # the buffer holds exactly the upload, and the upload is rows of the
-        # frozen encoder's embedding of the shard
+        # embed stage's embedding of the shard
         assert np.array_equal(buffer.columns["z"], upload.payload.z)
         assert list(buffer.labels) == list(upload.labels)
-        det, _ = encode_for_eval(state.encoder, state.encoder_params, embedded["images"])
         for z in upload.payload.z:
-            assert any(np.array_equal(z, row) for row in det)
+            assert any(np.array_equal(z, row) for row in embedded["mu"])
 
 
 def test_local_train_ver_stats_uploads_stats_payloads():
@@ -606,12 +604,35 @@ def test_ver_stats_ships_only_stats_payloads(monkeypatch):
 
 
 def test_naive_ships_raw_samples(monkeypatch):
-    # what ships is LocalResult.upload: raw samples.  The buffers admit their
-    # embeddings.
-    shipped, server_columns, client_columns, state = collect_admitted_payloads(
-        monkeypatch, "naive")
-    assert shipped and set(shipped) == {RawPayload}
-    assert server_columns and set(server_columns) == set(client_columns) == {("z",)}
+    # a naive client ships raw samples, which the server embeds with the
+    # frozen encoder.  A row's embedding depends only on the encoder and the
+    # row, so the upload carries the embed stage's rows of them: the
+    # uploaded raw rows, gathered through the partition and embedded in a
+    # pass of their own, give the upload's z byte for byte
+    calls = []  # (the client's buffer, task, local stream, upload) per local_train
+    real_local_train = federation.local_train
+
+    def spy(buffer, params, embedded, classifier, task_id, *args):
+        res = real_local_train(buffer, params, embedded, classifier, task_id, *args)
+        calls.append((buffer, task_id, args[-1], res.upload))
+        return res
+
+    monkeypatch.setattr(federation, "local_train", spy)
+    tasks, fl = tiny_tasks(), tiny_fl()
+    _, state = run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="naive", rho=0.25),
+                              tiny_model("naive"), master_seed=17)
+    partition = partition_clients(tasks, fl.n_clients, RngStream(17).child("partition"))
+    assert len(calls) == fl.rounds_per_task * tasks.n_tasks * fl.clients_per_round
+    for buffer, task_id, rng, (upload,) in calls:
+        cid = next(c for c, b in enumerate(state.client_buffers) if b is buffer)
+        shard = partition.rows(cid, task_id)
+        assert type(upload.payload) is EmbeddingPayload
+        assert 0 < len(upload.labels) < len(shard)
+        rows = shard[rng.child("upload").choice(len(shard), len(upload.labels), replace=False)]
+        train = tasks.tasks[task_id].train
+        z, _ = encode_for_eval(state.encoder, state.encoder_params, train.images[rows])
+        assert z.tobytes() == upload.payload.z.tobytes()
+        assert list(upload.labels) == list(train.labels[rows])
     assert list(state.server_buffer.columns) == ["z"]
 
 
@@ -641,8 +662,10 @@ def test_run_round_stacks_each_upload_once_for_both_buffers(monkeypatch, kind):
         assert own is not state.server_buffer and server is state.server_buffer
 
 
-def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch):
-    # task 0 served by clients 0-2, task 1 by clients 1-3
+def test_encoder_runs_only_in_the_embed_stage(monkeypatch):
+    # one pass per validation set and per active shard, none per upload, even
+    # under naive, whose uploads ship raw samples.  Task 0 is served by
+    # clients 0-2, task 1 by clients 1-3
     schedule = scenarios.EnrollmentSchedule(np.array([[1, 2], [1, 1], [1, 1], [0, 1]],
                                                      dtype=np.int8))
     inside = []  # names of the traced calls currently running
@@ -683,7 +706,7 @@ def test_encoder_runs_only_in_the_embed_stage_and_at_naive_admission(monkeypatch
     active_shards = sum(len(schedule.active_clients(t)) for t in range(tasks.n_tasks))
     naive_uploads = sum(1 for n in uploads if n)
     assert naive_uploads == len(uploads) == fl.rounds_per_task * tasks.n_tasks * 2
-    assert len(calls) == tasks.n_tasks + active_shards + naive_uploads
+    assert len(calls) == tasks.n_tasks + active_shards
     assert not any(calls)  # none under draw_batch or server_side_training
 
 

@@ -6,16 +6,19 @@ architecture and compares the sha256 of its rounds.csv with a value
 recorded before the refactor; the offline reference is compared through
 the repr of its accuracies.  The checkpoint cases compare the sha256 of
 model.bin and of every buffer snapshot under ver_stats (stats payloads),
-ver_sampled (sampled embeddings) and naive (raw uploads, buffered as their
-embeddings: buffers and snapshots hold no raw samples), so the FVMC and
-FVBF formats are pinned byte for byte too, and their meta.json, so a
-checkpoint written before a change to the run identity still resumes after
-it.  The batch-size-1 cases pin local steps whose replay half is 0 rows.
-The matrix cases pin rounds.csv over every strategy x scenario x
-memory combination, and a property over the same space checks that a run
-stopped after any round and resumed writes the uninterrupted run's bytes.
-All cases together take a few seconds, so this is the
-quick check to run before the acceptance battery.
+ver_sampled (sampled embeddings) and naive (raw uploads, carried and
+buffered as the embed stage's rows of them: buffers and snapshots hold no
+raw samples), so the FVMC and FVBF formats are pinned byte for byte too,
+and their meta.json, so a checkpoint written before a change to the run
+identity still resumes after it.  The batch-size-1 cases pin local steps
+whose replay half is 0 rows.  The matrix cases pin rounds.csv over every
+strategy x scenario x memory combination, and a property over the same
+space checks that a run stopped after any round and resumed writes the
+uninterrupted run's bytes.  A row embeds to the same bytes in any encoder
+pass, so naive and ebr share one digest per schedule at x1 (naive x16
+prices a row as its raw sample, so it holds what x1 holds).  All cases
+together take a few seconds, so this is the quick check to run before the
+acceptance battery.
 
 OpenBLAS picks its GEMM kernel, and with it the float summation order, for
 the CPU it loads on, so every value is recorded per kernel ("core"): under
@@ -23,6 +26,11 @@ SkylakeX, what an AVX-512 host selects, and under Haswell, what an AVX2 host
 selects and what `OPENBLAS_CORETYPE=Haswell` forces on either.  The running
 core is read from the library itself.  A core with no recorded value fails
 with a message that names it; it is never skipped.
+
+Every case runs with BLAS on one thread: the thread count also changes the
+bytes (a padded 64-row conv encoder pass is split between threads on two
+of them), and one thread is what every value here was recorded under,
+whatever the host's core count.
 
 A change that is meant to alter results (a new summation order, a new
 draw) re-records these values under both cores and says so in CHANGES.md.
@@ -43,6 +51,8 @@ from filver.rehearsal import MEMORY_MULTIPLIERS, STRATEGY_KINDS
 from filver.scenarios import SCHEDULE_KINDS
 
 from test_acceptance import CLI_PAIRS
+
+pytestmark = pytest.mark.usefixtures("one_blas_thread_for_module")
 
 ROUNDS_SHA256 = {
     ("none", "mlp"): {
@@ -70,11 +80,11 @@ ROUNDS_SHA256 = {
         "Haswell": "fb2215ce3a1cb6333a2fdbf7e1e06a40b36c237aa2276c9f26116adafe36a7a0",
     },
     ("ver_sampled", "conv"): {
-        "SkylakeX": "e07eb6f118b0407257efa0a26cde1960c83945e3bd064b015976b5cb1b70a7f9",
+        "SkylakeX": "8adfb106aab6e2618c8b8c2fa7eb2027c9a4e8f20b629d908f5de64f80ed8d2a",
         "Haswell": "3b154e8b2019600a3b35f32d5993d4f4b6f0d5b9ad89d6e5713a821b7152cc2b",
     },
     ("ebr", "conv"): {
-        "SkylakeX": "37386503ccc646a085c84b8331fc9a573022e890f69a5faafef941b283d284d6",
+        "SkylakeX": "6e86ddc5d327668ba53cf2a33e60fd79cf56000dbe5bd4e8796d5810f6ddcb16",
         "Haswell": "dea3df88276197b4ca5a7a18275131e096c41cbdee5cbd1749054e9315a5eb80",
     },
 }
@@ -195,19 +205,19 @@ MATRIX_SHA256 = {
     },
     ("naive", "fully_enrolled", "x1"): {
         "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
-        "Haswell": "4ed48ebceb51ca166f29712636b53e6cd6ac4c2cb3ce233f9f7e36c01e48bbe3",
+        "Haswell": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
     },
     ("naive", "fully_enrolled", "x16"): {
         "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
-        "Haswell": "4ed48ebceb51ca166f29712636b53e6cd6ac4c2cb3ce233f9f7e36c01e48bbe3",
+        "Haswell": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",
     },
     ("naive", "decreasing", "x1"): {
         "SkylakeX": "1b8f368b9267dac115ef72565c74a35e32d8087a22945c6c8af61fcba0efee91",
-        "Haswell": "5d571831dd6a967e7683e3966db6b99a33fc9e2b3d3088890fb76a086c5c877f",
+        "Haswell": "03b97a75c129ab077604c6b99da66c55e14097b3177060f14c1a799b58cb55fb",
     },
     ("naive", "decreasing", "x16"): {
         "SkylakeX": "1b8f368b9267dac115ef72565c74a35e32d8087a22945c6c8af61fcba0efee91",
-        "Haswell": "5d571831dd6a967e7683e3966db6b99a33fc9e2b3d3088890fb76a086c5c877f",
+        "Haswell": "03b97a75c129ab077604c6b99da66c55e14097b3177060f14c1a799b58cb55fb",
     },
     ("naive", "increasing", "x1"): {
         "SkylakeX": "ec7a684358d550055460853369b237301012254c519f33983aa1f3528be774ac",
@@ -219,11 +229,11 @@ MATRIX_SHA256 = {
     },
     ("naive", "scattered", "x1"): {
         "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
-        "Haswell": "37482e7c13b9e0b84c8ab31bb45c25a347ae219fe9ddf14f0b20c3638aaf83a7",
+        "Haswell": "3e698a6e1e74c973003b5b05451c46411ede1e011f320ba5b0827727fbbb0b2b",
     },
     ("naive", "scattered", "x16"): {
         "SkylakeX": "f406f98a203e673dabc1881196b81095838c3b3ceab4ad61a792cd123a29a491",
-        "Haswell": "37482e7c13b9e0b84c8ab31bb45c25a347ae219fe9ddf14f0b20c3638aaf83a7",
+        "Haswell": "3e698a6e1e74c973003b5b05451c46411ede1e011f320ba5b0827727fbbb0b2b",
     },
     ("ebr", "fully_enrolled", "x1"): {
         "SkylakeX": "9d7cc09720b10331ab79474fd83af57e209b3ade48fc878c9f2f47c0f818fda0",

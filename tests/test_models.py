@@ -5,6 +5,8 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import filver.numcore as nc
 from filver import models, storage
@@ -75,26 +77,48 @@ def test_encoder_forward_deterministic(tiny_mlp_vee):
 
 
 def test_encode_for_eval_is_noise_free(tiny_mlp_vee, tiny_mlp_ebr):
+    # the heads' outputs of one stats_forward pass over the rows padded with
+    # zero rows to EVAL_CHUNK, and no draw
     x = RngStream(10).normal((3, 6))
+    padded = np.concatenate([x, np.zeros((EVAL_CHUNK - 3, 6))])
     vp = jittered_params(tiny_mlp_vee, RngStream(11))
-    mu, log_sigma, _ = tiny_mlp_vee.stats_forward(vp, x)
+    mu, log_sigma, _ = tiny_mlp_vee.stats_forward(vp, padded)
     got_mu, got_log_sigma = encode_for_eval(tiny_mlp_vee, vp, x)
-    assert np.array_equal(got_mu, mu) and np.array_equal(got_log_sigma, log_sigma)
+    assert np.array_equal(got_mu, mu[:3]) and np.array_equal(got_log_sigma, log_sigma[:3])
     ep = jittered_params(tiny_mlp_ebr, RngStream(12))
-    z, _, _ = tiny_mlp_ebr.stats_forward(ep, x)
+    z, _, _ = tiny_mlp_ebr.stats_forward(ep, padded)
     got_z, none = encode_for_eval(tiny_mlp_ebr, ep, x)
-    assert np.array_equal(got_z, z) and none is None
+    assert np.array_equal(got_z, z[:3]) and none is None
 
 
-def test_encode_for_eval_chunks_long_sets(tiny_mlp_vee):
-    n = 2 * EVAL_CHUNK + 7
-    x = RngStream(13).normal((n, 6))
-    params = jittered_params(tiny_mlp_vee, RngStream(14))
-    mu, log_sigma = encode_for_eval(tiny_mlp_vee, params, x)
-    assert mu.shape == log_sigma.shape == (n, 4)
-    tail_mu, tail_ls, _ = tiny_mlp_vee.stats_forward(params, x[2 * EVAL_CHUNK:])
-    assert np.array_equal(mu[2 * EVAL_CHUNK:], tail_mu)
-    assert np.array_equal(log_sigma[2 * EVAL_CHUNK:], tail_ls)
+ROW_STABLE_ENCODERS = {
+    "mlp-vee": EncoderModel(EncoderSpec("vee", (6,), embed_dim=4, arch="mlp", hidden=8)),
+    "conv-ebr": EncoderModel(EncoderSpec("ebr", (16, 16), embed_dim=6, arch="conv", hidden=12,
+                                         conv_channels=(2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", ROW_STABLE_ENCODERS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 3 * EVAL_CHUNK), data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_rows_embedding_does_not_depend_on_its_pass(name, n, data, seed, one_blas_thread):
+    # whatever the set's height, the row's position in it and its
+    # neighbours, a row embeds to the bytes it gets alone
+    encoder = ROW_STABLE_ENCODERS[name]
+    rng = RngStream(seed)
+    params = jittered_params(encoder, rng.child("params"))
+    x = rng.child("x").uniform(shape=(n,) + encoder.spec.input_dims)
+    i = data.draw(st.integers(0, n - 1), label="row")
+    mu, log_sigma = encode_for_eval(encoder, params, x)
+    alone_mu, alone_log_sigma = encode_for_eval(encoder, params, x[i:i + 1])
+    assert mu.shape == (n, encoder.spec.embed_dim)
+    assert mu[i].tobytes() == alone_mu[0].tobytes()
+    if log_sigma is None:
+        assert alone_log_sigma is None
+    else:
+        assert log_sigma[i].tobytes() == alone_log_sigma[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["vee", "ebr"])

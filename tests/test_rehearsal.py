@@ -25,7 +25,6 @@ from filver.models import GaussianStats
 from filver.rehearsal import (
     STRATEGY_KINDS,
     EmbeddingPayload,
-    RawPayload,
     RehearsalBuffer,
     StrategyConfig,
     Upload,
@@ -128,14 +127,13 @@ def test_strategy_config_rejects_bad_multiplier():
         StrategyConfig(kind="ebr", memory_multiplier="x4")
 
 
-SHARD = {"images": np.zeros((8, 6)), "labels": np.arange(8) % 2,
-         "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
+SHARD = {"labels": np.arange(8) % 2, "mu": np.zeros((8, 4)), "log_sigma": np.zeros((8, 4))}
 
 
 def test_expected_payload_types_per_kind():
-    # what each strategy ships: raw samples only under naive, stats only
-    # under ver_stats, nothing under none
-    want = {"none": set(), "noise": {EmbeddingPayload}, "naive": {RawPayload},
+    # what each strategy ships: stats only under ver_stats, nothing under
+    # none, embeddings otherwise (under naive, its raw samples' embeddings)
+    want = {"none": set(), "noise": {EmbeddingPayload}, "naive": {EmbeddingPayload},
             "ebr": {EmbeddingPayload}, "ver_stats": {GaussianStats},
             "ver_sampled": {EmbeddingPayload}}
     for kind, types in want.items():
@@ -146,8 +144,8 @@ def test_expected_payload_types_per_kind():
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_upload_payload_fields_are_the_buffer_columns(kind):
     # privacy as schema: an upload's payload fields are its rows' columns,
-    # and they are the strategy's buffer columns, but for the raw samples a
-    # naive client ships.  A ver_sampled upload has no field for statistics.
+    # and they are the strategy's buffer columns.  A ver_sampled upload has
+    # no field for statistics.
     upload = _build_upload(SHARD, 0, 0, StrategyConfig(kind=kind, rho=0.5), RngStream(1))
     if kind == "none":
         assert upload == [] and buffer_columns(kind) == ()
@@ -155,7 +153,7 @@ def test_upload_payload_fields_are_the_buffer_columns(kind):
     (only,) = upload
     fields = tuple(vars(only.payload))
     assert fields == tuple(only.rows().columns)
-    assert fields == (("x",) if kind == "naive" else buffer_columns(kind))
+    assert fields == buffer_columns(kind)
     if kind == "ver_sampled":
         assert fields == ("z",)
     if kind == "ver_stats":
@@ -168,8 +166,7 @@ def test_upload_payload_fields_are_the_buffer_columns(kind):
 def test_upload_arrays_share_no_memory_with_the_embed_stage(kind, rho):
     # an upload outlives the embed stage's entry, which is dropped at the
     # task boundary; at rho 1 it ships every row, still as its own copy
-    entry = {"images": np.ones((8, 6)), "labels": np.arange(8) % 2,
-             "mu": np.ones((8, 4)), "log_sigma": np.zeros((8, 4))}
+    entry = {"labels": np.arange(8) % 2, "mu": np.ones((8, 4)), "log_sigma": np.zeros((8, 4))}
     (upload,) = _build_upload(entry, 0, 0, StrategyConfig(kind=kind, rho=rho), RngStream(1))
     for mine in [upload.labels, *vars(upload.payload).values()]:
         assert not any(np.shares_memory(mine, theirs) for theirs in entry.values())
@@ -177,15 +174,6 @@ def test_upload_arrays_share_no_memory_with_the_embed_stage(kind, rho):
     for name in ("labels", "tasks", "rounds"):
         assert not any(np.shares_memory(getattr(rows, name), theirs)
                        for theirs in entry.values())
-
-
-def test_admit_refuses_raw_samples():
-    buf = RehearsalBuffer(capacity=None)
-    raw_rows = one_row(RawPayload, np.ones(6)).rows()
-    assert list(raw_rows.columns) == ["x"]
-    with pytest.raises(ContractViolation, match="holds no raw samples"):
-        admit(buf, raw_rows, RngStream(0))
-    assert len(buf) == 0 and buf.columns == {}
 
 
 def test_upload_rejects_unknown_payload_object():
@@ -197,9 +185,9 @@ def test_upload_rejects_unknown_payload_object():
     (EmbeddingPayload(np.zeros((2, 4))), 2),
     (EmbeddingPayload(np.zeros(4)), 4),
     (EmbeddingPayload(np.float64(1.0)), None),
-    (RawPayload(np.zeros((4, 2, 2))), 4),
+    (EmbeddingPayload(np.zeros((4, 2, 2))), 4),
     (GaussianStats(np.zeros((3, 4)), np.zeros((3, 4))), 3),
-], ids=["rows-2", "vector", "scalar", "raw-rows-4", "stats-rows-3"])
+], ids=["rows-2", "vector", "scalar", "matrix-rows-4", "stats-rows-3"])
 def test_upload_payload_needs_a_row_per_label(payload, rows_held):
     # an upload's arrays stack its rows: one row per label, so no row can
     # go missing or take another row's shape
@@ -231,9 +219,6 @@ def test_payload_tags_are_distinct(tmp_path):
 def test_admit_rejects_a_second_payload_type():
     rng = RngStream(1)
     buf = buffer_of([embed_upload(rng.child("emb"), 3)])
-    raws = Upload(RawPayload(rng.normal((1, 6))), [0], 0, 1).rows()
-    with pytest.raises(ContractViolation):
-        admit(buf, raws, rng.child("admit"))
     wider = embed_rows(rng.child("wide"), 2, round_id=1, dim=5)
     with pytest.raises(ContractViolation, match="buffer holds payload columns"):
         admit(buf, wider, rng.child("admit"))
@@ -253,8 +238,8 @@ def test_admit_rejects_a_second_payload_type():
 def upload_of(n, rho, rng):
     """The ebr upload drawn from an n-sample shard whose sample i embeds as
     [i], and the client buffer after run_round's self-admission of it."""
-    embedded = {"images": np.zeros((n, 1)), "labels": np.arange(n) % 3,
-                "mu": np.arange(n, dtype=np.float64)[:, None], "log_sigma": None}
+    embedded = {"labels": np.arange(n) % 3, "mu": np.arange(n, dtype=np.float64)[:, None],
+                "log_sigma": None}
     upload = _build_upload(embedded, 0, 0, StrategyConfig(kind="ebr", rho=rho), rng)
     buffer = RehearsalBuffer(capacity=None)
     for up in upload:
@@ -554,9 +539,8 @@ def test_draw_batch_equals_the_two_step_reference(reach, source, n, dim, data, s
     mu = rng.child("mu").normal((n, dim))
     log_sigma = rng.child("log_sigma").normal((n, dim)) * 0.3
     columns = {"z": {"z": mu}, "stats": {"mu": mu, "log_sigma": log_sigma},
-               "entry": {"images": mu, "labels": labels, "mu": mu, "log_sigma": None},
-               "entry-stats": {"images": mu, "labels": labels, "mu": mu,
-                               "log_sigma": log_sigma}}[source]
+               "entry": {"labels": labels, "mu": mu, "log_sigma": None},
+               "entry-stats": {"labels": labels, "mu": mu, "log_sigma": log_sigma}}[source]
     got = draw_batch(columns, labels, k, rng.child("idx"), rng.child("eps"))
     assert got[0].shape == (k, dim) and got[1].shape == (k,)
     assert got[0].dtype == np.float64 and got[1].dtype == np.int64
@@ -660,7 +644,7 @@ def test_buffer_snapshot_rejects_mixed_payload_tags(tmp_path):
 
 @pytest.mark.parametrize("first", ["raw", "embedding"])
 def test_buffer_snapshot_of_raw_samples_is_refused(tmp_path, first):
-    # a naive snapshot written before naive uploads were embedded at admission
+    # a naive snapshot written when buffers held the raw samples themselves
     rng = RngStream(41)
     raw = reference.Row({"x": rng.normal((2, 3))}, 0, 0, 1)
     (embedded,) = rows_of(embed_upload(rng, 1))
