@@ -2,7 +2,7 @@
 variational embedding rehearsal."""
 
 from .config import ExperimentConfig, parse_config, preset_config
-from .datasets import (LabeledSet, Task, TaskSequence, build_permuted_tasks,
+from .datasets import (ImageRows, LabeledSet, Task, TaskSequence, build_permuted_tasks,
                        build_split_tasks, load_idx, make_synthetic_blobs,
                        partition_clients)
 from .errors import ConfigError, ContractViolation, IdxFormatError
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassifierModel", "ClassifierSpec", "ConfigError", "ContractViolation",
     "EncoderModel", "EncoderSpec", "EnrollmentSchedule", "ExperimentConfig",
-    "FLConfig", "IdxFormatError", "LabeledSet", "ModelConfig", "RehearsalBuffer",
+    "FLConfig", "IdxFormatError", "ImageRows", "LabeledSet", "ModelConfig", "RehearsalBuffer",
     "RngStream", "RoundReport", "StrategyConfig", "Task", "TaskSequence", "Upload", "admit",
     "build_permuted_tasks", "build_split_tasks", "draw_batch", "fedavg_aggregate", "load_idx",
     "make_schedule", "make_synthetic_blobs", "parse_config", "partition_clients",

@@ -5,6 +5,9 @@ and writes rounds.csv, summary.json and manifest.json into the output
 directory; `compare` reads several run summaries and prints an aligned
 accuracy table.  Relative dataset paths resolve against $FILVER_DATA_ROOT.
 
+`main` runs every command with BLAS on one thread, the setting every
+golden digest holds under, whatever the host's core count.
+
 Exit codes: 0 ok, 2 configuration problem, 3 runtime contract violation.
 """
 
@@ -21,7 +24,7 @@ from datetime import datetime, timezone
 
 from .checkpoint import CHECKPOINT_META, read_checkpoint_meta
 from .config import (DATA_ROOT_ENV, PRESET_STRATEGY_SWEEPS, PRESETS, ExperimentConfig,
-                     build_manifest, parse_config, preset_config)
+                     blas_threads, build_manifest, parse_config, preset_config)
 from .errors import ConfigError, ContractViolation, IdxFormatError
 from .federation import run_experiment
 
@@ -312,9 +315,10 @@ def main(argv=None) -> int:
     pin_allocator()
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_compare(args)
+        with blas_threads(1):
+            if args.command == "run":
+                return _cmd_run(args)
+            return _cmd_compare(args)
     except ConfigError as exc:
         print(f"config error in {exc.origin}:", file=sys.stderr)
         for problem in exc.problems:

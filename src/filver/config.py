@@ -8,6 +8,7 @@ reference experimental setup are flagged in the run manifest.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import hashlib
@@ -440,16 +441,51 @@ def openblas_libraries() -> list:
                                   "libscipy_openblas64_*.so"))
 
 
+def _openblas_function(name: str, restype, *argtypes):
+    """A function of numpy's bundled scipy-openblas library, or None where
+    numpy bundles no single such library."""
+    libs = openblas_libraries()
+    if len(libs) != 1:
+        return None
+    fn = getattr(ctypes.CDLL(libs[0]), name)
+    fn.argtypes = list(argtypes)
+    fn.restype = restype
+    return fn
+
+
 def blas_core() -> str:
     """The kernel family numpy's bundled OpenBLAS chose at load time, or
     "unknown" where numpy bundles no single such library."""
-    libs = openblas_libraries()
-    if len(libs) != 1:
-        return "unknown"
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    return corename().decode("ascii")
+    corename = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "unknown" if corename is None else corename().decode("ascii")
+
+
+def blas_thread_count():
+    """The threads numpy's bundled OpenBLAS runs on now, or "unknown" where
+    numpy bundles no single such library."""
+    get_threads = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return "unknown" if get_threads is None else get_threads()
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """BLAS on n threads inside the block; a no-op where numpy bundles no
+    single scipy-openblas library.
+
+    The thread count is part of a run's bytes: OpenBLAS splits a GEMM tall
+    enough, such as a padded 64-row conv encoder pass, between its threads,
+    and the split changes the summation order.
+    """
+    before = blas_thread_count()
+    if before == "unknown":
+        yield
+        return
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def build_manifest(cfg: ExperimentConfig, started_at: str, duration_s: float) -> dict:
@@ -468,6 +504,7 @@ def build_manifest(cfg: ExperimentConfig, started_at: str, duration_s: float) ->
         "module_checksums": _module_checksums(),
         "numpy": np.__version__,
         "blas_core": blas_core(),
+        "blas_threads": blas_thread_count(),
         # this process's peak resident set so far (ru_maxrss is in KiB on Linux)
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }

@@ -5,7 +5,13 @@ stand-ins, and the two task protocols: pixel-permuted tasks (one permutation
 per task, applied identically to train and val) and class-split tasks (each
 task owns a disjoint band of original classes, relabeled to a fixed 0..K-1
 head).  Client partitions deal each task's rows per label round-robin so
-every client holds a balanced shard, as row indices into the task.
+every client holds a balanced shard.
+
+The images are held once.  A loaded or drawn data set is one source array,
+and every set built from it (train and val halves, tasks, client shards) is
+an ImageRows: int64 row numbers into that source, plus the task's pixel
+permutation.  Building a set composes row numbers; images are gathered only
+where they are consumed, a pretraining batch or an encoder pass at a time.
 """
 
 from __future__ import annotations
@@ -27,16 +33,64 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+class ImageRows:
+    """Rows of one source image array, gathered only when indexed.
+
+    `rows` are int64 row numbers into `source` (every row, in order, when
+    not given).  `perm`, when given, reorders each image's C-order pixels at
+    gather time.  Indexing with an int, a slice, an index array or a mask
+    gathers the picked rows into a new C-contiguous float64 array, so
+    `images[:]` is a fresh copy of the whole set; `subset` and `permuted`
+    compose row numbers and permutations instead.
+    """
+
+    def __init__(self, source, rows=None, perm=None):
+        self.source = np.asarray(source, dtype=np.float64)
+        self.rows = (np.arange(len(self.source), dtype=np.int64) if rows is None
+                     else np.asarray(rows, dtype=np.int64))
+        self.perm = perm
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the gathered set, read without gathering it."""
+        return (len(self.rows),) + self.source.shape[1:]
+
+    def __getitem__(self, key) -> np.ndarray:
+        picked = self.rows[key]
+        flat = np.atleast_1d(picked)
+        images = (np.take(self.source, flat, axis=0) if self.perm is None
+                  else _take_permuted(self.source, flat, self.perm))
+        return images.reshape(np.shape(picked) + self.source.shape[1:])
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def subset(self, indices) -> "ImageRows":
+        return ImageRows(self.source, self.rows[indices], self.perm)
+
+    def permuted(self, perm: np.ndarray) -> "ImageRows":
+        """The same rows with their pixels reordered by perm after self.perm."""
+        return ImageRows(self.source, self.rows, perm if self.perm is None else self.perm[perm])
+
+
 @dataclass
 class LabeledSet:
-    """Images in [0, 1] with integer class labels below class_count."""
+    """Images in [0, 1] with integer class labels below class_count.
 
-    images: np.ndarray  # (N, H, W) or flat (N, n), float64
+    images is an ImageRows; an array passed in is wrapped whole, as the
+    source of the set's rows.  labels are held per row.
+    """
+
+    images: ImageRows
     labels: np.ndarray  # (N,), int64
     class_count: int
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        if not isinstance(self.images, ImageRows):
+            self.images = ImageRows(self.images)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.images) != len(self.labels):
             raise ContractViolation(
@@ -49,9 +103,8 @@ class LabeledSet:
         return len(self.labels)
 
     def subset(self, indices) -> "LabeledSet":
-        """The given rows, gathered once into new C-contiguous arrays."""
-        return LabeledSet(np.take(self.images, indices, axis=0), np.take(self.labels, indices),
-                          self.class_count)
+        """The given rows: their labels gathered, their images still the source's."""
+        return LabeledSet(self.images.subset(indices), self.labels[indices], self.class_count)
 
 
 @dataclass
@@ -76,7 +129,7 @@ class TaskSequence:
 
 class ClientPartition:
     """Per-(client, task) shards as int64 row indices into the task's train
-    set, the one copy of its images; the shards of one task tile it."""
+    set; the shards of one task tile it."""
 
     def __init__(self, seq: TaskSequence, n_clients: int, rows: dict):
         self.n_clients = n_clients
@@ -88,7 +141,7 @@ class ClientPartition:
         return self._rows[(client_id, task_id)]
 
     def shard(self, client_id: int, task_id: int) -> LabeledSet:
-        """The shard's samples, gathered into new arrays."""
+        """The shard's samples, as rows of the task's source array."""
         return self._seq.tasks[task_id].train.subset(self.rows(client_id, task_id))
 
 
@@ -138,7 +191,7 @@ def load_idx(images_path, labels_path, transpose: bool = False) -> LabeledSet:
         )
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
-    scaled = images.astype(np.float64) / 255.0
+    scaled = images / 255.0  # computed in float64, as images.astype(np.float64) / 255.0
     if transpose:
         scaled = scaled.transpose(0, 2, 1)
     class_count = int(labels.max()) + 1 if label_count else 1
@@ -153,8 +206,7 @@ def load_idx(images_path, labels_path, transpose: bool = False) -> LabeledSet:
 def split_train_val(data: LabeledSet, val_fraction: float, rng: RngStream):
     """Stratified held-out split: per label, val_fraction of samples (at least 1).
 
-    Returns (train_rows, val_rows), ascending row indices into data; the task
-    builders gather each task straight from data through them.
+    Returns (train_rows, val_rows), ascending row indices into data.
     """
     val_mask = np.zeros(len(data), dtype=bool)
     for label in np.unique(data.labels):
@@ -165,16 +217,13 @@ def split_train_val(data: LabeledSet, val_fraction: float, rng: RngStream):
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
-def _train_val_rows(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
-    """((train set, rows), (val set, rows)): where each half's rows live.
-
-    With base_val the halves are base and base_val whole; otherwise both are
-    rows of base, split by split_train_val.  Nothing is copied here.
-    """
+def _train_val(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
+    """(train, val): base and base_val whole, or rows of base split by
+    split_train_val.  Both are rows of the sources; no image is copied."""
     if base_val is not None:
-        return (base, np.arange(len(base))), (base_val, np.arange(len(base_val)))
+        return base, base_val
     train_rows, val_rows = split_train_val(base, val_fraction, rng)
-    return (base, train_rows), (base, val_rows)
+    return base.subset(train_rows), base.subset(val_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +244,22 @@ def build_permuted_tasks(base: LabeledSet, n_tasks: int, rng: RngStream,
     """One fixed random pixel permutation per task; task 0 is the identity.
 
     The same permutation transforms a task's train and val images, so test
-    conditions always match training conditions.  Each task's images are
-    gathered from base (or base_val) once, rows and pixels together.
+    conditions always match training conditions.  Every task holds the same
+    rows of base (or base_val); its permutation is applied when they are
+    gathered.
     """
     if n_tasks < 1:
         raise ContractViolation("n_tasks must be >= 1")
-    halves = _train_val_rows(base, base_val, val_fraction, rng)
-    n_pixels = base.images[0].size
+    halves = _train_val(base, base_val, val_fraction, rng)
+    n_pixels = int(np.prod(base.images.shape[1:]))
     tasks = []
     for t in range(n_tasks):
         if t == 0:
             perm = np.arange(n_pixels)
         else:
             perm = rng.child("pixel_perm", t).permutation(n_pixels)
-        train, val = (LabeledSet(_take_permuted(source.images, rows, perm),
-                                 np.take(source.labels, rows), source.class_count)
-                      for source, rows in halves)
+        train, val = (LabeledSet(half.images.permuted(perm), half.labels.copy(), half.class_count)
+                      for half in halves)
         tasks.append(Task(task_id=t, train=train, val=val))
     return TaskSequence(tasks)
 
@@ -220,7 +269,8 @@ def build_split_tasks(base: LabeledSet, n_tasks: int = 4, classes_per_task: int 
                       rng: RngStream | None = None) -> TaskSequence:
     """Disjoint class bands: task t holds original classes [t*c, (t+1)*c),
     relabeled to [0, c) so the classification head is identical across tasks.
-    Samples with original label >= n_tasks * classes_per_task are excluded."""
+    Samples with original label >= n_tasks * classes_per_task are excluded.
+    Each task holds rows of base (or base_val)."""
     needed = n_tasks * classes_per_task
     if base.class_count < needed:
         raise ContractViolation(
@@ -228,16 +278,15 @@ def build_split_tasks(base: LabeledSet, n_tasks: int = 4, classes_per_task: int 
             f"base has {base.class_count}"
         )
     rng = rng if rng is not None else RngStream(0).child("split_tasks_default")
-    halves = _train_val_rows(base, base_val, val_fraction, rng)
+    halves = _train_val(base, base_val, val_fraction, rng)
     tasks = []
     for t in range(n_tasks):
         lo, hi = t * classes_per_task, (t + 1) * classes_per_task
         parts = []
-        for source, rows in halves:
-            labels = source.labels[rows]
-            picked = rows[(labels >= lo) & (labels < hi)]
-            parts.append(LabeledSet(np.take(source.images, picked, axis=0),
-                                    source.labels[picked] - lo, classes_per_task))
+        for half in halves:
+            picked = np.flatnonzero((half.labels >= lo) & (half.labels < hi))
+            parts.append(LabeledSet(half.images.subset(picked), half.labels[picked] - lo,
+                                    classes_per_task))
         tasks.append(Task(task_id=t, train=parts[0], val=parts[1]))
     return TaskSequence(tasks)
 
@@ -264,7 +313,8 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
     """Gaussian cluster per class, clipped to [0, 1]; classes are interleaved.
 
     With image_shape=(H, W) the flat samples are reshaped into image batches
-    (d_in must equal H * W), giving a fast stand-in for image datasets.
+    (d_in must equal H * W), giving a fast stand-in for image datasets.  The
+    samples are drawn once, and the set's rows index that one draw.
     """
     if classes < 2:
         raise ContractViolation("need at least two classes")
@@ -279,9 +329,10 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
     samples *= spread
     samples += centers[:, None, :]
     np.clip(samples, 0.0, 1.0, out=samples)
-    # interleave classes: 0, 1, ..., K-1, 0, 1, ...
-    images = samples.transpose(1, 0, 2).reshape(classes * per_class, d_in)
+    # the draw stays class-major; the interleaved order 0, 1, ..., K-1, 0, 1, ...
+    # is a row map: row p*K + c is sample p of class c, source row c*per_class + p
+    rows = (np.arange(per_class, dtype=np.int64)[:, None]
+            + per_class * np.arange(classes, dtype=np.int64)).ravel()
+    source = samples.reshape((classes * per_class,) + tuple(image_shape or (d_in,)))
     labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
-    if image_shape is not None:
-        images = images.reshape(len(images), h, w)
-    return LabeledSet(images, labels, classes)
+    return LabeledSet(ImageRows(source, rows), labels, classes)

@@ -12,12 +12,14 @@ checkpoint repeats the uninterrupted run bit-exactly.  The checkpoint module
 owns the files: run_experiment calls load_checkpoint to resume, and
 save_checkpoint after each checkpoint round.
 
-Each fact has one holder.  A task's train set holds its images, once; the
-client partition holds each shard as row indices into it; the embed stage
-(`ExperimentState.shard_embeddings`) gathers the current task's active
-shards, with their embeddings, and drops them at the task boundary; the
-enrollment schedule alone says which clients are active; a client carries
-nothing across rounds but its rehearsal buffer (`ExperimentState.client_buffers`).
+Each fact has one holder.  The data set's source array holds the images,
+once, and every task holds rows of it; the client partition holds each
+shard as row indices into its task's train set; the embed stage
+(`ExperimentState.shard_embeddings`) embeds the current task's active
+shards, gathering one encoder pass of rows at a time, and drops the
+embeddings at the task boundary; the enrollment schedule alone says which
+clients are active; a client carries nothing across rounds but its
+rehearsal buffer (`ExperimentState.client_buffers`).
 
 Stream keying contract (master = RngStream(master_seed)):
   partition            master.child("partition")
@@ -218,8 +220,8 @@ class ExperimentState:
 def _embed_shards(state: ExperimentState, partition: ClientPartition, task_id: int) -> dict:
     """The embed stage: each nonempty shard of a client active in `task_id`,
     embedded once, by client id.  An entry holds the shard's "labels", "mu"
-    and "log_sigma" (None unless a vee encoder); the images gathered for the
-    pass are dropped once it returns."""
+    and "log_sigma" (None unless a vee encoder); encode_for_eval gathers the
+    shard's images one pass at a time."""
     embedded = {}
     for cid in state.schedule.active_clients(task_id):
         shard = partition.shard(cid, task_id)
@@ -276,7 +278,8 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
 def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelConfig,
               data: LabeledSet, classes: int, batch_size: int, master: RngStream):
     """(encoder params pretrained on data, initial classifier params), drawn
-    from the master's "pretrain" and "classifier_init"."""
+    from the master's "pretrain" and "classifier_init".  Each batch's images
+    are gathered from data's rows as the batch is drawn."""
     encoder_params = models.pretrain_encoder(
         data.images, data.labels, classes, encoder, model.pretrain_epochs, model.pretrain_lr,
         master.child("pretrain"), beta=model.beta, batch_size=batch_size)
@@ -298,7 +301,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     its shards and run rounds_per_task rounds.
 
     The rounds read a task's rows only through the embed stage's entries,
-    gathered when the task starts and dropped at its boundary; only
+    embedded when the task starts and dropped at its boundary; only
     rehearsal buffers carry information forward.  Returns (reports, state);
     a resumed run returns reports for the remaining rounds only.
     """
@@ -339,7 +342,7 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     else:
         client_buffers = [RehearsalBuffer(capacity=client_cap) for _ in range(fl.n_clients)]
         server_buffer = RehearsalBuffer(capacity=server_cap)
-        # one gather of task 0's active rows, freed when pretraining returns
+        # task 0's active rows, gathered a batch at a time
         first_rows = np.concatenate([partition.rows(c, 0) for c in schedule.active_clients(0)])
         encoder_params, classifier_params = _pretrain(
             encoder, classifier, model, tasks.tasks[0].train.subset(first_rows),

@@ -304,13 +304,16 @@ def encode_for_eval(encoder: EncoderModel, params: ParamVector, x):
     """Noise-free forward pass over a whole set, in passes of EVAL_CHUNK rows,
     the last one padded with zero rows whose outputs are dropped.
 
-    Returns (mu, log_sigma) as stats_forward does: log_sigma is None unless
-    a vee encoder.  The first array is the embedding used for evaluation and
-    deterministic replay, and log_sigma is what a reparameterized draw needs
-    besides it.
+    x is an image array or a set's `datasets.ImageRows`; each pass slices
+    (for ImageRows, gathers) only its own rows.  Returns (mu, log_sigma) as
+    stats_forward does: log_sigma is None unless a vee encoder.  The first
+    array is the embedding used for evaluation and deterministic replay, and
+    log_sigma is what a reparameterized draw needs besides it.  An empty set
+    gives (0, embed_dim) arrays.
     """
     mus, log_sigmas = [], []
-    for lo in range(0, len(x), EVAL_CHUNK):
+    # an empty set still takes one pass, all padding, for its arrays' widths
+    for lo in range(0, max(len(x), 1), EVAL_CHUNK):
         chunk = x[lo:lo + EVAL_CHUNK]
         n = len(chunk)
         if n < EVAL_CHUNK:
@@ -429,6 +432,9 @@ def pretrain_encoder(task0_images, task0_labels, classes: int, encoder: EncoderM
                      epochs: int, lr: float, rng: RngStream, *, beta: float,
                      batch_size: int = 32, on_epoch=None) -> ParamVector:
     """Train the encoder against a throwaway linear probe; return its parameters.
+
+    task0_images is an image array or a set's `datasets.ImageRows`; each
+    batch indexes (for ImageRows, gathers) only its own rows.
 
     A vee encoder takes each step through ver_loss on one reparameterized
     draw; a deterministic one through the probe's cross-entropy alone.

@@ -1,13 +1,10 @@
 """Shared fixtures and parameter-space helpers for the test suite."""
 
-import contextlib
-import ctypes
-
 import numpy as np
 import pytest
 
 from filver.cli import pin_allocator
-from filver.config import openblas_libraries
+from filver.config import blas_threads
 from filver.models import ClassifierModel, ClassifierSpec, EncoderModel, EncoderSpec
 from filver.numcore import ParamVector
 from filver.rng import RngStream
@@ -21,28 +18,6 @@ def pinned_allocator():
     pin_allocator), so the suite's conv runs reuse heap pages as a real run
     does instead of faulting fresh ones in at every step."""
     pin_allocator()
-
-
-@contextlib.contextmanager
-def blas_threads(n: int):
-    """BLAS on n threads inside the block; a no-op where numpy bundles no
-    single scipy-openblas library."""
-    libs = openblas_libraries()
-    if len(libs) != 1:
-        yield
-        return
-    lib = ctypes.CDLL(libs[0])
-    get_threads = lib.scipy_openblas_get_num_threads64_
-    get_threads.restype = ctypes.c_int
-    set_threads = lib.scipy_openblas_set_num_threads64_
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    before = get_threads()
-    set_threads(n)
-    try:
-        yield
-    finally:
-        set_threads(before)
 
 
 @pytest.fixture

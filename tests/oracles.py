@@ -425,10 +425,11 @@ def fedavg_aggregate(updates: list) -> ParamVector:
 
 
 # ---------------------------------------------------------------------------
-# Reference data builders: the two-step routes that the one-copy ones in
-# filver.datasets replaced, kept verbatim (LabeledSet.subset is the function
-# subset here).  Each copied every row twice: once into full train/val sets,
-# then again per task; the blobs drew, then made four full-size temporaries.
+# Reference data builders: the two-step routes that the row-number ones in
+# filver.datasets replaced, kept verbatim but for gathering a set's images
+# (`images[:]`, `images[mask]`) where they indexed an array.  Each copied
+# every row twice: once into full train/val sets, then again per task; the
+# blobs drew, then made four full-size temporaries.
 # ---------------------------------------------------------------------------
 
 def subset(data: LabeledSet, indices) -> LabeledSet:
@@ -481,9 +482,9 @@ def build_permuted_tasks(base: LabeledSet, n_tasks: int, rng: RngStream,
         tasks.append(
             Task(
                 task_id=t,
-                train=LabeledSet(_permute_pixels(train.images, perm), train.labels.copy(),
+                train=LabeledSet(_permute_pixels(train.images[:], perm), train.labels.copy(),
                                  train.class_count),
-                val=LabeledSet(_permute_pixels(val.images, perm), val.labels.copy(),
+                val=LabeledSet(_permute_pixels(val.images[:], perm), val.labels.copy(),
                                val.class_count),
             )
         )

@@ -15,6 +15,7 @@ import pytest
 import filver.cli as cli
 import oracles
 import reference
+import test_golden
 from filver import config, federation, models, storage
 from filver.config import (
     DATA_ROOT_ENV,
@@ -22,6 +23,8 @@ from filver.config import (
     PRESET_STRATEGY_SWEEPS,
     PRESETS,
     blas_core,
+    blas_thread_count,
+    blas_threads,
     build_manifest,
     parse_config,
     parse_pairs,
@@ -291,11 +294,16 @@ def test_manifest_flags_defaults_that_are_not_reference_values(monkeypatch):
     assert "federation.py" in manifest["module_checksums"]
     assert manifest["numpy"] == np.__version__
     assert manifest["blas_core"] == blas_core()
+    assert manifest["blas_threads"] == blas_thread_count()
+    if blas_core() != "unknown":
+        with blas_threads(2):
+            assert build_manifest(cfg, "2026-01-01T00:00:00+00:00", 1.5)["blas_threads"] == 2
     # json-serializable throughout
     json.dumps(manifest)
-    # without numpy's bundled OpenBLAS the core is named unknown
+    # without numpy's bundled OpenBLAS the core and thread count are unknown
     monkeypatch.setattr(config, "openblas_libraries", lambda: [])
-    assert build_manifest(cfg, "2026-01-01T00:00:00+00:00", 1.5)["blas_core"] == "unknown"
+    manifest = build_manifest(cfg, "2026-01-01T00:00:00+00:00", 1.5)
+    assert manifest["blas_core"] == manifest["blas_threads"] == "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,18 @@ def test_run_writes_rounds_summary_and_manifest(baseline_run):
     # the peak of the run's process (this one) when the manifest was written
     now = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     assert 0 < manifest["peak_rss_mib"] <= now
+    # cli.main ran the experiment on one BLAS thread
+    assert manifest["blas_threads"] == (1 if blas_core() != "unknown" else "unknown")
+
+
+def test_the_cli_runs_blas_on_one_thread_whatever_the_caller_set(tmp_path):
+    # on two threads a padded 64-row conv encoder pass sums in another order,
+    # and the ebr conv golden config wrote other bytes before cli.main
+    # pinned one thread
+    core, want = test_golden.recorded(test_golden.ROUNDS_SHA256[("ebr", "conv")])
+    with blas_threads(2):
+        assert test_golden.rounds_digest(tmp_path, "ebr", "conv") == want, f"OpenBLAS core {core}"
+        assert blas_thread_count() in (2, "unknown")  # the caller's setting is restored
 
 
 def test_identical_configs_give_byte_identical_outputs(baseline_run, tmp_path):

@@ -1,6 +1,8 @@
 """IDX parsing against hand-built byte fixtures, and task-stream builders."""
 
+import pathlib
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filver.config import preset_config
-from filver.datasets import (LabeledSet, build_permuted_tasks, build_split_tasks, load_idx,
-                             make_synthetic_blobs, partition_clients, split_train_val)
+from filver.datasets import (ImageRows, LabeledSet, build_permuted_tasks, build_split_tasks,
+                             load_idx, make_synthetic_blobs, partition_clients, split_train_val)
 from filver.errors import (ContractViolation, IdxCountMismatchError, IdxMagicError,
                            IdxTruncatedError)
 from filver.rng import RngStream
@@ -49,8 +51,8 @@ def test_load_idx_values_and_scaling(idx_pair):
     ip, lp, images, labels = idx_pair
     data = load_idx(ip, lp)
     assert data.images.shape == (3, 4, 5)
-    assert data.images.dtype == np.float64
-    assert np.array_equal(data.images, images.astype(np.float64) / 255.0)
+    assert data.images[:].dtype == np.float64
+    assert data.images[:].tobytes() == (images.astype(np.float64) / 255.0).tobytes()
     assert np.array_equal(data.labels, labels.astype(np.int64))
     assert data.class_count == 3
 
@@ -111,11 +113,37 @@ def test_labeledset_rejects_out_of_range_labels():
         LabeledSet(np.zeros((2, 3)), np.array([0, 5]), 3)
 
 
-def test_labeledset_subset_copies():
+def test_labeledset_subset_composes_rows():
+    # a subset of a subset is row numbers into the one source; what a set
+    # gathers is a copy
     data = LabeledSet(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), 3)
-    sub = data.subset(np.array([1]))
-    sub.images[0, 0] = 99.0
-    assert data.images[1, 0] == 2.0
+    sub = data.subset(np.array([2, 1])).subset(np.array([1]))
+    assert sub.images.source is data.images.source
+    assert sub.images.rows.tolist() == [1] and sub.labels.tolist() == [1]
+    gathered = sub.images[:]
+    gathered[0, 0] = 99.0
+    assert data.images[1].tolist() == [2.0, 3.0]
+
+
+def test_image_rows_gather_by_every_index_kind():
+    # row i of the source is [i, i + 0.5]; rows 3, 0, 2 in that order
+    images = ImageRows(np.arange(4)[:, None] + np.array([0.0, 0.5]), np.array([3, 0, 2]))
+    assert images.shape == (3, 2) and len(images) == 3
+    assert images[1].tolist() == [0.0, 0.5]
+    assert images[::-1][:, 0].tolist() == [2.0, 0.0, 3.0]
+    assert images[np.array([2, 2])][:, 0].tolist() == [2.0, 2.0]
+    assert images[np.array([True, False, True])][:, 0].tolist() == [3.0, 2.0]
+    assert images[:0].shape == (0, 2)
+    assert np.asarray(images)[:, 0].tolist() == [3.0, 0.0, 2.0]
+
+
+def test_image_rows_compose_permutations():
+    source = RngStream(30).uniform(shape=(5, 2, 3))
+    p, q = RngStream(31).permutation(6), RngStream(32).permutation(6)
+    once = ImageRows(source, np.array([4, 1])).permuted(p)
+    assert once[:].reshape(2, 6).tolist() == source[[4, 1]].reshape(2, 6)[:, p].tolist()
+    twice = once.permuted(q).subset(np.array([1]))
+    assert twice[:].reshape(1, 6).tolist() == once[:].reshape(2, 6)[1:, q].tolist()
 
 
 def test_labeledset_subset_matches_the_two_step_copy():
@@ -124,10 +152,11 @@ def test_labeledset_subset_matches_the_two_step_copy():
     data = LabeledSet(images, np.array([0, 1, 2, 1, 0]), 3)
     rows = np.array([4, 1, 1, 3])
     got, want = data.subset(rows), oracles.subset(data, rows)
-    assert got.images.flags.c_contiguous and want.images.flags.c_contiguous
-    assert np.array_equal(got.images, want.images)
+    gathered = got.images[:]
+    assert gathered.flags.c_contiguous
+    assert gathered.tobytes() == want.images[:].tobytes()
     assert np.array_equal(got.labels, want.labels)
-    assert not np.shares_memory(got.images, data.images)
+    assert not np.shares_memory(gathered, data.images.source)
     assert not np.shares_memory(got.labels, data.labels)
 
 
@@ -198,9 +227,9 @@ def test_build_permuted_tasks_same_perm_for_train_and_val():
     t0, t2 = seq.tasks[0], seq.tasks[2]
     # recover the permutation from the train pair, then apply it to val:
     # permuted[:, j] == original[:, perm[j]]
-    src, dst = t0.train.images, t2.train.images
+    src, dst = t0.train.images[:], t2.train.images[:]
     perm = np.array([int(np.flatnonzero(src[0] == v)[0]) for v in dst[0]])
-    assert np.array_equal(t0.val.images[:, perm], t2.val.images)
+    assert np.array_equal(t0.val.images[:][:, perm], t2.val.images[:])
 
 
 @given(st.integers(2, 5), st.integers(1, 6))
@@ -215,11 +244,11 @@ def test_permuted_tasks_preserve_pixel_multisets(n_tasks, seed):
 
 def _image_set(classes, per_class, seed, transposed=False):
     data = _toy_set(classes=classes, per_class=per_class, d=12, seed=seed)
+    images = data.images[:]
     if transposed:
         # a transposed view, as load_idx(transpose=True) returns
-        return LabeledSet(data.images.reshape(-1, 4, 3).transpose(0, 2, 1), data.labels,
-                          classes)
-    return LabeledSet(data.images.reshape(-1, 3, 4), data.labels, classes)
+        return LabeledSet(images.reshape(-1, 4, 3).transpose(0, 2, 1), data.labels, classes)
+    return LabeledSet(images.reshape(-1, 3, 4), data.labels, classes)
 
 
 def _bases(given_val, transposed):
@@ -229,17 +258,22 @@ def _bases(given_val, transposed):
 
 
 def _assert_same_tasks(got, want):
+    """got's tasks gather to want's bytes and labels, row for row; want comes
+    from the two-step route, which holds every task gathered."""
     assert got.n_tasks == want.n_tasks
     for g, w in zip(got.tasks, want.tasks):
         assert g.task_id == w.task_id
         for a, b in ((g.train, w.train), (g.val, w.val)):
+            gathered, held = a.images[:], b.images[:]
             assert a.class_count == b.class_count
-            assert a.images.dtype == b.images.dtype and a.labels.dtype == b.labels.dtype
-            assert a.images.shape == b.images.shape
+            assert gathered.dtype == held.dtype and a.labels.dtype == b.labels.dtype
+            assert a.images.shape == gathered.shape == held.shape
             # the two-step route left permuted images F-ordered; the gather is C
-            assert a.images.flags.c_contiguous
-            assert a.images.tobytes() == b.images.tobytes()
+            assert gathered.flags.c_contiguous
+            assert gathered.tobytes() == held.tobytes()
             assert np.array_equal(a.labels, b.labels)
+            # and an index that reorders rows gathers them in its order
+            assert a.images[::-1].tobytes() == held[::-1].tobytes()
 
 
 @pytest.mark.parametrize("transposed", [False, True])
@@ -257,7 +291,9 @@ def test_one_copy_builders_match_the_two_step_route(given_val, transposed):
 
 
 @pytest.mark.parametrize("given_val", [False, True])
-def test_one_copy_builders_own_their_memory(given_val):
+def test_one_copy_builders_view_the_base_source(given_val):
+    # every task half is rows of base's (or base_val's) one source array;
+    # its labels, and what it gathers, are its own
     base, base_val = _bases(given_val, transposed=False)
     sources = [base] + ([base_val] if given_val else [])
     for seq in (build_split_tasks(base, 4, 2, base_val=base_val, val_fraction=0.25,
@@ -265,24 +301,74 @@ def test_one_copy_builders_own_their_memory(given_val):
                 build_permuted_tasks(base, 3, RngStream(25), base_val=base_val,
                                      val_fraction=0.25)):
         for task in seq.tasks:
+            assert task.train.images.source is base.images.source
+            assert task.val.images.source is (base_val or base).images.source
             for part in (task.train, task.val):
                 for source in sources:
-                    assert not np.shares_memory(part.images, source.images)
+                    assert not np.shares_memory(part.images[:], source.images.source)
                     assert not np.shares_memory(part.labels, source.labels)
 
 
-def test_desk_task_build_holds_at_most_about_two_copies_of_the_images():
-    # the base set plus the tasks gathered from it; a builder that copies
-    # each row twice, or blobs built through full-size temporaries, peak
-    # above 3x
+def _write_idx_pair(directory, name, pixels, labels):
+    ip, lp = directory / f"{name}-images.idx", directory / f"{name}-labels.idx"
+    _write_idx_images(ip, pixels)
+    _write_idx_labels(lp, labels)
+    return ip, lp
+
+
+@given(protocol=st.sampled_from(["split", "permuted"]), kind=st.sampled_from(["synthetic", "idx"]),
+       transpose=st.booleans(), given_val=st.booleans(), n_tasks=st.integers(1, 3),
+       per_class=st.integers(2, 5), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_tasks_gather_what_the_two_step_route_held(protocol, kind, transpose, given_val,
+                                                   n_tasks, per_class, seed):
+    # every task half gathers, row for row, to the bytes and labels the
+    # two-step route held gathered (the builders that gathered each task
+    # once matched it byte for byte); a split drops the one class beyond
+    # its bands
+    classes = 2 * n_tasks + 1
+    rng = RngStream(seed)
+    halves = []  # (got, want) base sets: train, then val when given
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, n_per in (("train", per_class), ("val", 2))[:1 + given_val]:
+            if kind == "synthetic":
+                draw = (classes, 12, n_per, 0.3, rng.child("blobs", name))
+                halves.append((make_synthetic_blobs(*draw, image_shape=(3, 4)),
+                               oracles.make_synthetic_blobs(*draw, image_shape=(3, 4))))
+                continue
+            pixels = rng.child("pixels", name).integers(0, 256, (classes * n_per, 3, 4))
+            labels = np.tile(np.arange(classes), n_per)
+            got = load_idx(*_write_idx_pair(pathlib.Path(tmp), name, pixels, labels),
+                           transpose=transpose)
+            scaled = pixels.astype(np.float64) / 255.0
+            halves.append((got, LabeledSet(scaled.transpose(0, 2, 1) if transpose else scaled,
+                                           labels, classes)))
+    (base, want_base), (base_val, want_val) = halves[0], (halves + [(None, None)])[1]
+    if protocol == "split":
+        got = build_split_tasks(base, n_tasks, 2, base_val=base_val, val_fraction=0.3,
+                                rng=rng.child("split"))
+        want = oracles.build_split_tasks(want_base, n_tasks, 2, base_val=want_val,
+                                         val_fraction=0.3, rng=rng.child("split"))
+    else:
+        got = build_permuted_tasks(base, n_tasks, rng.child("permute"), base_val=base_val,
+                                   val_fraction=0.3)
+        want = oracles.build_permuted_tasks(want_base, n_tasks, rng.child("permute"),
+                                            base_val=want_val, val_fraction=0.3)
+    _assert_same_tasks(got, want)
+
+
+def test_desk_task_build_holds_one_copy_of_the_images():
+    # the blob draw, and row numbers into it: gathering the tasks, or
+    # interleaving the draw by copy, would peak near 2x
     tracemalloc.start()
     try:
         seq = preset_config("desk-split4").build_tasks()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    image_bytes = sum(t.train.images.nbytes + t.val.images.nbytes for t in seq.tasks)
-    assert peak <= 2.25 * image_bytes, f"peak {peak / image_bytes:.2f}x the task images"
+    source = seq.tasks[0].train.images.source
+    assert all(part.images.source is source for t in seq.tasks for part in (t.train, t.val))
+    assert peak < 1.1 * source.nbytes, f"peak {peak / source.nbytes:.2f}x the base images"
 
 
 def test_desk_partition_copies_no_image():
@@ -296,7 +382,7 @@ def test_desk_partition_copies_no_image():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    train_bytes = sum(t.train.images.nbytes for t in seq.tasks)
+    train_bytes = sum(len(t.train) * t.train.images[0].nbytes for t in seq.tasks)
     assert peak < 0.01 * train_bytes, f"peak {peak / train_bytes:.4f}x the train images"
 
 
@@ -342,7 +428,7 @@ def test_partition_is_deterministic():
 def test_blobs_shapes_labels_and_range():
     data = make_synthetic_blobs(5, 12, 7, 0.3, RngStream(12))
     assert data.images.shape == (35, 12)
-    assert data.images.min() >= 0.0 and data.images.max() <= 1.0
+    assert data.images[:].min() >= 0.0 and data.images[:].max() <= 1.0
     assert np.array_equal(data.labels, np.tile(np.arange(5), 7))
 
 
@@ -364,7 +450,7 @@ def test_blobs_match_the_draw_then_copy_route():
         want = oracles.make_synthetic_blobs(5, 12, 9, 0.4, RngStream(17),
                                             image_shape=image_shape)
         assert got.images.shape == want.images.shape
-        assert got.images.tobytes() == want.images.tobytes()
+        assert got.images[:].tobytes() == want.images[:].tobytes()
         assert np.array_equal(got.labels, want.labels)
 
 

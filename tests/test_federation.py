@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import filver.federation as federation
 from filver import models, scenarios
-from filver.datasets import LabeledSet, build_split_tasks, make_synthetic_blobs, partition_clients
+from filver.datasets import (ImageRows, LabeledSet, build_split_tasks, make_synthetic_blobs,
+                             partition_clients)
 from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
@@ -398,6 +399,29 @@ def test_encoder_kind_for_strategy_mapping():
 # ---------------------------------------------------------------------------
 
 
+def test_a_run_gathers_images_a_pass_or_a_batch_at_a_time(monkeypatch):
+    # tasks hold row numbers, and no step gathers a whole task: pretraining
+    # gathers a batch at a time, the embed stage and the validation sets an
+    # EVAL_CHUNK pass at a time, here on tasks of 120 train rows
+    gathered = []
+    gather = ImageRows.__getitem__
+
+    def counted(self, key):
+        images = gather(self, key)
+        gathered.append(len(images))
+        return images
+
+    monkeypatch.setattr(ImageRows, "__getitem__", counted)
+    base = make_synthetic_blobs(4, D_IN, 80, 0.15, RngStream(5))
+    tasks = build_split_tasks(base, 2, N_CLASSES_PER_TASK, val_fraction=0.25, rng=RngStream(6))
+    assert len(tasks.tasks[0].train) == 120 > models.EVAL_CHUNK
+    fl, model = tiny_fl(), tiny_model("ver_sampled")
+    run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="ver_sampled", rho=0.25),
+                   model, master_seed=7)
+    run_offline(tasks, fl, model, master_seed=7, steps=4)
+    assert 0 < max(gathered) <= models.EVAL_CHUNK
+
+
 def test_run_is_deterministic_per_seed():
     reports1, state1 = tiny_run("ebr", seed=11)
     reports2, state2 = tiny_run("ebr", seed=11)
@@ -412,15 +436,17 @@ def test_training_data_is_never_read_after_its_task_ends():
     reports_clean, clean_state = tiny_run("naive", fl=fl, seed=13)
 
     def poisoned_run(lead):
-        # a task's train rows are the one copy of its images (a shard is row
-        # indices into them): poison them `lead` rounds before the round that
-        # ends the task, so any later read (a naive upload included) sees NaN
+        # a task's train rows live in the blob draw, the one copy of the
+        # images (a task and its shards are row numbers into it): poison the
+        # task's rows there `lead` rounds before the round that ends the
+        # task, so any later read (a naive upload included) sees NaN
         tasks = tiny_tasks()
 
         def poison(report):
             ended, offset = divmod(report.round_id + 1 + lead, fl.rounds_per_task)
             if offset == 0 and ended <= tasks.n_tasks:
-                tasks.tasks[ended - 1].train.images[:] = np.nan
+                images = tasks.tasks[ended - 1].train.images
+                images.source[images.rows] = np.nan
 
         return run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="naive", rho=0.25),
                               tiny_model("naive"), master_seed=13, on_round=poison)

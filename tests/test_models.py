@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import filver.numcore as nc
 from filver import models, storage
 from filver.cli import pin_allocator
+from filver.datasets import ImageRows
 from filver.errors import ContractViolation
 from filver.models import (EVAL_CHUNK, ClassifierModel, ClassifierSpec, EncoderModel,
                            EncoderSpec, GaussianStats, ModelConfig, classifier_accuracy,
@@ -89,6 +90,52 @@ def test_encode_for_eval_is_noise_free(tiny_mlp_vee, tiny_mlp_ebr):
     z, _, _ = tiny_mlp_ebr.stats_forward(ep, padded)
     got_z, none = encode_for_eval(tiny_mlp_ebr, ep, x)
     assert np.array_equal(got_z, z[:3]) and none is None
+
+
+def test_encode_for_eval_on_zero_rows(tiny_mlp_vee, tiny_mlp_ebr):
+    # an empty array, or empty rows of a set, embed to (0, embed_dim) arrays
+    no_rows = ImageRows(RngStream(13).normal((5, 6)), np.zeros(0, dtype=np.int64))
+    for empty in (np.zeros((0, 6)), no_rows):
+        mu, log_sigma = encode_for_eval(tiny_mlp_vee, jittered_params(tiny_mlp_vee, RngStream(14)),
+                                        empty)
+        assert mu.shape == log_sigma.shape == (0, 4)
+        z, none = encode_for_eval(tiny_mlp_ebr, jittered_params(tiny_mlp_ebr, RngStream(15)),
+                                  empty)
+        assert z.shape == (0, 4) and none is None
+
+
+class _CountedRows(ImageRows):
+    """ImageRows that records how many rows each gather returns."""
+
+    def __init__(self, source, rows, gathers):
+        super().__init__(source, rows)
+        self.gathers = gathers
+
+    def __getitem__(self, key):
+        images = super().__getitem__(key)
+        self.gathers.append(len(images))
+        return images
+
+
+def test_a_set_is_gathered_one_pass_or_batch_at_a_time(tiny_mlp_vee):
+    # a set of rows embeds and pretrains to the bytes its gathered images
+    # give, gathering at most EVAL_CHUNK rows per pass and a batch per step
+    source = RngStream(16).uniform(shape=(200, 6))
+    rows = RngStream(17).permutation(200)[:150]
+    labels = np.arange(150) % 3
+    gathers = []
+    images = _CountedRows(source, rows, gathers)
+    params = jittered_params(tiny_mlp_vee, RngStream(18))
+    got, want = encode_for_eval(tiny_mlp_vee, params, images), \
+        encode_for_eval(tiny_mlp_vee, params, source[rows])
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert gathers == [EVAL_CHUNK, EVAL_CHUNK, 150 - 2 * EVAL_CHUNK]
+    gathers.clear()
+    kw = dict(classes=3, encoder=tiny_mlp_vee, epochs=2, lr=0.05, beta=0.01, batch_size=32)
+    got = pretrain_encoder(images, labels, rng=RngStream(19), **kw)
+    want = pretrain_encoder(source[rows], labels, rng=RngStream(19), **kw)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert max(gathers) == 32 and sum(gathers) == 2 * 150
 
 
 ROW_STABLE_ENCODERS = {
