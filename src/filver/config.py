@@ -153,9 +153,13 @@ class ExperimentConfig:
         drng = RngStream(v["dataset.seed"])
         if v["dataset.kind"] == "synthetic":
             size = v["dataset.image_size"]
+            # a split task reads its own band of classes alone; a permuted
+            # task reads every class, so its draw is one band
+            band = v["protocol.classes_per_task"] if v["protocol.kind"] == "split" else None
             base = make_synthetic_blobs(v["dataset.classes"], size * size,
                                         v["dataset.per_class"], v["dataset.spread"],
-                                        drng.child("blobs"), image_shape=(size, size))
+                                        drng.child("blobs"), image_shape=(size, size),
+                                        band_classes=band)
             base_val = None
         else:
             labels_path = self.resolve_path(v["dataset.labels"])

@@ -7,11 +7,15 @@ task owns a disjoint band of original classes, relabeled to a fixed 0..K-1
 head).  Client partitions deal each task's rows per label round-robin so
 every client holds a balanced shard.
 
-The images are held once.  A loaded or drawn data set is one source array,
-and every set built from it (train and val halves, tasks, client shards) is
-an ImageRows: int64 row numbers into that source, plus the task's pixel
-permutation.  Building a set composes row numbers; images are gathered only
-where they are consumed, a pretraining batch or an encoder pass at a time.
+The images are held once, and a synthetic draw holds one band of them.  A
+loaded IDX set is one source array; a blob draw is a BlobBands source, whose
+bands of classes (a task's classes under the split protocol) are drawn again
+from their recorded Philox states when read, and only the band read last
+stays resident.  Every set built from a source (train and val halves,
+tasks, client shards) is an ImageRows: int64 row numbers into it, plus the
+task's pixel permutation.  Building a set composes row numbers; images are
+gathered only where they are consumed, a pretraining batch or an encoder
+pass at a time.
 """
 
 from __future__ import annotations
@@ -27,26 +31,28 @@ from .errors import (
     IdxMagicError,
     IdxTruncatedError,
 )
-from .rng import RngStream
+from .rng import NormalDraw, RngStream
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
 class ImageRows:
-    """Rows of one source image array, gathered only when indexed.
+    """Rows of one image source, gathered only when indexed.
 
-    `rows` are int64 row numbers into `source` (every row, in order, when
-    not given).  `perm`, when given, reorders each image's C-order pixels at
-    gather time.  Indexing with an int, a slice, an index array or a mask
-    gathers the picked rows into a new C-contiguous float64 array, so
-    `images[:]` is a fresh copy of the whole set; `subset` and `permuted`
-    compose row numbers and permutations instead.
+    The source is an image array or a BlobBands draw.  `rows` are int64 row
+    numbers into it (every row, in order, when not given).  `perm`, when
+    given, reorders each image's C-order pixels at gather time.  Indexing
+    with an int, a slice, an index array or a mask gathers the picked rows
+    into a new C-contiguous float64 array, so `images[:]` is a fresh copy of
+    the whole set; `subset` and `permuted` compose row numbers and
+    permutations instead.
     """
 
     def __init__(self, source, rows=None, perm=None):
-        self.source = np.asarray(source, dtype=np.float64)
-        self.rows = (np.arange(len(self.source), dtype=np.int64) if rows is None
+        self.source = (source if isinstance(source, BlobBands)
+                       else np.asarray(source, dtype=np.float64))
+        self.rows = (np.arange(self.source.shape[0], dtype=np.int64) if rows is None
                      else np.asarray(rows, dtype=np.int64))
         self.perm = perm
 
@@ -61,8 +67,8 @@ class ImageRows:
     def __getitem__(self, key) -> np.ndarray:
         picked = self.rows[key]
         flat = np.atleast_1d(picked)
-        images = (np.take(self.source, flat, axis=0) if self.perm is None
-                  else _take_permuted(self.source, flat, self.perm))
+        images = (self.source.take(flat, self.perm) if isinstance(self.source, BlobBands)
+                  else _take(self.source, flat, self.perm))
         return images.reshape(np.shape(picked) + self.source.shape[1:])
 
     def __array__(self, dtype=None, copy=None):
@@ -74,6 +80,83 @@ class ImageRows:
     def permuted(self, perm: np.ndarray) -> "ImageRows":
         """The same rows with their pixels reordered by perm after self.perm."""
         return ImageRows(self.source, self.rows, perm if self.perm is None else self.perm[perm])
+
+
+class BlobBands:
+    """A synthetic blob draw, held one band of classes at a time.
+
+    The draw is class-major: source row c*per_class + p is sample p of class
+    c.  Band b holds classes [b*band_classes, (b+1)*band_classes), the last
+    band what is left, so its rows are a contiguous run of source rows and a
+    contiguous part of the one normal draw.  Building the source streams
+    through the draw once, recording the Philox state at the start of each
+    band and keeping band 0.  Reading a band that is not held drops the held
+    one, then draws the band again from its recorded state, to the bytes of
+    the one draw; so only the band read last is resident.
+    """
+
+    def __init__(self, centers: np.ndarray, spread: float, per_class: int, band_classes: int,
+                 image_shape: tuple, draw: NormalDraw):
+        classes = len(centers)
+        self.centers, self.spread, self.per_class = centers, spread, per_class
+        self.band_classes = band_classes
+        self.shape = (classes * per_class,) + tuple(image_shape)
+        n_bands = -(-classes // band_classes)
+        self._marks = [draw.mark()]
+        self._held = (0, self._draw(0, draw))
+        for b in range(1, n_bands):
+            self._marks.append(draw.mark())
+            if b + 1 < n_bands:  # the last band's values are never needed here
+                draw.skip(self._centers(b).size * per_class)
+
+    @property
+    def n_bands(self) -> int:
+        return len(self._marks)
+
+    @property
+    def held(self) -> int:
+        """The index of the resident band."""
+        return self._held[0]
+
+    def _centers(self, b: int) -> np.ndarray:
+        """The centers of band b's classes."""
+        return self.centers[b * self.band_classes:(b + 1) * self.band_classes]
+
+    def _draw(self, b: int, draw: NormalDraw) -> np.ndarray:
+        """Band b's images, read from `draw` at the band's start: the noise
+        scaled, shifted by its class centers and clipped to [0, 1] in place,
+        which equals clip(centers + noise * spread), as float addition commutes."""
+        centers = self._centers(b)
+        samples = draw.normal((len(centers), self.per_class, centers.shape[1]))
+        samples *= self.spread
+        samples += centers[:, None, :]
+        np.clip(samples, 0.0, 1.0, out=samples)
+        return samples.reshape((len(centers) * self.per_class,) + self.shape[1:])
+
+    def band(self, b: int) -> np.ndarray:
+        """Band b's images, drawn again from its recorded state unless held."""
+        if self.held != b:
+            self._held = None  # the held band is freed before the next is drawn
+            self._held = (b, self._draw(b, NormalDraw(self._marks[b])))
+        return self._held[1]
+
+    def take(self, rows: np.ndarray, perm=None) -> np.ndarray:
+        """The images of source `rows`, as _take gathers them from an array.
+
+        A gather within one band reads that band alone.  One that spans
+        bands reads them one after another, the held band first, and fills
+        each band's rows of the result in turn.
+        """
+        width = self.band_classes * self.per_class
+        bands = rows // width
+        if len(rows) and bands.min() == bands.max():
+            b = int(bands[0])
+            return _take(self.band(b), rows - b * width, perm)
+        out = np.empty((len(rows),) + self.shape[1:])
+        for b in sorted(np.unique(bands).tolist(), key=lambda b: b != self.held):
+            picked = bands == b
+            out[picked] = _take(self.band(b), rows[picked] - b * width, perm)
+        return out
 
 
 @dataclass
@@ -231,8 +314,11 @@ def _train_val(base: LabeledSet, base_val, val_fraction: float, rng: RngStream):
 # ---------------------------------------------------------------------------
 
 
-def _take_permuted(images: np.ndarray, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """images[rows] with each image's C-order pixels reordered by perm, in one gather."""
+def _take(images: np.ndarray, rows: np.ndarray, perm=None) -> np.ndarray:
+    """images[rows], with each image's C-order pixels reordered by perm when
+    given, in one gather."""
+    if perm is None:
+        return np.take(images, rows, axis=0)
     pixel = np.unravel_index(perm, images.shape[1:])
     picked = images[(rows[:, None],) + tuple(p[None, :] for p in pixel)]
     return picked.reshape((len(rows),) + images.shape[1:])
@@ -309,12 +395,15 @@ def partition_clients(seq: TaskSequence, n_clients: int, rng: RngStream) -> Clie
 
 
 def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
-                         rng: RngStream, image_shape: tuple | None = None) -> LabeledSet:
+                         rng: RngStream, image_shape: tuple | None = None,
+                         band_classes: int | None = None) -> LabeledSet:
     """Gaussian cluster per class, clipped to [0, 1]; classes are interleaved.
 
     With image_shape=(H, W) the flat samples are reshaped into image batches
     (d_in must equal H * W), giving a fast stand-in for image datasets.  The
-    samples are drawn once, and the set's rows index that one draw.
+    samples are one normal draw, held as a BlobBands source of band_classes
+    classes a band (every class in one band when not given), and the set's
+    rows index that draw.
     """
     if classes < 2:
         raise ContractViolation("need at least two classes")
@@ -322,17 +411,14 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
         h, w = image_shape
         if h * w != d_in:
             raise ContractViolation(f"image_shape {image_shape} incompatible with d_in {d_in}")
+    if band_classes is not None and band_classes < 1:
+        raise ContractViolation(f"band_classes must be >= 1, got {band_classes}")
     centers = rng.child("blob_centers").uniform(0.0, 1.0, (classes, d_in))
-    # one draw, scaled, shifted and clipped in place: the values equal
-    # clip(centers + noise * spread), since float addition commutes
-    samples = rng.child("blob_noise").normal((classes, per_class, d_in))
-    samples *= spread
-    samples += centers[:, None, :]
-    np.clip(samples, 0.0, 1.0, out=samples)
+    source = BlobBands(centers, spread, per_class, min(band_classes or classes, classes),
+                       tuple(image_shape or (d_in,)), rng.child("blob_noise").normal_draw())
     # the draw stays class-major; the interleaved order 0, 1, ..., K-1, 0, 1, ...
     # is a row map: row p*K + c is sample p of class c, source row c*per_class + p
     rows = (np.arange(per_class, dtype=np.int64)[:, None]
             + per_class * np.arange(classes, dtype=np.int64)).ravel()
-    source = samples.reshape((classes * per_class,) + tuple(image_shape or (d_in,)))
     labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
     return LabeledSet(ImageRows(source, rows), labels, classes)

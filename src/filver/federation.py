@@ -12,8 +12,9 @@ checkpoint repeats the uninterrupted run bit-exactly.  The checkpoint module
 owns the files: run_experiment calls load_checkpoint to resume, and
 save_checkpoint after each checkpoint round.
 
-Each fact has one holder.  The data set's source array holds the images,
-once, and every task holds rows of it; the client partition holds each
+Each fact has one holder.  The data set's source holds the images, once
+(a synthetic split draw holds one task's band of them at a time), and
+every task holds rows of it; the client partition holds each
 shard as row indices into its task's train set; the embed stage
 (`ExperimentState.shard_embeddings`) embeds the current task's active
 shards, gathering one encoder pass of rows at a time, and drops the
@@ -201,7 +202,7 @@ class ExperimentState:
     strategy: StrategyConfig
     encoder: EncoderModel
     encoder_params: ParamVector
-    encoder_checksum: str
+    frozen_encoder: ParamVector  # a copy of encoder_params, taken when it froze
     classifier: ClassifierModel
     classifier_params: ParamVector
     client_buffers: list  # RehearsalBuffer by client id
@@ -266,7 +267,7 @@ def run_round(state: ExperimentState, task_id: int, round_in_task: int) -> Round
         state.classifier_params, state.server_buffer, state.classifier, fl,
         state.master.child("sst", task_id, round_in_task))
 
-    if state.encoder_params.checksum() != state.encoder_checksum:
+    if not state.encoder_params.same_bytes(state.frozen_encoder):
         raise ContractViolation("frozen encoder parameters changed during training")
 
     report = RoundReport(g, task_id, state.evaluate(),
@@ -287,10 +288,19 @@ def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelCo
 
 
 def _validation_embeddings(encoder: EncoderModel, encoder_params: ParamVector,
-                           tasks: TaskSequence) -> list:
-    """(embeddings, labels) of each task's validation set, in task order."""
-    return [(models.encode_for_eval(encoder, encoder_params, task.val.images)[0],
-             np.asarray(task.val.labels)) for task in tasks.tasks]
+                           tasks: TaskSequence, first: int = 0) -> list:
+    """(embeddings, labels) of each task's validation set, in task order.
+
+    The sets are embedded from task `first` backwards, wrapping round, so
+    a synthetic split draw ends the pass holding the band of task first + 1,
+    the next task to start; the order changes no byte."""
+    n = tasks.n_tasks
+    embedded = {}
+    for t in [(first - i) % n for i in range(n)]:
+        val = tasks.tasks[t].val
+        embedded[t] = (models.encode_for_eval(encoder, encoder_params, val.images)[0],
+                       np.asarray(val.labels))
+    return [embedded[t] for t in range(n)]
 
 
 def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: StrategyConfig,
@@ -351,16 +361,22 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
     state = ExperimentState(
         master=master, fl=fl, strategy=strategy,
         encoder=encoder, encoder_params=encoder_params,
-        encoder_checksum=encoder_params.checksum(),
+        frozen_encoder=ParamVector(encoder_params.layout, encoder_params.flat.copy()),
         classifier=classifier, classifier_params=classifier_params,
         client_buffers=client_buffers, server_buffer=server_buffer, schedule=schedule,
-        eval_cache=_validation_embeddings(encoder, encoder_params, tasks),
-        global_round=start_round, identity=identity)
+        eval_cache=[], global_round=start_round, identity=identity)
 
+    # the first task's shards are embedded before the validation sets, so a
+    # synthetic split draw reads task 0's band, which pretraining left held,
+    # before it moves on: a band is drawn again at most once per use
     first_task = start_round // fl.rounds_per_task
+    if first_task < n_tasks:
+        state.shard_embeddings = _embed_shards(state, partition, first_task)
+    state.eval_cache = _validation_embeddings(encoder, encoder_params, tasks, first_task)
     reports = []
     for task_id in range(first_task, n_tasks):
-        state.shard_embeddings = _embed_shards(state, partition, task_id)
+        if task_id > first_task:
+            state.shard_embeddings = _embed_shards(state, partition, task_id)
         r0 = start_round - task_id * fl.rounds_per_task if task_id == first_task else 0
         for r in range(max(0, r0), fl.rounds_per_task):
             report = run_round(state, task_id, r)

@@ -12,6 +12,12 @@ client's draws do not depend on which clients trained before it, and a
 stream rebuilt from its tags on resume repeats the draws of the
 uninterrupted run.
 
+A normal draw can also be read in parts (`RngStream.normal_draw`): each
+part continues the one draw where the last part stopped, and `mark()`
+records the Philox state reached, as an opaque value.  NormalDraw(mark)
+reads on from that state, so a part can be drawn again later, to the same
+bytes, whatever other draws came between.
+
 Draws are not thread-safe: two threads drawing at once would reset the one
 generator under each other.  The program draws from one thread.
 """
@@ -31,6 +37,9 @@ _BITGEN = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_BITGEN)
 _EMPTY_BUFFER = (0, 0, 0, 0)
 _BUFFER_SIZE = len(_EMPTY_BUFFER)  # buffer_pos at its size means the buffer is empty
+
+# values a NormalDraw.skip draws per call, into one scratch array (512 KB)
+_SKIP_CHUNK = 1 << 16
 
 _STR_TAGS: dict[str, int] = {}
 
@@ -99,6 +108,11 @@ class RngStream:
     def normal(self, shape=None) -> np.ndarray:
         return self._next_generator().standard_normal(shape)
 
+    def normal_draw(self) -> "NormalDraw":
+        """This stream's next draw, as a normal draw to read in parts."""
+        self._next_generator()
+        return NormalDraw(_BITGEN.state)
+
     def uniform(self, low=0.0, high=1.0, shape=None) -> np.ndarray:
         return self._next_generator().uniform(low, high, shape)
 
@@ -111,3 +125,37 @@ class RngStream:
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         """Sample `size` indices from range(n)."""
         return self._next_generator().choice(n, size=size, replace=replace)
+
+
+class NormalDraw:
+    """One draw of standard normals, read part by part.
+
+    Parts read back to back hold, in C order, the values that one `normal`
+    call of their total size draws.  `mark()` records the position reached;
+    NormalDraw(mark) reads on from it, to the same values, whatever other
+    draws came between.  The state is restored before each part and recorded
+    after it, so draws of other streams between parts do not shift it.
+    """
+
+    def __init__(self, mark: dict):
+        self._state = mark
+
+    def mark(self) -> dict:
+        """The position reached: the Philox state, as an opaque value."""
+        return self._state
+
+    def normal(self, shape) -> np.ndarray:
+        """The draw's next values, as an array of `shape`."""
+        _BITGEN.state = self._state
+        values = _GENERATOR.standard_normal(shape)
+        self._state = _BITGEN.state
+        return values
+
+    def skip(self, count: int) -> None:
+        """Advance past the draw's next `count` values, holding at most
+        _SKIP_CHUNK of them at a time."""
+        _BITGEN.state = self._state
+        scratch = np.empty(min(count, _SKIP_CHUNK))
+        for lo in range(0, count, _SKIP_CHUNK):
+            _GENERATOR.standard_normal(out=scratch[:min(_SKIP_CHUNK, count - lo)])
+        self._state = _BITGEN.state

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filver.config import preset_config
-from filver.datasets import (ImageRows, LabeledSet, build_permuted_tasks, build_split_tasks,
-                             load_idx, make_synthetic_blobs, partition_clients, split_train_val)
+from filver.datasets import (BlobBands, ImageRows, LabeledSet, build_permuted_tasks,
+                             build_split_tasks, load_idx, make_synthetic_blobs, partition_clients,
+                             split_train_val)
 from filver.errors import (ContractViolation, IdxCountMismatchError, IdxMagicError,
                            IdxTruncatedError)
 from filver.rng import RngStream
@@ -290,12 +291,15 @@ def test_one_copy_builders_match_the_two_step_route(given_val, transposed):
     _assert_same_tasks(got, want)
 
 
-@pytest.mark.parametrize("given_val", [False, True])
-def test_one_copy_builders_view_the_base_source(given_val):
-    # every task half is rows of base's (or base_val's) one source array;
-    # its labels, and what it gathers, are its own
-    base, base_val = _bases(given_val, transposed=False)
-    sources = [base] + ([base_val] if given_val else [])
+def _held(source):
+    """The source's resident images: an array source, or a draw's held band."""
+    return source.band(source.held) if isinstance(source, BlobBands) else source
+
+
+def _assert_builders_view(base, base_val):
+    """Every task half is rows of base's (or base_val's) one source; its
+    labels, and what it gathers, are its own."""
+    sources = [base] + ([base_val] if base_val is not None else [])
     for seq in (build_split_tasks(base, 4, 2, base_val=base_val, val_fraction=0.25,
                                   rng=RngStream(24)),
                 build_permuted_tasks(base, 3, RngStream(25), base_val=base_val,
@@ -304,9 +308,25 @@ def test_one_copy_builders_view_the_base_source(given_val):
             assert task.train.images.source is base.images.source
             assert task.val.images.source is (base_val or base).images.source
             for part in (task.train, task.val):
+                gathered = part.images[:]
                 for source in sources:
-                    assert not np.shares_memory(part.images[:], source.images.source)
+                    assert not np.shares_memory(gathered, _held(source.images.source))
                     assert not np.shares_memory(part.labels, source.labels)
+
+
+@pytest.mark.parametrize("given_val", [False, True])
+def test_one_copy_builders_view_the_base_source(given_val):
+    _assert_builders_view(*_bases(given_val, transposed=False))
+
+
+@pytest.mark.parametrize("given_val", [False, True])
+def test_builders_view_a_banded_blob_draw(given_val):
+    # here the source is a blob draw of two classes a band, and a gather
+    # shares no memory with the band it leaves held
+    base, base_val = (make_synthetic_blobs(8, 12, n, 0.3, RngStream(seed), image_shape=(3, 4),
+                                           band_classes=2)
+                      for n, seed in ((12, 26), (5, 27)))
+    _assert_builders_view(base, base_val if given_val else None)
 
 
 def _write_idx_pair(directory, name, pixels, labels):
@@ -358,8 +378,9 @@ def test_tasks_gather_what_the_two_step_route_held(protocol, kind, transpose, gi
 
 
 def test_desk_task_build_holds_one_copy_of_the_images():
-    # the blob draw, and row numbers into it: gathering the tasks, or
-    # interleaving the draw by copy, would peak near 2x
+    # the blob draw streams band by band and keeps band 0, a quarter of the
+    # images: holding the whole draw, gathering the tasks or interleaving
+    # the draw by copy would peak at 1x to 2x
     tracemalloc.start()
     try:
         seq = preset_config("desk-split4").build_tasks()
@@ -367,8 +388,10 @@ def test_desk_task_build_holds_one_copy_of_the_images():
     finally:
         tracemalloc.stop()
     source = seq.tasks[0].train.images.source
+    assert isinstance(source, BlobBands) and (source.n_bands, source.held) == (4, 0)
     assert all(part.images.source is source for t in seq.tasks for part in (t.train, t.val))
-    assert peak < 1.1 * source.nbytes, f"peak {peak / source.nbytes:.2f}x the base images"
+    image_bytes = np.prod(source.shape) * 8
+    assert peak < 0.3 * image_bytes, f"peak {peak / image_bytes:.2f}x the base images"
 
 
 def test_desk_partition_copies_no_image():
@@ -442,6 +465,8 @@ def test_blobs_rejects_bad_args():
         make_synthetic_blobs(1, 8, 4, 0.2, RngStream(14))
     with pytest.raises(ContractViolation):
         make_synthetic_blobs(3, 8, 4, 0.2, RngStream(15), image_shape=(3, 3))
+    with pytest.raises(ContractViolation, match="band_classes"):
+        make_synthetic_blobs(3, 8, 4, 0.2, RngStream(15), band_classes=0)
 
 
 def test_blobs_match_the_draw_then_copy_route():
@@ -452,6 +477,40 @@ def test_blobs_match_the_draw_then_copy_route():
         assert got.images.shape == want.images.shape
         assert got.images[:].tobytes() == want.images[:].tobytes()
         assert np.array_equal(got.labels, want.labels)
+
+
+@given(classes=st.integers(2, 7), per_class=st.integers(1, 5), d=st.integers(1, 6),
+       band=st.integers(1, 8), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_band_draws_match_the_one_draw(classes, per_class, d, band, seed, data):
+    # bands of one class, a short last band and one band of every class
+    # (band >= classes) gather every row to the one draw's bytes, in any
+    # order: row by row, in a shuffle that spans bands, and whole
+    got = make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed), band_classes=band)
+    want = oracles.make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed)).images[:]
+    source = got.images.source
+    assert source.n_bands == -(-classes // min(band, classes))
+    assert got.images.shape == want.shape
+    order = np.array(data.draw(st.permutations(range(len(want)))), dtype=np.int64)
+    for i in order:
+        assert got.images[int(i)].tobytes() == want[i].tobytes()
+    assert got.images[order].tobytes() == want[order].tobytes()
+    assert got.images[:].tobytes() == want.tobytes()
+    assert np.array_equal(got.labels, np.tile(np.arange(classes), per_class))
+
+
+@given(classes=st.integers(2, 7), band=st.integers(1, 3), seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_a_dropped_band_is_drawn_again_to_its_first_bytes(classes, band, seed):
+    source = make_synthetic_blobs(classes, 5, 3, 0.3, RngStream(seed),
+                                  band_classes=band).images.source
+    first = [source.band(b).copy() for b in range(source.n_bands)]
+    for b in reversed(range(source.n_bands)):
+        # another stream's draw between the band's draws shifts nothing
+        RngStream(seed + 1).normal(7)
+        again = source.band(b)
+        assert source.held == b
+        assert again.tobytes() == first[b].tobytes()
 
 
 def test_blobs_check_image_shape_before_drawing(monkeypatch):

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import filver.federation as federation
 from filver import models, scenarios
-from filver.datasets import (ImageRows, LabeledSet, build_split_tasks, make_synthetic_blobs,
-                             partition_clients)
+from filver.datasets import (BlobBands, ImageRows, LabeledSet, build_split_tasks,
+                             make_synthetic_blobs, partition_clients)
 from filver.errors import ContractViolation
 from filver.federation import (
     FLConfig,
@@ -60,8 +61,9 @@ EMBED = 6
 N_CLASSES_PER_TASK = 2
 
 
-def tiny_tasks(seed=2024, n_tasks=2):
-    base = make_synthetic_blobs(2 * n_tasks, D_IN, 24, 0.15, RngStream(seed))
+def tiny_tasks(seed=2024, n_tasks=2, band_classes=None):
+    base = make_synthetic_blobs(2 * n_tasks, D_IN, 24, 0.15, RngStream(seed),
+                                band_classes=band_classes)
     return build_split_tasks(base, n_tasks=n_tasks, classes_per_task=N_CLASSES_PER_TASK,
                              val_fraction=0.25, rng=RngStream(seed + 1))
 
@@ -85,8 +87,8 @@ def tiny_model(kind, pretrain_epochs=2):
                        pretrain_lr=0.05)
 
 
-def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, **kwargs):
-    tasks = tiny_tasks()
+def tiny_run(strategy_kind, *, fl=None, seed=7, rho=0.25, tasks=None, **kwargs):
+    tasks = tiny_tasks() if tasks is None else tasks
     fl = fl or tiny_fl()
     strategy = StrategyConfig(kind=strategy_kind, rho=rho)
     return run_experiment(tasks, "fully_enrolled", fl, strategy, tiny_model(strategy_kind),
@@ -422,6 +424,36 @@ def test_a_run_gathers_images_a_pass_or_a_batch_at_a_time(monkeypatch):
     assert 0 < max(gathered) <= models.EVAL_CHUNK
 
 
+def test_a_split_run_holds_one_band_at_a_time(monkeypatch):
+    # each band a draw returns is watched through a weakref: when the next
+    # draw starts, every earlier band is gone.  Task 0's band, kept from the
+    # build pass, serves pretraining, task 0's embed stage and its
+    # validation set; the validation pass then reads the other bands from
+    # the last down, so it ends holding task 1's band, and only the bands
+    # of tasks 2 on are drawn again at their task's start
+    n_tasks, fl = 3, tiny_fl()
+    plain, _ = tiny_run("ver_sampled", fl=fl, tasks=tiny_tasks(n_tasks=n_tasks))
+    watched, drawn = [], []
+    real_draw = BlobBands._draw
+
+    def draw(self, band, normal_draw):
+        alive = [ref for ref in watched if ref() is not None]
+        assert not alive, f"band {band} drawn while an earlier band is held"
+        images = real_draw(self, band, normal_draw)
+        watched.extend([weakref.ref(images), weakref.ref(images.base)])
+        drawn.append(band)
+        return images
+
+    monkeypatch.setattr(BlobBands, "_draw", draw)
+    tasks = tiny_tasks(n_tasks=n_tasks, band_classes=N_CLASSES_PER_TASK)
+    reports, _ = tiny_run("ver_sampled", fl=fl, tasks=tasks)
+    assert drawn == [0, 2, 1, 2]
+    assert report_tuples(reports) == report_tuples(plain)
+    # a gather that spans bands reads them one after another, the held one first
+    whole = tasks.tasks[0].train.images.source.take(np.arange(6 * 24))
+    assert whole.shape == (6 * 24, D_IN) and drawn[4:] == [0, 1]
+
+
 def test_run_is_deterministic_per_seed():
     reports1, state1 = tiny_run("ebr", seed=11)
     reports2, state2 = tiny_run("ebr", seed=11)
@@ -431,37 +463,48 @@ def test_run_is_deterministic_per_seed():
     assert report_tuples(reports1) != report_tuples(reports3)
 
 
-def test_training_data_is_never_read_after_its_task_ends():
-    fl = tiny_fl()
-    reports_clean, clean_state = tiny_run("naive", fl=fl, seed=13)
+def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
+    # a task's images are its band of the blob draw, drawn again from the
+    # band's recorded state whenever a read finds another band held: make a
+    # draw of task t's band return NaN once `lead` rounds or fewer remain
+    # before task t's last round ends, so any read after that round (a naive
+    # upload included) sees NaN.  Draws before the first round ends (the
+    # build pass and the validation pass) are left clean
+    fl, n_tasks = tiny_fl(), 3
+    reports_clean, clean_state = tiny_run("naive", fl=fl, seed=13,
+                                          tasks=tiny_tasks(n_tasks=n_tasks))
+    real_draw = BlobBands._draw
 
-    def poisoned_run(lead):
-        # a task's train rows live in the blob draw, the one copy of the
-        # images (a task and its shards are row numbers into it): poison the
-        # task's rows there `lead` rounds before the round that ends the
-        # task, so any later read (a naive upload included) sees NaN
-        tasks = tiny_tasks()
+    def poisoned_run(lead, drawn):
+        done = []  # one entry per round ended
 
-        def poison(report):
-            ended, offset = divmod(report.round_id + 1 + lead, fl.rounds_per_task)
-            if offset == 0 and ended <= tasks.n_tasks:
-                images = tasks.tasks[ended - 1].train.images
-                images.source[images.rows] = np.nan
+        def draw(self, band, normal_draw):
+            images = real_draw(self, band, normal_draw)
+            drawn.append((band, len(done)))
+            if done and len(done) + lead >= (band + 1) * fl.rounds_per_task:
+                images[:] = np.nan
+            return images
 
-        return run_experiment(tasks, "fully_enrolled", fl, StrategyConfig(kind="naive", rho=0.25),
-                              tiny_model("naive"), master_seed=13, on_round=poison)
+        monkeypatch.setattr(BlobBands, "_draw", draw)
+        return tiny_run("naive", fl=fl, seed=13, on_round=done.append,
+                        tasks=tiny_tasks(n_tasks=n_tasks, band_classes=N_CLASSES_PER_TASK))
 
-    reports_poisoned, state = poisoned_run(0)
+    drawn = []
+    reports_poisoned, state = poisoned_run(0, drawn)
     assert report_tuples(reports_poisoned) == report_tuples(reports_clean)
     assert buffer_sizes(state) == buffer_sizes(clean_state)
     # the embed stage's entries, and their gathered rows, are gone
     assert state.shard_embeddings == {}
+    # no band is drawn after its task's embed stage, so no poisoned draw
+    # happened: task t's band is drawn before task t's first round ends
+    assert {band for band, _ in drawn} == set(range(n_tasks))
+    assert all(rounds <= band * fl.rounds_per_task for band, rounds in drawn), drawn
 
     # the same poison a task early, before the task starts, does reach the
-    # run: its rows are read when the task's shards are gathered, and the
-    # encoder refuses the NaN
+    # run: task 2's band is drawn again when its shards are gathered, and
+    # the encoder refuses the NaN
     with pytest.raises(ContractViolation, match="non-finite"):
-        poisoned_run(fl.rounds_per_task)
+        poisoned_run(fl.rounds_per_task, [])
 
 
 def test_frozen_encoder_is_verified_every_round():
@@ -470,6 +513,22 @@ def test_frozen_encoder_is_verified_every_round():
                                        state.encoder_params.flat + 1.0)
     with pytest.raises(ContractViolation):
         federation.run_round(state, 0, 1)
+
+
+def test_frozen_encoder_check_compares_bytes():
+    # 0.0 and -0.0 are equal values but other bytes; the check reads bytes
+    reports, state = tiny_run("ebr", stop_after_round=1)
+    layout, flat = state.frozen_encoder.layout, state.frozen_encoder.flat.copy()
+    flat[0] = 0.0
+    state.frozen_encoder = ParamVector(layout, flat)
+    state.encoder_params = ParamVector(layout, flat.copy())
+    federation.run_round(state, 0, 1)
+    flipped = flat.copy()
+    flipped[0] = -0.0
+    assert np.array_equal(flipped, flat)
+    state.encoder_params = ParamVector(layout, flipped)
+    with pytest.raises(ContractViolation, match="frozen encoder parameters changed"):
+        federation.run_round(state, 0, 2)
 
 
 @pytest.mark.parametrize("every,stop,saves", [(2, 4, [2, 4]), (2, 3, [2, 3])])

@@ -52,12 +52,21 @@ def test_paramvector_rejects_duplicate_names():
         nc.ParamVector.from_arrays([("w", np.zeros(2)), ("w", np.zeros(3))])
 
 
-def test_paramvector_checksum_tracks_values():
+def test_paramvector_same_bytes_tracks_bits():
     pv = _pv((5,))
-    before = pv.checksum()
-    assert before == nc.ParamVector(pv.layout, pv.flat.copy()).checksum()
+    copy = nc.ParamVector(pv.layout, pv.flat.copy())
+    assert pv.same_bytes(copy) and copy.same_bytes(pv)
+    assert not pv.same_bytes(nc.ParamVector([("s0", (5, 1))], pv.flat.copy()))
     pv.get("s0")[...] += 1e-12
-    assert pv.checksum() != before
+    assert not pv.same_bytes(copy)
+    # bits, not values: -0.0 differs from 0.0, and a NaN equals itself
+    pv.flat[...] = 0.0
+    copy.flat[...] = 0.0
+    assert pv.same_bytes(copy)
+    copy.flat[0] = -0.0
+    assert not pv.same_bytes(copy)
+    pv.flat[0] = copy.flat[0] = np.nan
+    assert pv.same_bytes(copy)
 
 
 def test_paramvector_rejects_length_mismatch():

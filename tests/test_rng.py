@@ -197,3 +197,42 @@ def test_a_draw_after_leftover_state_still_equals_the_constructor(seed, stream_i
     method, args = then
     assert_same_draw(getattr(stream, method)(*args), getattr(twin, method)(*args))
     assert stream.counter == twin.counter == counter + 2
+
+
+@given(seed=keys, stream_id=keys, counter=st.integers(0, 2**64 - 1),
+       parts=st.lists(st.tuples(st.booleans(), st.integers(0, 40)), min_size=1, max_size=8),
+       skip_next=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_normal_draw_read_in_parts_equals_one_call(seed, stream_id, counter, parts,
+                                                     skip_next):
+    # parts read or skipped back to back, with other streams drawing between
+    # them, are the one normal call's values; a part drawn again from its
+    # mark gives the same bytes
+    total = sum(n for _, n in parts)
+    want = ConstructorRngStream(seed, stream_id, counter).normal(total)
+    stream = RngStream(seed, stream_id, counter)
+    draw = stream.normal_draw()
+    assert stream.counter == counter + 1
+    lo = 0
+    for i, (read, n) in enumerate(parts):
+        RngStream(seed, i).integers(0, 7, 3)  # leaves a 32-bit half word over
+        mark = draw.mark()
+        if read:
+            assert draw.normal((n,)).tobytes() == want[lo:lo + n].tobytes()
+        else:
+            draw.skip(n)
+        RngStream(seed, i).normal(5)
+        again = rng_module.NormalDraw(mark).normal(n)
+        assert again.tobytes() == want[lo:lo + n].tobytes()
+        lo += n
+    tail = ConstructorRngStream(seed, stream_id, counter).normal(total + 3)[total:]
+    if skip_next:
+        draw.skip(0)
+    assert draw.normal(3).tobytes() == tail.tobytes()
+
+
+def test_a_skip_across_chunks_lands_where_a_read_would():
+    n = 2 * rng_module._SKIP_CHUNK + 5
+    draw = RngStream(3).normal_draw()
+    draw.skip(n)
+    assert draw.normal(4).tobytes() == RngStream(3).normal(n + 4)[n:].tobytes()
