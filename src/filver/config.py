@@ -22,7 +22,7 @@ from .datasets import (LabeledSet, TaskSequence, build_permuted_tasks, build_spl
                        load_idx, make_synthetic_blobs)
 from .errors import ConfigError, ContractViolation
 from .federation import FLConfig
-from .models import ClassifierSpec, EncoderSpec, ModelConfig
+from .models import CONV_MIN_SIDE, ClassifierSpec, EncoderSpec, ModelConfig
 from .rehearsal import (MEMORY_MULTIPLIERS, STRATEGY_KINDS, StrategyConfig,
                         encoder_kind_for_strategy)
 from .rng import RngStream
@@ -153,18 +153,23 @@ class ExperimentConfig:
         drng = RngStream(v["dataset.seed"])
         if v["dataset.kind"] == "synthetic":
             size = v["dataset.image_size"]
-            # a split task reads its own band of classes alone; a permuted
-            # task reads every class, so its draw is one band
-            band = v["protocol.classes_per_task"] if v["protocol.kind"] == "split" else None
             base = make_synthetic_blobs(v["dataset.classes"], size * size,
                                         v["dataset.per_class"], v["dataset.spread"],
-                                        drng.child("blobs"), image_shape=(size, size),
-                                        band_classes=band)
+                                        drng.child("blobs"), image_shape=(size, size))
             base_val = None
         else:
             labels_path = self.resolve_path(v["dataset.labels"])
-            base = load_idx(self.resolve_path(v["dataset.images"]), labels_path,
-                            transpose=v["dataset.transpose"])
+            images_path = self.resolve_path(v["dataset.images"])
+            base = load_idx(images_path, labels_path, transpose=v["dataset.transpose"])
+            if v["model.arch"] == "conv" and min(base.images.shape[1:]) < CONV_MIN_SIDE:
+                h, w = base.images.shape[1:]
+                raise ConfigError(images_path, [
+                    f"model.arch: conv needs images of at least {CONV_MIN_SIDE}x{CONV_MIN_SIDE} "
+                    f"pixels, images file {images_path} holds {h}x{w}"])
+            if v["protocol.kind"] == "permuted" and base.class_count < 2:
+                raise ConfigError(labels_path, [
+                    f"the permuted protocol's classifier needs at least two classes, "
+                    f"labels file {labels_path} has {base.class_count}"])
             if v["protocol.kind"] == "split":
                 needed = v["protocol.tasks"] * v["protocol.classes_per_task"]
                 if base.class_count < needed:
@@ -246,7 +251,16 @@ def _validate_cross_fields(values: dict, problems: list) -> None:
                 full = ExperimentConfig.resolve_path(v[key])
                 if not os.path.exists(full):
                     problems.append(f"{key}: no such file: {full}")
+    if v["dataset.kind"] == "synthetic" and v["model.arch"] == "conv" and \
+            v["dataset.image_size"] < CONV_MIN_SIDE:
+        problems.append(
+            f"dataset.image_size: model.arch = conv needs at least {CONV_MIN_SIDE} pixels "
+            f"a side, dataset.image_size is {v['dataset.image_size']}")
     if v["protocol.kind"] == "split":
+        if v["protocol.classes_per_task"] < 2:
+            problems.append(
+                f"protocol.classes_per_task: the split protocol's classifier needs at least "
+                f"two classes a task, got {v['protocol.classes_per_task']}")
         needed = v["protocol.tasks"] * v["protocol.classes_per_task"]
         if v["dataset.kind"] == "synthetic" and v["dataset.classes"] < needed:
             problems.append(

@@ -8,18 +8,19 @@ head).  Client partitions deal each task's rows per label round-robin so
 every client holds a balanced shard.
 
 The images are held once, and a synthetic draw holds one band of them.  A
-loaded IDX set is one source array; a blob draw is a BlobBands source, whose
-bands of classes (a task's classes under the split protocol) are drawn again
-from their recorded Philox states when read, and only the band read last
-stays resident.  Every set built from a source (train and val halves,
-tasks, client shards) is an ImageRows: int64 row numbers into it, plus the
-task's pixel permutation.  Building a set composes row numbers; images are
-gathered only where they are consumed, a pretraining batch or an encoder
-pass at a time.
+loaded IDX set is one source array; a blob draw is a BlobBands source,
+which holds the band of classes the set read last spans (a task's classes
+under the split protocol, every class under the permuted one) and draws
+another band again from its recorded Philox state when a set needs one.
+Every set built from a source (train and val halves, tasks, client shards)
+is an ImageRows: int64 row numbers into it, plus the task's pixel
+permutation.  Building a set composes row numbers; images are gathered only
+where they are consumed, a pretraining batch or an encoder pass at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -46,7 +47,8 @@ class ImageRows:
     with an int, a slice, an index array or a mask gathers the picked rows
     into a new C-contiguous float64 array, so `images[:]` is a fresh copy of
     the whole set; `subset` and `permuted` compose row numbers and
-    permutations instead.
+    permutations instead.  A BlobBands gather reads the band of classes the
+    whole set spans, whatever part of it is picked.
     """
 
     def __init__(self, source, rows=None, perm=None):
@@ -64,11 +66,19 @@ class ImageRows:
         """The shape of the gathered set, read without gathering it."""
         return (len(self.rows),) + self.source.shape[1:]
 
+    @functools.cached_property
+    def span(self) -> tuple:
+        """(lo, hi): the source rows this set's rows lie in, hi exclusive;
+        (0, 0) for an empty set."""
+        if not len(self.rows):
+            return (0, 0)
+        return (int(self.rows.min()), int(self.rows.max()) + 1)
+
     def __getitem__(self, key) -> np.ndarray:
         picked = self.rows[key]
         flat = np.atleast_1d(picked)
-        images = (self.source.take(flat, self.perm) if isinstance(self.source, BlobBands)
-                  else _take(self.source, flat, self.perm))
+        images = (self.source.take(flat, self.perm, self.span)
+                  if isinstance(self.source, BlobBands) else _take(self.source, flat, self.perm))
         return images.reshape(np.shape(picked) + self.source.shape[1:])
 
     def __array__(self, dtype=None, copy=None):
@@ -86,77 +96,56 @@ class BlobBands:
     """A synthetic blob draw, held one band of classes at a time.
 
     The draw is class-major: source row c*per_class + p is sample p of class
-    c.  Band b holds classes [b*band_classes, (b+1)*band_classes), the last
-    band what is left, so its rows are a contiguous run of source rows and a
-    contiguous part of the one normal draw.  Building the source streams
-    through the draw once, recording the Philox state at the start of each
-    band and keeping band 0.  Reading a band that is not held drops the held
-    one, then draws the band again from its recorded state, to the bytes of
-    the one draw; so only the band read last is resident.
+    c, so a band, a run of classes [lo, hi), is a contiguous run of source
+    rows and a contiguous part of the one normal draw.  A gather names the
+    source rows its set spans, and reads the band of their classes.  The
+    held band serves every set inside it; a set that needs a class outside
+    it frees the held band, then draws its own from the Philox state at the
+    band's first class, to the bytes of the one draw.  The state at a class
+    is recorded the first time the draw streams past it, so building the
+    source draws nothing, and only the band read last is resident.
     """
 
-    def __init__(self, centers: np.ndarray, spread: float, per_class: int, band_classes: int,
-                 image_shape: tuple, draw: NormalDraw):
-        classes = len(centers)
+    def __init__(self, centers: np.ndarray, spread: float, per_class: int, image_shape: tuple,
+                 draw: NormalDraw):
         self.centers, self.spread, self.per_class = centers, spread, per_class
-        self.band_classes = band_classes
-        self.shape = (classes * per_class,) + tuple(image_shape)
-        n_bands = -(-classes // band_classes)
-        self._marks = [draw.mark()]
-        self._held = (0, self._draw(0, draw))
-        for b in range(1, n_bands):
-            self._marks.append(draw.mark())
-            if b + 1 < n_bands:  # the last band's values are never needed here
-                draw.skip(self._centers(b).size * per_class)
+        self.shape = (len(centers) * per_class,) + tuple(image_shape)
+        self._marks = {0: draw.mark()}  # class -> the draw's state at its first value
+        self.held = (0, 0)  # the resident band's classes [lo, hi)
+        self._images = np.empty((0,) + self.shape[1:])
 
-    @property
-    def n_bands(self) -> int:
-        return len(self._marks)
-
-    @property
-    def held(self) -> int:
-        """The index of the resident band."""
-        return self._held[0]
-
-    def _centers(self, b: int) -> np.ndarray:
-        """The centers of band b's classes."""
-        return self.centers[b * self.band_classes:(b + 1) * self.band_classes]
-
-    def _draw(self, b: int, draw: NormalDraw) -> np.ndarray:
-        """Band b's images, read from `draw` at the band's start: the noise
-        scaled, shifted by its class centers and clipped to [0, 1] in place,
-        which equals clip(centers + noise * spread), as float addition commutes."""
-        centers = self._centers(b)
+    def _draw(self, lo: int, hi: int) -> np.ndarray:
+        """The images of classes [lo, hi), read from the draw at class lo:
+        the noise scaled, shifted by its class centers and clipped to [0, 1]
+        in place, which equals clip(centers + noise * spread), as float
+        addition commutes.  Reaching class lo from the last recorded class
+        before it streams past the classes between, recording each."""
+        start = max(c for c in self._marks if c <= lo)
+        draw = NormalDraw(self._marks[start])
+        for c in range(start, lo):
+            draw.skip(self.per_class * self.centers.shape[1])
+            self._marks[c + 1] = draw.mark()
+        centers = self.centers[lo:hi]
         samples = draw.normal((len(centers), self.per_class, centers.shape[1]))
+        self._marks.setdefault(hi, draw.mark())
         samples *= self.spread
         samples += centers[:, None, :]
         np.clip(samples, 0.0, 1.0, out=samples)
         return samples.reshape((len(centers) * self.per_class,) + self.shape[1:])
 
-    def band(self, b: int) -> np.ndarray:
-        """Band b's images, drawn again from its recorded state unless held."""
-        if self.held != b:
-            self._held = None  # the held band is freed before the next is drawn
-            self._held = (b, self._draw(b, NormalDraw(self._marks[b])))
-        return self._held[1]
-
-    def take(self, rows: np.ndarray, perm=None) -> np.ndarray:
+    def take(self, rows: np.ndarray, perm, span: tuple) -> np.ndarray:
         """The images of source `rows`, as _take gathers them from an array.
 
-        A gather within one band reads that band alone.  One that spans
-        bands reads them one after another, the held band first, and fills
-        each band's rows of the result in turn.
+        span is the ImageRows.span of the set being read: (lo, hi), hi
+        exclusive, the source rows that hold `rows`.  The band of their
+        classes is drawn unless held; an empty span draws nothing.
         """
-        width = self.band_classes * self.per_class
-        bands = rows // width
-        if len(rows) and bands.min() == bands.max():
-            b = int(bands[0])
-            return _take(self.band(b), rows - b * width, perm)
-        out = np.empty((len(rows),) + self.shape[1:])
-        for b in sorted(np.unique(bands).tolist(), key=lambda b: b != self.held):
-            picked = bands == b
-            out[picked] = _take(self.band(b), rows[picked] - b * width, perm)
-        return out
+        lo, hi = span[0] // self.per_class, -(-span[1] // self.per_class)
+        if lo < hi and not (self.held[0] <= lo and hi <= self.held[1]):
+            self._images = None  # the held band is freed before the next is drawn
+            self._images = self._draw(lo, hi)
+            self.held = (lo, hi)
+        return _take(self._images, rows - self.held[0] * self.per_class, perm)
 
 
 @dataclass
@@ -395,15 +384,14 @@ def partition_clients(seq: TaskSequence, n_clients: int, rng: RngStream) -> Clie
 
 
 def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
-                         rng: RngStream, image_shape: tuple | None = None,
-                         band_classes: int | None = None) -> LabeledSet:
+                         rng: RngStream, image_shape: tuple | None = None) -> LabeledSet:
     """Gaussian cluster per class, clipped to [0, 1]; classes are interleaved.
 
     With image_shape=(H, W) the flat samples are reshaped into image batches
     (d_in must equal H * W), giving a fast stand-in for image datasets.  The
-    samples are one normal draw, held as a BlobBands source of band_classes
-    classes a band (every class in one band when not given), and the set's
-    rows index that draw.
+    samples are one normal draw, held as a BlobBands source that draws the
+    band of classes a set spans when the set is read, and the set's rows
+    index that draw.
     """
     if classes < 2:
         raise ContractViolation("need at least two classes")
@@ -411,11 +399,9 @@ def make_synthetic_blobs(classes: int, d_in: int, per_class: int, spread: float,
         h, w = image_shape
         if h * w != d_in:
             raise ContractViolation(f"image_shape {image_shape} incompatible with d_in {d_in}")
-    if band_classes is not None and band_classes < 1:
-        raise ContractViolation(f"band_classes must be >= 1, got {band_classes}")
     centers = rng.child("blob_centers").uniform(0.0, 1.0, (classes, d_in))
-    source = BlobBands(centers, spread, per_class, min(band_classes or classes, classes),
-                       tuple(image_shape or (d_in,)), rng.child("blob_noise").normal_draw())
+    source = BlobBands(centers, spread, per_class, tuple(image_shape or (d_in,)),
+                       rng.child("blob_noise").normal_draw())
     # the draw stays class-major; the interleaved order 0, 1, ..., K-1, 0, 1, ...
     # is a row map: row p*K + c is sample p of class c, source row c*per_class + p
     rows = (np.arange(per_class, dtype=np.int64)[:, None]

@@ -288,19 +288,10 @@ def _pretrain(encoder: EncoderModel, classifier: ClassifierModel, model: ModelCo
 
 
 def _validation_embeddings(encoder: EncoderModel, encoder_params: ParamVector,
-                           tasks: TaskSequence, first: int = 0) -> list:
-    """(embeddings, labels) of each task's validation set, in task order.
-
-    The sets are embedded from task `first` backwards, wrapping round, so
-    a synthetic split draw ends the pass holding the band of task first + 1,
-    the next task to start; the order changes no byte."""
-    n = tasks.n_tasks
-    embedded = {}
-    for t in [(first - i) % n for i in range(n)]:
-        val = tasks.tasks[t].val
-        embedded[t] = (models.encode_for_eval(encoder, encoder_params, val.images)[0],
-                       np.asarray(val.labels))
-    return [embedded[t] for t in range(n)]
+                           tasks: TaskSequence) -> list:
+    """(embeddings, labels) of each task's validation set, in task order."""
+    return [(models.encode_for_eval(encoder, encoder_params, task.val.images)[0],
+             np.asarray(task.val.labels)) for task in tasks.tasks]
 
 
 def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: StrategyConfig,
@@ -367,12 +358,12 @@ def run_experiment(tasks: TaskSequence, schedule, fl: FLConfig, strategy: Strate
         eval_cache=[], global_round=start_round, identity=identity)
 
     # the first task's shards are embedded before the validation sets, so a
-    # synthetic split draw reads task 0's band, which pretraining left held,
-    # before it moves on: a band is drawn again at most once per use
+    # synthetic split draw reads the first task's band (pretraining leaves
+    # it held) before the validation pass moves through the tasks in order
     first_task = start_round // fl.rounds_per_task
     if first_task < n_tasks:
         state.shard_embeddings = _embed_shards(state, partition, first_task)
-    state.eval_cache = _validation_embeddings(encoder, encoder_params, tasks, first_task)
+    state.eval_cache = _validation_embeddings(encoder, encoder_params, tasks)
     reports = []
     for task_id in range(first_task, n_tasks):
         if task_id > first_task:

@@ -33,6 +33,9 @@ from .rng import RngStream
 # desk conv1 im2col copy (25 x 64*24*24 float64) is 7 MB.
 EVAL_CHUNK = 64
 PRETRAIN_CLIP_NORM = 5.0  # global gradient-norm clip in pretrain_encoder
+# the smallest image side the conv trunk takes: each of its two 5x5 valid
+# convolutions and 2x2 pools takes 16 pixels to 6, then 6 to 1
+CONV_MIN_SIDE = 16
 
 
 @dataclass
@@ -233,7 +236,7 @@ class EncoderModel:
             c1, c2 = spec.conv_channels
             h1, w1 = (h - 4) // 2, (w - 4) // 2
             h2, w2 = (h1 - 4) // 2, (w1 - 4) // 2
-            if h2 < 1 or w2 < 1:
+            if min(h, w) < CONV_MIN_SIDE:
                 raise ContractViolation(f"input {h}x{w} too small for two 5x5 conv stages")
             self.trunk = [
                 _Conv("conv1", c_in, c1),

@@ -136,6 +136,30 @@ def test_cross_field_validation():
     assert any("at least as many clients as tasks" in p for p in err.value.problems)
 
 
+def test_a_one_class_split_task_is_a_config_error():
+    # its classifier would have one class: once built, pretrained and refused
+    # only then, with exit 3.  The permuted protocol ignores the key
+    with pytest.raises(ConfigError) as err:
+        parse_pairs({"protocol.classes_per_task": "1"})
+    assert [p for p in err.value.problems if p.startswith("protocol.classes_per_task")]
+    parse_pairs({"protocol.kind": "permuted", "protocol.classes_per_task": "1"})
+
+
+@pytest.mark.parametrize("size,refused", [(15, True), (16, False)])
+def test_conv_images_under_16_pixels_are_a_config_error(size, refused):
+    # two 5x5 conv stages, each with a 2x2 pool, take 16 pixels a side to 1;
+    # 15 once passed parsing and failed in the encoder's constructor
+    pairs = {"dataset.image_size": str(size), "model.arch": "conv"}
+    if refused:
+        with pytest.raises(ConfigError) as err:
+            parse_pairs(pairs)
+        assert any("dataset.image_size" in p and "model.arch" in p for p in err.value.problems)
+        return
+    cfg = parse_pairs(dict(TINY_PAIRS, **pairs))
+    models.EncoderModel(cfg.model_config(cfg.build_tasks()).encoder)
+    assert parse_pairs({"dataset.image_size": str(size - 1), "model.arch": "mlp"})
+
+
 def test_val_files_must_come_together(tmp_path):
     img = tmp_path / "imgs.idx"
     lab = tmp_path / "labs.idx"
@@ -848,6 +872,36 @@ def test_an_idx_validation_file_lacking_a_tasks_classes_is_a_config_error(
     assert str(tmp_path / val_lab_name) in err
     assert "task 2 has no validation rows" in err
     assert pretrained == []
+
+
+def test_an_idx_labels_file_of_one_class_is_a_config_error_when_permuted(
+        tmp_path, monkeypatch, capsys):
+    # permuted tasks keep the file's classes, so its classifier would have one
+    img_name, lab_name = write_idx_pair(tmp_path, n=20, classes=1)
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    cfg = write_tiny_cfg(
+        tmp_path / "exp.cfg", tmp_path / "out",
+        **{"dataset.kind": "idx", "dataset.images": img_name, "dataset.labels": lab_name,
+           "protocol.kind": "permuted"})
+    assert cli.main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / lab_name) in err and "at least two classes" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("side,rc", [(15, 2), (16, 0)])
+def test_idx_images_under_16_pixels_are_a_config_error_for_conv(
+        tmp_path, monkeypatch, capsys, side, rc):
+    img_name, lab_name = write_idx_pair(tmp_path, side=side)
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    cfg = write_tiny_cfg(
+        tmp_path / "exp.cfg", tmp_path / "out",
+        **{"dataset.kind": "idx", "dataset.images": img_name, "dataset.labels": lab_name,
+           "model.arch": "conv", "model.conv_channels": "2,3", "fl.rounds_per_task": "1"})
+    assert cli.main(["run", str(cfg), "--quiet"]) == rc
+    if rc:
+        err = capsys.readouterr().err
+        assert str(tmp_path / img_name) in err and "model.arch" in err and "15x15" in err
 
 
 @pytest.mark.parametrize("protocol", ["permuted", "split"])

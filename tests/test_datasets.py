@@ -4,6 +4,7 @@ import pathlib
 import struct
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def test_one_copy_builders_match_the_two_step_route(given_val, transposed):
 
 def _held(source):
     """The source's resident images: an array source, or a draw's held band."""
-    return source.band(source.held) if isinstance(source, BlobBands) else source
+    return source._images if isinstance(source, BlobBands) else source
 
 
 def _assert_builders_view(base, base_val):
@@ -321,10 +322,9 @@ def test_one_copy_builders_view_the_base_source(given_val):
 
 @pytest.mark.parametrize("given_val", [False, True])
 def test_builders_view_a_banded_blob_draw(given_val):
-    # here the source is a blob draw of two classes a band, and a gather
-    # shares no memory with the band it leaves held
-    base, base_val = (make_synthetic_blobs(8, 12, n, 0.3, RngStream(seed), image_shape=(3, 4),
-                                           band_classes=2)
+    # here the source is a blob draw, each split task a band of two of its
+    # classes, and a gather shares no memory with the band it leaves held
+    base, base_val = (make_synthetic_blobs(8, 12, n, 0.3, RngStream(seed), image_shape=(3, 4))
                       for n, seed in ((12, 26), (5, 27)))
     _assert_builders_view(base, base_val if given_val else None)
 
@@ -378,9 +378,10 @@ def test_tasks_gather_what_the_two_step_route_held(protocol, kind, transpose, gi
 
 
 def test_desk_task_build_holds_one_copy_of_the_images():
-    # the blob draw streams band by band and keeps band 0, a quarter of the
-    # images: holding the whole draw, gathering the tasks or interleaving
-    # the draw by copy would peak at 1x to 2x
+    # building the tasks draws no band: the draw is read only when a set
+    # is.  Holding the whole draw, streaming through it at set-up,
+    # gathering the tasks or interleaving the draw by copy would peak at
+    # 0.25x to 2x the images
     tracemalloc.start()
     try:
         seq = preset_config("desk-split4").build_tasks()
@@ -388,10 +389,13 @@ def test_desk_task_build_holds_one_copy_of_the_images():
     finally:
         tracemalloc.stop()
     source = seq.tasks[0].train.images.source
-    assert isinstance(source, BlobBands) and (source.n_bands, source.held) == (4, 0)
+    assert isinstance(source, BlobBands) and source.held == (0, 0)
     assert all(part.images.source is source for t in seq.tasks for part in (t.train, t.val))
     image_bytes = np.prod(source.shape) * 8
-    assert peak < 0.3 * image_bytes, f"peak {peak / image_bytes:.2f}x the base images"
+    assert peak < 0.05 * image_bytes, f"peak {peak / image_bytes:.2f}x the base images"
+    # a task's train set spans its band, so reading any of it holds the band
+    seq.tasks[1].train.images[0]
+    assert source.held == (10, 20) and source._images.nbytes == image_bytes / 4
 
 
 def test_desk_partition_copies_no_image():
@@ -465,8 +469,6 @@ def test_blobs_rejects_bad_args():
         make_synthetic_blobs(1, 8, 4, 0.2, RngStream(14))
     with pytest.raises(ContractViolation):
         make_synthetic_blobs(3, 8, 4, 0.2, RngStream(15), image_shape=(3, 3))
-    with pytest.raises(ContractViolation, match="band_classes"):
-        make_synthetic_blobs(3, 8, 4, 0.2, RngStream(15), band_classes=0)
 
 
 def test_blobs_match_the_draw_then_copy_route():
@@ -480,37 +482,96 @@ def test_blobs_match_the_draw_then_copy_route():
 
 
 @given(classes=st.integers(2, 7), per_class=st.integers(1, 5), d=st.integers(1, 6),
-       band=st.integers(1, 8), seed=st.integers(0, 2**16), data=st.data())
+       seed=st.integers(0, 2**16), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_band_draws_match_the_one_draw(classes, per_class, d, band, seed, data):
-    # bands of one class, a short last band and one band of every class
-    # (band >= classes) gather every row to the one draw's bytes, in any
-    # order: row by row, in a shuffle that spans bands, and whole
-    got = make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed), band_classes=band)
+def test_band_draws_match_the_one_draw(classes, per_class, d, seed, data):
+    # a set of every row gathers to the one draw's bytes in any order: row
+    # by row, in a shuffle, and whole; so does the set of each class run
+    # [lo, hi), whichever band is held when it is read
+    got = make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed))
     want = oracles.make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed)).images[:]
-    source = got.images.source
-    assert source.n_bands == -(-classes // min(band, classes))
     assert got.images.shape == want.shape
     order = np.array(data.draw(st.permutations(range(len(want)))), dtype=np.int64)
     for i in order:
         assert got.images[int(i)].tobytes() == want[i].tobytes()
+    assert got.images.source.held == (0, classes)
     assert got.images[order].tobytes() == want[order].tobytes()
     assert got.images[:].tobytes() == want.tobytes()
     assert np.array_equal(got.labels, np.tile(np.arange(classes), per_class))
+    lo = data.draw(st.integers(0, classes - 1))
+    hi = data.draw(st.integers(lo + 1, classes))
+    # the blobs interleave classes: row p*classes + c is sample p of class c
+    run = np.flatnonzero((got.labels >= lo) & (got.labels < hi))
+    assert got.images.subset(run)[:].tobytes() == want[run].tobytes()
 
 
-@given(classes=st.integers(2, 7), band=st.integers(1, 3), seed=st.integers(0, 2**16))
+@given(classes=st.integers(2, 7), seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
-def test_a_dropped_band_is_drawn_again_to_its_first_bytes(classes, band, seed):
-    source = make_synthetic_blobs(classes, 5, 3, 0.3, RngStream(seed),
-                                  band_classes=band).images.source
-    first = [source.band(b).copy() for b in range(source.n_bands)]
-    for b in reversed(range(source.n_bands)):
+def test_a_dropped_band_is_drawn_again_to_its_first_bytes(classes, seed):
+    data = make_synthetic_blobs(classes, 5, 3, 0.3, RngStream(seed))
+    source = data.images.source
+    one_class = [data.subset(np.flatnonzero(data.labels == c)).images for c in range(classes)]
+    first = [images[:] for images in one_class]
+    for c in reversed(range(classes)):
         # another stream's draw between the band's draws shifts nothing
         RngStream(seed + 1).normal(7)
-        again = source.band(b)
-        assert source.held == b
-        assert again.tobytes() == first[b].tobytes()
+        again = one_class[c][:]
+        assert source.held == (c, c + 1)
+        assert again.tobytes() == first[c].tobytes()
+
+
+@st.composite
+def _class_runs(draw, classes):
+    """A read order of class runs [lo, hi), each a single class, every
+    class, any run, or (None, k): a run inside the band held when it is
+    read, k picking it."""
+    run = st.integers(0, classes - 1).flatmap(lambda lo: st.tuples(st.just(lo),
+                                                                   st.integers(lo + 1, classes)))
+    return draw(st.lists(st.one_of(st.integers(0, classes - 1).map(lambda c: (c, c + 1)),
+                                   st.just((0, classes)), run,
+                                   st.tuples(st.none(), st.integers(0, 2**16))),
+                         min_size=1, max_size=8))
+
+
+@given(classes=st.integers(2, 7), per_class=st.integers(1, 5), d=st.integers(1, 6),
+       seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reads_hold_one_band_of_the_classes_a_set_spans(classes, per_class, d, seed, data):
+    # sets of class runs, read in a drawn order a row and then every row at
+    # a time, gather the one draw's rows; each draws the band of its run
+    # unless the held band covers it, and no drawn band outlives the next
+    # draw's start
+    blobs = make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed))
+    want = oracles.make_synthetic_blobs(classes, d, per_class, 0.4, RngStream(seed)).images[:]
+    source = blobs.images.source
+    drawn, watched = [], []
+    real_draw = source._draw
+
+    def draw(lo, hi):
+        assert not [ref for ref in watched if ref() is not None], "a band outlived its span"
+        images = real_draw(lo, hi)
+        watched.extend([weakref.ref(images), weakref.ref(images.base)])
+        drawn.append((lo, hi))
+        return images
+
+    source._draw = draw
+    for lo, hi in data.draw(_class_runs(classes)):
+        held = source.held
+        if lo is None:  # a run inside the held band, or any run when none is held
+            within = held if held != (0, 0) else (0, classes)
+            lo = within[0] + hi % (within[1] - within[0])
+            hi = data.draw(st.integers(lo + 1, within[1]))
+        inside = held[0] <= lo and hi <= held[1]
+        run = np.flatnonzero((blobs.labels >= lo) & (blobs.labels < hi))
+        picked = np.array(data.draw(st.permutations(run)), dtype=np.int64)
+        images = blobs.subset(picked).images
+        before = len(drawn)
+        # the first gather, of one row, draws the band of the whole set's run
+        assert images[0].tobytes() == want[picked[0]].tobytes()
+        assert drawn[before:] == ([] if inside else [(lo, hi)])
+        assert images[:].tobytes() == want[picked].tobytes()
+        assert len(drawn) == before + (not inside)
+        assert source.held == (held if inside else (lo, hi))
 
 
 def test_blobs_check_image_shape_before_drawing(monkeypatch):

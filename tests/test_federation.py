@@ -52,6 +52,8 @@ from filver.rehearsal import (
 )
 from filver.rng import RngStream
 
+import oracles
+
 # ---------------------------------------------------------------------------
 # Shared tiny experiment scaffold
 # ---------------------------------------------------------------------------
@@ -61,9 +63,10 @@ EMBED = 6
 N_CLASSES_PER_TASK = 2
 
 
-def tiny_tasks(seed=2024, n_tasks=2, band_classes=None):
-    base = make_synthetic_blobs(2 * n_tasks, D_IN, 24, 0.15, RngStream(seed),
-                                band_classes=band_classes)
+def tiny_tasks(seed=2024, n_tasks=2, blobs=make_synthetic_blobs):
+    """Split tasks of two classes each; blobs=oracles.make_synthetic_blobs
+    holds the images as one array instead of a band-drawn source."""
+    base = blobs(2 * n_tasks, D_IN, 24, 0.15, RngStream(seed))
     return build_split_tasks(base, n_tasks=n_tasks, classes_per_task=N_CLASSES_PER_TASK,
                              val_fraction=0.25, rng=RngStream(seed + 1))
 
@@ -426,32 +429,34 @@ def test_a_run_gathers_images_a_pass_or_a_batch_at_a_time(monkeypatch):
 
 def test_a_split_run_holds_one_band_at_a_time(monkeypatch):
     # each band a draw returns is watched through a weakref: when the next
-    # draw starts, every earlier band is gone.  Task 0's band, kept from the
-    # build pass, serves pretraining, task 0's embed stage and its
-    # validation set; the validation pass then reads the other bands from
-    # the last down, so it ends holding task 1's band, and only the bands
-    # of tasks 2 on are drawn again at their task's start
+    # draw starts, every earlier band is gone.  A set reads the band of the
+    # classes it spans.  Task 0's band, drawn for pretraining, serves task
+    # 0's embed stage and its validation set; the validation pass reads the
+    # other tasks' bands in task order, and each later task's band is drawn
+    # again at its task's start
     n_tasks, fl = 3, tiny_fl()
-    plain, _ = tiny_run("ver_sampled", fl=fl, tasks=tiny_tasks(n_tasks=n_tasks))
+    plain, _ = tiny_run("ver_sampled", fl=fl,
+                        tasks=tiny_tasks(n_tasks=n_tasks, blobs=oracles.make_synthetic_blobs))
     watched, drawn = [], []
     real_draw = BlobBands._draw
 
-    def draw(self, band, normal_draw):
+    def draw(self, lo, hi):
         alive = [ref for ref in watched if ref() is not None]
-        assert not alive, f"band {band} drawn while an earlier band is held"
-        images = real_draw(self, band, normal_draw)
+        assert not alive, f"classes {lo}-{hi} drawn while an earlier band is held"
+        images = real_draw(self, lo, hi)
         watched.extend([weakref.ref(images), weakref.ref(images.base)])
-        drawn.append(band)
+        drawn.append((lo, hi))
         return images
 
     monkeypatch.setattr(BlobBands, "_draw", draw)
-    tasks = tiny_tasks(n_tasks=n_tasks, band_classes=N_CLASSES_PER_TASK)
+    tasks = tiny_tasks(n_tasks=n_tasks)
     reports, _ = tiny_run("ver_sampled", fl=fl, tasks=tasks)
-    assert drawn == [0, 2, 1, 2]
+    assert drawn == [(0, 2), (2, 4), (4, 6), (2, 4), (4, 6)]
     assert report_tuples(reports) == report_tuples(plain)
-    # a gather that spans bands reads them one after another, the held one first
-    whole = tasks.tasks[0].train.images.source.take(np.arange(6 * 24))
-    assert whole.shape == (6 * 24, D_IN) and drawn[4:] == [0, 1]
+    # a set that spans every class holds the whole draw while it is read
+    source = tasks.tasks[0].train.images.source
+    whole = ImageRows(source)[:]
+    assert whole.shape == (6 * 24, D_IN) and drawn[5:] == [(0, 6)]
 
 
 def test_run_is_deterministic_per_seed():
@@ -465,21 +470,24 @@ def test_run_is_deterministic_per_seed():
 
 def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
     # a task's images are its band of the blob draw, drawn again from the
-    # band's recorded state whenever a read finds another band held: make a
-    # draw of task t's band return NaN once `lead` rounds or fewer remain
-    # before task t's last round ends, so any read after that round (a naive
-    # upload included) sees NaN.  Draws before the first round ends (the
-    # build pass and the validation pass) are left clean
+    # band's recorded state whenever a read of the task finds another band
+    # held: make a draw of task t's band return NaN once `lead` rounds or
+    # fewer remain before task t's last round ends, so any read after that
+    # round (a naive upload included) sees NaN.  Draws before the first
+    # round ends (pretraining and the validation pass) are left clean
     fl, n_tasks = tiny_fl(), 3
-    reports_clean, clean_state = tiny_run("naive", fl=fl, seed=13,
-                                          tasks=tiny_tasks(n_tasks=n_tasks))
+    reports_clean, clean_state = tiny_run(
+        "naive", fl=fl, seed=13,
+        tasks=tiny_tasks(n_tasks=n_tasks, blobs=oracles.make_synthetic_blobs))
     real_draw = BlobBands._draw
 
     def poisoned_run(lead, drawn):
         done = []  # one entry per round ended
 
-        def draw(self, band, normal_draw):
-            images = real_draw(self, band, normal_draw)
+        def draw(self, lo, hi):
+            images = real_draw(self, lo, hi)
+            band = lo // N_CLASSES_PER_TASK
+            assert hi == lo + N_CLASSES_PER_TASK, "a read spanned more than one task"
             drawn.append((band, len(done)))
             if done and len(done) + lead >= (band + 1) * fl.rounds_per_task:
                 images[:] = np.nan
@@ -487,7 +495,7 @@ def test_training_data_is_never_read_after_its_task_ends(monkeypatch):
 
         monkeypatch.setattr(BlobBands, "_draw", draw)
         return tiny_run("naive", fl=fl, seed=13, on_round=done.append,
-                        tasks=tiny_tasks(n_tasks=n_tasks, band_classes=N_CLASSES_PER_TASK))
+                        tasks=tiny_tasks(n_tasks=n_tasks))
 
     drawn = []
     reports_poisoned, state = poisoned_run(0, drawn)
